@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 __all__ = ["expected_improvement", "EIAcquisition", "BatchedEIAcquisition"]
 
@@ -43,6 +43,11 @@ def expected_improvement(mu: np.ndarray, var: np.ndarray, y_best) -> np.ndarray:
     Points with (numerically) zero variance get the deterministic
     improvement ``max(y_best - mu, 0)``; a batch whose variances are all
     zero returns that directly without touching the normal CDF/PDF.
+
+    The normal CDF and PDF are ``scipy.special.ndtr`` and the explicit
+    density — exactly what ``scipy.stats.norm.cdf/pdf`` dispatch to, so the
+    values are bit-identical without the distribution-object overhead on
+    every optimizer step.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.sqrt(np.maximum(np.asarray(var, dtype=float), 0.0))
@@ -52,7 +57,7 @@ def expected_improvement(mu: np.ndarray, var: np.ndarray, y_best) -> np.ndarray:
     if not pos.any():
         return out
     z = imp[pos] / sigma[pos]
-    out[pos] = imp[pos] * stats.norm.cdf(z) + sigma[pos] * stats.norm.pdf(z)
+    out[pos] = imp[pos] * special.ndtr(z) + sigma[pos] * (np.exp(-(z**2) / 2.0) / _SQRT_2PI)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -131,21 +136,7 @@ class BatchedEIAcquisition:
         if Xunit.ndim != 3 or Xunit.shape[0] != self.y_best.shape[0]:
             raise ValueError("expected (n_tasks, n_points, dim) candidate blocks")
         mu, var = self.predict_tasks(Xunit)
-        # Same EI as expected_improvement(), with scipy.special.ndtr and the
-        # explicit normal pdf in place of the stats.norm frontend — those are
-        # exactly what stats.norm.cdf/pdf dispatch to, so the values are
-        # bit-identical, but the distribution-object overhead would otherwise
-        # be paid once per lockstep swarm step in the search hot loop.
-        imp = self.y_best[:, None] - np.asarray(mu, dtype=float)
-        sigma = np.sqrt(np.maximum(np.asarray(var, dtype=float), 0.0))
-        ei = np.maximum(imp, 0.0)
-        pos = sigma > 1e-12
-        if pos.any():
-            z = imp[pos] / sigma[pos]
-            ei[pos] = imp[pos] * special.ndtr(z) + sigma[pos] * (
-                np.exp(-(z**2) / 2.0) / _SQRT_2PI
-            )
-            np.maximum(ei, 0.0, out=ei)
+        ei = expected_improvement(mu, var, self.y_best[:, None])
         if self.feasibility is not None:
             for t, feas in enumerate(self.feasibility):
                 if feas is None:

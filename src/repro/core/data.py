@@ -51,6 +51,8 @@ class TuningData:
             raise ValueError("need at least one objective")
         self.X: List[List[Dict[str, Any]]] = [[] for _ in self.tasks]
         self.Y: List[List[np.ndarray]] = [[] for _ in self.tasks]
+        # normalized rows of X, computed once by add() (see unit_rows)
+        self._U: List[List[np.ndarray]] = [[] for _ in self.tasks]
         # per-task sets of rounded normalized-x keys, maintained incrementally
         # by add() so proposal dedup is O(1) instead of O(evals) per lookup
         self._seen: List[set] = [set() for _ in self.tasks]
@@ -82,9 +84,11 @@ class TuningData:
                 f"expected {self.n_objectives} objective value(s), got shape {yv.shape}"
             )
         xd = self.tuning_space.to_dict(x)
+        u = self.tuning_space.normalize(xd)
         self.X[task].append(xd)
         self.Y[task].append(yv)
-        self._seen[task].add(self.x_key(xd))
+        self._U[task].append(u)
+        self._seen[task].add(self._unit_key(u))
 
     def extend(self, task: int, xs: Sequence[Mapping[str, Any]], ys: Sequence[Any]) -> None:
         """Record a batch of evaluations for one task."""
@@ -96,7 +100,11 @@ class TuningData:
     # -- dedup support -----------------------------------------------------
     def x_key(self, x: Mapping[str, Any]) -> Tuple:
         """Canonical hashable key of one configuration (rounded unit coords)."""
-        return tuple(np.round(self.tuning_space.normalize(x), 9))
+        return self._unit_key(self.tuning_space.normalize(x))
+
+    @staticmethod
+    def _unit_key(u: np.ndarray) -> Tuple:
+        return tuple(np.round(u, 9))
 
     def seen_keys(self, task: int) -> set:
         """Keys of every configuration already evaluated for one task.
@@ -147,16 +155,24 @@ class TuningData:
         task_index:
             ``(N,)`` integer task id per row.
         """
-        rows, ys, idx = [], [], []
-        for i, (xs, yvals) in enumerate(zip(self.X, self.Y)):
-            for x, y in zip(xs, yvals):
-                rows.append(self.tuning_space.normalize(x))
-                ys.append(y[objective])
-                idx.append(i)
+        rows = [u for us in self._U for u in us]
         if not rows:
             beta = self.tuning_space.dimension
             return np.empty((0, beta)), np.empty(0), np.empty(0, dtype=int)
-        return np.vstack(rows), np.asarray(ys, dtype=float), np.asarray(idx, dtype=int)
+        ys = [y[objective] for yvals in self.Y for y in yvals]
+        idx = np.repeat(np.arange(self.n_tasks), [len(us) for us in self._U])
+        return np.vstack(rows), np.asarray(ys, dtype=float), idx
+
+    def unit_rows(self, task: int, start: int, stop: int) -> np.ndarray:
+        """``(k, β)`` normalized rows of one task's evaluations ``start:stop``.
+
+        The rows are the ones :meth:`add` computed when it recorded each
+        configuration, so no configuration is normalized twice.
+        """
+        rows = self._U[task][start:stop]
+        if not rows:
+            return np.empty((0, self.tuning_space.dimension))
+        return np.vstack(rows)
 
     def normalized_tasks(self) -> np.ndarray:
         """``(δ, α)`` normalized task parameter matrix."""

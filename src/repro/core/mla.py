@@ -172,8 +172,8 @@ def _feasibility_or_none(problem: TuningProblem, task: Mapping[str, Any]):
     """Feasibility predicate over normalized points, or ``None`` if trivial.
 
     An unconstrained tuning space makes every candidate feasible, so the
-    search phase skips the per-row constraint predicate entirely instead of
-    paying a Python loop per optimizer step.
+    search phase skips the constraint predicate entirely instead of paying
+    a denormalization per optimizer step.
     """
     if problem.tuning_space.constraints:
         return problem.feasibility_on_unit(task)
@@ -1546,13 +1546,12 @@ class GPTune:
             return None
         model: LCM = st["model"]
         prev = st["counts"]
-        space = data.tuning_space
         blocks, ys, tix, n_new = [], [], [], 0
         for i in range(data.n_tasks):
             if counts[i] <= prev[i]:
                 continue
             cfgs = [data.X[i][k] for k in range(prev[i], counts[i])]
-            units = np.vstack([space.normalize(c) for c in cfgs])
+            units = data.unit_rows(i, prev[i], counts[i])
             if featurizer is not None:
                 units = featurizer.enrich(data.tasks[i], cfgs, units, observe=False)
             blocks.append(units)
@@ -1681,7 +1680,6 @@ class GPTune:
         tr = _YTransform(str(w["transform"]["kind"]))
         tr.mean = float(w["transform"]["mean"])
         tr.std = float(w["transform"]["std"])
-        space = data.tuning_space
 
         def stack(prev: Sequence[int], cur: Sequence[int]):
             blocks, ys, tix = [], [], []
@@ -1689,7 +1687,7 @@ class GPTune:
                 if cur[i] <= prev[i]:
                     continue
                 cfgs = [data.X[i][k] for k in range(prev[i], cur[i])]
-                units = np.vstack([space.normalize(c) for c in cfgs])
+                units = data.unit_rows(i, prev[i], cur[i])
                 if featurizer is not None:
                     units = featurizer.enrich(
                         data.tasks[i], cfgs, units, observe=False

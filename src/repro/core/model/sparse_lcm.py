@@ -160,9 +160,18 @@ class SparseLCM:
         return out
 
     def _chol_escalate(self, A: np.ndarray) -> Tuple[np.ndarray, float]:
-        """Cholesky with escalating — not compounding — diagonal jitter."""
+        """Cholesky with escalating — not compounding — diagonal jitter.
+
+        The jitter grows tenfold per attempt up to ``max(1, 1e-6·max|A_ii|)``.
+        Round-off in ``A = K_mm + K_nmᵀΛ⁻¹K_nm`` scales with its entries, so
+        an absolute ceiling cannot repair an ``A`` whose diagonal reaches
+        1e17, while a millionth of the largest diagonal entry is still a
+        small relative perturbation.  Factorizations that succeed below 1.0
+        see the same jitter sequence as before.
+        """
         di = np.diag_indices(A.shape[0])
         base = A[di].copy()
+        ceiling = max(1.0, 1e-6 * float(np.abs(base).max(initial=0.0)))
         j = 0.0
         while True:
             try:
@@ -170,7 +179,7 @@ class SparseLCM:
                 return L, j
             except sla.LinAlgError:
                 j = max(j, self.jitter, 1e-10) * 10.0
-                if j > 1.0:
+                if j > ceiling:
                     raise
                 A[di] = base + j
 

@@ -21,6 +21,29 @@ import numpy as np
 __all__ = ["Parameter", "Real", "Integer", "Categorical"]
 
 
+def _clip_unit(unit: Any) -> np.ndarray:
+    """Element-wise ``min(1.0, max(0.0, u))`` as a float array (NaN -> 0.0)."""
+    return np.fmin(1.0, np.fmax(0.0, np.asarray(unit, dtype=float)))
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """Element-wise ``math.exp``.
+
+    ``np.exp`` differs from libm's ``exp`` in the last bit for a few percent
+    of inputs, which would move log-scale integers across rounding edges and
+    break equality with the scalar :meth:`Parameter.denormalize`.
+    """
+    return np.fromiter(map(math.exp, x.tolist()), dtype=float, count=x.size)
+
+
+def _object_array(values: Sequence[Any]) -> np.ndarray:
+    """1-D object array holding ``values`` as-is (tuples stay elements)."""
+    out = np.empty(len(values), dtype=object)
+    for i, v in enumerate(values):
+        out[i] = v
+    return out
+
+
 class Parameter:
     """Abstract base class for a single named parameter.
 
@@ -51,6 +74,14 @@ class Parameter:
 
     def denormalize(self, unit: float) -> Any:
         """Map a point of ``[0, 1]`` back to a native value."""
+        raise NotImplementedError
+
+    def denormalize_array(self, unit: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`denormalize` over a 1-D array of unit values.
+
+        Element ``i`` equals ``denormalize(unit[i])`` exactly (same clipping,
+        cells and rounding); categories come back as an object array.
+        """
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator) -> Any:
@@ -122,6 +153,12 @@ class Real(Parameter):
             return math.exp(math.log(self.lb) + u * (math.log(self.ub) - math.log(self.lb)))
         return self.lb + u * (self.ub - self.lb)
 
+    def denormalize_array(self, unit: np.ndarray) -> np.ndarray:
+        u = _clip_unit(unit)
+        if self.transform == "log":
+            return _exp(math.log(self.lb) + u * (math.log(self.ub) - math.log(self.lb)))
+        return self.lb + u * (self.ub - self.lb)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Real({self.name!r}, {self.lb}, {self.ub}, {self.transform!r})"
 
@@ -180,6 +217,14 @@ class Integer(Parameter):
         k = int(u * n)  # u == 1.0 falls into the last cell below
         return min(self.ub, self.lb + k)
 
+    def denormalize_array(self, unit: np.ndarray) -> np.ndarray:
+        u = _clip_unit(unit)
+        if self.transform == "log":
+            v = _exp(math.log(self.lb) + u * (math.log(max(self.ub, 1)) - math.log(self.lb)))
+            # np.rint rounds half to even, like the scalar path's round()
+            return np.minimum(self.ub, np.maximum(self.lb, np.rint(v).astype(np.int64)))
+        return np.minimum(self.ub, self.lb + (u * self.cardinality).astype(np.int64))
+
     def grid(self, n: int) -> list:
         vals = sorted({self.denormalize(u) for u in np.linspace(0.0, 1.0, max(int(n), 1))})
         return vals
@@ -234,6 +279,11 @@ class Categorical(Parameter):
         u = min(1.0, max(0.0, float(unit)))
         k = min(len(self.categories) - 1, int(u * len(self.categories)))
         return self.categories[k]
+
+    def denormalize_array(self, unit: np.ndarray) -> np.ndarray:
+        n = len(self.categories)
+        k = np.minimum(n - 1, (_clip_unit(unit) * n).astype(np.int64))
+        return _object_array(self.categories)[k]
 
     def grid(self, n: int) -> list:
         return list(self.categories[: max(int(n), 1)]) if n < len(self.categories) else list(self.categories)

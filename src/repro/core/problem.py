@@ -161,19 +161,15 @@ class TuningProblem:
         """Vectorized feasibility predicate over *normalized* points.
 
         Returned callable maps ``(n, β)`` unit points to a boolean mask; used
-        to confine acquisition optimizers to the feasible region.
+        to confine acquisition optimizers to the feasible region.  It
+        evaluates whole candidate blocks at once via
+        :meth:`repro.core.space.Space.feasible_mask`.
         """
         tdict = self.task_space.to_dict(task)
+        space = self.tuning_space
 
         def check(Xunit: np.ndarray) -> np.ndarray:
-            Xunit = np.atleast_2d(np.asarray(Xunit, dtype=float))
-            return np.array(
-                [
-                    self.tuning_space.is_feasible(self.tuning_space.denormalize(u), extra=tdict)
-                    for u in Xunit
-                ],
-                dtype=bool,
-            )
+            return space.feasible_mask(Xunit, extra=tdict)
 
         return check
 

@@ -42,6 +42,9 @@ class Constraint:
         written over any subset of parameters.
     name:
         Optional label used in error messages.
+
+    String expressions are compiled once, here; a syntax error raises
+    :class:`ValueError` naming the constraint.
     """
 
     def __init__(self, expr: ConstraintLike, name: Optional[str] = None):
@@ -57,16 +60,85 @@ class Constraint:
             self._kwargs: Optional[frozenset] = None if has_var_kw else frozenset(sig.parameters)
         else:
             self._kwargs = None
+        self._compile()
+        # whether mask() tries evaluating the expression over whole columns;
+        # cleared the first time that fails, so the failure is paid once
+        self._vectorize = self._code is not None
+
+    def _compile(self) -> None:
+        self._code = None
+        if callable(self.expr):
+            return
+        try:
+            self._code = compile(self.expr, f"<constraint {self.name}>", "eval")
+        except SyntaxError as e:
+            raise ValueError(f"constraint {self.name!r} is not a valid expression: {e.msg}") from e
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # code objects do not pickle; __setstate__ recompiles
+        state = self.__dict__.copy()
+        state.pop("_code", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._compile()
 
     def __call__(self, bindings: Mapping[str, Any]) -> bool:
-        if callable(self.expr):
+        if self._code is None:
             if self._kwargs is None:
                 return bool(self.expr(**bindings))
             kw = {k: v for k, v in bindings.items() if k in self._kwargs}
             return bool(self.expr(**kw))
         scope = dict(bindings)
         scope["np"] = np
-        return bool(eval(self.expr, {"__builtins__": {}}, scope))  # noqa: S307 - sandboxed
+        return bool(eval(self._code, {"__builtins__": {}}, scope))  # noqa: S307 - sandboxed
+
+    def mask(
+        self,
+        columns: Mapping[str, np.ndarray],
+        n: int,
+        extra: Optional[Mapping[str, Any]] = None,
+    ) -> np.ndarray:
+        """Evaluate the constraint on ``n`` rows given as parameter columns.
+
+        ``columns`` maps parameter names to length-``n`` arrays (see
+        :meth:`Space.denormalize_columns`); ``extra`` holds scalar bindings
+        such as task parameters.  A string expression is evaluated once over
+        the whole columns.  Element ``i`` of the result equals the row-wise
+        call on row ``i``'s bindings.
+
+        Callables, and expressions that raise on arrays (``and`` / ``or`` /
+        ``not`` need scalars) or give a result of the wrong shape, fall back
+        to the row-wise loop.  A scalar result broadcasts only when the
+        expression names no column.
+        """
+        if self._vectorize:
+            scope = dict(extra or {})
+            scope.update(columns)
+            scope["np"] = np
+            try:
+                with np.errstate(all="raise"):
+                    res = np.asarray(eval(self._code, {"__builtins__": {}}, scope))  # noqa: S307
+            except Exception:
+                # any expression can fail on arrays in its own way; the
+                # row-wise loop below re-raises the errors that are genuine
+                res = None
+            if res is not None:
+                if res.shape == (n,):
+                    return res.astype(bool)
+                if res.shape == () and columns.keys().isdisjoint(self._code.co_names):
+                    return np.full(n, bool(res))
+            self._vectorize = False
+        base = dict(extra or {})
+        rows = {k: np.asarray(v).tolist() for k, v in columns.items()}
+        out = np.empty(n, dtype=bool)
+        for i in range(n):
+            bindings = dict(base)
+            for k, vals in rows.items():
+                bindings[k] = vals[i]
+            out[i] = self(bindings)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Constraint({self.name!r})"
@@ -166,6 +238,16 @@ class Space:
         units = np.atleast_2d(np.asarray(units, dtype=float))
         return [self.denormalize(u) for u in units]
 
+    def denormalize_columns(self, units: np.ndarray) -> Dict[str, np.ndarray]:
+        """Map ``(n, dim)`` unit rows to native-valued columns by name.
+
+        ``columns[name][i]`` equals ``denormalize(units[i])[name]``.
+        """
+        U = np.atleast_2d(np.asarray(units, dtype=float))
+        if U.ndim != 2 or U.shape[1] != self.dimension:
+            raise ValueError(f"expected shape (n, {self.dimension}), got {U.shape}")
+        return {p.name: p.denormalize_array(U[:, i]) for i, p in enumerate(self.parameters)}
+
     # -- feasibility --------------------------------------------------------
     def is_feasible(
         self,
@@ -180,6 +262,30 @@ class Space:
         bindings = dict(extra or {})
         bindings.update(self.to_dict(values))
         return all(c(bindings) for c in self.constraints)
+
+    def feasible_mask(
+        self, units: np.ndarray, extra: Optional[Mapping[str, Any]] = None
+    ) -> np.ndarray:
+        """Feasibility of ``(n, dim)`` unit rows as an ``(n,)`` boolean mask.
+
+        Element ``i`` equals ``is_feasible(denormalize(units[i]), extra)``.
+        The rows are denormalized column by column and each constraint is
+        evaluated over whole columns (:meth:`Constraint.mask`).  A constraint
+        sees only the rows every earlier constraint accepted, as in the
+        short-circuiting row-wise check.
+        """
+        U = np.atleast_2d(np.asarray(units, dtype=float))
+        n = U.shape[0]
+        if not self.constraints:
+            return np.ones(n, dtype=bool)
+        cols = self.denormalize_columns(U)
+        ok = self.constraints[0].mask(cols, n, extra)
+        for c in self.constraints[1:]:
+            live = np.flatnonzero(ok)
+            if live.size == 0:
+                break
+            ok[live] = c.mask({k: v[live] for k, v in cols.items()}, live.size, extra)
+        return ok
 
     def round_trip(self, values: Union[Mapping[str, Any], Sequence[Any]]) -> Dict[str, Any]:
         """Project native values onto representable ones (normalize∘denormalize).

@@ -275,6 +275,9 @@ class ShardSupervisor:
         supervisor = self
 
         class _TopologyHandler(BaseHTTPRequestHandler):
+            # headers and body go out in two writes; see server._Handler
+            disable_nagle_algorithm = True
+
             def log_message(self, fmt, *args):  # pragma: no cover - quiet
                 pass
 

@@ -81,6 +81,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-tuning-service/1.0"
     protocol_version = "HTTP/1.1"
+    #: _reply writes headers and body separately; with Nagle's algorithm the
+    #: body waits for the client's delayed ACK (~40 ms) on keep-alive sockets
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
     @property

@@ -34,6 +34,30 @@ class TestExpectedImprovement:
         ei = expected_improvement(np.array([2.0, 2.0]), np.array([0.01, 1.0]), 1.0)
         assert ei[1] > ei[0]
 
+    def test_bit_identical_to_stats_norm_formula(self):
+        """ndtr + the explicit pdf reproduce stats.norm.cdf/pdf to the bit."""
+        rng = np.random.default_rng(7)
+        mu = rng.normal(scale=3.0, size=(4, 500))
+        var = rng.lognormal(sigma=3.0, size=mu.shape)
+        var[:, ::7] = 0.0
+        var[:, 3::11] = -rng.random(var[:, 3::11].shape)  # round-off negatives
+        var[:, 5::13] = 1e-25  # sigma below the 1e-12 cutoff
+        y_best = rng.normal(size=(4, 1))
+
+        sigma = np.sqrt(np.maximum(var, 0.0))
+        imp = y_best - mu
+        want = np.maximum(imp, 0.0)
+        pos = sigma > 1e-12
+        z = imp[pos] / sigma[pos]
+        want[pos] = imp[pos] * stats.norm.cdf(z) + sigma[pos] * stats.norm.pdf(z)
+        want = np.maximum(want, 0.0)
+
+        got = expected_improvement(mu, var, y_best)
+        assert got.tobytes() == want.tobytes()
+        for t in range(4):
+            row = expected_improvement(mu[t], var[t], float(y_best[t, 0]))
+            assert row.tobytes() == want[t].tobytes()
+
 
 class TestEIAcquisition:
     def _predict(self, X):

@@ -71,6 +71,23 @@ class TestStacked:
         X, y, tidx = data.stacked()
         assert X.shape == (0, 2) and y.size == 0 and tidx.size == 0
 
+    def test_cached_rows_match_fresh_normalization(self, data):
+        """stacked()/unit_rows() reuse add()'s rows; they must equal normalize()."""
+        rng = np.random.default_rng(3)
+        for _ in range(12):
+            task = int(rng.integers(2))
+            data.add(task, {"x": float(rng.random()), "k": int(rng.integers(1, 5))}, 1.0)
+        space = data.tuning_space
+        X, _, tidx = data.stacked()
+        want = np.vstack([space.normalize(x) for xs in data.X for x in xs])
+        assert X.tobytes() == want.tobytes()
+        assert tidx.dtype == np.asarray([0]).dtype
+        for i in range(2):
+            n = data.n_samples(i)
+            assert np.array_equal(data.unit_rows(i, 0, n), X[tidx == i])
+            assert np.array_equal(data.unit_rows(i, 1, n - 1), X[tidx == i][1:-1])
+        assert data.unit_rows(0, 3, 3).shape == (0, 2)
+
     def test_normalized_tasks(self, data):
         T = data.normalized_tasks()
         assert T.shape == (2, 1)

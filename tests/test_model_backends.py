@@ -330,6 +330,46 @@ class TestSparseLCM:
         assert np.allclose(np.diag(C), 1.0)
 
 
+class TestSparseJitterCeiling:
+    """``_chol_escalate`` scales its give-up point with ``A``'s diagonal."""
+
+    @staticmethod
+    def _gram(scale, shift, m=40, rank=6):
+        B = np.random.default_rng(0).normal(size=(m, rank))
+        G = B @ B.T
+        d = np.sqrt(np.diag(G))
+        A = scale * G / np.outer(d, d)
+        A[np.diag_indices(m)] -= shift
+        return A
+
+    def test_near_singular_gram_at_1e17_factorizes(self):
+        # rank-deficient, diagonal 1e17, smallest eigenvalue about -2e3: the
+        # shape of A that stopped an archive-sparse fit with LinAlgError
+        A = self._gram(1e17, 1.8e3)
+        assert np.linalg.eigvalsh(A).min() < -1e3
+        want = A.copy()
+        L, j = SparseLCM(2, 1, n_inducing=8)._chol_escalate(A)
+        assert 1.0 < j <= 1e-6 * np.abs(np.diag(want)).max()
+        want[np.diag_indices(want.shape[0])] += j
+        assert np.allclose(L @ L.T, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_well_conditioned_matrix_gets_no_jitter(self):
+        A = self._gram(1.0, -0.5)
+        L, j = SparseLCM(2, 1, n_inducing=8)._chol_escalate(A.copy())
+        assert j == 0.0 and np.allclose(L @ L.T, A)
+
+    def test_unit_scale_sequence_unchanged(self):
+        # below 1.0 the tenfold sequence is the old one: smallest jitter > 0.3
+        A = self._gram(1.0, 0.3)
+        _, j = SparseLCM(2, 1, n_inducing=8, jitter=1e-8)._chol_escalate(A)
+        assert j == pytest.approx(1.0)
+
+    def test_indefinite_unit_scale_matrix_still_raises(self):
+        A = self._gram(1.0, 5.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            SparseLCM(2, 1, n_inducing=8)._chol_escalate(A)
+
+
 # ---------------------------------------------------------------------------
 # PerTaskGP backend
 # ---------------------------------------------------------------------------

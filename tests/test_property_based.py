@@ -31,6 +31,15 @@ def integer_params(draw):
 
 
 @st.composite
+def log_params(draw):
+    lb = draw(st.integers(min_value=1, max_value=500))
+    ub = lb + draw(st.integers(min_value=0, max_value=5000))
+    if draw(st.booleans()):
+        return Integer("k", lb, ub, transform="log")
+    return Real("x", lb * 1e-3, ub * 1e-3 + 1e-3, transform="log")
+
+
+@st.composite
 def categorical_params(draw):
     n = draw(st.integers(min_value=1, max_value=12))
     return Categorical("c", [f"cat{i}" for i in range(n)])
@@ -70,6 +79,18 @@ class TestParameterProperties:
     def test_real_denormalize_monotone(self, p, u1, u2):
         lo, hi = min(u1, u2), max(u1, u2)
         assert p.denormalize(lo) <= p.denormalize(hi)
+
+    @given(
+        st.one_of(real_params(), integer_params(), categorical_params(), log_params()),
+        st.lists(st.floats(min_value=-0.5, max_value=1.5), min_size=1, max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_denormalize_array_equals_scalar(self, p, us):
+        """The column-wise map equals the scalar one, element by element."""
+        got = p.denormalize_array(np.array(us)).tolist()
+        want = [p.denormalize(u) for u in us]
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
 
 
 # -- space invariants ---------------------------------------------------------

@@ -132,6 +132,7 @@ class TestSupervisorAndRouter:
             topo = json.loads(resp.read().decode())
         assert sorted(topo["shards"]) == [shard_id(0), shard_id(1)]
         assert topo["generation"] == sup.generation
+        assert sup._topology_server.RequestHandlerClass.disable_nagle_algorithm
 
     def test_data_lands_in_owner_shard_only(self, topology):
         sup, topo_url = topology

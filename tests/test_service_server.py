@@ -3,6 +3,7 @@ acceptance scenario: two concurrent GPTune campaigns sharing one archive
 through the service, with no lost or corrupted records."""
 
 import json
+import socket
 import threading
 import urllib.request
 
@@ -12,7 +13,7 @@ from repro.apps.analytical import AnalyticalApp
 from repro.core import GPTune, Options
 from repro.service import ServiceClient, ShardedStore
 from repro.service.client import ServiceError, StaleEtagError
-from repro.service.server import make_server
+from repro.service.server import _Handler, make_server
 
 REC = {"task": {"m": 10}, "x": {"b": 4}, "y": [1.5]}
 REC2 = {"task": {"m": 20}, "x": {"b": 8}, "y": [2.5]}
@@ -249,6 +250,34 @@ class TestKeepAliveAndRetries:
         client.problems()
         client.close()
         assert client.problems() == []
+
+    def test_accepted_connections_set_tcp_nodelay(self, tmp_path):
+        # headers and body leave in two writes; with Nagle's algorithm on, a
+        # keep-alive reply waits for the client's delayed ACK (~40 ms)
+        seen = []
+
+        class Recording(_Handler):
+            def setup(self):
+                super().setup()
+                seen.append(
+                    self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                )
+
+        server = make_server(str(tmp_path / "db"), port=0)
+        server.RequestHandlerClass = Recording
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        client = ServiceClient(f"http://{host}:{port}")
+        try:
+            client.append("qr", [REC])
+            assert client.records("qr")[0]["y"] == [1.5]
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert seen and all(seen)
 
 
 class TestBackpressureHTTP:
