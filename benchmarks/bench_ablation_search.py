@@ -13,20 +13,20 @@ pytest-benchmark ablations:
    model predicts worse than an updated one.
 
 Run as a script, this file is additionally the gated harness for the
-lockstep batched search phase: it times the three search execution modes
-(sequential reference, lockstep batched, executor-parallel) on an 8-task
-campaign at the default PSO settings and writes
-``benchmarks/results/BENCH_search.json`` with wall-clock search times and
-``phase.search`` span totals.  ``--check`` runs the deterministic CI gates
-(wall-clock speedups stay informational so the job cannot be flaky):
+lockstep batched search phase: it times the search on an 8-task campaign at
+the default PSO settings and writes ``benchmarks/results/BENCH_search.json``
+with wall-clock search times and ``phase.search`` span totals.  ``--check``
+runs the deterministic CI gates (wall-clock times stay informational so the
+job cannot be flaky):
 
-* **equivalence** — ``LCM.predict_tasks`` must match per-task ``predict``
-  within 1e-10 on random fits (shared and per-task candidate blocks);
-* **quality** — the fixed-seed batched campaign's incumbents must be within
-  5% of the sequential reference's;
-* **determinism** — rerunning batched and sequential campaigns with the
-  same seed must reproduce every evaluation exactly, and the expected
-  ``search-mode`` event must be recorded for each mode.
+* **equivalence** — ``predict_tasks`` must match per-task ``predict``
+  within 1e-10 on random fits of the exact LCM and of the per-task GP
+  backend (shared and per-task candidate blocks);
+* **quality** — every incumbent of the fixed-seed campaign must be within
+  5% of the objective's known minimum of 1.0;
+* **determinism** — rerunning the campaign with the same seed must
+  reproduce every evaluation exactly, and exactly one ``search-mode``
+  event (``batched``) must be recorded.
 
 Run::
 
@@ -51,6 +51,7 @@ from repro.core import (
     LinearPerformanceModel,
     Options,
     ParticleSwarm,
+    PerTaskGP,
     Real,
     Space,
     TuningProblem,
@@ -66,12 +67,8 @@ DEFAULT_OUT = os.path.join(
 #: the acceptance point: 8 tasks × default PSO settings (40 particles, 30 iters)
 N_TASKS, N_SAMPLES = 8, 24
 
-#: search execution modes compared by the harness
-MODES = {
-    "sequential": dict(search_batched=False, search_backend="serial"),
-    "batched": dict(search_batched=True, search_backend="serial"),
-    "executor": dict(search_batched=False, search_backend="thread", n_workers=4),
-}
+#: the search objective's minimum, 1.0 for every task (the quality reference)
+KNOWN_MIN = 1.0
 
 
 def _fit(rng, n_start=2, seed=0):
@@ -162,7 +159,7 @@ def _search_problem():
         objective=lambda task, cfg: 1.0
         + (cfg["x"] - 0.2 - 0.3 * task["t"]) ** 2
         + (cfg["y"] - 0.7 * task["t"]) ** 2,
-        name="bench-search-modes",
+        name="bench-search",
     )
 
 
@@ -170,45 +167,36 @@ def _search_tasks(n_tasks=N_TASKS):
     return [{"t": float(t)} for t in np.linspace(0.05, 0.95, n_tasks)]
 
 
-def _search_campaign(**kw):
+def _search_campaign():
     """8-task campaign at *default* PSO settings (40 particles, 30 iters)."""
-    opts = Options(seed=11, n_start=1, lbfgs_maxiter=40, telemetry=True, **kw)
+    opts = Options(seed=11, n_start=1, lbfgs_maxiter=40, telemetry=True)
     return GPTune(_search_problem(), opts).tune(_search_tasks(), N_SAMPLES)
 
 
-def bench_search_modes(repeats):
-    """Time every search mode; keep the result + fastest timings per mode."""
-    out, results = {}, {}
-    for mode, kw in MODES.items():
-        best, res = None, None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            res = _search_campaign(**kw)
-            wall = time.perf_counter() - t0
-            span = phase_breakdown(res.events.events).get(
-                "phase.search", {"count": 0, "total_s": 0.0}
-            )
-            timing = {
-                "search_s": float(res.stats["search_time"]),
-                "campaign_s": wall,
-                "span_phase_search_total_s": float(span["total_s"]),
-                "span_phase_search_count": int(span["count"]),
-                "best_values": [float(v) for v in res.best_values()],
-            }
-            if best is None or timing["search_s"] < best["search_s"]:
-                best = timing
-        out[mode], results[mode] = best, res
-        print(f"  {mode:<10} search {best['search_s']*1e3:8.1f} ms   "
-              f"phase.search span {best['span_phase_search_total_s']*1e3:8.1f} ms "
-              f"({best['span_phase_search_count']} spans)   "
-              f"campaign {best['campaign_s']:6.2f} s")
-    seq, bat = out["sequential"]["search_s"], out["batched"]["search_s"]
-    out["speedup_batched_vs_sequential"] = seq / bat if bat > 0 else float("inf")
-    exe = out["executor"]["search_s"]
-    out["speedup_executor_vs_sequential"] = seq / exe if exe > 0 else float("inf")
-    print(f"  batched search-phase speedup at {N_TASKS} tasks x default PSO: "
-          f"{out['speedup_batched_vs_sequential']:.2f}x (informational target >= 3x)")
-    return out, results
+def bench_search(repeats):
+    """Time the lockstep search; keep the result + fastest timings."""
+    best, res = None, None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        res = _search_campaign()
+        wall = time.perf_counter() - t0
+        span = phase_breakdown(res.events.events).get(
+            "phase.search", {"count": 0, "total_s": 0.0}
+        )
+        timing = {
+            "search_s": float(res.stats["search_time"]),
+            "campaign_s": wall,
+            "span_phase_search_total_s": float(span["total_s"]),
+            "span_phase_search_count": int(span["count"]),
+            "best_values": [float(v) for v in res.best_values()],
+        }
+        if best is None or timing["search_s"] < best["search_s"]:
+            best = timing
+    print(f"  search {best['search_s']*1e3:8.1f} ms   "
+          f"phase.search span {best['span_phase_search_total_s']*1e3:8.1f} ms "
+          f"({best['span_phase_search_count']} spans)   "
+          f"campaign {best['campaign_s']:6.2f} s")
+    return best, res
 
 
 def check_predict_tasks_equivalence():
@@ -217,86 +205,74 @@ def check_predict_tasks_equivalence():
     worst = 0.0
     for delta, beta, q, n in [(2, 2, 1, 24), (4, 3, 2, 48), (8, 2, 2, 64)]:
         X = rng.random((n, beta))
-        tidx = rng.integers(0, delta, n)
+        tidx = np.arange(n) % delta
         y = np.sin(3.0 * X[:, 0]) + 0.3 * tidx + 0.05 * rng.normal(size=n)
-        m = LCM(delta, beta, n_latent=q, seed=3, n_start=1, maxiter=30).fit(X, y, tidx)
+        models = (
+            LCM(delta, beta, n_latent=q, seed=3, n_start=1, maxiter=30).fit(X, y, tidx),
+            PerTaskGP(delta, beta, n_start=1, maxiter=30, seed=3).fit(X, y, tidx),
+        )
         tasks = list(range(delta))
-        for Xstar in (rng.random((10, beta)), rng.random((delta, 6, beta))):
-            mu, var = m.predict_tasks(tasks, Xstar)
-            for s, t in enumerate(tasks):
-                block = Xstar if Xstar.ndim == 2 else Xstar[s]
-                mu1, var1 = m.predict(t, block)
-                worst = max(worst, float(np.max(np.abs(mu[s] - mu1))),
-                            float(np.max(np.abs(var[s] - var1))))
+        for m in models:
+            for Xstar in (rng.random((10, beta)), rng.random((delta, 6, beta))):
+                mu, var = m.predict_tasks(tasks, Xstar)
+                for s, t in enumerate(tasks):
+                    block = Xstar if Xstar.ndim == 2 else Xstar[s]
+                    mu1, var1 = m.predict(t, block)
+                    worst = max(worst, float(np.max(np.abs(mu[s] - mu1))),
+                                float(np.max(np.abs(var[s] - var1))))
     passed = worst < 1e-10
     print(f"  equivalence: |Δposterior| <= {worst:.3e} (gate 1e-10)  "
           f"{'PASS' if passed else 'FAIL'}")
     return {"max_diff": worst, "passed": passed}
 
 
-def check_campaign_gates(results):
-    """Gates on the timed runs: quality, search-mode events, determinism."""
-    seq, bat = results["sequential"], results["batched"]
-    quality = bool(np.all(bat.best_values() <= seq.best_values() * 1.05))
-    print(f"  quality: batched incumbents within 5% of sequential on all "
+def check_campaign_gates(res):
+    """Gates on the timed run: quality, search-mode events, determinism."""
+    quality = bool(np.all(res.best_values() <= 1.05 * KNOWN_MIN))
+    print(f"  quality: incumbents within 5% of the known minimum on all "
           f"{N_TASKS} tasks  {'PASS' if quality else 'FAIL'}")
 
-    modes_ok = True
-    for mode, res in results.items():
-        seen = [e.fields.get("mode") for e in res.events.events
-                if e.kind == "search-mode"]
-        spans = [e for e in res.events.events
-                 if e.kind == "span" and e.fields.get("name") == "phase.search"]
-        ok = seen == [mode] and bool(spans) and all(
-            s.fields.get("mode") == mode for s in spans
-        )
-        modes_ok = modes_ok and ok
-        print(f"  telemetry[{mode}]: search-mode events {seen}, "
-              f"{len(spans)} phase.search span(s)  {'PASS' if ok else 'FAIL'}")
+    seen = [e.fields.get("mode") for e in res.events.events if e.kind == "search-mode"]
+    spans = [e for e in res.events.events
+             if e.kind == "span" and e.fields.get("name") == "phase.search"]
+    modes_ok = seen == ["batched"] and bool(spans) and all(
+        s.fields.get("mode") == "batched" for s in spans
+    )
+    print(f"  telemetry: search-mode events {seen}, {len(spans)} phase.search "
+          f"span(s)  {'PASS' if modes_ok else 'FAIL'}")
 
-    determinism = True
-    for mode in ("sequential", "batched"):
-        rerun = _search_campaign(**MODES[mode])
-        same = rerun.data.to_records() == results[mode].data.to_records()
-        determinism = determinism and same
-        print(f"  determinism[{mode}]: same-seed rerun identical  "
-              f"{'PASS' if same else 'FAIL'}")
+    determinism = _search_campaign().data.to_records() == res.data.to_records()
+    print(f"  determinism: same-seed rerun identical  "
+          f"{'PASS' if determinism else 'FAIL'}")
 
-    passed = quality and modes_ok and determinism
     return {
         "quality_within_5pct": quality,
         "search_mode_events": modes_ok,
         "same_seed_identical": determinism,
-        "passed": passed,
+        "passed": quality and modes_ok and determinism,
     }
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        description="Search-phase mode benchmark (sequential vs batched vs executor)"
-    )
+    ap = argparse.ArgumentParser(description="Lockstep search-phase benchmark")
     ap.add_argument("--check", action="store_true",
                     help="run the deterministic CI gates (plus quick timings)")
     ap.add_argument("--out", default=DEFAULT_OUT, help="JSON output path")
     args = ap.parse_args(argv)
 
-    print(f"== search-phase modes: {N_TASKS} tasks x {N_SAMPLES} samples, "
+    print(f"== lockstep search: {N_TASKS} tasks x {N_SAMPLES} samples, "
           f"default PSO settings ==")
-    timings, results = bench_search_modes(repeats=2 if args.check else 3)
+    timing, res = bench_search(repeats=2 if args.check else 3)
     payload = {
-        "config": {
-            "n_tasks": N_TASKS,
-            "n_samples": N_SAMPLES,
-            "modes": {k: dict(v) for k, v in MODES.items()},
-        },
-        "modes": timings,
+        "config": {"n_tasks": N_TASKS, "n_samples": N_SAMPLES},
+        "search": timing,
     }
 
     ok = True
     if args.check:
         print("== deterministic gates ==")
         eq = check_predict_tasks_equivalence()
-        camp = check_campaign_gates(results)
+        camp = check_campaign_gates(res)
         payload["checks"] = {
             "equivalence": eq,
             "campaign": camp,

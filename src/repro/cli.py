@@ -129,8 +129,6 @@ def _cmd_tune(args) -> int:
             eval_timeout=args.eval_timeout,
             model_cache_path=args.model_cache,
             telemetry=bool(args.telemetry),
-            search_batched=not args.no_batched_search,
-            search_backend=args.search_backend,
             backend=backend,
             async_eval=bool(args.async_eval),
             max_inflight=args.max_inflight,
@@ -417,17 +415,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_tune.add_argument(
         "--n-inducing", type=int, default=128, metavar="M",
         help="inducing-set size of the sparse backend (default: 128)",
-    )
-    p_tune.add_argument(
-        "--no-batched-search", action="store_true",
-        help="disable the lockstep cross-task batched search phase and use "
-             "the per-task reference loop (or --search-backend)",
-    )
-    p_tune.add_argument(
-        "--search-backend", default="serial",
-        choices=("serial", "thread", "process"),
-        help="executor dispatching whole per-task searches when batching is "
-             "off or impossible (default: serial)",
     )
     p_tune.add_argument(
         "--async", dest="async_eval", action="store_true",

@@ -20,7 +20,7 @@ from ..runtime.resilience import (
     RetryPolicy,
     RunCheckpoint,
 )
-from .mla import GPTune, IndependentGPs, TuneResult
+from .mla import GPTune, TuneResult
 from .model import (
     BackendSpec,
     PerTaskGP,
@@ -59,7 +59,6 @@ __all__ = [
     "GaussianProcess",
     "GPTune",
     "HistoryDB",
-    "IndependentGPs",
     "Integer",
     "LCM",
     "LCMParams",

@@ -44,7 +44,7 @@ from .data import TuningData
 from .gp import GaussianProcess
 from .history import HistoryDB
 from .lcm import LCM
-from .model import SparseLCM, get_backend, select_backend
+from .model import PerTaskGP, SparseLCM, get_backend, select_backend
 from .options import Options
 from .perfmodel import ModelFeaturizer
 from .problem import TuningProblem
@@ -54,7 +54,7 @@ from .search.penalty import PenalizedAcquisition, constant_liar, penalize_lcb
 from .search.pso import ParticleSwarm
 from .search.pso_batched import BatchedParticleSwarm
 
-__all__ = ["GPTune", "IndependentGPs", "TuneResult"]
+__all__ = ["GPTune", "TuneResult"]
 
 
 class TuneResult:
@@ -73,8 +73,9 @@ class TuneResult:
         sum with ``objective_time``.
     models:
         The fitted surrogate(s) of the final iteration, one per objective:
-        an :class:`~repro.core.lcm.LCM`, an :class:`IndependentGPs` fallback,
-        or ``None`` after a full downgrade to random search.
+        an :class:`~repro.core.lcm.LCM` (or sparse LCM), a
+        :class:`~repro.core.model.PerTaskGP` fallback, or ``None`` after a
+        full downgrade to random search.
     events:
         The :class:`~repro.runtime.trace.CampaignLog` of resilience events
         (retries, timeouts, model downgrades, checkpoints) from the run.
@@ -119,12 +120,14 @@ class TuneResult:
         return self.data.best_trajectory(task, objective)
 
 
-class _BatchEval:
-    """Picklable evaluation closure for executor-mapped batch evaluation.
+class _TaskEval:
+    """Picklable evaluation callable over ``(task_index, config)`` pairs.
 
-    Returns the full :class:`~repro.runtime.resilience.EvalOutcome` so retry
-    and failure events that happened inside a worker process can be replayed
-    into the driver's campaign log.
+    Shared by the lockstep executor map and the async engine's schedulers.
+    Retries/timeouts run *inside* the worker via
+    :meth:`~repro.core.problem.TuningProblem.evaluate_outcome`, and the
+    returned :class:`~repro.runtime.resilience.EvalOutcome` carries its
+    events back for replay into the driver's campaign log.
     """
 
     def __init__(
@@ -142,32 +145,6 @@ class _BatchEval:
         return self.problem.evaluate_outcome(self.tasks[idx], cfg, retry=self.retry)
 
 
-class _AsyncEval:
-    """Picklable evaluation callable for the async engine's schedulers.
-
-    The payload is ``(task_index, config)`` — the engine's submission unit.
-    Retries/timeouts run *inside* the scheduler's worker via
-    :meth:`~repro.core.problem.TuningProblem.evaluate_outcome`, so the
-    resilience ladder composes with the queue unchanged, and the returned
-    :class:`~repro.runtime.resilience.EvalOutcome` carries its events back
-    for replay into the campaign log.
-    """
-
-    def __init__(
-        self,
-        problem: TuningProblem,
-        tasks: List[Mapping[str, Any]],
-        retry: Optional[RetryPolicy] = None,
-    ):
-        self.problem = problem
-        self.tasks = tasks
-        self.retry = retry
-
-    def __call__(self, payload):
-        idx, cfg = payload
-        return self.problem.evaluate_outcome(self.tasks[idx], cfg, retry=self.retry)
-
-
 def _feasibility_or_none(problem: TuningProblem, task: Mapping[str, Any]):
     """Feasibility predicate over normalized points, or ``None`` if trivial.
 
@@ -178,170 +155,6 @@ def _feasibility_or_none(problem: TuningProblem, task: Mapping[str, Any]):
     if problem.tuning_space.constraints:
         return problem.feasibility_on_unit(task)
     return None
-
-
-def _mo_lcb(predicts, feasible, Xunit: np.ndarray) -> np.ndarray:
-    """Per-objective lower-confidence-bound rows for NSGA-II.
-
-    The LCB scalarization ``mu - sqrt(var)`` per objective lets the NSGA-II
-    population span the optimistic Pareto front (the "multi-objective EI"
-    search of Algorithm 2); infeasible rows are pushed to ``inf``.
-    """
-    cols = []
-    for pr in predicts:
-        mu, var = pr(Xunit)
-        cols.append(mu - 1.0 * np.sqrt(var))
-    F = np.column_stack(cols)
-    if feasible is not None:
-        F[~np.asarray(feasible(Xunit), dtype=bool)] = np.inf
-    return F
-
-
-def _run_search_job(job):
-    """Executor-mapped trampoline: run one per-task search job."""
-    return job()
-
-
-class _SearchSingleTask:
-    """One task's whole EI/PSO search as a picklable executor job.
-
-    The executor-parallel fallback (``Options.search_backend``) dispatches
-    entire per-task searches across workers — the paper's Sec. 4.2 parallel
-    search phase — when lockstep batching is impossible.  Returns the
-    proposed unit-cube positions ``(q, dim)``.
-    """
-
-    def __init__(
-        self,
-        problem: TuningProblem,
-        model,
-        task_index: int,
-        task: Mapping[str, Any],
-        y_best: float,
-        featurizer: Optional[ModelFeaturizer],
-        n_particles: int,
-        iterations: int,
-        q: int,
-        seed: int,
-        x0: np.ndarray,
-    ):
-        self.problem = problem
-        self.model = model
-        self.task_index = int(task_index)
-        self.task = dict(task)
-        self.y_best = float(y_best)
-        self.featurizer = featurizer
-        self.n_particles = int(n_particles)
-        self.iterations = int(iterations)
-        self.q = int(q)
-        self.seed = seed
-        self.x0 = np.asarray(x0, dtype=float)
-
-    def __call__(self, _item=None) -> np.ndarray:
-        space = self.problem.tuning_space
-        model, task, feat = self.model, self.task, self.featurizer
-
-        def predict(Xunit: np.ndarray):
-            Xunit = np.atleast_2d(Xunit)
-            if feat is not None:
-                cfgs = [space.denormalize(u) for u in Xunit]
-                Xin = feat.enrich(task, cfgs, Xunit, observe=False)
-            else:
-                Xin = Xunit
-            return model.predict(self.task_index, Xin)
-
-        acq = EIAcquisition(
-            predict,
-            y_best=self.y_best,
-            feasibility=_feasibility_or_none(self.problem, task),
-        )
-        pso = ParticleSwarm(
-            dim=space.dimension,
-            n_particles=self.n_particles,
-            iterations=self.iterations,
-            seed=self.seed,
-        )
-        xunit, _ = pso.maximize(acq, x0=self.x0)
-        if self.q > 1:
-            return pso.top_batch(self.q)
-        return xunit[None, :]
-
-
-class _SearchMultiTask:
-    """One task's whole NSGA-II search as a picklable executor job.
-
-    Returns ``(Xf, Ff, popX, popF)`` — the first front plus the final
-    population so the driver's ``_pick_k`` can top up short fronts.
-    """
-
-    def __init__(
-        self,
-        problem: TuningProblem,
-        models: List,
-        task_index: int,
-        task: Mapping[str, Any],
-        featurizer: Optional[ModelFeaturizer],
-        pop_size: int,
-        generations: int,
-        seed: int,
-        x0: np.ndarray,
-    ):
-        self.problem = problem
-        self.models = list(models)
-        self.task_index = int(task_index)
-        self.task = dict(task)
-        self.featurizer = featurizer
-        self.pop_size = int(pop_size)
-        self.generations = int(generations)
-        self.seed = seed
-        self.x0 = np.asarray(x0, dtype=float)
-
-    def __call__(self, _item=None):
-        space = self.problem.tuning_space
-        task, feat = self.task, self.featurizer
-
-        def make_predict(model):
-            def predict(Xunit: np.ndarray):
-                Xunit = np.atleast_2d(Xunit)
-                if feat is not None:
-                    cfgs = [space.denormalize(u) for u in Xunit]
-                    Xin = feat.enrich(task, cfgs, Xunit, observe=False)
-                else:
-                    Xin = Xunit
-                return model.predict(self.task_index, Xin)
-
-            return predict
-
-        predicts = [make_predict(m) for m in self.models]
-        feasible = _feasibility_or_none(self.problem, task)
-        nsga = NSGA2(
-            dim=space.dimension,
-            pop_size=self.pop_size,
-            generations=self.generations,
-            seed=self.seed,
-            label=f"task {self.task_index}",
-        )
-        Xf, Ff = nsga.minimize(lambda X: _mo_lcb(predicts, feasible, X), x0=self.x0)
-        popX, popF = nsga.population
-        return Xf, Ff, popX, popF
-
-
-class IndependentGPs:
-    """Degraded surrogate: one independent GP per task (no task coupling).
-
-    Presents the same ``predict(task, Xstar)`` interface as the LCM so the
-    acquisition search runs unchanged when the multitask fit breaks down.
-    """
-
-    def __init__(self, gps: List[Optional[GaussianProcess]]):
-        self.gps = gps
-
-    def predict(self, task: int, Xstar: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance from the task's own GP."""
-        gp = self.gps[int(task)]
-        if gp is None:
-            raise RuntimeError(f"task {task} has no fitted fallback surrogate")
-        return gp.predict(Xstar)
 
 
 class _YTransform:
@@ -428,7 +241,6 @@ class GPTune:
         self.metrics = MetricsRegistry()
         self._seeds = np.random.SeedSequence(self.options.seed)
         self._executor = None
-        self._search_executor = None
         self._search_mode_last: Optional[str] = None
         # per-campaign modeling state (reset by tune()): warm-refit carryover
         # per objective, GP-ladder carryover per (objective, task), the
@@ -463,43 +275,6 @@ class GPTune:
                 self.options.backend, self.options.n_workers, on_event=self.events.record
             )
         return self._executor
-
-    def _get_search_executor(self):
-        """Executor for whole-search-per-task dispatch (``search_backend``)."""
-        if self.options.search_backend == "serial":
-            return None
-        if self._search_executor is None:
-            from ..runtime.executor import make_executor
-
-            self._search_executor = make_executor(
-                self.options.search_backend,
-                self.options.n_workers,
-                on_event=self.events.record,
-            )
-        return self._search_executor
-
-    def _select_search_mode(self, models: Sequence[Any], featurizer) -> str:
-        """Pick the search-phase execution path for this iteration.
-
-        ``"batched"`` — lockstep cross-task batching — needs a healthy
-        surrogate with a cross-task ``predict_tasks`` posterior for every
-        objective (the exact and sparse LCM backends have one; the per-task
-        GP rung does not) and no per-task performance-model enrichment
-        (enriched inputs differ per task, so candidate blocks cannot share
-        kernels).  Otherwise the per-task searches are dispatched over
-        ``search_backend`` (``"executor"``) or run in the sequential
-        reference loop.
-        """
-        if (
-            self.options.search_batched
-            and featurizer is None
-            and len(models) > 0
-            and all(callable(getattr(m, "predict_tasks", None)) for m in models)
-        ):
-            return "batched"
-        if self.options.search_backend != "serial":
-            return "executor"
-        return "sequential"
 
     def _note_search_mode(self, mode: str, algo: str, n_tasks: int) -> None:
         """Record a ``search-mode`` event when the execution path changes."""
@@ -595,11 +370,6 @@ class GPTune:
         )
         ck.save(path)
         self.events.record("checkpoint", f"iteration {iteration} -> {path}")
-
-    def _seen_keys(self, data: TuningData, task: int) -> set:
-        # incremental per-task set maintained by TuningData.add — O(1) per
-        # lookup instead of rebuilding the set for every proposal
-        return data.seen_keys(task)
 
     def _fingerprints(self, data: TuningData) -> Optional[frozenset]:
         """Content fingerprints of the current data, accumulated incrementally.
@@ -818,10 +588,7 @@ class GPTune:
         iteration = int(_resume.iteration) if _resume is not None else 0
         self._checkpoint(data, n_samples, frozen_set, iteration, stats)
         while min(data.n_samples(i) for i in active) < n_samples:
-            if gamma == 1:
-                models = self._iteration_single(data, stats, active)
-            else:
-                models = self._iteration_multi(data, stats, active)
+            models = self._iteration(data, stats, active)
             iteration += 1
             self._checkpoint(data, n_samples, frozen_set, iteration, stats)
             if self.options.verbose:  # pragma: no cover - logging
@@ -952,7 +719,7 @@ class GPTune:
             else max(2, opts.n_workers)
         )
         eng = AsyncEvalEngine(
-            _AsyncEval(self.problem, [dict(t) for t in data.tasks], self._retry),
+            _TaskEval(self.problem, [dict(t) for t in data.tasks], self._retry),
             scheduler,
             max_inflight,
         )
@@ -1210,9 +977,9 @@ class GPTune:
         posterior with incumbent-valued lies at every pending point (all
         tasks — cross-task correlations steer every task away), falling
         back to local penalization when the copy/extend is impossible
-        (e.g. the :class:`IndependentGPs` rung); ``"lp"`` multiplies EI by
-        the compactly supported distance penalty over this task's pending
-        points; ``"none"`` relies on dedup alone.  Returns ``None`` before
+        (e.g. the :class:`~repro.core.model.PerTaskGP` rung); ``"lp"``
+        multiplies EI by the compactly supported distance penalty over this
+        task's pending points; ``"none"`` relies on dedup alone.  Returns ``None`` before
         the first model fit — the caller leaves the slot open.
         """
         if bundle is None:
@@ -1887,7 +1654,9 @@ class GPTune:
                 gp.fit(X[rows], yt[rows], theta0=gp_theta0)
                 self._warm_gp_theta[(objective, i)] = np.asarray(gp.theta)
                 gps.append(gp)
-            return IndependentGPs(gps)
+            model = PerTaskGP(data.n_tasks, X.shape[1])
+            model.gps = gps
+            return model
         except Exception as e:
             self.events.record(
                 "model-downgrade",
@@ -1917,86 +1686,88 @@ class GPTune:
 
         return predict
 
-    def _iteration_single(
-        self, data: TuningData, stats, active: Optional[Sequence[int]] = None
-    ) -> List[LCM]:
+    def _iteration(
+        self, data: TuningData, stats, active: Sequence[int]
+    ) -> List[Any]:
+        """One lockstep MLA iteration: modeling, search, evaluation.
+
+        γ = 1 runs Algorithm 1 (batched EI/PSO, ``batch_evals`` proposals
+        per task); γ > 1 runs Algorithm 2 (batched NSGA-II over
+        per-objective LCBs, ``pareto_batch`` proposals per task).  A
+        surrogate fully degraded on any objective falls back to random
+        search so the budget keeps moving.
+        """
         featurizer = ModelFeaturizer(self.problem.models) if self.problem.has_models else None
         models, _, ybests = self._fit_models(data, stats, featurizer)
-        lcm = models[0]
-        if lcm is None:  # fully degraded: random search keeps the budget moving
-            self._evaluate_batch(
-                data,
-                self._random_proposals(data, active, self.options.batch_evals, stats),
-                stats,
-            )
-            return models
-
-        active_list = list(active) if active is not None else list(range(data.n_tasks))
-        mode = self._select_search_mode([lcm], featurizer)
-        t0 = time.perf_counter()
-        with maybe_span("phase.search", algo="pso-ei", mode=mode):
-            self._note_search_mode(mode, "pso-ei", len(active_list))
-            if mode == "batched":
-                proposals = self._search_single_batched(data, lcm, ybests[0], active_list)
-            elif mode == "executor":
-                proposals = self._search_single_executor(
-                    data, lcm, featurizer, ybests[0], active_list
-                )
-            else:
-                proposals = self._search_single_sequential(
-                    data, lcm, featurizer, ybests[0], active_list
-                )
-        stats["search_time"] += time.perf_counter() - t0
-
+        single = data.n_objectives == 1
+        per_task = self.options.batch_evals if single else self.options.pareto_batch
+        if any(m is None for m in models):
+            proposals = self._random_proposals(data, active, per_task, stats)
+        else:
+            algo = "pso-ei" if single else "nsga2"
+            t0 = time.perf_counter()
+            with maybe_span("phase.search", algo=algo, mode="batched"):
+                self._note_search_mode("batched", algo, len(active))
+                if single:
+                    proposals = self._search_single(
+                        data, models[0], featurizer, ybests[0], active
+                    )
+                else:
+                    proposals = self._search_multi(
+                        data, models, featurizer, active, per_task
+                    )
+            stats["search_time"] += time.perf_counter() - t0
         self._evaluate_batch(data, proposals, stats)
         return models
 
-    def _search_single_sequential(
+    def _posterior(
+        self,
+        model,
+        data: TuningData,
+        active: Sequence[int],
+        featurizer: Optional[ModelFeaturizer],
+    ):
+        """``(T, P, dim) -> (mu, var)`` posterior over per-task unit blocks.
+
+        Without performance models this is ``model.predict_tasks``.  With a
+        featurizer, each task's candidate block is first enriched with that
+        task's model features (normalization frozen), and the stacked
+        ``(T, P, β)`` blocks go through the same single cross-task call.
+        """
+        if featurizer is None:
+            return lambda X: model.predict_tasks(active, X)
+        space = data.tuning_space
+
+        def predict(X: np.ndarray):
+            blocks = [
+                featurizer.enrich(
+                    data.tasks[i], space.denormalize_many(X[t]), X[t], observe=False
+                )
+                for t, i in enumerate(active)
+            ]
+            return model.predict_tasks(active, np.stack(blocks))
+
+        return predict
+
+    def _search_single(
         self,
         data: TuningData,
-        lcm,
+        model,
         featurizer: Optional[ModelFeaturizer],
         ybest: np.ndarray,
         active: Sequence[int],
-    ) -> List[Tuple[int, Dict[str, Any]]]:
-        """Reference search loop: one PSO/EI maximization per task."""
-        space = data.tuning_space
-        rng = np.random.default_rng(self._child_seed())
-        q = self.options.batch_evals
-        proposals: List[Tuple[int, Dict[str, Any]]] = []
-        for i in active:
-            acq = EIAcquisition(
-                self._predict_unit(lcm, i, data.tasks[i], featurizer),
-                y_best=float(ybest[i]),
-                feasibility=_feasibility_or_none(self.problem, data.tasks[i]),
-            )
-            pso = ParticleSwarm(
-                dim=space.dimension,
-                n_particles=self.options.ei_candidates,
-                iterations=self.options.pso_iters,
-                seed=self._child_seed(),
-            )
-            seeds = space.normalize(data.best(i)[0])[None, :]
-            xunit, _ = pso.maximize(acq, x0=seeds)
-            units = pso.top_batch(q) if q > 1 else xunit[None, :]
-            for u in units:
-                proposals.append((i, self._dedup(data, i, space.denormalize(u), rng)))
-        return proposals
-
-    def _search_single_batched(
-        self, data: TuningData, lcm: LCM, ybest: np.ndarray, active: Sequence[int]
     ) -> List[Tuple[int, Dict[str, Any]]]:
         """Lockstep search: every task's swarm advances on one batched EI.
 
         All active tasks' particles live in a single
         ``(n_tasks, particles, dim)`` tensor; each PSO step costs one
-        cross-task posterior call (:meth:`LCM.predict_tasks`) instead of
+        cross-task posterior call (``predict_tasks``) instead of
         ``n_tasks`` per-task predicts.
         """
         space = data.tuning_space
         feas = [_feasibility_or_none(self.problem, data.tasks[i]) for i in active]
         acq = BatchedEIAcquisition(
-            lambda X: lcm.predict_tasks(active, X),
+            self._posterior(model, data, active, featurizer),
             y_best=np.asarray([ybest[i] for i in active], dtype=float),
             feasibility=feas if any(f is not None for f in feas) else None,
         )
@@ -2011,67 +1782,24 @@ class GPTune:
         xunit, _ = pso.maximize(acq, x0=seeds)
         rng = np.random.default_rng(self._child_seed())
         q = self.options.batch_evals
-        tops = pso.top_batch(q) if q > 1 else None
+        tops = pso.top_batch(q) if q > 1 else xunit[:, None, :]
         proposals: List[Tuple[int, Dict[str, Any]]] = []
         for t, i in enumerate(active):
-            units = tops[t] if tops is not None else xunit[t][None, :]
-            for u in units:
-                proposals.append((i, self._dedup(data, i, space.denormalize(u), rng)))
-        return proposals
-
-    def _search_single_executor(
-        self,
-        data: TuningData,
-        lcm,
-        featurizer: Optional[ModelFeaturizer],
-        ybest: np.ndarray,
-        active: Sequence[int],
-    ) -> List[Tuple[int, Dict[str, Any]]]:
-        """Dispatch whole per-task searches across the search executor."""
-        space = data.tuning_space
-        jobs = [
-            _SearchSingleTask(
-                self.problem,
-                lcm,
-                i,
-                data.tasks[i],
-                float(ybest[i]),
-                featurizer,
-                n_particles=self.options.ei_candidates,
-                iterations=self.options.pso_iters,
-                q=self.options.batch_evals,
-                seed=self._child_seed(),
-                x0=space.normalize(data.best(i)[0])[None, :],
-            )
-            for i in active
-        ]
-        executor = self._get_search_executor()
-        if executor is None:
-            units_per_task = [job() for job in jobs]
-        else:
-            units_per_task = executor.map(_run_search_job, jobs)
-        rng = np.random.default_rng(self._child_seed())
-        proposals: List[Tuple[int, Dict[str, Any]]] = []
-        for i, units in zip(active, units_per_task):
-            for u in np.atleast_2d(units):
-                proposals.append((i, self._dedup(data, i, space.denormalize(u), rng)))
+            proposals += self._dedup_round(data, i, space.denormalize_many(tops[t]), rng)
         return proposals
 
     def _random_proposals(
-        self, data: TuningData, active: Optional[Sequence[int]], per_task: int, stats
+        self, data: TuningData, active: Sequence[int], per_task: int, stats
     ) -> List[Tuple[int, Dict[str, Any]]]:
         """Random-search proposals — the last rung of the degradation ladder."""
         t0 = time.perf_counter()
         rng = np.random.default_rng(self._child_seed())
-        active_list = list(active) if active is not None else list(range(data.n_tasks))
         proposals: List[Tuple[int, Dict[str, Any]]] = []
         with maybe_span("phase.search", algo="random", mode="random"):
-            self._note_search_mode("random", "random", len(active_list))
-            for i in active_list:
-                for cand in sample_feasible(
-                    data.tuning_space, per_task, rng, extra=data.tasks[i]
-                ):
-                    proposals.append((i, self._dedup(data, i, cand, rng)))
+            self._note_search_mode("random", "random", len(active))
+            for i in active:
+                cands = sample_feasible(data.tuning_space, per_task, rng, extra=data.tasks[i])
+                proposals += self._dedup_round(data, i, cands, rng)
         stats["search_time"] += time.perf_counter() - t0
         return proposals
 
@@ -2089,8 +1817,8 @@ class GPTune:
             return
         with maybe_span("phase.evaluation", n=len(proposals), concurrent=True):
             outcomes = executor.map(
-                _BatchEval(self.problem, [data.tasks[i] for i, _ in proposals], self._retry),
-                list(enumerate(cfg for _, cfg in proposals)),
+                _TaskEval(self.problem, [dict(t) for t in data.tasks], self._retry),
+                proposals,
             )
         for (i, cfg), outcome in zip(proposals, outcomes):
             self._record(data, i, cfg, outcome, stats)
@@ -2108,55 +1836,42 @@ class GPTune:
         ``rng`` is hoisted by the caller — one generator per search phase
         threaded through every proposal, rather than spawning a fresh
         ``default_rng`` (and a seed-tree child) per duplicate hit.  ``extra``
-        adds keys to avoid beyond the evaluated set — the async driver
-        passes the task's in-flight keys so a config is never submitted
-        twice even before its first evaluation lands.
+        adds keys to avoid beyond the evaluated set — the task's in-flight
+        keys (async) or its earlier proposals this round (lockstep).
         """
-        seen = self._seen_keys(data, task)
+        seen = data.seen_keys(task)
         if extra:
             seen = seen | set(extra)
-        key = tuple(np.round(data.tuning_space.normalize(cfg), 9))
-        if key not in seen:
+        if data.x_key(cfg) not in seen:
             return cfg
         for cand in sample_feasible(
             data.tuning_space, 64, rng, extra=data.tasks[task], max_tries=50_000
         ):
-            k = tuple(np.round(data.tuning_space.normalize(cand), 9))
-            if k not in seen:
+            if data.x_key(cand) not in seen:
                 return cand
         return cfg  # tiny discrete space fully explored; re-evaluate
 
-    # -- multi-objective iteration (Algorithm 2) ----------------------------------
-    def _iteration_multi(
-        self, data: TuningData, stats, active: Optional[Sequence[int]] = None
-    ) -> List[LCM]:
-        featurizer = ModelFeaturizer(self.problem.models) if self.problem.has_models else None
-        models, _, _ = self._fit_models(data, stats, featurizer)
-        gamma = data.n_objectives
-        k = self.options.pareto_batch
-        if any(m is None for m in models):  # fully degraded on some objective
-            for i, cfg in self._random_proposals(data, active, k, stats):
-                self._evaluate(data, i, cfg, stats)
-            return models
+    def _dedup_round(
+        self,
+        data: TuningData,
+        task: int,
+        cfgs: Sequence[Dict[str, Any]],
+        rng: np.random.Generator,
+    ) -> List[Tuple[int, Dict[str, Any]]]:
+        """One task's lockstep proposals, deduplicated within the round.
 
-        active_list = list(active) if active is not None else list(range(data.n_tasks))
-        mode = self._select_search_mode(models, featurizer)
-        t0 = time.perf_counter()
-        with maybe_span("phase.search", algo="nsga2", mode=mode):
-            self._note_search_mode(mode, "nsga2", len(active_list))
-            if mode == "batched":
-                proposals = self._search_multi_batched(data, models, active_list, gamma, k)
-            elif mode == "executor":
-                proposals = self._search_multi_executor(
-                    data, models, featurizer, active_list, gamma, k
-                )
-            else:
-                proposals = self._search_multi(data, models, featurizer, active_list, gamma, k)
-        stats["search_time"] += time.perf_counter() - t0
-
-        for i, cfg in proposals:
-            self._evaluate(data, i, cfg, stats)
-        return models
+        Each candidate avoids the task's evaluated configurations *and* the
+        ones already proposed for it this iteration, so ``batch_evals > 1``
+        or ``pareto_batch > 1`` never spends two evaluations on one
+        configuration.
+        """
+        taken: set = set()
+        out: List[Tuple[int, Dict[str, Any]]] = []
+        for cfg in cfgs:
+            cfg = self._dedup(data, task, cfg, rng, extra=taken)
+            taken.add(data.x_key(cfg))
+            out.append((task, cfg))
+        return out
 
     def _pareto_seeds(self, data: TuningData, task: int) -> np.ndarray:
         """Normalized NSGA-II seed individuals: current front or incumbent."""
@@ -2167,53 +1882,24 @@ class GPTune:
     def _search_multi(
         self,
         data: TuningData,
-        models: List[LCM],
+        models: List[Any],
         featurizer: Optional[ModelFeaturizer],
         active: Sequence[int],
-        gamma: int,
-        k: int,
-    ) -> List[Tuple[int, Dict[str, Any]]]:
-        """NSGA-II Pareto search, one task at a time (Algorithm 2 body)."""
-        space = data.tuning_space
-        rng = np.random.default_rng(self._child_seed())
-        proposals: List[Tuple[int, Dict[str, Any]]] = []
-        for i in active:
-            predicts = [
-                self._predict_unit(models[s], i, data.tasks[i], featurizer) for s in range(gamma)
-            ]
-            feasible = _feasibility_or_none(self.problem, data.tasks[i])
-            nsga = NSGA2(
-                dim=space.dimension,
-                pop_size=self.options.nsga_pop,
-                generations=self.options.nsga_gens,
-                seed=self._child_seed(),
-                label=f"task {i}",
-            )
-            Xf, Ff = nsga.minimize(
-                lambda X, pr=predicts, fe=feasible: _mo_lcb(pr, fe, X),
-                x0=self._pareto_seeds(data, i),
-            )
-            for u in self._pick_k(Xf, Ff, k, pool=nsga.population):
-                proposals.append((i, self._dedup(data, i, space.denormalize(u), rng)))
-        return proposals
-
-    def _search_multi_batched(
-        self,
-        data: TuningData,
-        models: List[LCM],
-        active: Sequence[int],
-        gamma: int,
         k: int,
     ) -> List[Tuple[int, Dict[str, Any]]]:
         """Lockstep NSGA-II: all tasks' populations stacked per generation.
 
         Each generation evaluates one ``(n_tasks, pop, dim)`` tensor with
-        ``gamma`` cross-task posterior calls (one per objective) instead of
+        one cross-task posterior call per objective instead of
         ``n_tasks × gamma`` per-task predicts, using the stepping
-        (:meth:`NSGA2.initialize` / :meth:`ask` / :meth:`tell`) API.
+        (:meth:`NSGA2.initialize` / :meth:`ask` / :meth:`tell`) API.  The
+        LCB scalarization ``mu - sqrt(var)`` per objective lets each
+        population span the optimistic Pareto front; infeasible rows score
+        ``inf``.
         """
         space = data.tuning_space
         feas = [_feasibility_or_none(self.problem, data.tasks[i]) for i in active]
+        posteriors = [self._posterior(m, data, active, featurizer) for m in models]
         nsgas = [
             NSGA2(
                 dim=space.dimension,
@@ -2227,8 +1913,8 @@ class GPTune:
 
         def eval_stacked(X: np.ndarray) -> np.ndarray:
             cols = []
-            for s in range(gamma):
-                mu, var = models[s].predict_tasks(active, X)
+            for posterior in posteriors:
+                mu, var = posterior(X)
                 cols.append(mu - 1.0 * np.sqrt(var))
             F = np.stack(cols, axis=-1)  # (n_tasks, pop, gamma)
             for t, fe in enumerate(feas):
@@ -2252,45 +1938,8 @@ class GPTune:
         proposals: List[Tuple[int, Dict[str, Any]]] = []
         for t, i in enumerate(active):
             Xf, Ff = nsgas[t].front()
-            for u in self._pick_k(Xf, Ff, k, pool=nsgas[t].population):
-                proposals.append((i, self._dedup(data, i, space.denormalize(u), rng)))
-        return proposals
-
-    def _search_multi_executor(
-        self,
-        data: TuningData,
-        models: List[LCM],
-        featurizer: Optional[ModelFeaturizer],
-        active: Sequence[int],
-        gamma: int,
-        k: int,
-    ) -> List[Tuple[int, Dict[str, Any]]]:
-        """Dispatch whole per-task NSGA-II searches across the executor."""
-        space = data.tuning_space
-        jobs = [
-            _SearchMultiTask(
-                self.problem,
-                models,
-                i,
-                data.tasks[i],
-                featurizer,
-                pop_size=self.options.nsga_pop,
-                generations=self.options.nsga_gens,
-                seed=self._child_seed(),
-                x0=self._pareto_seeds(data, i),
-            )
-            for i in active
-        ]
-        executor = self._get_search_executor()
-        if executor is None:
-            results = [job() for job in jobs]
-        else:
-            results = executor.map(_run_search_job, jobs)
-        rng = np.random.default_rng(self._child_seed())
-        proposals: List[Tuple[int, Dict[str, Any]]] = []
-        for i, (Xf, Ff, popX, popF) in zip(active, results):
-            for u in self._pick_k(Xf, Ff, k, pool=(popX, popF)):
-                proposals.append((i, self._dedup(data, i, space.denormalize(u), rng)))
+            picks = self._pick_k(Xf, Ff, k, pool=nsgas[t].population)
+            proposals += self._dedup_round(data, i, space.denormalize_many(picks), rng)
         return proposals
 
     @staticmethod

@@ -1,16 +1,12 @@
 """Independent per-task GP backend.
 
-The MLA driver has always had a per-task :class:`~repro.core.gp.GaussianProcess`
-rung as the *degradation* target when the multitask fit breaks down
-(:class:`~repro.core.mla.IndependentGPs`).  :class:`PerTaskGP` makes the
-same surrogate a first-class, explicitly selectable backend
-(``Options(model_backend="gp")``): no task coupling, O(Σ nᵢ³) fit over
-much smaller per-task blocks, and the plain ``predict(task, Xstar)``
-interface.  It deliberately has no ``predict_tasks`` (nothing is shared
-across tasks to batch) and no flat ``theta`` (per-task hyperparameters are
-not transferable to the LCM layout), so the driver's capability checks
-route it to the sequential/executor search paths and skip the surrogate
-cache.
+:class:`PerTaskGP` is both an explicitly selectable backend
+(``Options(model_backend="gp")``) and the driver's *degradation* rung when
+the multitask fit breaks down: no task coupling, O(Σ nᵢ³) fit over much
+smaller per-task blocks.  Its :meth:`~PerTaskGP.predict_tasks` loops over
+the tasks' own GPs, so the lockstep batched search runs unchanged on it.
+It has no flat ``theta`` (per-task hyperparameters are not transferable to
+the LCM layout), so the driver skips warm starts and the surrogate cache.
 """
 
 from __future__ import annotations
@@ -98,3 +94,33 @@ class PerTaskGP:
         if gp is None:
             raise RuntimeError(f"task {task} has no fitted surrogate")
         return gp.predict(Xstar)
+
+    def predict_tasks(
+        self, tasks: Sequence[int], Xstar: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Cross-task posterior, same contract as :meth:`LCM.predict_tasks`.
+
+        ``Xstar`` is one shared ``(N*, β)`` block or per-task
+        ``(n_tasks, N*, β)`` blocks; returns ``(mu, var)``, each
+        ``(n_tasks, N*)``, row ``t`` equal to ``predict(tasks[t], ...)``.
+        There is nothing shared to batch, so this loops over the tasks.
+        """
+        task_ids = [int(t) for t in tasks]
+        if not task_ids:
+            raise ValueError("need at least one task")
+        for t in task_ids:
+            if not 0 <= t < self.n_tasks:
+                raise ValueError("task out of range")
+        Xs = np.asarray(Xstar, dtype=float)
+        if Xs.ndim == 2:
+            blocks = [Xs] * len(task_ids)
+        elif Xs.ndim == 3:
+            if Xs.shape[0] != len(task_ids):
+                raise ValueError(
+                    f"got {Xs.shape[0]} candidate blocks for {len(task_ids)} task(s)"
+                )
+            blocks = list(Xs)
+        else:
+            raise ValueError("Xstar must be (N*, beta) or (n_tasks, N*, beta)")
+        out = [self.predict(t, X) for t, X in zip(task_ids, blocks)]
+        return np.stack([m for m, _ in out]), np.stack([v for _, v in out])

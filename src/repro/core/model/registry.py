@@ -5,12 +5,14 @@ surrogate into a pluggable **backend**: a named factory producing a model
 with the driver's fit/predict contract —
 
 * ``fit(X, y, task_index, theta0=None)`` on stacked normalized samples,
-* ``predict(task, Xstar) -> (mu, var)``;
-* optionally ``predict_tasks`` (enables the lockstep batched search),
-  ``extend`` (enables refit-interval/async streaming absorption), a flat
-  ``theta`` in the :class:`~repro.core.lcm.LCMParams` layout (enables warm
-  starts and the surrogate cache), and ``log_likelihood_`` (the driver's
-  divergence check).
+* ``predict(task, Xstar) -> (mu, var)``,
+* ``predict_tasks(tasks, Xstar) -> (mu, var)`` over a shared ``(N*, β)``
+  block or per-task ``(n_tasks, N*, β)`` blocks (the lockstep search's
+  only posterior call);
+* optionally ``extend`` (enables refit-interval/async streaming
+  absorption), a flat ``theta`` in the :class:`~repro.core.lcm.LCMParams`
+  layout (enables warm starts and the surrogate cache), and
+  ``log_likelihood_`` (the driver's divergence check).
 
 Three backends ship registered:
 

@@ -97,26 +97,6 @@ class Options:
     penalty_radius:
         Unit-cube radius of the ``"lp"`` penalty (also the fallback when
         the constant-liar extension fails).
-    search_batched:
-        Run the search phase in *lockstep batched* mode: all active tasks'
-        PSO swarms (γ = 1) or NSGA-II populations (γ > 1) advance together
-        and each optimizer step scores every task with one cross-task
-        posterior call (:meth:`repro.core.lcm.LCM.predict_tasks`) — a
-        handful of large GEMMs instead of ``n_tasks × pso_iters`` tiny
-        predicts.  Engages only when batching is possible (a healthy LCM
-        surrogate and no per-task performance-model enrichment); otherwise
-        the driver falls back to ``search_backend``.  Proposals stay
-        deterministic for a fixed ``seed`` but differ from the sequential
-        reference's (each mode is self-reproducible).
-    search_backend:
-        Fallback parallelization of the search phase when lockstep batching
-        is off or impossible (per-task :class:`ModelFeaturizer` enrichment,
-        degraded ``IndependentGPs`` rung): ``"serial"`` runs the reference
-        per-task loop; ``"thread"``/``"process"`` dispatch each task's
-        whole EI/NSGA-II search as one job across the
-        :mod:`repro.runtime.executor` backends (the paper's Sec. 4.2
-        parallel search phase), sharing ``n_workers``.  The ``"process"``
-        backend requires a picklable problem/featurizer.
     seed:
         Master seed; all randomness (sampling, PSO, NSGA-II, restarts)
         derives from it, making runs reproducible.
@@ -236,8 +216,6 @@ class Options:
     allow_async_fallback: bool = False
     pending_penalty: str = "cl"
     penalty_radius: float = 0.15
-    search_batched: bool = True
-    search_backend: str = "serial"
     seed: Optional[int] = None
     model_restarts_parallel: bool = True
     max_seconds: Optional[float] = None
@@ -306,8 +284,6 @@ class Options:
             raise ValueError(f"unknown pending_penalty {self.pending_penalty!r}")
         if self.penalty_radius <= 0:
             raise ValueError("penalty_radius must be positive")
-        if self.search_backend not in ("serial", "thread", "process"):
-            raise ValueError(f"unknown search_backend {self.search_backend!r}")
         if self.pareto_batch < 1:
             raise ValueError("pareto_batch must be >= 1")
         if self.batch_evals < 1:

@@ -1,9 +1,8 @@
 """Executor backends for the tuner's own parallelism.
 
-GPTune parallelizes its modeling phase (multi-start L-BFGS restarts),
-concurrent objective evaluations, and — when lockstep batching is off or
-impossible (``Options.search_backend``) — whole per-task EI/NSGA-II searches
-over workers (Secs. 4.2–4.3).  On real installations that is MPI spawning;
+GPTune parallelizes its modeling phase (multi-start L-BFGS restarts) and
+concurrent objective evaluations over workers (Secs. 4.2–4.3); the search
+phase needs no pool, it runs lockstep-batched over all tasks.  On real installations that is MPI spawning;
 here the same call sites take any object with
 ``map(fn, iterable) -> list``:
 

@@ -379,10 +379,11 @@ class TestPerTaskGP:
         X, y, tidx = sparse_data
         m = PerTaskGP(3, 2, seed=0, n_start=1).fit(X, y, tidx)
         assert m.theta is None
-        assert not hasattr(m, "predict_tasks")
         assert np.isfinite(m.log_likelihood_)
         mu, var = m.predict(1, X[:5])
         assert mu.shape == (5,) and np.all(var >= 0)
+        mu_b, var_b = m.predict_tasks([1], X[:5])
+        assert np.array_equal(mu_b[0], mu) and np.array_equal(var_b[0], var)
 
     def test_deterministic(self, sparse_data):
         X, y, tidx = sparse_data
@@ -466,9 +467,9 @@ class TestDriverIntegration:
         tasks = [{"t": i} for i in range(2)]
         res = GPTune(prob, _fast_options(model_backend="gp")).tune(tasks, 6)
         assert all(isinstance(m, PerTaskGP) for m in res.models)
-        # PerTaskGP has no predict_tasks, so the batched search mode is off
-        modes = {e.fields["mode"] for e in res.events.of_kind("search-mode")}
-        assert "batched" not in modes
+        # PerTaskGP.predict_tasks loops over tasks; the search still batches
+        modes = [e.fields["mode"] for e in res.events.of_kind("search-mode")]
+        assert modes == ["batched"]
 
     def test_sparse_campaign_seed_reproducible(self):
         prob = _toy_problem()

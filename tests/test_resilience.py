@@ -18,9 +18,9 @@ from scipy import linalg as sla
 from repro.apps.analytical import analytical_function
 from repro.core import (
     GPTune,
-    IndependentGPs,
     Integer,
     Options,
+    PerTaskGP,
     Real,
     RetryPolicy,
     RunCheckpoint,
@@ -470,9 +470,11 @@ class TestDegradationLadder:
         monkeypatch.setattr("repro.core.lcm.LCM.fit", boom)
         res = GPTune(self._problem(), FAST).tune([{"t": 1}, {"t": 3}], 6)
         assert res.data.n_samples(0) >= 6 and res.data.n_samples(1) >= 6
-        assert isinstance(res.models[0], IndependentGPs)
+        assert isinstance(res.models[0], PerTaskGP)
         downgrades = res.events.of_kind("model-downgrade")
         assert downgrades and "per-task gp" in downgrades[0].detail
+        modes = [e.fields.get("mode") for e in res.events.of_kind("search-mode")]
+        assert modes == ["batched"]
 
     def test_double_failure_falls_back_to_random_search(self, monkeypatch):
         def boom(self, *a, **k):
