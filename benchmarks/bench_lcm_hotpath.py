@@ -4,14 +4,20 @@ Times the three operations that dominate GPTune's tuner overhead — one
 likelihood+gradient evaluation, one full ``fit``, and batched ``predict`` —
 at several sample counts, comparing the vectorized fast path against the
 retained loop-based reference implementation
-(:meth:`repro.core.lcm.LCM._nll_and_grad_reference`).  Results are printed
-as a table and dumped to ``BENCH_lcm.json``.
+(:meth:`repro.core.lcm.LCM._nll_and_grad_reference`).  A second table times
+one evaluation at the shapes the end-to-end campaigns fit (δ=6, β=1,
+N ∈ {30, 48, 60}, and the sparse backend's δ=2, β=1, N=128 inner fit),
+where the per-call fixed cost rather than the O(N³) algebra dominates.
+Results are printed as a table and dumped to ``BENCH_lcm.json``.
 
 ``--check`` runs the deterministic CI gates (wall-clock numbers stay
 informational, so the job cannot be flaky):
 
 * **equivalence** — the vectorized nll/grad must match the reference within
   1e-8 (nll) / 1e-6 (grad ∞-norm) on randomized (δ, β, Q, θ) cases;
+* **layout cache** — nll and gradient must be bitwise equal between a fresh
+  ``LCM`` and one whose task-layout cache was last built for another
+  ``tidx`` (a permuted layout of the same N, and a different N);
 * **warm-refit accounting** — a 20-iteration single-objective campaign with
   ``refit_warm_start`` + ``refit_interval=2`` must spend strictly fewer
   L-BFGS multi-starts than the cold baseline (counted from the campaign
@@ -48,6 +54,11 @@ DELTA, BETA, Q = 4, 6, 3
 
 #: randomized shapes for the equivalence gate: (δ, β, Q, N)
 EQUIV_CASES = [(2, 2, 2, 24), (3, 4, 2, 30), (4, 6, 3, 40), (1, 3, 1, 16), (5, 5, 3, 36)]
+
+#: shapes the end-to-end campaigns fit, (δ, β, N) with the default Q:
+#: lockstep MLA stacks ≤ 60 rows of 6 tasks, the sparse backend's inner
+#: fit sees 128 inducing rows of 2 tasks
+E2E_SHAPES = [(6, 1, 30), (6, 1, 48), (6, 1, 60), (2, 1, 128)]
 
 
 def _synthetic(rng, n, delta=DELTA, beta=BETA):
@@ -87,6 +98,29 @@ def bench_nll_grad(sizes, repeats):
         }
         print(f"  nll+grad N={n:<4} fast {t_fast*1e3:8.2f} ms   "
               f"ref {t_ref*1e3:8.2f} ms   speedup {t_ref/t_fast:5.2f}x")
+    return out
+
+
+def bench_nll_grad_e2e(repeats):
+    """One nll+grad evaluation at the end-to-end campaign shapes."""
+    rng = np.random.default_rng(3)
+    out = {}
+    for delta, beta, n in E2E_SHAPES:
+        X, y, tidx = _synthetic(rng, n, delta, beta)
+        sqd = pairwise_sq_diffs(X)
+        m = LCM(delta, beta, seed=0)
+        theta = m._initial_theta(y, restart=1)
+        m._nll_and_grad(theta, sqd, y, tidx)  # warm the workspace and layout
+        calls = max(20, 20000 // n)
+
+        def batch():
+            for _ in range(calls):
+                m._nll_and_grad(theta, sqd, y, tidx)
+
+        t = _best_of(batch, repeats) / calls
+        key = f"d{delta}_b{beta}_n{n}"
+        out[key] = {"delta": delta, "beta": beta, "n": n, "Q": m.params.Q, "fast_s": t}
+        print(f"  nll+grad δ={delta} β={beta} N={n:<4} {t*1e6:8.1f} us/eval")
     return out
 
 
@@ -158,6 +192,37 @@ def check_equivalence():
         "max_grad_diff": worst_grad,
         "passed": passed,
     }
+
+
+def check_layout_cache():
+    """Gate: a layout cache built for another ``tidx`` changes no bit.
+
+    For every equivalence and end-to-end shape, one model first evaluates a
+    shorter layout and then a permuted task layout of the same N, then the
+    target layout; its nll and gradient must equal a fresh model's bitwise.
+    """
+    rng = np.random.default_rng(11)
+    cases = list(EQUIV_CASES) + [(d, b, min(d, 3), n) for d, b, n in E2E_SHAPES]
+    mismatches = 0
+    for delta, beta, q, n in cases:
+        X, y, tidx = _synthetic(rng, n, delta, beta)
+        sqd = pairwise_sq_diffs(X)
+        stale = LCM(delta, beta, n_latent=q, seed=0)
+        for restart in range(3):
+            theta = stale._initial_theta(y, restart=restart)
+            k = n // 2
+            stale._nll_and_grad(theta, pairwise_sq_diffs(X[:k]), y[:k], tidx[:k].copy())
+            stale._nll_and_grad(theta, sqd, y, rng.permutation(tidx))
+            f_stale, g_stale = stale._nll_and_grad(theta, sqd, y, tidx)
+            f_new, g_new = LCM(delta, beta, n_latent=q, seed=0)._nll_and_grad(
+                theta, sqd, y, tidx
+            )
+            if not (f_stale == f_new and g_stale.tobytes() == g_new.tobytes()):
+                mismatches += 1
+    passed = mismatches == 0
+    print(f"  layout cache: {mismatches} bitwise mismatch(es) over {len(cases) * 3} "
+          f"evaluations  {'PASS' if passed else 'FAIL'}")
+    return {"cases": len(cases) * 3, "mismatches": mismatches, "passed": passed}
 
 
 def _campaign(options):
@@ -233,6 +298,7 @@ def main(argv=None) -> int:
     payload = {
         "config": {"delta": DELTA, "beta": BETA, "n_latent": Q, "sizes": sizes},
         "nll_grad": bench_nll_grad(sizes, repeats),
+        "nll_grad_e2e": bench_nll_grad_e2e(repeats),
         "fit": bench_fit([100, 300] if args.check else [100, 300, 600]),
         "predict": bench_predict(n=300, batch=40, calls=50 if args.check else 200),
     }
@@ -244,11 +310,13 @@ def main(argv=None) -> int:
     if args.check:
         print("== deterministic gates ==")
         eq = check_equivalence()
+        lc = check_layout_cache()
         wr, spans = check_warm_refit()
         payload["checks"] = {
             "equivalence": eq,
+            "layout_cache": lc,
             "warm_refit": wr,
-            "passed": eq["passed"] and wr["passed"],
+            "passed": eq["passed"] and lc["passed"] and wr["passed"],
         }
         payload["spans"] = spans
         ok = payload["checks"]["passed"]

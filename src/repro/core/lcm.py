@@ -31,7 +31,13 @@ vectorized fast path:
 * ``Σ⁻¹`` comes from LAPACK ``potri`` on the existing Cholesky factor
   instead of an explicit ``cho_solve(L, eye(N))`` triangular solve sweep,
 * large scratch arrays live in a per-thread workspace reused across L-BFGS
-  iterations, and
+  iterations,
+* everything that depends only on the task layout (the same-task mask, the
+  one-hot task matrix, the diagonal and strict-upper index sets) is built
+  once per fit and cached on the ``tidx`` object, and the LAPACK
+  ``potrf``/``potrs``/``potri`` handles are fetched once at import — at the
+  small N of autotuning these fixed per-call costs, not the O(N³) algebra,
+  dominate an evaluation, and
 * :meth:`fit` reuses the Cholesky factor and ``α`` captured during the
   winning restart's final likelihood evaluation instead of re-assembling Σ
   and refactorizing.
@@ -68,6 +74,12 @@ __all__ = ["LCMParams", "LCM"]
 
 #: NLL sentinel returned when the covariance is not positive definite.
 _DIVERGED = 1e25
+
+# float64 LAPACK handles for the likelihood hot path, fetched once instead of
+# through scipy's per-call ``get_lapack_funcs`` lookup and wrapper checks
+_POTRF, _POTRS, _POTRI = sla.get_lapack_funcs(
+    ("potrf", "potrs", "potri"), (np.empty((1, 1), dtype=np.float64),)
+)
 
 
 class LCMParams:
@@ -123,10 +135,31 @@ class _Workspace:
 
     def __init__(self, Q: int, N: int):
         self.key = (Q, N)
-        self.Kall = np.empty((Q, N, N))  # latent kernels, then M∘K_q
+        self.Kall = np.empty((Q, N, N))  # b-term staging, latent kernels, then M∘K_q
         self.Aall = np.empty((Q, N, N))  # task-coupling factors, then M∘A_q∘K_q
         self.Sigma = np.empty((N, N))  # Σ, then M = αα^T − Σ⁻¹
         self.tmp = np.empty((N, N))
+
+
+class _Layout:
+    """Task-layout constants of one stacked sample set, shared by every
+    likelihood evaluation of a fit.
+
+    Depends only on ``tidx`` (never on θ), so it is built once per fit and
+    read-only afterwards — concurrent restarts may share it.
+    """
+
+    def __init__(self, tidx: np.ndarray, n_tasks: int):
+        N = tidx.shape[0]
+        self.tidx = tidx  # held so the identity check in LCM._layout stays sound
+        # 0/1 in float64: multiplying by it matches the boolean mask bitwise
+        # and skips the mixed-dtype ufunc loop
+        self.same = (tidx[:, None] == tidx[None, :]).astype(np.float64)
+        self.onehot = np.zeros((n_tasks, N))
+        self.onehot[tidx, np.arange(N)] = 1.0
+        self.rows = np.arange(N)
+        self.diag = np.diag_indices(N)
+        self.upper = np.triu(np.ones((N, N), dtype=bool), 1)
 
 
 class LCM:
@@ -214,7 +247,7 @@ class LCM:
         self.chol_makespan_: float = 0.0
         # caches (never pickled; rebuilt on demand)
         self._tls = threading.local()
-        self._same_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._layout_cache: Optional[_Layout] = None
         self._pred_cache: dict = {}
         self._batch_cache: dict = {}
 
@@ -225,7 +258,7 @@ class LCM:
         state = self.__dict__.copy()
         state["executor"] = None
         state["_tls"] = None
-        state["_same_cache"] = None
+        state["_layout_cache"] = None
         state["_pred_cache"] = {}
         state["_batch_cache"] = {}
         return state
@@ -233,11 +266,12 @@ class LCM:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._tls = threading.local()
-        # checkpoints written by older versions predate the batch cache
-        # and the distributed-Cholesky wiring
+        # checkpoints written by older versions predate the batch and
+        # layout caches and the distributed-Cholesky wiring
         self.__dict__.setdefault("_batch_cache", {})
         self.__dict__.setdefault("chol_ranks", None)
         self.__dict__.setdefault("chol_makespan_", 0.0)
+        self._layout_cache = None
 
     # -- covariance assembly ------------------------------------------------
     def _covariance(
@@ -288,15 +322,15 @@ class LCM:
             self._tls.ws = ws
         return ws
 
-    def _same_mask(self, tidx: np.ndarray) -> np.ndarray:
+    def _layout(self, tidx: np.ndarray) -> _Layout:
         # One fit passes the identical tidx object to every likelihood call;
-        # holding the reference keeps the identity check sound.
-        cached = self._same_cache
-        if cached is not None and cached[0] is tidx:
-            return cached[1]
-        same = tidx[:, None] == tidx[None, :]
-        self._same_cache = (tidx, same)
-        return same
+        # the record holds the reference, which keeps the identity check sound.
+        cached = self._layout_cache
+        if cached is not None and cached.tidx is tidx:
+            return cached
+        layout = _Layout(tidx, self.params.delta)
+        self._layout_cache = layout
+        return layout
 
     def _nll_and_grad(
         self,
@@ -316,44 +350,45 @@ class LCM:
         p = self.params
         N = y.shape[0]
         ws = self._workspace(N)
+        lay = self._layout(tidx)
         ls, a, bw, dn = p.unpack(theta)
-        same = self._same_mask(tidx)
 
-        Kall = gaussian_kernel_batch(sqd, ls, out=ws.Kall)  # (Q, N, N)
         at = a[tidx]  # (N, Q)
         bt = bw[tidx]  # (N, Q)
         Aall = ws.Aall
         Sigma = ws.Sigma
         tmp = ws.tmp
-        for q in range(p.Q):
-            np.outer(at[:, q], at[:, q], out=Aall[q])
-            np.multiply(same, bt[:, q][:, None], out=tmp)
-            Aall[q] += tmp
+        # A_q = a_q a_qᵀ + b_q δ_{t_n t_m} for every latent at once; the
+        # same-task term is staged in the kernel buffer before it is filled
+        np.multiply(at.T[:, :, None], at.T[:, None, :], out=Aall)
+        np.multiply(lay.same, bt.T[:, :, None], out=ws.Kall)
+        Aall += ws.Kall
+        Kall = gaussian_kernel_batch(sqd, ls, out=ws.Kall)  # (Q, N, N)
         np.multiply(Aall[0], Kall[0], out=Sigma)
         for q in range(1, p.Q):
             np.multiply(Aall[q], Kall[q], out=tmp)
             Sigma += tmp
-        di = np.diag_indices(N)
-        Sigma[di] += dn[tidx] + self.jitter
+        Sigma[lay.diag] += dn[tidx] + self.jitter
 
-        try:
-            L = sla.cholesky(Sigma, lower=True, check_finite=False)
-        except sla.LinAlgError:
+        L, info = _POTRF(Sigma, lower=1, overwrite_a=0, clean=1)
+        if info > 0:
             return _DIVERGED, np.zeros_like(theta)
-        alpha = sla.cho_solve((L, True), y, check_finite=False)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of potrf")
+        alpha, info = _POTRS(L, y, lower=1, overwrite_b=0)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
         nll = 0.5 * float(y @ alpha) + float(np.log(np.diag(L)).sum()) + 0.5 * N * np.log(2 * np.pi)
         if capture is not None:
             capture.update(theta=np.array(theta, copy=True), L=L, alpha=alpha, nll=nll)
 
         # Σ⁻¹ from the Cholesky factor via LAPACK potri (half the flops of
         # the cho_solve(L, eye(N)) sweep, and no N×N identity).
-        potri, = sla.get_lapack_funcs(("potri",), (L,))
-        Sinv, info = potri(L, lower=1)
-        if info != 0:  # pragma: no cover - potri failing after a good potrf
+        Sinv, info = _POTRI(L, lower=1)
+        if info != 0:  # potri failing after a good potrf
             Sinv = sla.cho_solve((L, True), np.eye(N), check_finite=False)
         else:
-            iu = np.triu_indices(N, 1)
-            Sinv[iu] = Sinv.T[iu]
+            np.copyto(Sinv, Sinv.T, where=lay.upper)
         M = np.outer(alpha, alpha, out=ws.Sigma)  # Σ content no longer needed
         M -= Sinv  # dLL/dθ = 0.5 tr(M ∂Σ/∂θ)
 
@@ -373,11 +408,10 @@ class LCM:
         g_a = np.zeros((p.delta, p.Q))
         np.add.at(g_a, tidx, tm)
 
-        # b gradients: per-task block sums of GK[q] over same-task pairs
-        onehot = np.zeros((p.delta, N))
-        onehot[tidx, np.arange(N)] = 1.0
-        rs = np.matmul(GK, onehot.T)  # (Q, N, δ)
-        sel = rs[:, np.arange(N), tidx]  # (Q, N): Σ_{m∈task(n)} GK[q,n,m]
+        # b gradients: per-task block sums of GK[q] over same-task pairs (the
+        # transposed one-hot view keeps the GEMM on its original BLAS path)
+        rs = np.matmul(GK, lay.onehot.T)  # (Q, N, δ)
+        sel = rs[:, lay.rows, tidx]  # (Q, N): Σ_{m∈task(n)} GK[q,n,m]
         g_b = np.zeros((p.delta, p.Q))
         np.add.at(g_b, tidx, 0.5 * sel.T)
 
@@ -551,7 +585,11 @@ class LCM:
                 results = list(self.executor.map(self._optimize_one, jobs))
             else:
                 results = [self._optimize_one(j) for j in jobs]
-        best_nll, best_theta, bestL, best_alpha = min(results, key=lambda r: r[0])
+        # a non-finite nll (a NaN restart) ranks last: plain min() keeps a
+        # NaN in position 0 because every comparison against it is False
+        best_nll, best_theta, bestL, best_alpha = min(
+            results, key=lambda r: r[0] if np.isfinite(r[0]) else np.inf
+        )
 
         self.X, self.y, self.task_index, self.theta = X, y, tidx, best_theta
         self.log_likelihood_ = -best_nll
@@ -725,7 +763,7 @@ class LCM:
         )
         self._pred_cache = {}
         self._batch_cache = {}
-        self._same_cache = None
+        self._layout_cache = None
         return self
 
     def _task_weights(self, task: int) -> Tuple[np.ndarray, np.ndarray, float]:

@@ -166,7 +166,7 @@ class TestExtendDrift:
             ls, a, bw, dn = m.params.unpack(m.theta)
             m.theta = m.params.pack(ls, a, bw, np.maximum(dn, 1e-2))
             m.X, m.y, m.task_index = X[:n].copy(), y[:n].copy(), tidx[:n].copy()
-            m._pred_cache, m._batch_cache, m._same_cache = {}, {}, None
+            m._pred_cache, m._batch_cache, m._layout_cache = {}, {}, None
             m._refactorize(pairwise_sq_diffs(m.X))
             return m
 

@@ -3,13 +3,16 @@
 Pins the fast likelihood/gradient against the retained reference
 implementation, checks analytic gradients against finite differences across
 randomized shapes, and covers the fit-capture, block-extension,
-jitter-escalation and predict-cache machinery.
+jitter-escalation and predict-cache machinery, the per-call fixed-cost
+savings (cached LAPACK handles, the task-layout cache, threaded restarts
+staying bitwise-equal to serial ones) and the ranking of failed restarts.
 """
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
+import repro.core.lcm as lcm_mod
 from repro.core import LCM
 from repro.core.kernels import gaussian_kernel_batch, gaussian_kernel, pairwise_sq_diffs
 
@@ -229,6 +232,7 @@ class TestPredictCache:
         assert len(m._pred_cache) == 2
         m.extend(np.array([[0.35]]), np.array([0.2]), [0])
         assert not m._pred_cache
+        assert m._layout_cache is None
         mu, var = m.predict(0, X[:2])
         assert mu.shape == (2,) and np.all(var >= 0)
         m.fit(X, y, tidx)
@@ -240,8 +244,159 @@ class TestPredictCache:
         X, y, tidx = toy_multitask_data
         m = LCM(2, 1, n_latent=2, seed=0, n_start=1).fit(X, y, tidx)
         m.predict(0, X[:2])
+        assert m._layout_cache is not None
         clone = pickle.loads(pickle.dumps(m))
         assert not clone._pred_cache
+        assert clone._layout_cache is None
         mu0, var0 = m.predict(1, X[:3])
         mu1, var1 = clone.predict(1, X[:3])
         assert np.allclose(mu0, mu1) and np.allclose(var0, var1)
+
+
+class TestLapackHandles:
+    """The cached potrf/potrs/potri handles keep the scipy wrappers' results
+    and error semantics."""
+
+    def test_captured_factor_matches_scipy_bitwise(self, rng, monkeypatch):
+        X, y, tidx = _case(rng, 4, 3, 40)
+        sqd = pairwise_sq_diffs(X)
+        m = LCM(4, 3, n_latent=3, seed=0)
+        seen = []
+        real = lcm_mod._POTRF
+
+        def spy(a, **kw):
+            seen.append(np.array(a, copy=True))
+            return real(a, **kw)
+
+        monkeypatch.setattr(lcm_mod, "_POTRF", spy)
+        for restart in range(3):
+            cap: dict = {}
+            m._nll_and_grad(m._initial_theta(y, restart), sqd, y, tidx, capture=cap)
+            L = sla.cholesky(seen[-1], lower=True)
+            assert np.array_equal(cap["L"], L)
+            assert np.array_equal(cap["alpha"], sla.cho_solve((L, True), y))
+
+    @pytest.mark.parametrize("name", ["_POTRF", "_POTRS"])
+    def test_illegal_argument_raises_value_error(self, rng, monkeypatch, name):
+        X, y, tidx = _case(rng, 2, 2, 12)
+        m = LCM(2, 2, n_latent=2, seed=0)
+        real = getattr(lcm_mod, name)
+        monkeypatch.setattr(lcm_mod, name, lambda *a, **kw: (real(*a, **kw)[0], -2))
+        with pytest.raises(ValueError, match="illegal value"):
+            m._nll_and_grad(m._initial_theta(y, 0), pairwise_sq_diffs(X), y, tidx)
+
+    def test_potri_failure_falls_back_to_solve(self, rng, monkeypatch):
+        X, y, tidx = _case(rng, 3, 2, 20)
+        sqd = pairwise_sq_diffs(X)
+        m = LCM(3, 2, n_latent=2, seed=0)
+        theta = m._initial_theta(y, 1)
+        f0, g0 = m._nll_and_grad(theta, sqd, y, tidx)
+        monkeypatch.setattr(lcm_mod, "_POTRI", lambda L, **kw: (np.zeros_like(L), 1))
+        f1, g1 = m._nll_and_grad(theta, sqd, y, tidx)
+        assert f1 == f0
+        assert np.allclose(g1, g0, rtol=1e-8, atol=1e-10)
+
+
+class TestLayoutCache:
+    """The per-layout record is keyed on the ``tidx`` object."""
+
+    def _fresh(self, delta, beta, theta, sqd, y, tidx):
+        return LCM(delta, beta, n_latent=2, seed=0)._nll_and_grad(theta, sqd, y, tidx)
+
+    def test_rebuilt_for_permuted_tasks_same_n(self, rng):
+        X, y, tidx = _case(rng, 3, 2, 24)
+        sqd = pairwise_sq_diffs(X)
+        m = LCM(3, 2, n_latent=2, seed=0)
+        theta = m._initial_theta(y, 1)
+        m._nll_and_grad(theta, sqd, y, tidx)
+        first = m._layout_cache
+        perm = (tidx + 1) % 3  # same N, every row moved to another task
+        f, g = m._nll_and_grad(theta, sqd, y, perm)
+        assert m._layout_cache is not first and m._layout_cache.tidx is perm
+        f_ref, g_ref = self._fresh(3, 2, theta, sqd, y, perm)
+        assert f == f_ref and np.array_equal(g, g_ref)
+
+    def test_rebuilt_when_n_changes(self, rng):
+        X, y, tidx = _case(rng, 3, 2, 30)
+        m = LCM(3, 2, n_latent=2, seed=0)
+        theta = m._initial_theta(y, 1)
+        m._nll_and_grad(theta, pairwise_sq_diffs(X), y, tidx)
+        sub = tidx[:17]
+        sqd = pairwise_sq_diffs(X[:17])
+        f, g = m._nll_and_grad(theta, sqd, y[:17], sub)
+        assert m._layout_cache.tidx is sub and m._layout_cache.same.shape == (17, 17)
+        f_ref, g_ref = self._fresh(3, 2, theta, sqd, y[:17], sub)
+        assert f == f_ref and np.array_equal(g, g_ref)
+
+
+class TestThreadedRestarts:
+    """Restarts mapped over threads share one layout record and must fit
+    bitwise-equal to serial restarts."""
+
+    def test_thread_backend_fit_bitwise_equals_serial(self, rng):
+        from repro.runtime.executor import ThreadBackend
+
+        X, y, tidx = _case(rng, 3, 2, 30)
+        serial = LCM(3, 2, n_latent=2, seed=5, n_start=4, maxiter=40).fit(X, y, tidx)
+        with ThreadBackend(2) as ex:
+            par = LCM(3, 2, n_latent=2, seed=5, n_start=4, maxiter=40, executor=ex).fit(
+                X, y, tidx
+            )
+        assert np.array_equal(par.theta, serial.theta)
+        assert np.array_equal(par._L, serial._L)
+        assert np.array_equal(par._alpha, serial._alpha)
+        assert par.log_likelihood_ == serial.log_likelihood_
+
+    def test_model_restarts_parallel_campaign_matches_serial(self):
+        from repro.core import GPTune, Options, Real, Space, TuningProblem
+
+        problem = TuningProblem(
+            Space([Real("t", 0.0, 1.0)]),
+            Space([Real("x", 0.0, 1.0)]),
+            lambda t, c: (c["x"] - 0.3 - 0.4 * t["t"]) ** 2 + 0.1 * np.sin(7 * c["x"]),
+        )
+        base = dict(
+            seed=3, n_start=3, pso_iters=5, ei_candidates=8, lbfgs_maxiter=30,
+            backend="thread", n_workers=2,
+        )
+        runs = [
+            GPTune(problem, Options(**base, model_restarts_parallel=par)).tune(
+                [{"t": 0.2}, {"t": 0.7}], 7
+            )
+            for par in (False, True)
+        ]
+        for i in range(2):
+            assert runs[0].data.X[i] == runs[1].data.X[i]
+            assert np.array_equal(np.asarray(runs[0].data.Y[i]), np.asarray(runs[1].data.Y[i]))
+
+
+class TestRestartRanking:
+    def test_nan_restart_zero_does_not_win(self, toy_multitask_data):
+        """A NaN nll in restart 0 must rank last, not win by position."""
+        X, y, tidx = toy_multitask_data
+        ref = LCM(2, 1, n_latent=2, seed=0, n_start=3).fit(X, y, tidx)
+        m = LCM(2, 1, n_latent=2, seed=0, n_start=3)
+        real = m._optimize_one
+        calls = []
+
+        def first_is_nan(args):
+            out = real(args)
+            calls.append(out)
+            if len(calls) == 1:
+                return float("nan"), out[1], None, None
+            return out
+
+        m._optimize_one = first_is_nan
+        m.fit(X, y, tidx)
+        finite = [r[0] for r in calls[1:]]
+        assert np.isfinite(m.log_likelihood_)
+        assert m.log_likelihood_ == -min(finite)
+        assert m.log_likelihood_ <= ref.log_likelihood_
+
+    def test_all_nan_restarts_keep_first(self, toy_multitask_data):
+        X, y, tidx = toy_multitask_data
+        m = LCM(2, 1, n_latent=1, seed=0, n_start=2, maxiter=5)
+        real = m._optimize_one
+        m._optimize_one = lambda args: (float("nan"),) + tuple(real(args)[1:])
+        m.fit(X, y, tidx)
+        assert np.isnan(m.log_likelihood_)
