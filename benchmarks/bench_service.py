@@ -7,8 +7,9 @@ levers of that deployment and drills its crash story:
 
 * **group commit** — the seed append path pays one lock acquire + one
   ``write`` + one ``fsync`` per record; :class:`~repro.service.batch.
-  WriteBatcher` coalesces concurrent submits into one commit per shard
-  per flush window;
+  WriteBatcher` coalesces the submits that arrive while a shard's commit
+  is in flight into that shard's next commit (leader/follower, no timer),
+  while a lone serial writer still pays exactly one fsync per submit;
 * **horizontal sharding** — ``repro serve --shards N`` runs N backend
   processes behind a consistent-hash router, multiplying both available
   GILs and independent fsync streams;
@@ -30,6 +31,9 @@ Real-disk numbers are reported alongside, unemulated and ungated.
   48 concurrent writers on emulated 3 ms-fsync storage;
 * **coalescing** — ≥ 3 records per durable commit on average (the
   syscall-level statement of the same claim, immune to scheduling noise);
+* **single-writer latency** — one serial writer's ``submit`` p50 stays
+  below 2 × the emulated fsync: nothing waits for a batch-mate that never
+  comes;
 * **no-loss/no-dup (batching)** — both stores hold every acknowledged
   record exactly once;
 * **scaling** — a 4-shard topology strictly out-throughputs 1 shard on a
@@ -67,8 +71,8 @@ DEFAULT_OUT = os.path.join(
 MICRO_THREADS, MICRO_RECORDS, MICRO_PROBLEMS = 48, 20, 4
 #: emulated fsync latency (production-disk regime; see module docstring)
 FSYNC_EMU = 0.003
-#: group-commit window for the batched runs
-FLUSH_INTERVAL = 0.001
+#: serial-writer shape: one thread, this many one-record submits
+SERIAL_SUBMITS = 50
 
 #: HTTP workload shape: threads x ops, mixed 4:1 append:read, 8 problems
 HTTP_THREADS, HTTP_OPS, HTTP_PROBLEMS = 12, 40, 8
@@ -142,9 +146,7 @@ def bench_batching(root, emulate=True):
 
         ba_store = ShardedStore(os.path.join(root, "batched"))
         metrics = MetricsRegistry()
-        batcher = WriteBatcher(
-            ba_store, flush_interval=FLUSH_INTERVAL, metrics=metrics
-        )
+        batcher = WriteBatcher(ba_store, metrics=metrics)
         ba_elapsed = _drive_writers(
             lambda prob, rec: batcher.submit(prob, [rec])
         )
@@ -165,6 +167,28 @@ def bench_batching(root, emulate=True):
     }
 
 
+def bench_serial_writer(root):
+    """One writer, one record per submit, on emulated storage."""
+    store = ShardedStore(root)
+    metrics = MetricsRegistry()
+    batcher = WriteBatcher(store, metrics=metrics)
+    latencies = []
+    with _EmulatedDisk():
+        for i in range(SERIAL_SUBMITS):
+            t0 = time.perf_counter()
+            batcher.submit("serial", [_record(i)])
+            latencies.append(time.perf_counter() - t0)
+    batcher.close()
+    latencies.sort()
+    return {
+        "submits": SERIAL_SUBMITS,
+        "p50_ms": latencies[len(latencies) // 2] * 1000.0,
+        "max_ms": latencies[-1] * 1000.0,
+        "commits": int(metrics.counter_value("repro_service_commits_total")),
+        "stored": store.count("serial"),
+    }
+
+
 class _NullCtx:
     def __enter__(self):
         return self
@@ -177,11 +201,7 @@ class _NullCtx:
 
 def bench_scaling(root, n_shards):
     """Mixed append/read workload against an N-shard topology."""
-    with ShardSupervisor(
-        os.path.join(root, f"shards{n_shards}"),
-        n_shards,
-        server_kwargs={"flush_interval": FLUSH_INTERVAL},
-    ) as sup:
+    with ShardSupervisor(os.path.join(root, f"shards{n_shards}"), n_shards) as sup:
         client = RouterClient(sup.serve_topology(), pool_size=HTTP_THREADS)
         latencies = []
         lat_lock = threading.Lock()
@@ -226,11 +246,7 @@ def bench_scaling(root, n_shards):
 
 def bench_fault_drill(root):
     """Kill one of 4 backends mid-load; count lost/duplicated acks."""
-    with ShardSupervisor(
-        os.path.join(root, "drill"),
-        DRILL_SHARDS,
-        server_kwargs={"flush_interval": FLUSH_INTERVAL},
-    ) as sup:
+    with ShardSupervisor(os.path.join(root, "drill"), DRILL_SHARDS) as sup:
         sup.watch(interval=0.05)
         client = RouterClient(sup.serve_topology(), pool_size=DRILL_THREADS)
         acked = []  # (problem, rid) pairs the service acknowledged
@@ -286,7 +302,7 @@ def bench_fault_drill(root):
 
 # -- driver -------------------------------------------------------------------
 
-def check_gates(micro, scale1, scale4, drill):
+def check_gates(micro, serial, scale1, scale4, drill):
     """The deterministic CI gates; prints PASS/FAIL per gate."""
     g_speed = bool(micro["speedup"] >= 3.0)
     print(f"  batching: {fmt(micro['speedup'])}x over unbatched seed path "
@@ -297,6 +313,11 @@ def check_gates(micro, scale1, scale4, drill):
     print(f"  coalescing: {fmt(micro['records_per_commit'])} records per "
           f"commit ({micro['commits']} commits for {micro['records']} "
           f"records)  {'PASS' if g_coalesce else 'FAIL'}")
+
+    g_serial = bool(serial["p50_ms"] < 2.0 * FSYNC_EMU * 1000.0)
+    print(f"  single writer: submit p50 {fmt(serial['p50_ms'])} ms < "
+          f"{fmt(2.0 * FSYNC_EMU * 1000.0)} ms (2x emulated fsync)  "
+          f"{'PASS' if g_serial else 'FAIL'}")
 
     g_intact = bool(micro["no_loss_no_dup"])
     print(f"  no-loss/no-dup: both stores hold every record exactly once  "
@@ -325,6 +346,7 @@ def check_gates(micro, scale1, scale4, drill):
     gates = {
         "batching_3x": g_speed,
         "coalescing_3_per_commit": g_coalesce,
+        "single_writer_p50_under_2_fsyncs": g_serial,
         "no_loss_no_dup": g_intact,
         "four_shards_beat_one": g_scale,
         "append_p99_under_2s": g_p99,
@@ -366,6 +388,13 @@ def main(argv=None) -> int:
             ],
         )
 
+        print(f"\n== single writer: {SERIAL_SUBMITS} serial submits, "
+              f"emulated {FSYNC_EMU * 1000:.0f} ms fsync ==")
+        serial = bench_serial_writer(os.path.join(root, "serial"))
+        print(f"submit p50 {fmt(serial['p50_ms'])} ms, max "
+              f"{fmt(serial['max_ms'])} ms, {serial['commits']} commits for "
+              f"{serial['submits']} submits")
+
         print(f"\n== topology scaling: {HTTP_THREADS} clients x {HTTP_OPS} "
               f"mixed ops over {HTTP_PROBLEMS} problems ==")
         scale1 = bench_scaling(root, 1)
@@ -395,13 +424,14 @@ def main(argv=None) -> int:
                 "micro_records": MICRO_RECORDS,
                 "micro_problems": MICRO_PROBLEMS,
                 "fsync_emulated_s": FSYNC_EMU,
-                "flush_interval_s": FLUSH_INTERVAL,
+                "serial_submits": SERIAL_SUBMITS,
                 "http_threads": HTTP_THREADS,
                 "http_ops": HTTP_OPS,
                 "drill_shards": DRILL_SHARDS,
             },
             "batching_emulated_disk": micro,
             "batching_real_disk": real,
+            "single_writer": serial,
             "scaling": {"one_shard": scale1, "four_shards": scale4},
             "fault_drill": drill,
         }
@@ -409,7 +439,7 @@ def main(argv=None) -> int:
         ok = True
         if args.check:
             print("\n== deterministic gates ==")
-            payload["checks"] = check_gates(micro, scale1, scale4, drill)
+            payload["checks"] = check_gates(micro, serial, scale1, scale4, drill)
             ok = payload["checks"]["passed"]
 
         os.makedirs(os.path.dirname(os.path.abspath(args.out)) or ".", exist_ok=True)

@@ -44,7 +44,6 @@ from .core import GPTune, Options, surrogate_sensitivity
 from .core.metrics import mean_stability, win_task
 from .core.model import available_backends
 from .runtime import cori_haswell
-from .tuners import HpBandSterTuner, OpenTunerTuner, RandomSearchTuner, YtoptTuner
 
 __all__ = ["main", "build_app", "APPS"]
 
@@ -196,6 +195,9 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    # the baseline tuners pull in scipy.stats; only this verb needs them
+    from .tuners import HpBandSterTuner, OpenTunerTuner, RandomSearchTuner, YtoptTuner
+
     app = build_app(args.app, args.nodes, args.seed)
     tasks = _parse_tasks(app, args.tasks, args.random_tasks, args.seed)
     prob = app.problem()
@@ -303,9 +305,6 @@ def _cmd_serve(args) -> int:
     if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
     server_kwargs = {
-        "batch": not args.no_batch,
-        "flush_interval": args.flush_interval,
-        "flush_bytes": args.flush_bytes,
         "max_pending": args.max_pending,
         "max_inflight": args.max_inflight,
     }
@@ -464,16 +463,8 @@ def main(argv: Optional[List[str]] = None) -> int:
              "bootstrap and each shard stores under <root>/shard-NN/",
     )
     p_serve.add_argument(
-        "--flush-interval", type=float, default=0.005,
-        help="group-commit window in seconds (0 flushes every submit)",
-    )
-    p_serve.add_argument(
-        "--flush-bytes", type=int, default=256 * 1024,
-        help="flush a shard's write queue early past this many queued bytes",
-    )
-    p_serve.add_argument(
         "--max-pending", type=int, default=4096,
-        help="queued-but-unflushed record bound before appends get 429",
+        help="queued (not yet committing) record bound before appends get 429",
     )
     p_serve.add_argument(
         "--max-inflight", type=int, default=64,
@@ -482,10 +473,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.add_argument(
         "--cache-bytes", type=int, default=64 * 1024 * 1024,
         help="hot-shard read cache budget in bytes (0 disables)",
-    )
-    p_serve.add_argument(
-        "--no-batch", action="store_true",
-        help="disable write batching (one lock+fsync per append, seed path)",
     )
 
     p_report = sub.add_parser(

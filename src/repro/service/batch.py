@@ -6,16 +6,23 @@ behind the shard lock.  Under crowd-tuning load (many campaigns posting one
 evaluation at a time) almost all of that work is redundant: appends to the
 same shard can share a single durable commit.
 
-:class:`WriteBatcher` implements the classic group-commit shape:
+:class:`WriteBatcher` implements leader/follower group commit, with no
+timer and no thread of its own:
 
 * :meth:`submit` normalizes and validates the records (malformed input is
-  rejected *before* it can poison a batch), enqueues them on the shard's
-  pending list, and blocks until a flush commits them;
-* a single background flusher thread coalesces everything queued per shard
-  into **one** ``ShardedStore.append`` call — one lock round-trip, one
-  contiguous write of complete lines, one fsync — once the shard's oldest
-  pending entry is ``flush_interval`` old or its queued bytes exceed
-  ``flush_bytes``;
+  rejected *before* it can poison a batch) and enqueues them on the shard's
+  pending list;
+* a submitter that finds no commit in flight for its shard becomes the
+  **leader**: it takes everything queued for that shard and commits it on
+  its own thread as **one** ``ShardedStore.append`` call — one lock
+  round-trip, one contiguous write of complete lines, one fsync;
+* submits that arrive while that commit is in flight are **followers**:
+  they queue up and wait, and when the commit ends one of them leads the
+  next commit for all of them.  A lone writer therefore pays exactly one
+  fsync and no waiting, while concurrent writers share fsyncs as fast as
+  the disk retires them;
+* different shards have different leaders, so their commits (and fsyncs)
+  run at the same time on different request threads;
 * the queue is **bounded**: when ``max_pending`` records are already
   waiting, :meth:`submit` raises :class:`BackpressureError` immediately
   instead of letting latency grow without bound — the HTTP layer turns
@@ -24,18 +31,20 @@ same shard can share a single durable commit.
   of complete lines, so a torn tail is quarantined exactly like a torn
   single-record append, and compaction drops it.
 
-Batches are atomic from the submitters' point of view: either the flush's
+Batches are atomic from the submitters' point of view: either the commit's
 ``append`` returns and every waiter gets its written rids plus the
-post-flush etag, or it raises and every waiter in that batch sees the same
-error while the shard file stays untouched (records accepted into the
-queue but not yet flushed are *not yet durable* — the service acks a write
-only after its flush, so a crash between queue accept and flush loses
-nothing that was acknowledged).
+post-commit etag, or it raises and every waiter in that batch sees the
+same error while the shard file stays untouched.  Records accepted into
+the queue but not yet committed are *not yet durable* — the service acks a
+write only after its commit's fsync, so a crash between queue accept and
+commit loses nothing that was acknowledged.  A submit that times out while
+still queued is withdrawn, so it is never written behind its caller's back.
 
 Optimistic-concurrency appends (``If-Match``) cannot join a group commit —
 their etag check must be atomic with their write — so the server routes
-them through :meth:`exclusive`, which drains the shard's queue and holds
-its flush mutex while the caller does the check-and-append.
+them through :meth:`exclusive`, which holds the shard the way a leader
+does: it commits the shard's queue, then keeps every other commit to that
+shard out while the caller does the check-and-append.
 """
 
 from __future__ import annotations
@@ -68,27 +77,27 @@ class _Entry:
 
     def __init__(self, rows: List[Dict[str, Any]]):
         self.rows = rows
-        self.done = threading.Event()
+        self.done = False
         self.rids: List[str] = []
         self.etag: Optional[str] = None
         self.error: Optional[BaseException] = None
 
     def finish(self, rids: List[str], etag: Optional[str], error: Optional[BaseException]) -> None:
         self.rids, self.etag, self.error = rids, etag, error
-        self.done.set()
+        self.done = True
 
 
-class _ShardQueue:
-    """Pending entries of one shard plus its flush mutex."""
+class _Shard:
+    """Pending entries of one shard, and whether a commit holds it."""
 
-    __slots__ = ("entries", "n_records", "first_at", "flush_mutex")
+    __slots__ = ("entries", "n_records", "busy", "idle")
 
-    def __init__(self):
+    def __init__(self, lock: threading.Lock):
         self.entries: List[_Entry] = []
         self.n_records = 0
-        self.first_at: Optional[float] = None
-        # serializes flushes with `exclusive()` check-and-append sections
-        self.flush_mutex = threading.Lock()
+        # a commit (or an exclusive() section) is in flight on this shard
+        self.busy = False
+        self.idle = threading.Condition(lock)
 
 
 class WriteBatcher:
@@ -98,15 +107,10 @@ class WriteBatcher:
     ----------
     store:
         The sharded store commits land in.
-    flush_interval:
-        Maximum seconds a pending entry waits before its shard is flushed.
-        This is the group-commit window: everything submitted within it
-        shares one lock + write + fsync.
-    flush_bytes:
-        Flush a shard early once its queued JSON exceeds this many bytes.
     max_pending:
-        Bound on queued-but-unflushed records across all shards; beyond it
-        :meth:`submit` raises :class:`BackpressureError`.
+        Bound on queued records (submitted, not yet taken by a commit)
+        across all shards; beyond it :meth:`submit` raises
+        :class:`BackpressureError`.
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry` receiving
         ``repro_service_write_queue_depth`` (gauge),
@@ -115,33 +119,19 @@ class WriteBatcher:
         ``repro_service_committed_records_total`` (counters).
     """
 
-    def __init__(
-        self,
-        store,
-        flush_interval: float = 0.005,
-        flush_bytes: int = 256 * 1024,
-        max_pending: int = 4096,
-        metrics=None,
-    ):
-        if flush_interval < 0:
-            raise ValueError("flush_interval must be >= 0")
-        if flush_bytes < 1 or max_pending < 1:
-            raise ValueError("flush_bytes and max_pending must be >= 1")
+    #: client backoff hint (seconds) carried by :class:`BackpressureError`
+    retry_after = 0.05
+
+    def __init__(self, store, max_pending: int = 4096, metrics=None):
+        if max_pending < 1:
+            raise ValueError("max_pending must be >= 1")
         self.store = store
-        self.flush_interval = float(flush_interval)
-        self.flush_bytes = int(flush_bytes)
         self.max_pending = int(max_pending)
         self.metrics = metrics
-        self.retry_after = max(0.05, 2.0 * self.flush_interval)
-        self._cond = threading.Condition()
-        self._queues: Dict[str, _ShardQueue] = {}
+        self._lock = threading.Lock()
+        self._shards: Dict[str, _Shard] = {}
         self._pending = 0  # queued records across all shards
-        self._bytes: Dict[str, int] = {}
         self._closed = False
-        self._thread = threading.Thread(
-            target=self._run, name="repro-service-flusher", daemon=True
-        )
-        self._thread.start()
 
     # -- submitter side ------------------------------------------------------
     def submit(
@@ -150,19 +140,21 @@ class WriteBatcher:
         records: Sequence[Mapping[str, Any]],
         timeout: float = 60.0,
     ) -> Tuple[List[str], str]:
-        """Queue records for one shard; block until their batch commits.
+        """Queue records for one shard; return once their commit is durable.
 
-        Returns ``(written_rids, etag_after_flush)``.  Raises ``ValueError``
+        Returns ``(written_rids, etag_after_commit)``.  Raises ``ValueError``
         on malformed records (checked here, so one bad request can never
         fail its batch-mates), :class:`BackpressureError` when the queue is
-        full, and whatever the flush raised when the commit itself failed.
+        full, ``TimeoutError`` when the records were not committed within
+        ``timeout`` seconds (still-queued ones are withdrawn), and whatever
+        the store raised when the commit itself failed.
         """
         rows = self.store.prepare(records)  # validates + assigns rids
         if not rows:
             return [], self.store.etag(problem)
         entry = _Entry(rows)
-        nbytes = sum(len(str(r)) for r in rows)
-        with self._cond:
+        deadline = time.monotonic() + timeout
+        with self._lock:
             if self._closed:
                 raise RuntimeError("batcher is closed")
             if self._pending + len(rows) > self.max_pending:
@@ -170,156 +162,112 @@ class WriteBatcher:
                     f"write queue full ({self._pending} record(s) pending)",
                     retry_after=self.retry_after,
                 )
-            q = self._queues.setdefault(problem, _ShardQueue())
-            q.entries.append(entry)
-            q.n_records += len(rows)
-            self._bytes[problem] = self._bytes.get(problem, 0) + nbytes
-            if q.first_at is None:
-                q.first_at = time.monotonic()
+            shard = self._shard(problem)
+            shard.entries.append(entry)
+            shard.n_records += len(rows)
             self._pending += len(rows)
             self._gauge()
-            self._cond.notify_all()
-        if not entry.done.wait(timeout):
-            raise TimeoutError(f"batched append to {problem!r} timed out")
+            # follower: park while a commit is in flight; if no commit has
+            # taken this entry by the time the shard is free, lead the next
+            while shard.busy and not entry.done:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    self._withdraw(shard, entry)
+                    raise TimeoutError(f"batched append to {problem!r} timed out")
+                shard.idle.wait(remaining)
+            batch = [] if entry.done else self._take(shard)
+        if batch:
+            try:
+                self._write(problem, batch)
+            finally:
+                self._release(shard)
         if entry.error is not None:
             raise entry.error
         return entry.rids, entry.etag or "empty"
 
     def depth(self) -> int:
-        """Queued-but-unflushed records across all shards."""
-        with self._cond:
+        """Queued records (not yet taken by a commit) across all shards."""
+        with self._lock:
             return self._pending
 
     # -- coordination with optimistic writers --------------------------------
     @contextmanager
     def exclusive(self, problem: str):
-        """Drain one shard's queue, then hold its flush mutex.
+        """Commit one shard's queue, then keep its other commits out.
 
-        While the context is held the flusher cannot commit to this shard,
-        so an etag check followed by a direct ``store.append`` is atomic
-        with respect to every batched writer in this process.
+        While the context is held no submit can commit to this shard (new
+        ones queue up and one of them leads once the context exits), so an
+        etag check followed by a direct ``store.append`` is atomic with
+        respect to every batched writer in this process.
         """
-        self.flush(problem)
-        q = self._shard_queue(problem)
-        with q.flush_mutex:
+        with self._lock:
+            shard = self._shard(problem)
+            while shard.busy:
+                shard.idle.wait()
+            batch = self._take(shard)
+        try:
+            self._write(problem, batch)
             yield
-
-    def flush(self, problem: Optional[str] = None) -> None:
-        """Synchronously flush one shard's (or every shard's) pending entries."""
-        with self._cond:
-            batches = self._take(only=problem, force=True)
-        self._flush_batches(batches)
+        finally:
+            self._release(shard)
 
     def close(self) -> None:
-        """Flush everything pending and stop the flusher thread."""
-        with self._cond:
+        """Refuse new submits and commit everything still queued."""
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._cond.notify_all()
-        self._thread.join(timeout=30)
-        self.flush()
-
-    # -- flusher side --------------------------------------------------------
-    def _shard_queue(self, problem: str) -> _ShardQueue:
-        with self._cond:
-            return self._queues.setdefault(problem, _ShardQueue())
-
-    def _due(self, problem: str, now: float) -> bool:
-        q = self._queues[problem]
-        if not q.entries:
-            return False
-        if self._bytes.get(problem, 0) >= self.flush_bytes:
-            return True
-        return q.first_at is not None and now - q.first_at >= self.flush_interval
-
-    def _take(self, only: Optional[str] = None, force: bool = False):
-        """Detach due (or all, with ``force``) entries; caller holds the lock."""
-        now = time.monotonic()
-        batches = []
-        names = [only] if only is not None else list(self._queues)
+            names = list(self._shards)
         for name in names:
-            q = self._queues.get(name)
-            if q is None or not q.entries:
-                continue
-            if not force and not self._due(name, now):
-                continue
-            batches.append((name, q.entries))
-            self._pending -= q.n_records
-            q.entries, q.n_records, q.first_at = [], 0, None
-            self._bytes[name] = 0
-        if batches:
+            with self.exclusive(name):
+                pass
+
+    # -- commit side ---------------------------------------------------------
+    def _shard(self, problem: str) -> _Shard:
+        """The shard's state; caller holds the lock."""
+        shard = self._shards.get(problem)
+        if shard is None:
+            shard = self._shards[problem] = _Shard(self._lock)
+        return shard
+
+    def _take(self, shard: _Shard) -> List[_Entry]:
+        """Detach the shard's queue and mark it busy; caller holds the lock."""
+        batch, shard.entries = shard.entries, []
+        self._pending -= shard.n_records
+        shard.n_records = 0
+        shard.busy = True
+        self._gauge()
+        return batch
+
+    def _withdraw(self, shard: _Shard, entry: _Entry) -> None:
+        """Drop a timed-out entry that no commit took; caller holds the lock."""
+        if entry in shard.entries:
+            shard.entries.remove(entry)
+            shard.n_records -= len(entry.rows)
+            self._pending -= len(entry.rows)
             self._gauge()
-        return batches
 
-    def _next_deadline(self) -> Optional[float]:
-        firsts = [q.first_at for q in self._queues.values() if q.first_at is not None]
-        if not firsts:
-            return None
-        return min(firsts) + self.flush_interval
+    def _release(self, shard: _Shard) -> None:
+        """End a commit: wake the shard's followers so one of them leads."""
+        with self._lock:
+            shard.busy = False
+            shard.idle.notify_all()
 
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._closed:
-                    deadline = self._next_deadline()
-                    now = time.monotonic()
-                    if deadline is not None and (
-                        deadline <= now
-                        or any(self._due(n, now) for n in self._queues)
-                    ):
-                        break
-                    self._cond.wait(
-                        timeout=None if deadline is None else max(deadline - now, 0.0)
-                    )
-                if self._closed:
-                    batches = self._take(force=True)
-                else:
-                    batches = self._take()
-                stop = self._closed
-            self._flush_batches(batches)
-            if stop:
-                return
-
-    def _flush_batches(self, batches: List[Tuple[str, List[_Entry]]]) -> None:
-        """Commit due batches, overlapping fsyncs of *different* shards.
-
-        Distinct shards hold distinct locks and files, so their commits are
-        independent; flushing them serially would put every shard's fsync
-        behind every other's and cap throughput at one shard's worth.
-        """
-        if len(batches) <= 1:
-            for name, entries in batches:
-                self._flush(name, entries)
-            return
-        helpers = [
-            threading.Thread(
-                target=self._flush, args=(name, entries),
-                name="repro-service-flush", daemon=True,
-            )
-            for name, entries in batches[1:]
-        ]
-        for t in helpers:
-            t.start()
-        self._flush(*batches[0])
-        for t in helpers:
-            t.join()
-
-    def _flush(self, problem: str, entries: List[_Entry]) -> None:
+    def _write(self, problem: str, batch: List[_Entry]) -> None:
         """Commit one batch: one lock round-trip, one write, one fsync."""
-        if not entries:
+        if not batch:
             return
-        rows = [row for e in entries for row in e.rows]
-        q = self._shard_queue(problem)
+        rows = [row for e in batch for row in e.rows]
         t0 = time.perf_counter()
-        with q.flush_mutex:
-            try:
-                written = set(self.store.append(problem, rows))
-                etag = self.store.etag(problem)
-            except BaseException as err:  # propagate to every waiter
-                for e in entries:
-                    e.finish([], None, err)
-                return
+        try:
+            written = set(self.store.append(problem, rows))
+            etag = self.store.etag(problem)
+        except BaseException as err:  # propagate to every waiter
+            for e in batch:
+                e.finish([], None, err)
+            if not isinstance(err, Exception):
+                raise  # an interrupt also unwinds the committing thread
+            return
         elapsed = time.perf_counter() - t0
         if self.metrics is not None:
             self.metrics.inc("repro_service_commits_total")
@@ -328,7 +276,7 @@ class WriteBatcher:
                 "repro_service_batch_records", float(len(rows)), buckets=BATCH_SIZE_BUCKETS
             )
             self.metrics.observe("repro_service_flush_seconds", elapsed)
-        for e in entries:
+        for e in batch:
             # a rid can be claimed by at most one batch-mate; first wins
             e.finish([r["rid"] for r in e.rows if r["rid"] in written], etag, None)
             written -= {r["rid"] for r in e.rows}

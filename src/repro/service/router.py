@@ -1,8 +1,8 @@
 """Consistent-hash routing: many server processes behind one archive.
 
 One :class:`~repro.service.server.TuningHistoryServer` is a single Python
-process — one GIL parsing every request body, one flusher thread fsyncing
-every batch.  Past a few thousand requests per second it is the wall.  The
+process — one GIL parsing every request body and committing every
+batch.  Past a few thousand requests per second it is the wall.  The
 scale-out unit here is the **problem**: shards are per-problem files and
 requests name their problem, so a stateless hash of the problem id decides
 which backend owns it and backends share nothing.
@@ -415,7 +415,7 @@ class RouterClient:
         """Run one per-problem call, re-routing on connection errors.
 
         A dead backend (being restarted by the supervisor) surfaces as an
-        ``OSError``/``HTTPException`` or as a 503; the topology is then
+        ``OSError``/``HTTPException``; the topology is then
         refreshed — the owner may have come back on a new port — and the
         call retried with deterministic backoff.  Callers make appends
         idempotent (client-side rids) before entering.

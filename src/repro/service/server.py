@@ -26,11 +26,12 @@ status}`` and timed into the ``repro_http_request_seconds`` histogram, so a
 Prometheus scrape of ``/metrics`` sees per-endpoint traffic and latency.
 
 **Write path.**  Plain appends go through a
-:class:`~repro.service.batch.WriteBatcher` group commit: many concurrent
-POSTs to one shard share a single lock-acquire + write + fsync instead of
-paying one each.  Optimistic (``If-Match``) appends bypass batching — their
-etag check must be atomic with their write — via the batcher's per-shard
-``exclusive()`` section.  Reads are served from the store's etag-keyed
+:class:`~repro.service.batch.WriteBatcher` leader/follower group commit: a
+request that finds no commit in flight for its shard commits at once on its
+own thread, and POSTs arriving meanwhile share the next single
+lock-acquire + write + fsync instead of paying one each.  Optimistic
+(``If-Match``) appends bypass batching — their etag check must be atomic
+with their write — via the batcher's per-shard ``exclusive()`` section.  Reads are served from the store's etag-keyed
 :class:`~repro.service.store.ShardReadCache`, so repeat ``records``/
 ``query`` traffic against a hot shard stops re-parsing JSONL.
 
@@ -40,6 +41,9 @@ the server answers ``429 Too Many Requests`` with a ``Retry-After`` header
 instead of letting latency grow without bound.  Saturation is visible in
 the ``repro_service_requests_inflight`` / ``repro_service_write_queue_depth``
 gauges and the ``repro_http_requests_total{status="429"}`` counter.
+An append whose commit fails (full disk, I/O error) or does not finish
+within the batcher's timeout is answered ``503 Service Unavailable`` with a
+JSON ``error`` naming the cause; nothing in it was acknowledged.
 
 Every record response carries the shard's **ETag** — the content-defined
 version token of :meth:`~repro.service.store.ShardedStore.etag`.  A client
@@ -249,46 +253,38 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(400, 'body must be {"records": [...]}')
             return
         expected = self._header_etag(self.headers.get("If-Match"))
-        batcher: Optional[WriteBatcher] = self.server.batcher  # type: ignore[attr-defined]
-        if expected is None and batcher is not None:
-            # plain append: ride the group commit (ack after its fsync)
-            try:
+        batcher: WriteBatcher = self.server.batcher  # type: ignore[attr-defined]
+        try:
+            if expected is None:
+                # plain append: ride the group commit (ack after its fsync)
                 rids, etag = batcher.submit(problem, records)
-            except BackpressureError as e:
-                self._saturated("write queue", e.retry_after)
-                return
-            except (ValueError, TypeError) as e:
-                self._error(400, f"bad record: {e}")
-                return
-            self._reply(
-                200, {"appended": len(rids), "rids": rids, "etag": etag}, etag=etag
-            )
+            else:
+                # optimistic append: the etag check and the append must be
+                # one unit, or two racing writers both pass the check
+                with batcher.exclusive(problem):
+                    current = self.store.etag(problem)
+                    if current != expected:
+                        self._reply(
+                            412,
+                            {"error": "etag mismatch: shard changed since you read it",
+                             "etag": current},
+                            etag=current,
+                        )
+                        return
+                    rids = self.store.append(problem, records)
+                    etag = self.store.etag(problem)
+        except BackpressureError as e:
+            self._saturated("write queue", e.retry_after)
             return
-        # optimistic append (or batching disabled): the etag check and the
-        # append must be one unit, or two racing writers both pass the check
-        ctx = (
-            batcher.exclusive(problem)
-            if batcher is not None
-            else self.server.append_mutex  # type: ignore[attr-defined]
-        )
-        with ctx:
-            if expected is not None:
-                current = self.store.etag(problem)
-                if current != expected:
-                    self._reply(
-                        412,
-                        {"error": "etag mismatch: shard changed since you read it",
-                         "etag": current},
-                        etag=current,
-                    )
-                    return
-            try:
-                written = self.store.append(problem, records)
-            except (ValueError, TypeError) as e:
-                self._error(400, f"bad record: {e}")
-                return
-            etag = self.store.etag(problem)
-        self._reply(200, {"appended": len(written), "rids": written, "etag": etag}, etag=etag)
+        except (ValueError, TypeError) as e:
+            self._error(400, f"bad record: {e}")
+            return
+        except OSError as e:
+            # a failed commit (full disk, I/O error) or a submit that timed
+            # out: nothing was acknowledged, and the connection stays usable
+            self._error(503, f"append not committed: {e}")
+            return
+        self._reply(200, {"appended": len(rids), "rids": rids, "etag": etag}, etag=etag)
 
     def _post_query(self, problem: str, payload: Dict[str, Any]) -> None:
         task = payload.get("task")
@@ -322,12 +318,9 @@ class TuningHistoryServer(ThreadingHTTPServer):
     address, store, verbose:
         As before; ``store.cache`` (when attached) is wired into the
         server's metrics registry.
-    batch:
-        Group-commit plain appends through a :class:`WriteBatcher`
-        (``False`` restores the seed one-fsync-per-request path — the
-        baseline ``benchmarks/bench_service.py`` measures against).
-    flush_interval, flush_bytes, max_pending:
-        Batcher knobs (see :class:`~repro.service.batch.WriteBatcher`).
+    max_pending:
+        Queued-record bound of the :class:`~repro.service.batch.WriteBatcher`
+        that group-commits every append.
     max_inflight:
         Bound on concurrently handled requests before new ones get ``429``.
     """
@@ -342,16 +335,12 @@ class TuningHistoryServer(ThreadingHTTPServer):
         address: Tuple[str, int],
         store: ShardedStore,
         verbose: bool = False,
-        batch: bool = True,
-        flush_interval: float = 0.005,
-        flush_bytes: int = 256 * 1024,
         max_pending: int = 4096,
         max_inflight: int = 64,
     ):
         super().__init__(address, _Handler)
         self.store = store
         self.verbose = verbose
-        self.append_mutex = threading.Lock()
         self.metrics = MetricsRegistry()
         if store.cache is not None and store.cache.metrics is None:
             store.cache.metrics = self.metrics
@@ -361,17 +350,7 @@ class TuningHistoryServer(ThreadingHTTPServer):
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self.retry_after = 0.05
-        self.batcher: Optional[WriteBatcher] = (
-            WriteBatcher(
-                store,
-                flush_interval=flush_interval,
-                flush_bytes=flush_bytes,
-                max_pending=max_pending,
-                metrics=self.metrics,
-            )
-            if batch
-            else None
-        )
+        self.batcher = WriteBatcher(store, max_pending=max_pending, metrics=self.metrics)
 
     # -- request admission ---------------------------------------------------
     def admit(self) -> bool:
@@ -392,9 +371,8 @@ class TuningHistoryServer(ThreadingHTTPServer):
         self.metrics.set_gauge("repro_service_requests_inflight", float(depth))
 
     def server_close(self) -> None:
-        """Flush pending batched writes, then close the listening socket."""
-        if self.batcher is not None:
-            self.batcher.close()
+        """Commit queued writes, then close the listening socket."""
+        self.batcher.close()
         super().server_close()
 
 
@@ -412,9 +390,8 @@ def make_server(
     The caller drives the returned server (``serve_forever`` /
     ``handle_request`` / ``shutdown``); its bound port is
     ``server.server_address[1]``.  ``cache_bytes=0`` disables the read
-    cache; remaining keyword arguments (``batch``, ``flush_interval``,
-    ``flush_bytes``, ``max_pending``, ``max_inflight``) reach
-    :class:`TuningHistoryServer`.
+    cache; remaining keyword arguments (``max_pending``, ``max_inflight``)
+    reach :class:`TuningHistoryServer`.
     """
     cache = ShardReadCache(cache_bytes) if cache_bytes else None
     store = ShardedStore(root, on_event=on_event, cache=cache)

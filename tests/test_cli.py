@@ -1,6 +1,9 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -129,3 +132,21 @@ class TestCompare:
         for name in ("gptune", "opentuner", "hpbandster", "ytopt", "random"):
             assert name in out
         assert "WinTask" in out
+
+
+class TestImportCost:
+    def test_cli_import_skips_baseline_tuners(self):
+        # `repro serve` starts through this module; the baseline tuners (and
+        # scipy.stats behind hpbandster's KDE) load only for `repro compare`
+        code = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in ('repro.tuners', 'scipy.stats') "
+            "if m in sys.modules))"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"

@@ -100,9 +100,7 @@ class TestRebalance:
 
 @pytest.fixture
 def topology(tmp_path):
-    with ShardSupervisor(
-        str(tmp_path / "db"), 2, server_kwargs={"flush_interval": 0.001}
-    ) as sup:
+    with ShardSupervisor(str(tmp_path / "db"), 2) as sup:
         yield sup, sup.serve_topology()
 
 

@@ -349,6 +349,71 @@ class TestBackpressureHTTP:
             thread.join(timeout=10)
 
 
+class TestCommitFailuresHTTP:
+    """A commit that fails or times out answers 503 naming the cause."""
+
+    @pytest.fixture
+    def served(self, tmp_path):
+        server = make_server(str(tmp_path / "db"), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        client = ServiceClient(f"http://{host}:{port}")
+        try:
+            yield client, server
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
+    @staticmethod
+    def _appends_with_status(client, status):
+        text = urllib.request.urlopen(client.base_url + "/metrics").read().decode()
+        key = ('repro_http_requests_total{endpoint="records",method="POST",'
+               f'status="{status}"}} ')
+        return sum(float(line[len(key):]) for line in text.splitlines()
+                   if line.startswith(key))
+
+    def test_failed_commit_answers_503_with_errno(self, served):
+        client, server = served
+        real_append = server.store.append
+
+        def disk_full(problem, records):
+            raise OSError(28, "No space left on device")
+
+        server.store.append = disk_full
+        try:
+            with pytest.raises(ServiceError) as plain:
+                client.append("qr", [REC])  # a failed group commit
+            with pytest.raises(ServiceError) as optimistic:
+                client.append("qr", [REC2], if_match=client.etag("qr"))
+        finally:
+            server.store.append = real_append
+        for err in (plain, optimistic):
+            assert err.value.status == 503
+            assert "[Errno 28] No space left on device" in str(err.value)
+
+        # nothing was written, and the kept-alive connection still works
+        assert client.count("qr") == 0
+        assert client.append("qr", [REC])["appended"] == 1
+        assert self._appends_with_status(client, 503) == 2.0
+        assert self._appends_with_status(client, 0) == 0.0
+
+    def test_timed_out_submit_answers_503(self, served):
+        client, server = served
+
+        def stuck_submit(problem, records, timeout=60.0):
+            raise TimeoutError(f"batched append to {problem!r} timed out")
+
+        server.batcher.submit = stuck_submit
+        with pytest.raises(ServiceError) as err:
+            client.append("qr", [REC])
+        assert err.value.status == 503
+        assert "timed out" in str(err.value)
+        assert self._appends_with_status(client, 503) == 1.0
+
+
 class TestScrapeGauges:
     def test_scrape_exposes_service_gauges(self, service):
         client, _ = service
