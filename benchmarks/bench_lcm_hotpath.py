@@ -7,7 +7,10 @@ retained loop-based reference implementation
 (:meth:`repro.core.lcm.LCM._nll_and_grad_reference`).  A second table times
 one evaluation at the shapes the end-to-end campaigns fit (δ=6, β=1,
 N ∈ {30, 48, 60}, and the sparse backend's δ=2, β=1, N=128 inner fit),
-where the per-call fixed cost rather than the O(N³) algebra dominates.
+where the per-call fixed cost rather than the O(N³) algebra dominates.  A
+third table times one ``LCM.fit`` at those shapes through the ``setulb``
+driver and through scipy's ``minimize`` wrapper, interleaved in a child
+process with ``OPENBLAS_NUM_THREADS=1`` (as the end-to-end children run).
 Results are printed as a table and dumped to ``BENCH_lcm.json``.
 
 ``--check`` runs the deterministic CI gates (wall-clock numbers stay
@@ -18,6 +21,10 @@ informational, so the job cannot be flaky):
 * **layout cache** — nll and gradient must be bitwise equal between a fresh
   ``LCM`` and one whose task-layout cache was last built for another
   ``tidx`` (a permuted layout of the same N, and a different N);
+* **driver ≡ minimize** — at every end-to-end shape, ``LCM.fit`` through
+  the direct ``setulb`` driver (:mod:`repro.core.lbfgsb`) and through
+  ``scipy.optimize.minimize(method="L-BFGS-B")`` must give bitwise-equal θ
+  and the same summed ``nfev``;
 * **warm-refit accounting** — a 20-iteration single-objective campaign with
   ``refit_warm_start`` + ``refit_interval=2`` must spend strictly fewer
   L-BFGS multi-starts than the cold baseline (counted from the campaign
@@ -35,13 +42,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import time
 
 import numpy as np
+from scipy import optimize
 
 from repro.core import GPTune, Options, Real, Space, TuningProblem
 from repro.core.kernels import pairwise_sq_diffs
+from repro.core import lcm as lcm_module
 from repro.core.lcm import LCM
 from repro.reporting import phase_breakdown
 
@@ -164,6 +174,95 @@ def bench_predict(n, batch, calls):
         "cached_s_per_call": t_cached,
         "uncached_s_per_call": t_cold,
     }
+
+
+class _ScipyPath:
+    """``scipy.optimize.minimize`` behind the driver's call signature."""
+
+    @staticmethod
+    def minimize(fun, x0, args=(), *, bounds, maxiter=15000):
+        return optimize.minimize(
+            fun, x0, args=args, jac=True, method="L-BFGS-B",
+            bounds=list(zip(*bounds)), options={"maxiter": maxiter},
+        )
+
+
+class _CountingPath:
+    """Sums ``nfev`` over ``minimize`` calls, as the e2e tracer does."""
+
+    def __init__(self, path):
+        self.path, self.nfev = path, 0
+
+    def minimize(self, *args, **kwargs):
+        res = self.path.minimize(*args, **kwargs)
+        self.nfev += int(res.nfev)
+        return res
+
+
+def _fit_through(path, delta, beta, X, y, tidx):
+    """One e2e-shaped ``LCM.fit`` with ``path`` at the ``optimize`` seam;
+    returns ``(seconds, θ, summed nfev)``."""
+    counting = _CountingPath(path)
+    saved, lcm_module.optimize = lcm_module.optimize, counting
+    try:
+        t0 = time.perf_counter()
+        m = LCM(delta, beta, n_start=3, maxiter=60, seed=0).fit(X, y, tidx)
+        elapsed = time.perf_counter() - t0
+    finally:
+        lcm_module.optimize = saved
+    return elapsed, m.theta, counting.nfev
+
+
+def fit_paths(repeats):
+    """Per-fit time and result of the ``setulb`` driver vs scipy's wrapper
+    at the e2e shapes, the two paths interleaved fit by fit."""
+    rng = np.random.default_rng(5)
+    out = {}
+    for delta, beta, n in E2E_SHAPES:
+        X, y, tidx = _synthetic(rng, n, delta, beta)
+        times = {"driver": [], "minimize": []}
+        runs = {}
+        for _ in range(repeats):
+            for name, path in (("driver", lcm_module.optimize), ("minimize", _ScipyPath)):
+                t, theta, nfev = _fit_through(path, delta, beta, X, y, tidx)
+                times[name].append(t)
+                runs[name] = (theta, nfev)
+        driver_s = float(np.median(times["driver"]))
+        minimize_s = float(np.median(times["minimize"]))
+        out[f"d{delta}_b{beta}_n{n}"] = {
+            "delta": delta, "beta": beta, "n": n,
+            "driver_s": driver_s, "minimize_s": minimize_s,
+            "speedup": minimize_s / driver_s,
+            "theta_equal": runs["driver"][0].tobytes() == runs["minimize"][0].tobytes(),
+            "nfev_driver": runs["driver"][1], "nfev_minimize": runs["minimize"][1],
+        }
+    return out
+
+
+def bench_fit_paths(repeats):
+    """Run :func:`fit_paths` in a child with single-threaded BLAS."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--fit-paths-child", str(repeats)],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    for row in out.values():
+        print(f"  fit δ={row['delta']} β={row['beta']} N={row['n']:<4} "
+              f"driver {row['driver_s']*1e3:7.2f} ms   "
+              f"minimize {row['minimize_s']*1e3:7.2f} ms   "
+              f"speedup {row['speedup']:5.2f}x")
+    return out
+
+
+def check_driver_equivalence(rows):
+    """Gate: driver ≡ minimize — bitwise θ and equal nfev at every shape."""
+    bad = [k for k, r in rows.items()
+           if not (r["theta_equal"] and r["nfev_driver"] == r["nfev_minimize"])]
+    passed = not bad
+    print(f"  driver ≡ minimize: {len(rows) - len(bad)}/{len(rows)} e2e shapes "
+          f"bitwise-equal θ and nfev  {'PASS' if passed else 'FAIL ' + ', '.join(bad)}")
+    return {"shapes": len(rows), "mismatched": bad, "passed": passed}
 
 
 def check_equivalence():
@@ -289,7 +388,12 @@ def main(argv=None) -> int:
     ap.add_argument("--check", action="store_true",
                     help="run the deterministic CI gates (plus quick timings)")
     ap.add_argument("--out", default=DEFAULT_OUT, help="JSON output path")
+    ap.add_argument("--fit-paths-child", type=int, metavar="REPEATS",
+                    help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.fit_paths_child:
+        print(json.dumps(fit_paths(args.fit_paths_child)))
+        return 0
 
     sizes = [100, 300, 400, 600]
     repeats = 3 if args.check else 7
@@ -300,6 +404,7 @@ def main(argv=None) -> int:
         "nll_grad": bench_nll_grad(sizes, repeats),
         "nll_grad_e2e": bench_nll_grad_e2e(repeats),
         "fit": bench_fit([100, 300] if args.check else [100, 300, 600]),
+        "fit_paths_e2e": bench_fit_paths(5 if args.check else 11),
         "predict": bench_predict(n=300, batch=40, calls=50 if args.check else 200),
     }
     at400 = payload["nll_grad"]["400"]["speedup"]
@@ -311,12 +416,14 @@ def main(argv=None) -> int:
         print("== deterministic gates ==")
         eq = check_equivalence()
         lc = check_layout_cache()
+        de = check_driver_equivalence(payload["fit_paths_e2e"])
         wr, spans = check_warm_refit()
         payload["checks"] = {
             "equivalence": eq,
             "layout_cache": lc,
+            "driver_equivalence": de,
             "warm_refit": wr,
-            "passed": eq["passed"] and lc["passed"] and wr["passed"],
+            "passed": eq["passed"] and lc["passed"] and de["passed"] and wr["passed"],
         }
         payload["spans"] = spans
         ok = payload["checks"]["passed"]

@@ -8,7 +8,9 @@ LCM generalizes.  A zero-mean GP with ARD squared-exponential kernel,
 
 is fitted by maximizing the log marginal likelihood over
 ``(log σ_f, log l_1..l_β, log σ_n)`` with multi-start L-BFGS-B and analytic
-gradients (Sec. 3.1, modeling phase).
+gradients (Sec. 3.1, modeling phase).  Each restart runs through the direct
+``setulb`` driver :func:`repro.core.lbfgsb.minimize`, which reproduces
+scipy's L-BFGS-B ``minimize`` bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import optimize
 
+from . import lbfgsb
 from .kernels import gaussian_kernel, gaussian_kernel_with_grad, pairwise_sq_diffs
 
 __all__ = ["GaussianProcess"]
@@ -124,6 +126,7 @@ class GaussianProcess:
                     f"theta0 has {theta0.shape[0]} entries, expected {beta + 2}"
                 )
         warm = theta0
+        bounds = (np.full(beta + 2, -20.0), np.full(beta + 2, 20.0))
 
         best_nll, best_theta = np.inf, None
         for s in range(self.n_start):
@@ -141,17 +144,11 @@ class GaussianProcess:
                         [np.log(yvar * 1e-4 + 1e-10) + self.rng.normal(0, 1)],
                     ]
                 )
-            res = optimize.minimize(
-                self._nll_and_grad,
-                theta0,
-                args=(sqd, y),
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": self.maxiter},
-                bounds=[(-20.0, 20.0)] * (beta + 2),
+            res = lbfgsb.minimize(
+                self._nll_and_grad, theta0, args=(sqd, y), bounds=bounds, maxiter=self.maxiter
             )
             if res.fun < best_nll:
-                best_nll, best_theta = float(res.fun), np.asarray(res.x)
+                best_nll, best_theta = res.fun, res.x
 
         assert best_theta is not None
         self.X, self.y, self.theta = X, y, best_theta

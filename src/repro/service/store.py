@@ -34,6 +34,7 @@ regardless of rids.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -540,26 +541,40 @@ class ShardedStore:
             self._refresh_locked(problem)
             state = self._shards[problem]
             lines = []
+            fresh: Set[str] = set()
             for row in prepared:
-                if row["rid"] in state.rids:
+                if row["rid"] in state.rids or row["rid"] in fresh:
                     continue
-                state.rids.add(row["rid"])
+                fresh.add(row["rid"])
                 written.append(row["rid"])
                 lines.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
             if not written:
                 return []
-            state.etag = None
             blob = "\n".join(lines) + "\n"
             # a crashed writer may have left a torn, unterminated last line;
             # starting on a fresh line quarantines it for compaction to drop
             if state.offset > 0 and not self._ends_with_newline(path):
                 blob = "\n" + blob
+            data = blob.encode("utf-8")
             fd = os.open(path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
             try:
-                os.write(fd, blob.encode("utf-8"))
+                n = os.write(fd, data)
+                if n != len(data):
+                    raise OSError(
+                        errno.EIO, f"short write to {path}: {n} of {len(data)} bytes"
+                    )
                 os.fsync(fd)
+            except OSError:
+                # what reached the file is unknown: forget the shard, so the
+                # next append re-reads it from disk instead of trusting rids
+                # that were never durably written
+                self._shards.pop(problem, None)
+                raise
             finally:
                 os.close(fd)
+            # only a durable commit makes its rids "already stored"
+            state.rids |= fresh
+            state.etag = None
             state.offset = os.path.getsize(path)
         if self.cache is not None:
             self.cache.invalidate(problem)

@@ -1,6 +1,7 @@
 """Unit tests for the sharded tuning-history store (repro.service.store)
 and the HistoryDB back-compat shim routed through it."""
 
+import errno
 import json
 import os
 import time
@@ -358,3 +359,73 @@ class TestStaleLockBreaking:
         for t in threads:
             t.join()
         assert len(acquired) == 4  # all eventually serialized through
+
+
+class TestWriteFaults:
+    """A write that fails must not leave its rids marked as stored: the
+    retry with the same rid stores the record exactly once."""
+
+    RID = "rid-under-fault"
+
+    def _fault(self, monkeypatch, name, fake):
+        import repro.service.store as store_module
+
+        monkeypatch.setattr(store_module.os, name, fake)
+
+    def _check_retry(self, monkeypatch, store):
+        monkeypatch.undo()
+        store.append("qr", [dict(REC, rid=self.RID)])
+        store.append("qr", [dict(REC2, rid="after-fault")])  # the shard works on
+        for s in (store, ShardedStore(store.root)):  # this process, and a reopen
+            rids = [r["rid"] for r in s.records("qr", with_rid=True)]
+            assert rids.count(self.RID) == 1
+            assert rids.count("after-fault") == 1
+
+    def _setup(self, store):
+        store.append("qr", [REC])  # a known shard state before the fault
+
+    def test_enospc_on_write(self, monkeypatch, store):
+        self._setup(store)
+        real_write = os.write
+
+        def enospc(fd, data):
+            if self.RID.encode() in data:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data)
+
+        self._fault(monkeypatch, "write", enospc)
+        with pytest.raises(OSError, match="No space"):
+            store.append("qr", [dict(REC, rid=self.RID)])
+        self._check_retry(monkeypatch, store)
+
+    @pytest.mark.parametrize("pages_lost", [False, True])
+    def test_eio_on_fsync(self, monkeypatch, store, pages_lost):
+        """After a failed fsync the written bytes may still be readable or
+        may be gone (the kernel dropped the dirty pages); either way the
+        retry must end with the record on disk once."""
+        self._setup(store)
+        durable = os.path.getsize(store.shard_path("qr"))
+
+        def eio(fd):
+            if pages_lost:
+                os.ftruncate(fd, durable)
+            raise OSError(errno.EIO, "Input/output error")
+
+        self._fault(monkeypatch, "fsync", eio)
+        with pytest.raises(OSError, match="Input/output"):
+            store.append("qr", [dict(REC, rid=self.RID)])
+        self._check_retry(monkeypatch, store)
+
+    def test_short_write(self, monkeypatch, store):
+        self._setup(store)
+        real_write = os.write
+
+        def short(fd, data):
+            if self.RID.encode() in data:
+                return real_write(fd, data[: len(data) // 2])
+            return real_write(fd, data)
+
+        self._fault(monkeypatch, "write", short)
+        with pytest.raises(OSError, match="short write"):
+            store.append("qr", [dict(REC, rid=self.RID)])
+        self._check_retry(monkeypatch, store)
