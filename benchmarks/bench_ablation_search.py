@@ -26,7 +26,15 @@ job cannot be flaky):
   5% of the objective's known minimum of 1.0;
 * **determinism** — rerunning the campaign with the same seed must
   reproduce every evaluation exactly, and exactly one ``search-mode``
-  event (``batched``) must be recorded.
+  event (``batched``) must be recorded;
+* **NSGA-II** — a 3-task lockstep two-objective campaign shaped like the
+  crowd-mo workload (6 tuning parameters, default NSGA-II settings) run
+  through the vectorized ``NSGA2.ask`` and through the per-pair
+  ``NSGA2._ask_reference`` must breed bitwise-equal children in every
+  generation and record identical evaluations.
+
+An informational ``nsga_generation`` row times one NSGA-II generation
+(``ask`` + ``tell``) at that shape through both paths.
 
 Run::
 
@@ -49,6 +57,7 @@ from repro.core import (
     EIAcquisition,
     GPTune,
     LinearPerformanceModel,
+    NSGA2,
     Options,
     ParticleSwarm,
     PerTaskGP,
@@ -69,6 +78,11 @@ N_TASKS, N_SAMPLES = 8, 24
 
 #: the search objective's minimum, 1.0 for every task (the quality reference)
 KNOWN_MIN = 1.0
+
+#: the crowd-mo search shape: 3 tasks, 6 tuning parameters, 2 objectives
+MO_TASKS, MO_DIM, MO_SAMPLES = 3, 6, 12
+
+_FAST_ASK = NSGA2.ask
 
 
 def _fit(rng, n_start=2, seed=0):
@@ -253,6 +267,86 @@ def check_campaign_gates(res):
     }
 
 
+def _mo_problem():
+    names = [f"x{k}" for k in range(MO_DIM)]
+
+    def objectives(task, cfg):
+        x = np.array([cfg[n] for n in names])
+        return [1.0 + float(np.sum((x - 0.3 * task["t"]) ** 2)),
+                1.0 + float(np.sum((x - 0.8) ** 2)) + 0.1 * task["t"]]
+
+    return TuningProblem(
+        task_space=Space([Real("t", 0.0, 1.0)]),
+        tuning_space=Space([Real(n, 0.0, 1.0) for n in names]),
+        objective=objectives,
+        n_objectives=2,
+        name="bench-search-mo",
+    )
+
+
+def _mo_campaign(ask):
+    """Lockstep two-objective campaign with ``NSGA2.ask`` bound to ``ask``;
+    returns the result and every generation's children, in call order."""
+    children = []
+
+    def logged(self):
+        kids = ask(self)
+        children.append(kids.copy())
+        return kids
+
+    NSGA2.ask = logged
+    try:
+        opts = Options(seed=5, n_start=1, lbfgs_maxiter=40)
+        res = GPTune(_mo_problem(), opts).tune(_search_tasks(MO_TASKS), MO_SAMPLES)
+    finally:
+        NSGA2.ask = _FAST_ASK
+    return res, children
+
+
+def check_nsga_reference():
+    """Gate: vectorized ``ask`` ≡ per-pair ``_ask_reference``, bit for bit."""
+    fast, fast_kids = _mo_campaign(_FAST_ASK)
+    ref, ref_kids = _mo_campaign(NSGA2._ask_reference)
+    kids_equal = len(fast_kids) == len(ref_kids) > 0 and all(
+        a.tobytes() == b.tobytes() for a, b in zip(fast_kids, ref_kids)
+    )
+    records_equal = fast.data.to_records() == ref.data.to_records()
+    passed = kids_equal and records_equal
+    print(f"  nsga2: children of {len(fast_kids)} asks bitwise equal "
+          f"{kids_equal}, records equal {records_equal}  "
+          f"{'PASS' if passed else 'FAIL'}")
+    return {"asks": len(fast_kids), "children_equal": kids_equal,
+            "records_equal": records_equal, "passed": passed}
+
+
+def bench_nsga_generation(repeats=5):
+    """Informational: one ``ask`` + ``tell`` at the crowd-mo search shape."""
+    def objectives(X):
+        return np.stack([np.sum((X - 0.2) ** 2, axis=1),
+                         np.sum((X - 0.8) ** 2, axis=1)], axis=1)
+
+    def per_generation(reference):
+        nsga = NSGA2(dim=MO_DIM, seed=0)
+        ask = nsga._ask_reference if reference else nsga.ask
+        nsga.tell(objectives(nsga.initialize()))
+        t0 = time.perf_counter()
+        for _ in range(nsga.generations):
+            nsga.tell(objectives(ask()))
+        return (time.perf_counter() - t0) / nsga.generations
+
+    best = {"fast": float("inf"), "reference": float("inf")}
+    for _ in range(repeats):  # interleaved, so load drift hits both paths
+        for name in best:
+            best[name] = min(best[name], per_generation(name == "reference"))
+    row = {"dim": MO_DIM, "pop_size": NSGA2(dim=MO_DIM).pop_size,
+           "fast_ms": best["fast"] * 1e3, "reference_ms": best["reference"] * 1e3,
+           "speedup": best["reference"] / best["fast"]}
+    print(f"  nsga2 generation (dim {MO_DIM}, pop {row['pop_size']}): "
+          f"{row['fast_ms']:.3f} ms vs reference {row['reference_ms']:.3f} ms "
+          f"({row['speedup']:.1f}x)")
+    return row
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="Lockstep search-phase benchmark")
     ap.add_argument("--check", action="store_true",
@@ -266,6 +360,7 @@ def main(argv=None) -> int:
     payload = {
         "config": {"n_tasks": N_TASKS, "n_samples": N_SAMPLES},
         "search": timing,
+        "nsga_generation": bench_nsga_generation(),
     }
 
     ok = True
@@ -273,10 +368,12 @@ def main(argv=None) -> int:
         print("== deterministic gates ==")
         eq = check_predict_tasks_equivalence()
         camp = check_campaign_gates(res)
+        nsga = check_nsga_reference()
         payload["checks"] = {
             "equivalence": eq,
             "campaign": camp,
-            "passed": eq["passed"] and camp["passed"],
+            "nsga2_reference": nsga,
+            "passed": eq["passed"] and camp["passed"] and nsga["passed"],
         }
         ok = payload["checks"]["passed"]
 

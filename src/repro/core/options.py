@@ -37,7 +37,8 @@ class Options:
     pso_iters:
         PSO generations per search phase.
     nsga_pop, nsga_gens:
-        NSGA-II population / generations for multi-objective search.
+        NSGA-II population / generations for multi-objective search
+        (each >= 1).
     pareto_batch:
         k — number of new configurations evaluated per multi-objective
         iteration (Algorithm 2, line 5).
@@ -284,6 +285,10 @@ class Options:
             raise ValueError(f"unknown pending_penalty {self.pending_penalty!r}")
         if self.penalty_radius <= 0:
             raise ValueError("penalty_radius must be positive")
+        if self.nsga_pop < 1:
+            raise ValueError(f"nsga_pop must be >= 1, got {self.nsga_pop!r}")
+        if self.nsga_gens < 1:
+            raise ValueError(f"nsga_gens must be >= 1, got {self.nsga_gens!r}")
         if self.pareto_batch < 1:
             raise ValueError("pareto_batch must be >= 1")
         if self.batch_evals < 1:

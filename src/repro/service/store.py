@@ -530,7 +530,9 @@ class ShardedStore:
         carrying a ``rid`` already present in the shard are skipped, making
         archive syncs idempotent.  The write is one ``write`` + ``fsync`` of
         complete lines under the shard's exclusive lock, so concurrent
-        appends interleave without tearing each other.
+        appends interleave without tearing each other.  A failed write or
+        fsync truncates the shard back to its size before the write, so
+        nothing unconfirmed stays on disk for a retry to mistake as stored.
         """
         prepared = self.prepare(records)
         if not prepared:
@@ -558,18 +560,25 @@ class ShardedStore:
             data = blob.encode("utf-8")
             fd = os.open(path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
             try:
-                n = os.write(fd, data)
-                if n != len(data):
-                    raise OSError(
-                        errno.EIO, f"short write to {path}: {n} of {len(data)} bytes"
-                    )
-                os.fsync(fd)
-            except OSError:
-                # what reached the file is unknown: forget the shard, so the
-                # next append re-reads it from disk instead of trusting rids
-                # that were never durably written
-                self._shards.pop(problem, None)
-                raise
+                size = os.fstat(fd).st_size
+                try:
+                    n = os.write(fd, data)
+                    if n != len(data):
+                        raise OSError(
+                            errno.EIO, f"short write to {path}: {n} of {len(data)} bytes"
+                        )
+                    os.fsync(fd)
+                except OSError:
+                    # bytes of a failed write or fsync were never confirmed
+                    # durable: cut them off, so a retry rewrites and fsyncs
+                    # them instead of finding their rids on disk; then
+                    # forget the shard, so the next append re-reads it
+                    try:
+                        os.ftruncate(fd, size)
+                    except OSError:
+                        pass
+                    self._shards.pop(problem, None)
+                    raise
             finally:
                 os.close(fd)
             # only a durable commit makes its rids "already stored"

@@ -88,6 +88,23 @@ class TestOptionCombos:
             GPTune(prob, FAST.replace(n_latent=5)).tune([{"t": 1}], 6)
 
 
+class TestNSGAOptionValidation:
+    """NSGA settings are checked when Options is built, not mid-campaign."""
+
+    @pytest.mark.parametrize("field,bad", [("nsga_pop", 0), ("nsga_pop", -2),
+                                           ("nsga_gens", 0), ("nsga_gens", -3)])
+    def test_rejected_up_front(self, field, bad):
+        with pytest.raises(ValueError, match=rf"{field} must be >= 1, got {bad}"):
+            Options(**{field: bad})
+        with pytest.raises(ValueError, match=rf"{field} must be >= 1, got {bad}"):
+            FAST.replace(**{field: bad})
+
+    def test_smallest_settings_run_a_campaign(self):
+        opts = FAST.replace(nsga_pop=1, nsga_gens=1, pareto_batch=1)
+        res = GPTune(_mo_problem_with_models(), opts).tune([{"t": 1}], 6)
+        assert res.data.n_samples(0) == 6
+
+
 class TestTinyDiscreteSpaces:
     def test_exhaustible_space_allows_reevaluation(self):
         """A 3-point space with budget 6 cannot avoid duplicates; the

@@ -202,6 +202,29 @@ class TestSortingProperties:
                 )
                 assert dominated_by_front
 
+    @given(st.integers(min_value=1, max_value=25), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_fronts_match_pairwise_definition(self, n, m, seed):
+        """Fronts equal brute-force peeling by the pairwise definition
+        (<= everywhere, < somewhere), with ties, inf and NaN entries."""
+        rng = np.random.default_rng(seed)
+        F = rng.integers(0, 4, (n, m)).astype(float)  # a small grid: many ties
+        F[rng.random((n, m)) < 0.1] = np.inf
+        F[rng.random((n, m)) < 0.05] = np.nan
+
+        def dominates(i, j):
+            pairs = list(zip(F[i].tolist(), F[j].tolist()))
+            return all(a <= b for a, b in pairs) and any(a < b for a, b in pairs)
+
+        remaining, expected = list(range(n)), []
+        while remaining:
+            front = [i for i in remaining if not any(dominates(j, i) for j in remaining)]
+            assert front  # dominance has no cycles, even with NaN
+            expected.append(front)
+            remaining = [i for i in remaining if i not in front]
+        assert [f.tolist() for f in fast_non_dominated_sort(F)] == expected
+
     @given(st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
     def test_crowding_nonnegative(self, n, seed):

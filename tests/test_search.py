@@ -201,6 +201,127 @@ class TestNSGA2AskTell:
             nsga.tell(np.zeros((8, 2)))
 
 
+class TestNSGA2Validation:
+    """Bad settings fail at construction and name the value, not mid-run."""
+
+    def test_pop_size_below_one_rejected(self):
+        for bad in (0, -4):
+            with pytest.raises(ValueError, match=rf"pop_size must be >= 1, got {bad}"):
+                NSGA2(dim=2, pop_size=bad)
+
+    def test_pop_size_one_rounds_up_to_a_pair(self):
+        nsga = NSGA2(dim=2, pop_size=1, generations=2, seed=0)
+        assert nsga.pop_size == 2
+        Xf, _ = nsga.minimize(TestNSGA2AskTell._objectives)
+        assert Xf.shape[1] == 2
+
+    @pytest.mark.parametrize("field", ["p_crossover", "p_mutation"])
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_probabilities_outside_unit_interval_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=rf"{field} must be in \[0, 1\], got {bad}"):
+            NSGA2(dim=2, **{field: bad})
+
+    def test_probability_bounds_accepted(self):
+        for p in (0.0, 1.0):
+            nsga = NSGA2(dim=3, p_crossover=p, p_mutation=p)
+            assert (nsga.p_c, nsga.p_m) == (p, p)
+        assert NSGA2(dim=4).p_m == 0.25  # None -> 1/dim
+
+
+class TestAskMatchesReference:
+    """The vectorized ask() is pinned bit for bit against _ask_reference:
+    every generation's children, the final front and population, and the
+    generator state after the run (so stream consumption is pinned too)."""
+
+    @staticmethod
+    def _objectives(X):
+        cols = [np.sum((X - 0.2) ** 2, axis=1), np.sum((X - 0.8) ** 2, axis=1)]
+        if X.shape[1] % 2:
+            cols.append(np.abs(X[:, 0] - 0.5))
+        F = np.stack(cols, axis=1)
+        F[X[:, -1] > 0.85] = np.inf  # infeasible rows
+        return F
+
+    def _run(self, reference, x0, **kw):
+        nsga = NSGA2(**kw)
+        ask = nsga._ask_reference if reference else nsga.ask
+        children = []
+
+        def logged():
+            c = ask()
+            children.append(c.copy())
+            return c
+
+        nsga.ask = logged
+        Xf, Ff = nsga.minimize(self._objectives, x0=x0)
+        return children, (Xf, Ff) + nsga.population, nsga.rng.bit_generator.state
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    @pytest.mark.parametrize("p_crossover", [0.0, 0.9, 1.0])
+    @pytest.mark.parametrize("p_mutation", [None, 0.0, 1.0])
+    def test_minimize_bitwise(self, dim, p_crossover, p_mutation):
+        for seed in (0, 1, 2):
+            x0 = np.random.default_rng(seed).random((3, dim)) if seed % 2 else None
+            kw = dict(dim=dim, pop_size=2 * dim + 5, generations=4, seed=seed,
+                      p_crossover=p_crossover, p_mutation=p_mutation)
+            fast = self._run(False, x0, **kw)
+            ref = self._run(True, x0, **kw)
+            assert len(fast[0]) == len(ref[0]) == 4
+            for a, b in zip(fast[0] + list(fast[1]), ref[0] + list(ref[1])):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert fast[2] == ref[2]
+
+    def test_stepping_bitwise_at_search_shape(self):
+        """ask/tell at the default search shape (pop 40, dim 6) over many
+        generations, with a shared objective so both stay in lockstep."""
+        fast = NSGA2(dim=6, seed=5)
+        ref = NSGA2(dim=6, seed=5)
+        for nsga in (fast, ref):
+            nsga.tell(self._objectives(nsga.initialize()))
+        for _ in range(fast.generations):
+            a, b = fast.ask(), ref._ask_reference()
+            assert a.tobytes() == b.tobytes()
+            fast.tell(self._objectives(a))
+            ref.tell(self._objectives(b))
+        assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
+        for a, b in zip(fast.front(), ref.front()):
+            assert a.tobytes() == b.tobytes()
+
+    def test_tell_selection_matches_full_sort(self):
+        """tell() peels fronts lazily and stops once the population is full;
+        it must keep exactly what selection over the full sort keeps."""
+        rng = np.random.default_rng(0)
+        for seed in range(60):
+            nsga = NSGA2(dim=2, pop_size=int(rng.integers(2, 16)), seed=seed)
+            pop = nsga.initialize()
+            F0 = rng.integers(0, 3, (pop.shape[0], 2)).astype(float)  # ties
+            nsga.tell(F0)
+            kids = nsga.ask()
+            F1 = rng.integers(0, 3, (kids.shape[0], 2)).astype(float)
+            F1[rng.random(F1.shape[0]) < 0.2] = np.inf
+            allX, allF = np.vstack([pop, kids]), np.vstack([F0, F1])
+            keep = []
+            for idx in fast_non_dominated_sort(allF):
+                if len(keep) + idx.size <= nsga.pop_size:
+                    keep.extend(idx.tolist())
+                else:
+                    order = np.argsort(-crowding_distance(allF[idx]), kind="stable")
+                    keep.extend(idx[order][: nsga.pop_size - len(keep)].tolist())
+                    break
+            nsga.tell(F1)
+            popX, popF = nsga.population
+            assert popX.tobytes() == allX[keep].tobytes()
+            assert popF.tobytes() == allF[keep].tobytes()
+
+    def test_front_is_first_sorted_front(self):
+        nsga = NSGA2(dim=3, pop_size=20, generations=3, seed=4)
+        Xf, Ff = nsga.minimize(self._objectives)
+        popX, popF = nsga.population
+        first = fast_non_dominated_sort(popF)[0]
+        assert Xf.tobytes() == popX[first].tobytes()
+        assert Ff.tobytes() == popF[first].tobytes()
+
+
 class TestPickK:
     """MLA._pick_k: non-finite rows filter *before* the size check."""
 

@@ -416,6 +416,34 @@ class TestWriteFaults:
             store.append("qr", [dict(REC, rid=self.RID)])
         self._check_retry(monkeypatch, store)
 
+    def test_eio_on_fsync_retry_fsyncs_readable_bytes(self, monkeypatch, store):
+        """The bytes of a failed fsync can stay readable; they were never
+        confirmed durable, so the retry must write and fsync them again
+        rather than find the rid on disk and return without an fsync."""
+        self._setup(store)
+        path = store.shard_path("qr")
+        durable = os.path.getsize(path)
+
+        def eio(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        self._fault(monkeypatch, "fsync", eio)
+        with pytest.raises(OSError, match="Input/output"):
+            store.append("qr", [dict(REC, rid=self.RID)])
+        monkeypatch.undo()
+        assert os.path.getsize(path) == durable  # unconfirmed bytes cut off
+
+        real_fsync, synced = os.fsync, []
+
+        def counting(fd):
+            synced.append(fd)
+            real_fsync(fd)
+
+        self._fault(monkeypatch, "fsync", counting)
+        assert store.append("qr", [dict(REC, rid=self.RID)]) == [self.RID]
+        assert synced
+        self._check_retry(monkeypatch, store)
+
     def test_short_write(self, monkeypatch, store):
         self._setup(store)
         real_write = os.write
