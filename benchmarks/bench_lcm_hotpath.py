@@ -8,9 +8,11 @@ retained loop-based reference implementation
 one evaluation at the shapes the end-to-end campaigns fit (δ=6, β=1,
 N ∈ {30, 48, 60}, and the sparse backend's δ=2, β=1, N=128 inner fit),
 where the per-call fixed cost rather than the O(N³) algebra dominates.  A
-third table times one ``LCM.fit`` at those shapes through the ``setulb``
-driver and through scipy's ``minimize`` wrapper, interleaved in a child
-process with ``OPENBLAS_NUM_THREADS=1`` (as the end-to-end children run).
+third table times one 3-start ``LCM.fit`` at those shapes three ways: the
+restarts in lockstep through the ``setulb`` driver (what every campaign
+runs), the same driver with one restart per group, and scipy's
+``minimize`` wrapper row by row, interleaved in a child process with
+``OPENBLAS_NUM_THREADS=1`` (as the end-to-end children run).
 Results are printed as a table and dumped to ``BENCH_lcm.json``.
 
 ``--check`` runs the deterministic CI gates (wall-clock numbers stay
@@ -25,6 +27,10 @@ informational, so the job cannot be flaky):
   the direct ``setulb`` driver (:mod:`repro.core.lbfgsb`) and through
   ``scipy.optimize.minimize(method="L-BFGS-B")`` must give bitwise-equal θ
   and the same summed ``nfev``;
+* **lockstep ≡ per-restart** — at every end-to-end shape, the fit whose
+  restarts advance in one lockstep group and the fit that runs each
+  restart as its own group must give bitwise-equal θ, ``L`` and ``α`` and
+  the same per-restart ``nfev``;
 * **warm-refit accounting** — a 20-iteration single-objective campaign with
   ``refit_warm_start`` + ``refit_interval=2`` must spend strictly fewer
   L-BFGS multi-starts than the cold baseline (counted from the campaign
@@ -51,7 +57,7 @@ from scipy import optimize
 
 from repro.core import GPTune, Options, Real, Space, TuningProblem
 from repro.core.kernels import pairwise_sq_diffs
-from repro.core import lcm as lcm_module
+from repro.core import lbfgsb, lcm as lcm_module
 from repro.core.lcm import LCM
 from repro.reporting import phase_breakdown
 
@@ -177,64 +183,108 @@ def bench_predict(n, batch, calls):
 
 
 class _ScipyPath:
-    """``scipy.optimize.minimize`` behind the driver's call signature."""
+    """``scipy.optimize.minimize`` behind the driver's call signature: a
+    stacked ``x0`` runs row by row, each row's objective called as the
+    one-row stack of that restart."""
 
     @staticmethod
     def minimize(fun, x0, args=(), *, bounds, maxiter=15000):
-        return optimize.minimize(
-            fun, x0, args=args, jac=True, method="L-BFGS-B",
-            bounds=list(zip(*bounds)), options={"maxiter": maxiter},
+        runs = []
+        for r, row in enumerate(x0):
+            def one(x, *a, r=r):
+                f, g = fun(x[None], [r], *a)
+                return f[0], g[0]
+
+            runs.append(optimize.minimize(
+                one, row, args=args, jac=True, method="L-BFGS-B",
+                bounds=list(zip(*bounds)), options={"maxiter": maxiter},
+            ))
+        nfevs = np.array([res.nfev for res in runs])
+        return lbfgsb.LBFGSBResult(
+            x=np.stack([res.x for res in runs]), fun=np.array([res.fun for res in runs]),
+            nfev=int(nfevs.sum()), nit=np.array([res.nit for res in runs]), nfevs=nfevs,
         )
 
 
 class _CountingPath:
-    """Sums ``nfev`` over ``minimize`` calls, as the e2e tracer does."""
+    """Sums ``nfev`` over ``minimize`` calls, as the e2e tracer does, and
+    keeps the per-restart counts in restart order."""
 
     def __init__(self, path):
-        self.path, self.nfev = path, 0
+        self.path, self.nfev, self.nfevs = path, 0, []
 
     def minimize(self, *args, **kwargs):
         res = self.path.minimize(*args, **kwargs)
         self.nfev += int(res.nfev)
+        self.nfevs.extend(int(v) for v in res.nfevs)
         return res
 
 
-def _fit_through(path, delta, beta, X, y, tidx):
-    """One e2e-shaped ``LCM.fit`` with ``path`` at the ``optimize`` seam;
-    returns ``(seconds, θ, summed nfev)``."""
+class _RestartPerGroup:
+    """An in-process executor whose ``n_workers`` makes :meth:`LCM.fit`
+    run every restart as its own group."""
+
+    def __init__(self, n_workers):
+        self.n_workers = n_workers
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+#: the three fit paths of ``fit_paths``: (optimizer at the seam, restart
+#: groups); "driver" is the lockstep fit every campaign runs
+_PATHS = {
+    "driver": (lbfgsb, None),
+    "per_restart": (lbfgsb, _RestartPerGroup(3)),
+    "minimize": (_ScipyPath, None),
+}
+
+
+def _fit_through(path, executor, delta, beta, X, y, tidx):
+    """One e2e-shaped ``LCM.fit`` (3 starts) with ``path`` at the
+    ``optimize`` seam; returns ``(seconds, model, counting path)``."""
     counting = _CountingPath(path)
     saved, lcm_module.optimize = lcm_module.optimize, counting
     try:
         t0 = time.perf_counter()
-        m = LCM(delta, beta, n_start=3, maxiter=60, seed=0).fit(X, y, tidx)
+        m = LCM(delta, beta, n_start=3, maxiter=60, seed=0, executor=executor).fit(X, y, tidx)
         elapsed = time.perf_counter() - t0
     finally:
         lcm_module.optimize = saved
-    return elapsed, m.theta, counting.nfev
+    return elapsed, m, counting
+
+
+def _same_fit(a, b):
+    return all(getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in ("theta", "_L", "_alpha"))
 
 
 def fit_paths(repeats):
-    """Per-fit time and result of the ``setulb`` driver vs scipy's wrapper
-    at the e2e shapes, the two paths interleaved fit by fit."""
+    """Per-fit time and result of the lockstep ``setulb`` driver, the same
+    driver with one restart per group, and scipy's wrapper at the e2e
+    shapes, the three paths interleaved fit by fit."""
     rng = np.random.default_rng(5)
     out = {}
     for delta, beta, n in E2E_SHAPES:
         X, y, tidx = _synthetic(rng, n, delta, beta)
-        times = {"driver": [], "minimize": []}
+        times = {name: [] for name in _PATHS}
         runs = {}
         for _ in range(repeats):
-            for name, path in (("driver", lcm_module.optimize), ("minimize", _ScipyPath)):
-                t, theta, nfev = _fit_through(path, delta, beta, X, y, tidx)
+            for name, (path, executor) in _PATHS.items():
+                t, m, counting = _fit_through(path, executor, delta, beta, X, y, tidx)
                 times[name].append(t)
-                runs[name] = (theta, nfev)
-        driver_s = float(np.median(times["driver"]))
-        minimize_s = float(np.median(times["minimize"]))
+                runs[name] = (m, counting)
+        med = {name: float(np.median(v)) for name, v in times.items()}
+        (drv, drv_count), (per, per_count), (ref, ref_count) = (runs[k] for k in _PATHS)
         out[f"d{delta}_b{beta}_n{n}"] = {
             "delta": delta, "beta": beta, "n": n,
-            "driver_s": driver_s, "minimize_s": minimize_s,
-            "speedup": minimize_s / driver_s,
-            "theta_equal": runs["driver"][0].tobytes() == runs["minimize"][0].tobytes(),
-            "nfev_driver": runs["driver"][1], "nfev_minimize": runs["minimize"][1],
+            "driver_s": med["driver"], "per_restart_s": med["per_restart"],
+            "minimize_s": med["minimize"],
+            "speedup": med["minimize"] / med["driver"],
+            "lockstep_speedup": med["per_restart"] / med["driver"],
+            "theta_equal": drv.theta.tobytes() == ref.theta.tobytes(),
+            "nfev_driver": drv_count.nfev, "nfev_minimize": ref_count.nfev,
+            "lockstep_equal": _same_fit(drv, per),
+            "nfevs_driver": drv_count.nfevs, "nfevs_per_restart": per_count.nfevs,
         }
     return out
 
@@ -249,9 +299,10 @@ def bench_fit_paths(repeats):
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     for row in out.values():
         print(f"  fit δ={row['delta']} β={row['beta']} N={row['n']:<4} "
-              f"driver {row['driver_s']*1e3:7.2f} ms   "
+              f"lockstep {row['driver_s']*1e3:7.2f} ms   "
+              f"per-restart {row['per_restart_s']*1e3:7.2f} ms   "
               f"minimize {row['minimize_s']*1e3:7.2f} ms   "
-              f"speedup {row['speedup']:5.2f}x")
+              f"speedup {row['speedup']:5.2f}x (lockstep {row['lockstep_speedup']:4.2f}x)")
     return out
 
 
@@ -262,6 +313,18 @@ def check_driver_equivalence(rows):
     passed = not bad
     print(f"  driver ≡ minimize: {len(rows) - len(bad)}/{len(rows)} e2e shapes "
           f"bitwise-equal θ and nfev  {'PASS' if passed else 'FAIL ' + ', '.join(bad)}")
+    return {"shapes": len(rows), "mismatched": bad, "passed": passed}
+
+
+def check_lockstep_equivalence(rows):
+    """Gate: lockstep ≡ per-restart — one lockstep group and one group per
+    restart give bitwise-equal θ, L and α and equal per-restart nfev."""
+    bad = [k for k, r in rows.items()
+           if not (r["lockstep_equal"] and r["nfevs_driver"] == r["nfevs_per_restart"])]
+    passed = not bad
+    print(f"  lockstep ≡ per-restart: {len(rows) - len(bad)}/{len(rows)} e2e shapes "
+          f"bitwise-equal θ, L, α and per-restart nfev  "
+          f"{'PASS' if passed else 'FAIL ' + ', '.join(bad)}")
     return {"shapes": len(rows), "mismatched": bad, "passed": passed}
 
 
@@ -417,13 +480,16 @@ def main(argv=None) -> int:
         eq = check_equivalence()
         lc = check_layout_cache()
         de = check_driver_equivalence(payload["fit_paths_e2e"])
+        le = check_lockstep_equivalence(payload["fit_paths_e2e"])
         wr, spans = check_warm_refit()
         payload["checks"] = {
             "equivalence": eq,
             "layout_cache": lc,
             "driver_equivalence": de,
+            "lockstep_equivalence": le,
             "warm_refit": wr,
-            "passed": eq["passed"] and lc["passed"] and de["passed"] and wr["passed"],
+            "passed": (eq["passed"] and lc["passed"] and de["passed"] and le["passed"]
+                       and wr["passed"]),
         }
         payload["spans"] = spans
         ok = payload["checks"]["passed"]

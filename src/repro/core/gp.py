@@ -61,8 +61,7 @@ class GaussianProcess:
         seed: Optional[int] = None,
     ):
         self.jitter = float(jitter)
-        self.n_start = int(n_start)
-        self.maxiter = int(maxiter)
+        self.n_start, self.maxiter = lbfgsb.check_restarts(n_start, maxiter)
         self.rng = np.random.default_rng(seed)
         # fitted state
         self.X: Optional[np.ndarray] = None

@@ -15,15 +15,25 @@ Hyperparameters — per-latent ARD lengthscales ``l_j^q``, task loadings
 ``a_{i,q}``, task-specific kernel weights ``b_{i,q} ≥ 0`` and diagonal noise
 ``d_i > 0`` (``σ_q`` fixed at 1) — are found by maximizing the log marginal
 likelihood with multi-start L-BFGS and *analytic* gradients, matching the
-reference implementation.  The multi-start loop can be distributed over an
-executor (Sec. 4.3, level-1 parallelism).
+reference implementation.  The restarts run in lockstep: one L-BFGS driver
+advances all of them and evaluates, each round, the rows that ask for a new
+``(f, g)`` in one stacked likelihood call.  With an executor (Sec. 4.3,
+level-1 parallelism), ``min(n_start, n_workers)`` contiguous groups of
+restarts are mapped over it, each group in lockstep.  Threads do not
+overlap this work: on a 2-vCPU guest a 3-start fit over
+``ThreadBackend(2)`` took ×1.49 of serial at δ=6, β=1, N=48 and ×0.83 at
+δ=2, β=1, N=128, against ×0.79 and ×0.60 over ``ProcessBackend(2)``.
 
 The likelihood/gradient evaluation is the dominant tuner cost (Sec. 4.3
 devotes the whole parallel-modeling design to it), so it runs through a
 vectorized fast path:
 
-* all ``Q`` latent kernels come out of one BLAS contraction
-  (:func:`~repro.core.kernels.gaussian_kernel_batch`),
+* every elementwise, broadcast or batched step — the coupling factors,
+  gathered from a ``(δ, δ)`` task table through one cached pair index, the
+  ``Q`` latent kernels (one batched contraction, or one broadcast product
+  when β = 1), Σ assembly and every gradient product, contraction and
+  scatter — runs once over all ``R`` stacked rows; the factorizations and
+  the nll run per row,
 * lengthscale gradients are a single matrix contraction of ``M∘A_q∘K_q``
   against the cached squared-difference tensor — the ``(β, N, N)``
   per-dimension gradient stack of :func:`gaussian_kernel_with_grad` is never
@@ -32,7 +42,7 @@ vectorized fast path:
   instead of an explicit ``cho_solve(L, eye(N))`` triangular solve sweep,
 * large scratch arrays live in a per-thread workspace reused across L-BFGS
   iterations,
-* everything that depends only on the task layout (the same-task mask, the
+* everything that depends only on the task layout (the task-pair index, the
   one-hot task matrix, the diagonal and strict-upper index sets) is built
   once per fit and cached on the ``tidx`` object, and the LAPACK
   ``potrf``/``potrs``/``potri`` handles are fetched once at import — at the
@@ -41,13 +51,17 @@ vectorized fast path:
 * :meth:`fit` reuses the Cholesky factor and ``α`` captured during the
   winning restart's final likelihood evaluation instead of re-assembling Σ
   and refactorizing, and
-* each restart runs L-BFGS-B through :mod:`repro.core.lbfgsb`, a direct
-  loop over scipy's ``setulb`` that reproduces scipy's L-BFGS-B
-  ``minimize`` bit for bit without its per-evaluation wrapper, over bound
-  arrays built once per fit.  The module is bound here under the name
-  ``optimize``: the end-to-end benchmark's tracer swaps that name for a
-  proxy that sums ``minimize(...).nfev`` into its likelihood-evaluation
-  counter, so restarts must keep calling ``optimize.minimize``.
+* each group of restarts runs L-BFGS-B through :mod:`repro.core.lbfgsb`,
+  a direct lockstep loop over scipy's ``setulb`` that reproduces scipy's
+  L-BFGS-B ``minimize`` bit for bit, restart by restart, without its
+  per-evaluation wrapper, over bound arrays built once per fit.  The module
+  is bound here under the name ``optimize``: the end-to-end benchmark's
+  tracer swaps that name for a proxy that sums ``minimize(...).nfev`` (the
+  total over a group's restarts) into its likelihood-evaluation counter,
+  so restart groups must keep calling ``optimize.minimize``.
+
+Each stacked row is bitwise the one-vector evaluation, so a fit gives the
+same bits whatever its restart groups.
 
 The original loop-based implementation is retained verbatim as
 :meth:`LCM._nll_and_grad_reference`; the benchmark harness
@@ -69,6 +83,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from . import lbfgsb as optimize
+from .lbfgsb import check_restarts
 from .kernels import (
     gaussian_kernel,
     gaussian_kernel_batch,
@@ -132,20 +147,22 @@ class LCMParams:
 
 
 class _Workspace:
-    """Preallocated scratch for the vectorized likelihood, one per (Q, N).
+    """Preallocated scratch for the stacked likelihood, one per thread.
 
     The L-BFGS optimizer evaluates the likelihood hundreds of times on
-    identically-shaped data; allocating the ``(Q, N, N)`` intermediates fresh
-    each call dominates small-N evaluations.  One workspace per thread keeps
-    executor-mapped restarts race-free.
+    identically-shaped data; allocating the ``(R, Q, N, N)`` intermediates
+    fresh each call dominates small-N evaluations.  The buffers are sized
+    for the widest lockstep round seen at this ``(Q, N)``; a narrower round
+    uses their leading ``R`` rows.  One workspace per thread keeps
+    executor-mapped restart groups race-free.
     """
 
-    def __init__(self, Q: int, N: int):
-        self.key = (Q, N)
-        self.Kall = np.empty((Q, N, N))  # b-term staging, latent kernels, then M∘K_q
-        self.Aall = np.empty((Q, N, N))  # task-coupling factors, then M∘A_q∘K_q
-        self.Sigma = np.empty((N, N))  # Σ, then M = αα^T − Σ⁻¹
-        self.tmp = np.empty((N, N))
+    def __init__(self, R: int, Q: int, N: int):
+        self.R, self.Q, self.N = R, Q, N
+        self.Kall = np.empty((R, Q, N, N))  # latent kernels, then M∘K_q
+        self.Aall = np.empty((R, Q, N, N))  # task-coupling factors, then M∘A_q∘K_q
+        self.Sigma = np.empty((R, N, N))  # Σ, then M = αα^T − Σ⁻¹
+        self.tmp = np.empty((R, N, N))
 
 
 class _Layout:
@@ -159,11 +176,15 @@ class _Layout:
     def __init__(self, tidx: np.ndarray, n_tasks: int):
         N = tidx.shape[0]
         self.tidx = tidx  # held so the identity check in LCM._layout stays sound
-        # 0/1 in float64: multiplying by it matches the boolean mask bitwise
-        # and skips the mixed-dtype ufunc loop
-        self.same = (tidx[:, None] == tidx[None, :]).astype(np.float64)
         self.onehot = np.zeros((n_tasks, N))
         self.onehot[tidx, np.arange(N)] = 1.0
+        # the same-task mask of the (δ, δ) coupling table, 0/1 in float64:
+        # multiplying by it matches a boolean mask bitwise and skips the
+        # mixed-dtype ufunc loop
+        self.eye = np.eye(n_tasks)
+        # flat (task_n, task_m) pair of every sample pair, for gathering the
+        # (δ, δ) coupling table into the (N, N) coupling factors
+        self.pair = (tidx[:, None] * n_tasks + tidx[None, :]).ravel()
         self.rows = np.arange(N)
         self.diag = np.diag_indices(N)
         self.upper = np.triu(np.ones((N, N), dtype=bool), 1)
@@ -189,8 +210,10 @@ class LCM:
     seed:
         Seed for restart initialization.
     executor:
-        Optional object with ``map(fn, iterable) -> list``; when given, the
-        restarts run through it (thread/process/simulated-MPI parallelism).
+        Optional object with ``map(fn, iterable) -> list`` and an
+        ``n_workers`` count (1 when absent); when given, the restarts run
+        through it as ``min(n_start, n_workers)`` contiguous lockstep groups
+        (thread/process/simulated-MPI parallelism).
     restart_offset:
         First restart index; restart 0 uses a deterministic heuristic
         initialization, higher indices draw random ones.  Distributed-memory
@@ -236,8 +259,7 @@ class LCM:
             raise ValueError(f"need 1 <= Q <= δ, got Q={Q}, δ={n_tasks}")
         self.params = LCMParams(n_tasks, n_dims, Q)
         self.jitter = float(jitter)
-        self.n_start = int(n_start)
-        self.maxiter = int(maxiter)
+        self.n_start, self.maxiter = check_restarts(n_start, maxiter)
         self.rng = np.random.default_rng(seed)
         self.executor = executor
         self.restart_offset = max(0, int(restart_offset))
@@ -322,10 +344,10 @@ class LCM:
         return out
 
     # -- likelihood ----------------------------------------------------------
-    def _workspace(self, N: int) -> _Workspace:
+    def _workspace(self, R: int, N: int) -> _Workspace:
         ws = getattr(self._tls, "ws", None)
-        if ws is None or ws.key != (self.params.Q, N):
-            ws = _Workspace(self.params.Q, N)
+        if ws is None or (ws.Q, ws.N) != (self.params.Q, N) or ws.R < R:
+            ws = _Workspace(R, self.params.Q, N)
             self._tls.ws = ws
         return ws
 
@@ -345,87 +367,139 @@ class LCM:
         sqd: np.ndarray,
         y: np.ndarray,
         tidx: np.ndarray,
-        capture: Optional[dict] = None,
-    ) -> Tuple[float, np.ndarray]:
+        capture=None,
+    ):
         """Negative log marginal likelihood and its gradient in ``theta``.
 
-        Vectorized hot path — see the module docstring for the design.  When
-        ``capture`` is a dict, the successful evaluation's ``(θ, L, α, nll)``
-        are stored in it so :meth:`fit` can adopt the winning restart's final
+        ``theta`` is one ``(P,)`` hyperparameter vector, giving ``(nll,
+        grad)``, or ``R`` stacked rows ``(R, P)``, giving ``(nll (R,), grad
+        (R, P))``; each row's result is bitwise the one-vector result.  When
+        ``capture`` is a dict (one vector) or a list of ``R`` dicts (stacked
+        rows), each successful evaluation's ``(θ, L, α, nll)`` is stored in
+        its dict so :meth:`fit` can adopt the winning restart's final
         factorization without re-assembling Σ.
         """
+        if theta.ndim == 1:
+            nll, grad = self._nll_and_grad_rows(
+                theta[None], sqd, y, tidx, None if capture is None else [capture]
+            )
+            return nll[0], grad[0]
+        return self._nll_and_grad_rows(theta, sqd, y, tidx, capture)
+
+    def _nll_and_grad_rows(self, theta, sqd, y, tidx, captures):
+        """Stacked hot path of :meth:`_nll_and_grad` (see the module
+        docstring): everything elementwise, broadcast or batched runs once
+        over ``(R, Q, N, N)``; the factorizations run per row."""
         p = self.params
-        N = y.shape[0]
-        ws = self._workspace(N)
+        Q, beta, delta = p.Q, p.beta, p.delta
+        R, N = theta.shape[0], y.shape[0]
+        ws = self._workspace(R, N)
         lay = self._layout(tidx)
-        ls, a, bw, dn = p.unpack(theta)
+        i0 = Q * beta
+        i1 = i0 + delta * Q
+        i2 = i1 + delta * Q
+        ls = np.exp(theta[:, :i0]).reshape(R, Q, beta)
+        a = theta[:, i0:i1].reshape(R, delta, Q)
+        bw = np.exp(theta[:, i1:i2]).reshape(R, delta, Q)
+        dn = np.exp(theta[:, i2:])  # (R, δ)
+        inv2 = 0.5 / (ls * ls)
 
-        at = a[tidx]  # (N, Q)
-        bt = bw[tidx]  # (N, Q)
-        Aall = ws.Aall
-        Sigma = ws.Sigma
-        tmp = ws.tmp
-        # A_q = a_q a_qᵀ + b_q δ_{t_n t_m} for every latent at once; the
-        # same-task term is staged in the kernel buffer before it is filled
-        np.multiply(at.T[:, :, None], at.T[:, None, :], out=Aall)
-        np.multiply(lay.same, bt.T[:, :, None], out=ws.Kall)
-        Aall += ws.Kall
-        Kall = gaussian_kernel_batch(sqd, ls, out=ws.Kall)  # (Q, N, N)
-        np.multiply(Aall[0], Kall[0], out=Sigma)
-        for q in range(1, p.Q):
-            np.multiply(Aall[q], Kall[q], out=tmp)
-            Sigma += tmp
-        Sigma[lay.diag] += dn[tidx] + self.jitter
-
-        L, info = _POTRF(Sigma, lower=1, overwrite_a=0, clean=1)
-        if info > 0:
-            return _DIVERGED, np.zeros_like(theta)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of potrf")
-        alpha, info = _POTRS(L, y, lower=1, overwrite_b=0)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of potrs")
-        nll = 0.5 * float(y @ alpha) + float(np.log(np.diag(L)).sum()) + 0.5 * N * np.log(2 * np.pi)
-        if capture is not None:
-            capture.update(theta=np.array(theta, copy=True), L=L, alpha=alpha, nll=nll)
-
-        # Σ⁻¹ from the Cholesky factor via LAPACK potri (half the flops of
-        # the cho_solve(L, eye(N)) sweep, and no N×N identity).
-        Sinv, info = _POTRI(L, lower=1)
-        if info != 0:  # potri failing after a good potrf
-            Sinv = sla.cho_solve((L, True), np.eye(N), check_finite=False)
+        Aall = ws.Aall[:R]
+        Kall = ws.Kall[:R]
+        Sigma = ws.Sigma[:R]
+        # A_q = a_q a_qᵀ + b_q δ_{t_n t_m}, gathered from its (δ, δ) task table
+        aT = a.transpose(0, 2, 1)  # (R, Q, δ)
+        table = aT[:, :, :, None] * aT[:, :, None, :]
+        table += lay.eye * bw.transpose(0, 2, 1)[:, :, :, None]
+        table.reshape(R, Q, delta * delta).take(lay.pair, axis=2, out=Aall.reshape(R, Q, N * N))
+        # latent kernels exp(-Σ_j sqd_j / 2l_j²), the exponent's negation
+        # folded into its coefficient (exact); for β = 1 the exponent is one
+        # product per entry, which is exactly what a K=1 GEMM computes
+        coef = np.negative(inv2)
+        if beta == 1:
+            np.multiply(coef[:, :, :, None], sqd[None, None, :, :, 0], out=Kall)
         else:
-            np.copyto(Sinv, Sinv.T, where=lay.upper)
-        M = np.outer(alpha, alpha, out=ws.Sigma)  # Σ content no longer needed
-        M -= Sinv  # dLL/dθ = 0.5 tr(M ∂Σ/∂θ)
+            np.matmul(coef, sqd.reshape(N * N, beta).T, out=Kall.reshape(R, Q, N * N))
+        np.exp(Kall, out=Kall)
+        np.multiply(Aall[:, 0], Kall[:, 0], out=Sigma)
+        for q in range(1, Q):
+            tmp = np.multiply(Aall[:, q], Kall[:, q], out=ws.tmp[:R])
+            Sigma += tmp
+        Sigma.reshape(R, N * N)[:, :: N + 1] += dn[:, tidx] + self.jitter
+
+        nll = np.empty(R)
+        g_d = np.zeros((R, delta))
+        bad = []
+        half_n_log_2pi = 0.5 * N * np.log(2 * np.pi)
+        for r in range(R):
+            L, info = _POTRF(Sigma[r], lower=1, overwrite_a=0, clean=1)
+            if info > 0:
+                nll[r] = _DIVERGED
+                bad.append(r)
+                Sigma[r].fill(0.0)  # its M: keeps the stacked gradient ops finite
+                continue
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of potrf")
+            alpha, info = _POTRS(L, y, lower=1, overwrite_b=0)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of potrs")
+            nll[r] = 0.5 * float(y @ alpha) + float(np.log(L.diagonal()).sum()) + half_n_log_2pi
+            if captures is not None:
+                captures[r].update(
+                    theta=np.array(theta[r], copy=True), L=L, alpha=alpha, nll=nll[r]
+                )
+            # Σ⁻¹ from the Cholesky factor via LAPACK potri (half the flops
+            # of the cho_solve(L, eye(N)) sweep, and no N×N identity).
+            Sinv, info = _POTRI(L, lower=1)
+            if info != 0:  # potri failing after a good potrf
+                Sinv = sla.cho_solve((L, True), np.eye(N), check_finite=False)
+            else:
+                np.copyto(Sinv, Sinv.T, where=lay.upper)
+            # M = αα^T (np.outer's product) over Σ, whose content is no longer needed
+            M = np.multiply(alpha[:, None], alpha[None, :], out=Sigma[r])
+            M -= Sinv  # dLL/dθ = 0.5 tr(M ∂Σ/∂θ)
+            g_d[r] = np.bincount(tidx, weights=M.diagonal(), minlength=delta)
+        if len(bad) == R:
+            return nll, np.zeros((R, p.size))
+        M = Sigma
 
         # GK[q] = M∘K_q (in place on Kall); W[q] = M∘A_q∘K_q (in place on Aall)
         GK = Kall
-        GK *= M[None, :, :]
+        GK *= M[:, None]
         W = Aall
         W *= GK
 
         # lengthscale gradients: one contraction of W against the cached
         # squared-diff tensor replaces the (β, N, N) per-dimension stack
-        g_ls = np.matmul(W.reshape(p.Q, N * N), sqd.reshape(N * N, p.beta))
-        g_ls *= 0.5 / (ls * ls)
+        g_ls = np.matmul(W.reshape(R, Q, N * N), sqd.reshape(N * N, beta))
+        g_ls *= inv2
 
-        # task-loading gradients: g_a[i,q] = Σ_{n∈i} (GK[q] @ a[tidx,·q])_n
-        tm = np.einsum("qnm,mq->nq", GK, at)
-        g_a = np.zeros((p.delta, p.Q))
-        np.add.at(g_a, tidx, tm)
+        # task-loading gradients: g_a[i,q] = Σ_{n∈i} (GK[q] @ a[tidx,·q])_n;
+        # a C-contiguous a[tidx] keeps einsum on the one-vector summation
+        # order (the strided a[:, tidx] view moves it when Q = 1)
+        at = a.take(tidx, axis=1)  # (R, N, Q)
+        tm = np.einsum("rqnm,rmq->rnq", GK, at)
+        g_a = np.zeros((R, delta, Q))
+        np.add.at(g_a, (slice(None), tidx), tm)
 
         # b gradients: per-task block sums of GK[q] over same-task pairs (the
         # transposed one-hot view keeps the GEMM on its original BLAS path)
-        rs = np.matmul(GK, lay.onehot.T)  # (Q, N, δ)
-        sel = rs[:, lay.rows, tidx]  # (Q, N): Σ_{m∈task(n)} GK[q,n,m]
-        g_b = np.zeros((p.delta, p.Q))
-        np.add.at(g_b, tidx, 0.5 * sel.T)
+        rs = np.matmul(GK, lay.onehot.T)  # (R, Q, N, δ)
+        sel = rs[:, :, lay.rows, tidx]  # (R, Q, N): Σ_{m∈task(n)} GK[q,n,m]
+        g_b = np.zeros((R, delta, Q))
+        np.add.at(g_b, (slice(None), tidx), 0.5 * sel.transpose(0, 2, 1))
 
-        g_d = 0.5 * np.bincount(tidx, weights=M.diagonal(), minlength=p.delta)
+        g_d *= 0.5
 
         # chain rule to log-parameters for ls, b, d; negate for NLL
-        grad = -self.params.pack_grad(g_ls, g_a, g_b * bw, g_d * dn)
+        grad = np.concatenate(
+            [g_ls.reshape(R, i0), g_a.reshape(R, i1 - i0),
+             (g_b * bw).reshape(R, i2 - i1), g_d * dn],
+            axis=1,
+        )
+        np.negative(grad, out=grad)
+        if bad:
+            grad[bad] = 0.0
         return nll, grad
 
     def _nll_and_grad_reference(
@@ -497,8 +571,13 @@ class LCM:
             dn = np.exp(self.rng.normal(np.log(1e-3 * yvar + 1e-8), 1.0, p.delta))
         return p.pack(ls, a, bw, dn)
 
-    def _optimize_one(self, args):
-        """One L-BFGS restart; returns ``(nll, θ, L, α)``.
+    def _group_nll(self, theta, rows, sqd, y, tidx, captures):
+        """The lockstep objective: stacked rows of restarts ``rows``."""
+        return self._nll_and_grad(theta, sqd, y, tidx, capture=[captures[r] for r in rows])
+
+    def _optimize_group(self, args):
+        """One group of L-BFGS restarts run in lockstep; returns one
+        ``(nll, θ, L, α)`` per start.
 
         ``L`` and ``α`` come from the final successful likelihood evaluation
         at the returned ``θ`` (usually the optimizer's last step; otherwise
@@ -506,22 +585,26 @@ class LCM:
         factorization directly.  They are ``None`` when even the final point
         is not factorizable.
         """
-        theta0, sqd, y, tidx, bounds = args
-        cap: dict = {}
+        starts, sqd, y, tidx, bounds = args
+        caps = [{} for _ in starts]
         res = optimize.minimize(
-            self._nll_and_grad,
-            theta0,
-            args=(sqd, y, tidx, cap),
+            self._group_nll,
+            np.stack(starts),
+            args=(sqd, y, tidx, caps),
             bounds=bounds,
             maxiter=self.maxiter,
         )
-        x = res.x
-        if cap.get("theta") is None or not np.array_equal(cap["theta"], x):
-            cap = {}
-            nll, _ = self._nll_and_grad(x, sqd, y, tidx, capture=cap)
-        if cap.get("theta") is None:
-            return float(res.fun), x, None, None
-        return float(cap["nll"]), x, cap["L"], cap["alpha"]
+        out = []
+        for x, fun, cap in zip(res.x, res.fun, caps):
+            x = x.copy()
+            if cap.get("theta") is None or not np.array_equal(cap["theta"], x):
+                cap = {}
+                self._nll_and_grad(x, sqd, y, tidx, capture=cap)
+            if cap.get("theta") is None:
+                out.append((float(fun), x, None, None))
+            else:
+                out.append((float(cap["nll"]), x, cap["L"], cap["alpha"]))
+        return out
 
     def _bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(lower, upper)`` for θ: ``±1e3`` on the loadings ``a_{i,q}``,
@@ -582,14 +665,22 @@ class LCM:
             for s in range(self.n_start)
         ]
         bounds = self._bounds()
-        jobs = [(t, sqd, y, tidx, bounds) for t in starts]
+        # one lockstep group, or one contiguous group per executor worker
+        n_groups = 1
+        if self.executor is not None:
+            n_groups = min(self.n_start, int(getattr(self.executor, "n_workers", 1)))
+        jobs = [
+            ([starts[i] for i in group], sqd, y, tidx, bounds)
+            for group in np.array_split(np.arange(self.n_start), n_groups)
+        ]
         with maybe_span(
             "model.fit", n=int(X.shape[0]), n_starts=self.n_start, warm=theta0 is not None
         ):
             if self.executor is not None:
-                results = list(self.executor.map(self._optimize_one, jobs))
+                groups = list(self.executor.map(self._optimize_group, jobs))
             else:
-                results = [self._optimize_one(j) for j in jobs]
+                groups = [self._optimize_group(jobs[0])]
+        results = [r for group in groups for r in group]
         # a non-finite nll (a NaN restart) ranks last: plain min() keeps a
         # NaN in position 0 because every comparison against it is False
         best_nll, best_theta, bestL, best_alpha = min(

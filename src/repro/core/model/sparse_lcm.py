@@ -51,6 +51,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from ..kernels import gaussian_kernel_batch, pairwise_sq_diffs
+from ..lbfgsb import check_restarts
 from ..lcm import LCM, LCMParams
 from ...observability.spans import maybe_span
 from .inducing import select_inducing
@@ -101,8 +102,7 @@ class SparseLCM:
         self.params = LCMParams(n_tasks, n_dims, Q)
         self.n_inducing = int(n_inducing)
         self.jitter = float(jitter)
-        self.n_start = int(n_start)
-        self.maxiter = int(maxiter)
+        self.n_start, self.maxiter = check_restarts(n_start, maxiter)
         self.seed = seed
         self.executor = executor
         self.restart_offset = max(0, int(restart_offset))

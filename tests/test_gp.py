@@ -83,3 +83,12 @@ class TestGradients:
         ll1 = GaussianProcess(seed=3, n_start=1).fit(X, y).log_likelihood_
         ll5 = GaussianProcess(seed=3, n_start=5).fit(X, y).log_likelihood_
         assert ll5 >= ll1 - 1e-6
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "kwargs,named", [({"n_start": 0}, "n_start=0"), ({"maxiter": 0}, "maxiter=0")],
+    )
+    def test_restart_settings_rejected_up_front(self, kwargs, named):
+        with pytest.raises(ValueError, match=named):
+            GaussianProcess(**kwargs)

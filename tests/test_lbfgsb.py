@@ -3,11 +3,12 @@
 :func:`repro.core.lbfgsb.minimize` replaces ``minimize(method="L-BFGS-B",
 jac=True)`` in every hyperparameter fit, on the promise that it reproduces
 scipy bit for bit.  These tests pin that promise on random bounded problems
-and on the corner cases of the reverse-communication loop, pin the LCM / GP
-fits to values recorded with the scipy wrapper, and check that the e2e
-tracer's ``nfev`` counting seam still counts every likelihood evaluation.
-Thread-mapped restarts through the driver are pinned bitwise to serial ones
-by ``tests/test_lcm_fastpath.py::TestThreadedRestarts``.
+and on the corner cases of the reverse-communication loop, pin each
+restart of a lockstep (stacked ``x0``) run to its own independent run, pin
+the LCM / GP fits to values recorded with the scipy wrapper, and check that
+the e2e tracer's ``nfev`` counting seam still counts every likelihood
+evaluation.  Thread- and process-mapped restart groups are pinned bitwise
+to serial fits by ``tests/test_lcm_fastpath.py::TestThreadedRestarts``.
 """
 
 import importlib.util
@@ -34,6 +35,24 @@ def _scipy(fun, x0, bounds, maxiter=15000, args=()):
     return optimize.minimize(
         fun, x0, args=args, jac=True, method="L-BFGS-B",
         bounds=list(zip(*bounds)), options={"maxiter": maxiter},
+    )
+
+
+def _scipy_rows(fun, x0, args, bounds, maxiter):
+    """A stacked ``x0`` run row by row through scipy, each row's objective
+    called as the one-row stack of that restart; shaped like the driver's
+    stacked result."""
+    runs = []
+    for r, row in enumerate(x0):
+        def one(x, *a, r=r):
+            f, g = fun(x[None], [r], *a)
+            return f[0], g[0]
+
+        runs.append(_scipy(one, row, bounds, maxiter=maxiter, args=args))
+    nfevs = np.array([res.nfev for res in runs])
+    return lbfgsb.LBFGSBResult(
+        x=np.stack([res.x for res in runs]), fun=np.array([res.fun for res in runs]),
+        nfev=int(nfevs.sum()), nit=np.array([res.nit for res in runs]), nfevs=nfevs,
     )
 
 
@@ -156,6 +175,123 @@ class TestDriverEqualsScipy:
             lbfgsb.minimize(fg, x0, bounds=(hi, lo))
 
 
+def _stack(fg, seen=None):
+    """A row-by-row stacked objective over the 1-D ``fg``; records the
+    ``rows`` of every call in ``seen``."""
+    def fgs(X, rows, *args):
+        if seen is not None:
+            seen.append(list(rows))
+        out = [fg(x, *args) for x in X]
+        return np.array([f for f, _ in out]), np.array([g for _, g in out])
+
+    return fgs
+
+
+def _assert_restarts_equal_runs(res, fg, x0s, bounds, maxiter=15000):
+    """Each restart of a lockstep result is bitwise its own 1-D run."""
+    assert res.x.shape == x0s.shape
+    for r, x0 in enumerate(x0s):
+        one = lbfgsb.minimize(fg, x0, bounds=bounds, maxiter=maxiter)
+        assert res.x[r].tobytes() == one.x.tobytes()
+        assert np.float64(res.fun[r]).tobytes() == np.float64(one.fun).tobytes()
+        assert (res.nfevs[r], res.nit[r]) == (one.nfev, one.nit)
+    assert res.nfev == int(res.nfevs.sum())
+
+
+class TestLockstep:
+    """A stacked ``x0`` runs its restarts in lockstep; each restart must be
+    bitwise the independent run from its row."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_each_restart_equals_its_own_run(self, seed):
+        fg, x0, bounds = _problem(seed)
+        rng = np.random.default_rng(100 + seed)
+        x0s = x0 + rng.normal(scale=2.0, size=(4, x0.size))
+        res = lbfgsb.minimize(_stack(fg), x0s, bounds=bounds)
+        _assert_restarts_equal_runs(res, fg, x0s, bounds)
+
+    def test_restarts_stop_at_different_rounds(self):
+        """Restarts from far and near starts drop out at different rounds;
+        the survivors keep advancing alone."""
+        fg, x0, bounds = _problem(4)
+        one = lbfgsb.minimize(fg, x0, bounds=bounds)
+        x0s = np.stack([one.x, x0, 0.5 * (one.x + x0)])
+        seen = []
+        res = lbfgsb.minimize(_stack(fg, seen), x0s, bounds=bounds)
+        _assert_restarts_equal_runs(res, fg, x0s, bounds)
+        assert len(set(res.nit.tolist())) > 1
+        assert [len(rows) for rows in seen] != [3] * len(seen)  # some round ran narrower
+
+    def test_maxiter_stop(self):
+        fg, x0, bounds = _problem(5)
+        x0s = np.stack([x0, -x0, 0.3 * x0])
+        res = lbfgsb.minimize(_stack(fg), x0s, bounds=bounds, maxiter=3)
+        _assert_restarts_equal_runs(res, fg, x0s, bounds, maxiter=3)
+        assert res.nit.tolist() == [3, 3, 3]
+
+    def test_identical_rows(self):
+        fg, x0, bounds = _problem(6)
+        x0s = np.stack([x0, x0, x0])
+        res = lbfgsb.minimize(_stack(fg), x0s, bounds=bounds)
+        _assert_restarts_equal_runs(res, fg, x0s, bounds)
+        assert res.x[0].tobytes() == res.x[1].tobytes() == res.x[2].tobytes()
+
+    def test_rows_name_the_asking_restarts(self):
+        """Every call evaluates each asking restart once, in restart order,
+        and the calls add up to the per-restart ``nfev``."""
+        fg, x0, bounds = _problem(8)
+        x0s = x0 + np.random.default_rng(8).normal(size=(3, x0.size))
+        seen = []
+        res = lbfgsb.minimize(_stack(fg, seen), x0s, bounds=bounds)
+        assert seen[0] == [0, 1, 2]
+        for rows in seen:
+            assert rows == sorted(set(rows))
+        counts = np.bincount([r for rows in seen for r in rows], minlength=3)
+        assert counts.tolist() == res.nfevs.tolist()
+
+    def test_args_and_divergence_sentinel(self):
+        """Extra args reach the stacked objective; a row answering the
+        ``1e25`` sentinel does not disturb the others."""
+        base, x0, bounds = _problem(7)
+        x0[0] = -0.4
+        hits = []
+
+        def fg(x, slope):
+            if x[0] > 0.2:
+                hits.append(1)
+                return 1e25, np.zeros_like(x)
+            f, g = base(x)
+            g[0] -= slope
+            return f - slope * x[0], g
+
+        x0s = np.stack([x0, x0 - 0.3])
+        res = lbfgsb.minimize(_stack(fg), x0s, args=(4.0,), bounds=bounds)
+        assert hits
+        for r, start in enumerate(x0s):
+            one = lbfgsb.minimize(fg, start, args=(4.0,), bounds=bounds)
+            assert res.x[r].tobytes() == one.x.tobytes()
+            assert (res.nfevs[r], res.nit[r]) == (one.nfev, one.nit)
+
+    def test_one_row_matches_scipy(self):
+        fg, x0, bounds = _problem(9)
+        res = lbfgsb.minimize(_stack(fg), x0[None], bounds=bounds)
+        ref = _scipy(fg, x0, bounds)
+        assert res.x[0].tobytes() == np.asarray(ref.x).tobytes()
+        assert (res.nfev, res.nit[0]) == (ref.nfev, ref.nit)
+
+    def test_one_dimensional_result_fields(self):
+        fg, x0, bounds = _problem(10)
+        res = lbfgsb.minimize(fg, x0, bounds=bounds)
+        assert res.x.shape == x0.shape
+        assert isinstance(res.fun, float) and isinstance(res.nit, int)
+        assert res.nfevs.tolist() == [res.nfev]
+
+    def test_empty_stack_rejected(self):
+        fg, x0, bounds = _problem(1)
+        with pytest.raises(ValueError, match="at least one row"):
+            lbfgsb.minimize(_stack(fg), np.empty((0, x0.size)), bounds=bounds)
+
+
 class TestScipyVersionCheck:
     def test_installed_scipy_passes(self):
         from scipy.optimize import _lbfgsb
@@ -268,7 +404,7 @@ class TestFitsUnchanged:
         class ScipyPath:
             @staticmethod
             def minimize(fun, x0, args, bounds, maxiter):
-                return _scipy(fun, x0, bounds, maxiter=maxiter, args=args)
+                return _scipy_rows(fun, x0, args, bounds, maxiter)
 
         monkeypatch.setattr(lcm_module, "optimize", ScipyPath)
         ref = fit()
@@ -288,14 +424,18 @@ class TestWorkCounters:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_traced_nfev_counts_every_likelihood_evaluation(self, monkeypatch, sparse):
         """The e2e tracer sums ``nfev`` through the ``optimize`` name in
-        ``repro.core.lcm``; every optimizer-driven likelihood evaluation
-        must be counted, and nothing else."""
+        ``repro.core.lcm``; every optimizer-driven likelihood row (a row of
+        a stacked lockstep call) must be counted, and nothing else (the
+        one-vector re-evaluations at a restart's final θ)."""
         calls = {"optimizer": 0, "capture": 0}
         real = LCM._nll_and_grad
 
-        def counted(self, *args, **kwargs):
-            calls["capture" if "capture" in kwargs else "optimizer"] += 1
-            return real(self, *args, **kwargs)
+        def counted(self, theta, *args, **kwargs):
+            if theta.ndim == 2:
+                calls["optimizer"] += theta.shape[0]
+            else:
+                calls["capture"] += 1
+            return real(self, theta, *args, **kwargs)
 
         monkeypatch.setattr(LCM, "_nll_and_grad", counted)
         rng = np.random.default_rng(9)

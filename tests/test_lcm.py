@@ -33,6 +33,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             LCM(n_tasks=2, n_dims=1, n_latent=0)
 
+    @pytest.mark.parametrize(
+        "kwargs,named", [({"n_start": 0}, "n_start=0"), ({"n_start": -1}, "n_start=-1"),
+                         ({"maxiter": 0}, "maxiter=0")],
+    )
+    def test_restart_settings_rejected_up_front(self, kwargs, named):
+        with pytest.raises(ValueError, match=named):
+            LCM(2, 1, **kwargs)
+
     def test_default_q(self):
         assert LCM(n_tasks=5, n_dims=1).params.Q == 3
         assert LCM(n_tasks=2, n_dims=1).params.Q == 2

@@ -1,11 +1,12 @@
 """Tests for the vectorized LCM hot path (repro.core.lcm).
 
 Pins the fast likelihood/gradient against the retained reference
-implementation, checks analytic gradients against finite differences across
-randomized shapes, and covers the fit-capture, block-extension,
-jitter-escalation and predict-cache machinery, the per-call fixed-cost
-savings (cached LAPACK handles, the task-layout cache, threaded restarts
-staying bitwise-equal to serial ones) and the ranking of failed restarts.
+implementation and its stacked ``(R, P)`` form against per-row calls,
+checks analytic gradients against finite differences across randomized
+shapes, and covers the fit-capture, block-extension, jitter-escalation and
+predict-cache machinery, the per-call fixed-cost savings (cached LAPACK
+handles, the task-layout cache, thread- and process-mapped restart groups
+staying bitwise-equal to serial fits) and the ranking of failed restarts.
 """
 
 import numpy as np
@@ -92,6 +93,114 @@ class TestEquivalence:
         )
         f, g = m._nll_and_grad(theta, pairwise_sq_diffs(X), y, tidx)
         assert f >= 1e24 and np.all(g == 0)
+
+
+def _stacked_cases():
+    """(δ, β, Q, R, N) covering δ 1–6, β 1–6, Q 1–3 and R 1–4."""
+    cases = []
+    for i in range(24):
+        delta = 1 + i % 6
+        beta = 1 + (5 * i) % 6
+        q = 1 + (i // 6) % min(delta, 3)
+        cases.append((delta, beta, q, 1 + i % 4, 12 + 3 * i))
+    return cases
+
+
+def _assert_rows_equal_single_calls(m, theta, sqd, y, tidx):
+    """A stacked call is bitwise R one-vector calls, captures included."""
+    caps = [{} for _ in theta]
+    F, G = m._nll_and_grad(theta, sqd, y, tidx, capture=caps)
+    assert F.shape == (theta.shape[0],) and G.shape == theta.shape
+    for r in range(theta.shape[0]):
+        cap: dict = {}
+        f, g = m._nll_and_grad(theta[r].copy(), sqd, y, tidx, capture=cap)
+        assert np.float64(F[r]).tobytes() == np.float64(f).tobytes()
+        assert G[r].tobytes() == g.tobytes()
+        assert caps[r].keys() == cap.keys()
+        for key in cap:
+            assert np.asarray(caps[r][key]).tobytes() == np.asarray(cap[key]).tobytes()
+    return F, G
+
+
+class TestStackedKernel:
+    """``_nll_and_grad`` on ``(R, P)`` stacked rows — the lockstep fit's
+    objective — is bitwise the per-row one-vector call."""
+
+    @pytest.mark.parametrize("delta,beta,q,R,n", _stacked_cases())
+    def test_rows_equal_single_calls_and_reference(self, rng, delta, beta, q, R, n):
+        X, y, tidx = _case(rng, delta, beta, n)
+        sqd = pairwise_sq_diffs(X)
+        m = LCM(delta, beta, n_latent=q, seed=3)
+        theta = np.stack([m._initial_theta(y, restart=r) for r in range(R)])
+        F, G = _assert_rows_equal_single_calls(m, theta, sqd, y, tidx)
+        for r in range(R):
+            f_ref, g_ref = m._nll_and_grad_reference(theta[r], sqd, y, tidx)
+            assert abs(F[r] - f_ref) < 1e-8
+            assert np.max(np.abs(G[r] - g_ref)) < 1e-6
+
+    def test_diverged_row_beside_good_rows(self, rng):
+        """A row whose potrf fails returns the sentinel, a zero gradient and
+        no capture; the rows around it are untouched."""
+        X, y, tidx = _case(rng, 2, 1, 10)
+        X[1] = X[0]  # duplicate rows
+        tidx[1] = tidx[0]
+        sqd = pairwise_sq_diffs(X)
+        m = LCM(2, 1, n_latent=1, seed=0, jitter=0.0)
+        singular = m.params.pack(
+            np.full((1, 1), 0.3), np.ones((2, 1)), np.full((2, 1), 1e-18), np.full(2, 1e-18)
+        )
+        theta = np.stack([m._initial_theta(y, 0), singular, m._initial_theta(y, 2)])
+        F, G = _assert_rows_equal_single_calls(m, theta, sqd, y, tidx)
+        assert F[1] >= 1e24 and np.all(G[1] == 0)
+        assert np.all(F[[0, 2]] < 1e24)
+        all_bad = np.stack([singular, singular])
+        F, G = m._nll_and_grad(all_bad, sqd, y, tidx)
+        assert np.all(F >= 1e24) and np.all(G == 0)
+
+    def test_potri_failure_falls_back_per_row(self, rng, monkeypatch):
+        X, y, tidx = _case(rng, 3, 2, 20)
+        sqd = pairwise_sq_diffs(X)
+        m = LCM(3, 2, n_latent=2, seed=0)
+        theta = np.stack([m._initial_theta(y, r) for r in range(3)])
+        F0, G0 = m._nll_and_grad(theta, sqd, y, tidx)
+        real, calls = lcm_mod._POTRI, []
+
+        def second_fails(L, **kw):  # every second factor "fails" to invert
+            calls.append(1)
+            return (np.zeros_like(L), 1) if len(calls) % 2 == 0 else real(L, **kw)
+
+        monkeypatch.setattr(lcm_mod, "_POTRI", second_fails)
+        F1, G1 = m._nll_and_grad(theta, sqd, y, tidx)
+        assert F1.tobytes() == F0.tobytes()
+        assert G1[[0, 2]].tobytes() == G0[[0, 2]].tobytes()
+        assert np.allclose(G1[1], G0[1], rtol=1e-8, atol=1e-10)
+        # the fallback itself is what a failing one-vector call computes
+        calls.clear()
+        monkeypatch.setattr(lcm_mod, "_POTRI", lambda L, **kw: (np.zeros_like(L), 1))
+        _assert_rows_equal_single_calls(m, theta, sqd, y, tidx)
+
+    def test_single_latent_loadings_gather_contiguously(self, rng):
+        """Q = 1: the strided ``a[:, tidx]`` view would move einsum's
+        summation order (and ``g_a``) away from the one-vector call."""
+        delta, R = 4, 3
+        X, y, tidx = _case(rng, delta, 1, 40)
+        m = LCM(delta, 1, n_latent=1, seed=1)
+        theta = np.stack([m._initial_theta(y, r) for r in range(R)])
+        a = theta[:, 1 : 1 + delta].reshape(R, delta, 1)
+        assert not a[:, tidx].flags.c_contiguous
+        _, G = _assert_rows_equal_single_calls(m, theta, pairwise_sq_diffs(X), y, tidx)
+        assert np.any(G[:, 1 : 1 + delta] != 0)
+
+    def test_narrower_call_reuses_the_workspace(self, rng):
+        X, y, tidx = _case(rng, 3, 2, 24)
+        sqd = pairwise_sq_diffs(X)
+        m = LCM(3, 2, n_latent=2, seed=0)
+        theta = np.stack([m._initial_theta(y, r) for r in range(4)])
+        m._nll_and_grad(theta, sqd, y, tidx)
+        ws = m._tls.ws
+        for R in (3, 1, 2):
+            _assert_rows_equal_single_calls(m, theta[:R], sqd, y, tidx)
+        assert m._tls.ws is ws
 
 
 class TestGradientFiniteDifference:
@@ -324,14 +433,14 @@ class TestLayoutCache:
         sub = tidx[:17]
         sqd = pairwise_sq_diffs(X[:17])
         f, g = m._nll_and_grad(theta, sqd, y[:17], sub)
-        assert m._layout_cache.tidx is sub and m._layout_cache.same.shape == (17, 17)
+        assert m._layout_cache.tidx is sub and m._layout_cache.pair.shape == (17 * 17,)
         f_ref, g_ref = self._fresh(3, 2, theta, sqd, y[:17], sub)
         assert f == f_ref and np.array_equal(g, g_ref)
 
 
 class TestThreadedRestarts:
-    """Restarts mapped over threads share one layout record and must fit
-    bitwise-equal to serial restarts."""
+    """Restart groups mapped over threads or processes (threads share one
+    layout record) must fit bitwise-equal to serial restarts."""
 
     def test_thread_backend_fit_bitwise_equals_serial(self, rng):
         from repro.runtime.executor import ThreadBackend
@@ -346,6 +455,43 @@ class TestThreadedRestarts:
         assert np.array_equal(par._L, serial._L)
         assert np.array_equal(par._alpha, serial._alpha)
         assert par.log_likelihood_ == serial.log_likelihood_
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_group_mapped_fit_bitwise_equals_serial(self, rng, backend):
+        """An executor with two workers runs the restarts as two lockstep
+        groups; the fit must equal the one-group serial fit bit for bit."""
+        from repro.runtime.executor import ProcessBackend, ThreadBackend
+
+        X, y, tidx = _case(rng, 4, 1, 36)
+        serial = LCM(4, 1, seed=2, n_start=3, maxiter=40).fit(X, y, tidx)
+        pool = ThreadBackend(2) if backend == "thread" else ProcessBackend(2)
+        with pool as ex:
+            par = LCM(4, 1, seed=2, n_start=3, maxiter=40, executor=ex).fit(X, y, tidx)
+        assert par.theta.tobytes() == serial.theta.tobytes()
+        assert par._L.tobytes() == serial._L.tobytes()
+        assert par._alpha.tobytes() == serial._alpha.tobytes()
+        assert par.log_likelihood_ == serial.log_likelihood_
+
+    def test_groups_follow_the_worker_count(self, rng):
+        """``min(n_start, n_workers)`` contiguous groups, in restart order."""
+        sizes = []
+
+        class Recording:
+            def __init__(self, n_workers):
+                self.n_workers = n_workers
+
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                sizes.append([len(job[0]) for job in jobs])
+                return [fn(job) for job in jobs]
+
+        X, y, tidx = _case(rng, 2, 1, 20)
+        fits = [LCM(2, 1, seed=4, n_start=5, maxiter=30, executor=Recording(w)).fit(X, y, tidx)
+                for w in (2, 3, 8)]
+        assert sizes == [[3, 2], [2, 2, 1], [1, 1, 1, 1, 1]]
+        serial = LCM(2, 1, seed=4, n_start=5, maxiter=30).fit(X, y, tidx)
+        for fit in fits:
+            assert fit.theta.tobytes() == serial.theta.tobytes()
 
     def test_model_restarts_parallel_campaign_matches_serial(self):
         from repro.core import GPTune, Options, Real, Space, TuningProblem
@@ -376,18 +522,20 @@ class TestRestartRanking:
         X, y, tidx = toy_multitask_data
         ref = LCM(2, 1, n_latent=2, seed=0, n_start=3).fit(X, y, tidx)
         m = LCM(2, 1, n_latent=2, seed=0, n_start=3)
-        real = m._optimize_one
+        real = m._optimize_group
         calls = []
 
         def first_is_nan(args):
             out = real(args)
-            calls.append(out)
-            if len(calls) == 1:
-                return float("nan"), out[1], None, None
+            first_group = not calls
+            calls.extend(out)
+            if first_group:
+                out[0] = (float("nan"), out[0][1], None, None)
             return out
 
-        m._optimize_one = first_is_nan
+        m._optimize_group = first_is_nan
         m.fit(X, y, tidx)
+        assert len(calls) == 3
         finite = [r[0] for r in calls[1:]]
         assert np.isfinite(m.log_likelihood_)
         assert m.log_likelihood_ == -min(finite)
@@ -396,7 +544,9 @@ class TestRestartRanking:
     def test_all_nan_restarts_keep_first(self, toy_multitask_data):
         X, y, tidx = toy_multitask_data
         m = LCM(2, 1, n_latent=1, seed=0, n_start=2, maxiter=5)
-        real = m._optimize_one
-        m._optimize_one = lambda args: (float("nan"),) + tuple(real(args)[1:])
+        real = m._optimize_group
+        m._optimize_group = lambda args: [
+            (float("nan"),) + tuple(r[1:]) for r in real(args)
+        ]
         m.fit(X, y, tidx)
         assert np.isnan(m.log_likelihood_)

@@ -203,6 +203,13 @@ class TestSparseLCM:
         with pytest.raises(ValueError):
             m.fit(X, np.zeros(6), np.full(6, 7))
 
+    @pytest.mark.parametrize(
+        "kwargs,named", [({"n_start": 0}, "n_start=0"), ({"maxiter": 0}, "maxiter=0")],
+    )
+    def test_restart_settings_rejected_up_front(self, kwargs, named):
+        with pytest.raises(ValueError, match=named):
+            SparseLCM(2, 1, n_inducing=8, **kwargs)
+
     def test_agrees_with_exact_on_smooth_data(self, sparse_data):
         """With a generous inducing set the SoR posterior tracks the exact one."""
         X, y, tidx = sparse_data
