@@ -9,7 +9,10 @@
    (optionally through an executor; Sec. 4.3).  When coarse performance
    models are attached, a *model-update phase* first refits their
    hyperparameters, then the kernel inputs are enriched with the model
-   outputs (Sec. 3.3).
+   outputs (Sec. 3.3).  The phase's policy — backend choice, warm starts,
+   posterior extension, the degradation ladder, and its checkpoint state —
+   lives in :class:`~repro.core.model.fitter.SurrogateFitter`; the driver
+   calls its ``reset``, ``fit``, ``snapshot`` and ``restore``.
 3. **Search phase** — per task, PSO maximizes Expected Improvement over the
    posterior (γ = 1), or NSGA-II advances the predicted Pareto front and
    ``k = pareto_batch`` candidates are evaluated (γ > 1, Algorithm 2).
@@ -21,10 +24,12 @@ the phase-time breakdown reported in Table 3 of the paper.
 The driver is built for flaky production campaigns (see
 :mod:`repro.runtime.resilience`): objective calls run under a retry policy,
 a resumable checkpoint can be written after every batch
-(:meth:`GPTune.resume` continues a killed run with identical decisions), and
-a failed LCM fit degrades to independent per-task GPs and then to random
-search instead of aborting.  Every resilience action is recorded in a
-:class:`~repro.runtime.trace.CampaignLog` exposed as ``TuneResult.events``.
+(:meth:`GPTune.resume` continues a killed run with identical decisions, in
+either campaign loop, warm refits and posterior extension included), and a
+failed LCM fit degrades to the ``gp`` backend (independent per-task GPs)
+and then to random search instead of aborting.  Every resilience action is
+recorded in a :class:`~repro.runtime.trace.CampaignLog` exposed as
+``TuneResult.events``.
 """
 
 from __future__ import annotations
@@ -41,10 +46,9 @@ from ..runtime.resilience import RetryPolicy, RunCheckpoint
 from ..runtime.trace import CampaignLog
 from .acquisition import BatchedEIAcquisition, EIAcquisition
 from .data import TuningData
-from .gp import GaussianProcess
 from .history import HistoryDB
 from .lcm import LCM
-from .model import PerTaskGP, SparseLCM, get_backend, select_backend
+from .model.fitter import SurrogateFitter
 from .options import Options
 from .perfmodel import ModelFeaturizer
 from .problem import TuningProblem
@@ -157,36 +161,6 @@ def _feasibility_or_none(problem: TuningProblem, task: Mapping[str, Any]):
     return None
 
 
-class _YTransform:
-    """Per-objective output transform for surrogate fitting."""
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        self.mean = 0.0
-        self.std = 1.0
-
-    def fit(self, y: np.ndarray) -> np.ndarray:
-        v = np.log(np.maximum(y, 1e-300)) if self.kind == "log" else np.asarray(y, float)
-        if self.kind == "none":
-            self.mean, self.std = 0.0, 1.0
-            return v.copy()
-        self.mean = float(v.mean())
-        self.std = float(v.std()) or 1.0
-        return (v - self.mean) / self.std
-
-    def transform(self, y: np.ndarray) -> np.ndarray:
-        """Apply the fitted transform without re-estimating mean/std.
-
-        The posterior-extension path must feed new observations to a model
-        in exactly the units the model was fitted in, so intermediate
-        iterations reuse the last full refit's statistics.
-        """
-        v = np.log(np.maximum(y, 1e-300)) if self.kind == "log" else np.asarray(y, float)
-        if self.kind == "none":
-            return v.copy()
-        return (v - self.mean) / self.std
-
-
 class GPTune:
     """Multitask Bayesian-optimization autotuner.
 
@@ -242,16 +216,16 @@ class GPTune:
         self._seeds = np.random.SeedSequence(self.options.seed)
         self._executor = None
         self._search_mode_last: Optional[str] = None
-        # per-campaign modeling state (reset by tune()): warm-refit carryover
-        # per objective, GP-ladder carryover per (objective, task), the
-        # modeling-phase counter driving refit_interval, and the incremental
-        # content-fingerprint accumulator for the surrogate cache
-        self._warm_state: Dict[int, Dict[str, Any]] = {}
-        self._warm_gp_theta: Dict[Tuple[int, int], np.ndarray] = {}
-        self._fit_iter = 0
-        self._fp_state: Optional[Dict[str, Any]] = None
-        self._feat_state: Optional[Dict[str, Any]] = None
-        self._model_backend_last: Dict[int, str] = {}
+        # surrogate policy (backend choice, warm starts, extension, the
+        # degradation ladder, checkpointed modeling state); reset by tune()
+        self.fitter = SurrogateFitter(
+            self.options,
+            problem.name,
+            self.events,
+            self._child_seed,
+            model_cache=self.model_cache,
+            executor=self._get_executor,
+        )
         self._retry = RetryPolicy(
             max_attempts=self.options.retry_attempts,
             timeout=self.options.eval_timeout,
@@ -288,24 +262,6 @@ class GPTune:
                 n_tasks=n_tasks,
             )
 
-    def _note_model_backend(self, backend: str, objective: int, n_obs: int) -> None:
-        """Record a ``model-backend`` event when an objective's backend changes.
-
-        With ``model_backend="auto"`` this captures the escalation from the
-        exact to the sparse backend as the campaign's data crosses
-        ``sparse_threshold`` — the report surfaces which backends a
-        campaign actually used.
-        """
-        if self._model_backend_last.get(objective) != backend:
-            self._model_backend_last[objective] = backend
-            self.events.record(
-                "model-backend",
-                f"objective {objective}: {backend} at n={n_obs}",
-                backend=backend,
-                objective=objective,
-                n=n_obs,
-            )
-
     def _evaluate(self, data: TuningData, task: int, cfg: Mapping[str, Any], stats) -> None:
         with maybe_span("phase.evaluation", task=task):
             outcome = self.problem.evaluate_outcome(data.tasks[task], cfg, retry=self._retry)
@@ -340,16 +296,16 @@ class GPTune:
         iteration: int,
         stats,
         pending: Optional[List[Dict[str, Any]]] = None,
-        modeling: Optional[Dict[str, Any]] = None,
+        featurizer: Optional[ModelFeaturizer] = None,
     ) -> None:
         """Write the resumable campaign snapshot (if configured).
 
         ``pending`` carries an async campaign's in-flight evaluations
         (``{"task", "x", "eta"}`` in submission order) so a resumed run can
-        resubmit them with their remaining durations preserved.  ``modeling``
-        carries the posterior-extension warm state (see
-        :meth:`_modeling_snapshot`) so ``refit_interval > 1`` resumes stay
-        bit-identical.
+        resubmit them with their remaining durations preserved.  The
+        fitter's modeling state (:meth:`SurrogateFitter.snapshot`, with the
+        async loop's persistent ``featurizer``) rides along, so resumes with
+        ``refit_interval`` or ``refit_warm_start`` stay bit-identical.
         """
         path = self.options.checkpoint_path
         if path is None or iteration % self.options.checkpoint_every != 0:
@@ -366,37 +322,10 @@ class GPTune:
             X=[[dict(x) for x in xs] for xs in data.X],
             Y=[[[float(v) for v in y] for y in ys] for ys in data.Y],
             pending=list(pending or []),
-            modeling=modeling,
+            modeling=self.fitter.snapshot(featurizer),
         )
         ck.save(path)
         self.events.record("checkpoint", f"iteration {iteration} -> {path}")
-
-    def _fingerprints(self, data: TuningData) -> Optional[frozenset]:
-        """Content fingerprints of the current data, accumulated incrementally.
-
-        Records are append-only per task, so only rows beyond the last
-        hashed count are fingerprinted — the old code re-hashed every record
-        on every modeling phase.  Returns ``None`` when no surrogate cache
-        is attached.
-        """
-        if self.model_cache is None:
-            return None
-        from ..service.store import content_fingerprint
-
-        st = self._fp_state
-        if st is None or st["data"] is not data:
-            st = {"data": data, "counts": [0] * data.n_tasks, "fps": set()}
-            self._fp_state = st
-        for i, task in enumerate(data.tasks):
-            xs, ys = data.X[i], data.Y[i]
-            for k in range(st["counts"][i], len(xs)):
-                st["fps"].add(
-                    content_fingerprint(
-                        {"task": dict(task), "x": dict(xs[k]), "y": [float(v) for v in ys[k]]}
-                    )
-                )
-            st["counts"][i] = len(xs)
-        return frozenset(st["fps"])
 
     # -- main entry -----------------------------------------------------------
     def tune(
@@ -484,13 +413,8 @@ class GPTune:
         if not active:
             raise ValueError("all tasks frozen; nothing to tune")
         # modeling carryover is per-campaign: start this one cold
-        self._warm_state = {}
-        self._warm_gp_theta = {}
-        self._fit_iter = 0
-        self._fp_state = None
-        self._feat_state = None
+        self.fitter.reset(data.n_tasks)
         self._search_mode_last = None
-        self._model_backend_last = {}
         stats = {
             "objective_time": 0.0,
             "objective_wall_time": 0.0,
@@ -585,7 +509,10 @@ class GPTune:
         # -- MLA iterations ----------------------------------------------------
         models: List[LCM] = []
         t_begin = time.perf_counter()
-        iteration = int(_resume.iteration) if _resume is not None else 0
+        iteration = 0
+        if _resume is not None:
+            iteration = int(_resume.iteration)
+            self.fitter.restore(_resume.modeling, data)
         self._checkpoint(data, n_samples, frozen_set, iteration, stats)
         while min(data.n_samples(i) for i in active) < n_samples:
             models = self._iteration(data, stats, active)
@@ -680,10 +607,10 @@ class GPTune:
         Determinism: drain batches are seq-sorted by the engine, every
         seed-consuming decision spawns its own seed-tree child in published
         order, the LHS design is regenerated on resume from the campaign's
-        *first* child seed, and checkpoints carry the posterior-extension
-        warm state — so under a deterministic scheduler a killed+resumed
+        *first* child seed, and checkpoints carry the fitter's modeling
+        state — so under a deterministic scheduler a killed+resumed
         campaign is bit-identical to the uninterrupted one, including with
-        ``refit_interval > 1`` (see docs/ASYNC.md).
+        ``refit_interval > 1`` or ``refit_warm_start`` (see docs/ASYNC.md).
         """
         opts = self.options
         space = data.tuning_space
@@ -753,7 +680,7 @@ class GPTune:
             inflight_cnt[i] += 1
 
         if _resume is not None:
-            self._restore_modeling_state(_resume.modeling, data, featurizer)
+            self.fitter.restore(_resume.modeling, data, featurizer)
             for entry in _resume.pending:
                 submit(int(entry["task"]), dict(entry["x"]), eta=entry.get("eta"))
 
@@ -770,7 +697,7 @@ class GPTune:
                 return cfg
             return None
 
-        bundle: Optional[Tuple[List[Any], List[_YTransform], List[np.ndarray]]] = None
+        bundle: Optional[Tuple[List[Any], List[np.ndarray]]] = None
 
         def fill():
             blocked = set()
@@ -830,7 +757,7 @@ class GPTune:
                 or opts.async_refit_secs is None
                 or now() - last_fit >= opts.async_refit_secs
             ):
-                bundle = self._fit_models(data, stats, featurizer, feat_extend=True)
+                bundle = self.fitter.fit(data, featurizer, stats, feat_extend=True)
                 last_fit = now()
             fill()
             if eng.inflight == 0:
@@ -879,7 +806,7 @@ class GPTune:
                     {"task": int(t), "x": dict(cfg), "eta": eta}
                     for (_seq, t, cfg, eta) in eng.pending_snapshot()
                 ],
-                modeling=self._modeling_snapshot(featurizer),
+                featurizer=featurizer,
             )
             if self.options.verbose:  # pragma: no cover - logging
                 done = [data.n_samples(i) for i in range(data.n_tasks)]
@@ -984,7 +911,7 @@ class GPTune:
         """
         if bundle is None:
             return None
-        models, _transforms, ybests = bundle
+        models, ybests = bundle
         space = data.tuning_space
         opts = self.options
         t0 = time.perf_counter()
@@ -1066,7 +993,7 @@ class GPTune:
         """
         if bundle is None:
             return None
-        models, _transforms, ybests = bundle
+        models, ybests = bundle
         space = data.tuning_space
         opts = self.options
         gamma = data.n_objectives
@@ -1158,513 +1085,6 @@ class GPTune:
         stats["search_time"] += time.perf_counter() - t0
         return cfg
 
-    # -- single-objective iteration (Algorithm 1) ------------------------------
-    def _fit_models(
-        self,
-        data: TuningData,
-        stats,
-        featurizer: Optional[ModelFeaturizer],
-        feat_extend: bool = False,
-    ) -> Tuple[List[LCM], List[_YTransform], List[np.ndarray]]:
-        """Model-update + modeling phases; returns per-objective surrogates.
-
-        With ``options.refit_interval > 1``, intermediate modeling phases
-        extend each objective's fitted posterior with the new observations
-        (O(N²·n_new), no L-BFGS) instead of refitting; every k-th phase (and
-        any phase where extension is impossible) runs a full fit, warm-started
-        from the previous optimum when ``options.refit_warm_start`` is on.
-
-        ``feat_extend`` opts model-enriched campaigns into the extension
-        path: only valid when ``featurizer`` is a *persistent* instance
-        whose hyperparameters/normalization the caller freezes between full
-        fits (the async loop), never for the per-iteration throwaway
-        featurizer of the lockstep loop, whose re-estimated features would
-        silently change the units the posterior was fitted in.
-        """
-        with maybe_span("phase.modeling", n=data.n_samples()):
-            return self._fit_models_impl(data, stats, featurizer, feat_extend)
-
-    def _fit_models_impl(
-        self,
-        data: TuningData,
-        stats,
-        featurizer: Optional[ModelFeaturizer],
-        feat_extend: bool = False,
-    ) -> Tuple[List[LCM], List[_YTransform], List[np.ndarray]]:
-        """Body of :meth:`_fit_models` (split out for phase-span scoping)."""
-        t0 = time.perf_counter()
-        gamma = data.n_objectives
-        X, _, tidx = data.stacked(0)
-        counts = [data.n_samples(i) for i in range(data.n_tasks)]
-        extend_phase = (
-            self.options.refit_interval > 1
-            and self._fit_iter % self.options.refit_interval != 0
-            and (featurizer is None or feat_extend)
-        )
-
-        if featurizer is not None:
-            # Extend phases must feed the posterior rows in the units it was
-            # fitted in, so the featurizer is frozen (no hyperparameter
-            # update, no normalization-range growth) whenever every
-            # objective still has a warm posterior to extend.
-            update = not (
-                extend_phase and all(s in self._warm_state for s in range(gamma))
-            )
-            if update:
-                extend_phase = False
-                tasks_flat = [data.tasks[i] for i in tidx]
-                cfgs_flat = [x for xs in data.X for x in xs]
-                y0 = np.array([data.Y[i][j][0] for i in range(data.n_tasks) for j in range(len(data.Y[i]))])
-                featurizer.update_hyperparameters(tasks_flat, cfgs_flat, y0)
-            raw = self._feat_rows(data, featurizer)
-            if update:
-                featurizer.observe(raw)
-            X = np.hstack([X, featurizer.scale(raw)])
-
-        models, transforms, ybests = [], [], []
-        executor = self._get_executor() if self.options.model_restarts_parallel else None
-        fingerprints = self._fingerprints(data)
-        for s in range(gamma):
-            _, ys, _ = data.stacked(s)
-            model = tr = None
-            if extend_phase:
-                model = self._extend_surrogate(data, s, counts, featurizer)
-            if model is not None:
-                tr = self._warm_state[s]["transform"]
-                yt = tr.transform(ys)
-            else:
-                tr = _YTransform(self.options.y_transform)
-                yt = tr.fit(ys)
-                model = self._fit_surrogate(data, X, yt, tidx, executor, s, fingerprints)
-                if (featurizer is None or feat_extend) and isinstance(
-                    model, (LCM, SparseLCM)
-                ):
-                    self._warm_state[s] = {
-                        "model": model,
-                        "transform": tr,
-                        "counts": list(counts),
-                        "chunks": [list(counts)],
-                    }
-                else:
-                    self._warm_state.pop(s, None)
-            models.append(model)
-            transforms.append(tr)
-            # per-task incumbents in transformed units
-            ybests.append(
-                np.array(
-                    [yt[tidx == i].min() if np.any(tidx == i) else np.inf for i in range(data.n_tasks)]
-                )
-            )
-        self._fit_iter += 1
-        stats["modeling_time"] += time.perf_counter() - t0
-        return models, transforms, ybests
-
-    def _feat_rows(self, data: TuningData, featurizer: ModelFeaturizer) -> np.ndarray:
-        """Raw model-feature rows for every sample, cached incrementally.
-
-        Model predictions depend only on the models' hyperparameters, so as
-        long as the featurizer's :meth:`~ModelFeaturizer.state_token` is
-        unchanged, rows computed in earlier phases stay valid and only the
-        new samples cost a prediction — O(n_new) per refit instead of O(n),
-        mirroring the ``_fingerprints`` cache.  A token change (or a model
-        that cannot vouch for one) recomputes everything.
-        """
-        token = featurizer.state_token()
-        st = self._feat_state
-        if (
-            token is None
-            or st is None
-            or st["data"] is not data
-            or st["token"] != token
-        ):
-            st = {
-                "data": data,
-                "counts": [0] * data.n_tasks,
-                "rows": [[] for _ in range(data.n_tasks)],
-                "token": token,
-            }
-            self._feat_state = st if token is not None else None
-        for i in range(data.n_tasks):
-            for k in range(st["counts"][i], data.n_samples(i)):
-                st["rows"][i].append(featurizer.raw(data.tasks[i], data.X[i][k]))
-            st["counts"][i] = data.n_samples(i)
-        rows = [r for rs in st["rows"] for r in rs]
-        if not rows:
-            return np.empty((0, featurizer.n_features))
-        return np.vstack(rows)
-
-    def _extend_surrogate(
-        self,
-        data: TuningData,
-        objective: int,
-        counts: Sequence[int],
-        featurizer: Optional[ModelFeaturizer] = None,
-    ) -> Optional[LCM]:
-        """Extend the previous iteration's posterior with the new rows.
-
-        With a (frozen) ``featurizer``, new rows are enriched with the model
-        features before extension so they match the units the posterior was
-        fitted in.  Returns the extended LCM, or ``None`` when extension is
-        impossible (no previous fit, or the update fails numerically) — the
-        caller then falls back to a full refit.
-        """
-        st = self._warm_state.get(objective)
-        if st is None:
-            return None
-        model: LCM = st["model"]
-        prev = st["counts"]
-        blocks, ys, tix, n_new = [], [], [], 0
-        for i in range(data.n_tasks):
-            if counts[i] <= prev[i]:
-                continue
-            cfgs = [data.X[i][k] for k in range(prev[i], counts[i])]
-            units = data.unit_rows(i, prev[i], counts[i])
-            if featurizer is not None:
-                units = featurizer.enrich(data.tasks[i], cfgs, units, observe=False)
-            blocks.append(units)
-            ys.extend(data.Y[i][k][objective] for k in range(prev[i], counts[i]))
-            tix.extend([i] * len(cfgs))
-            n_new += len(cfgs)
-        if blocks and np.vstack(blocks).shape[1] != model.params.beta:
-            return None
-        try:
-            if blocks:
-                yt_new = st["transform"].transform(np.asarray(ys, dtype=float))
-                model.extend(np.vstack(blocks), yt_new, np.asarray(tix, dtype=int))
-        except Exception as e:
-            self.events.record(
-                "model-downgrade",
-                f"objective {objective}: posterior extension failed, refitting "
-                f"({type(e).__name__}: {e})",
-            )
-            return None
-        st["counts"] = list(counts)
-        if blocks and "chunks" in st:
-            # checkpointed so a resume can replay the *same* chunked extends
-            # (one big extend is not bitwise equal to the chunked sequence)
-            st["chunks"].append(list(counts))
-        self.events.record(
-            "model-extend",
-            f"objective {objective}: n_new={n_new} n={model.y.shape[0]} n_starts=0",
-        )
-        return model
-
-    def _modeling_snapshot(
-        self, featurizer: Optional[ModelFeaturizer]
-    ) -> Optional[Dict[str, Any]]:
-        """Posterior-extension state for :class:`RunCheckpoint.modeling`.
-
-        Captures what a resumed campaign cannot rederive from the data
-        alone: the refit-cadence position (``fit_iter``), each objective's
-        warm posterior (θ of the last full fit, its frozen output transform,
-        and the per-extend chunk boundaries — replaying the same chunk
-        sequence is what makes the rebuilt Cholesky bitwise identical), and
-        the featurizer's hyperparameter/normalization state.  ``None`` when
-        there is nothing to carry (single-interval refits without models),
-        which keeps the checkpoint at schema version 1.
-        """
-        if self.options.refit_interval <= 1 and featurizer is None:
-            return None
-        warm: Dict[str, Any] = {}
-        for s, st in self._warm_state.items():
-            model = st.get("model")
-            if type(model) is not LCM or model.theta is None or "chunks" not in st:
-                continue  # sparse/GP fallbacks refit from scratch on resume
-            tr: _YTransform = st["transform"]
-            warm[str(s)] = {
-                "theta": [float(v) for v in np.asarray(model.theta).ravel()],
-                "transform": {
-                    "kind": tr.kind,
-                    "mean": float(tr.mean),
-                    "std": float(tr.std),
-                },
-                "chunks": [[int(c) for c in chunk] for chunk in st["chunks"]],
-            }
-        snap: Dict[str, Any] = {"fit_iter": int(self._fit_iter), "warm": warm}
-        if featurizer is not None:
-            snap["featurizer"] = featurizer.get_state()
-        return snap
-
-    def _restore_modeling_state(
-        self,
-        snap: Optional[Dict[str, Any]],
-        data: TuningData,
-        featurizer: Optional[ModelFeaturizer],
-    ) -> None:
-        """Rebuild ``_fit_iter``/``_warm_state``/featurizer from a checkpoint.
-
-        Every failure degrades to a cold start for that piece (a full refit
-        on the next modeling phase) with a ``"model-downgrade"`` event —
-        resuming must never be worse than starting the modeling over.
-        """
-        if not snap:
-            return
-        self._fit_iter = int(snap.get("fit_iter", 0))
-        if featurizer is not None and snap.get("featurizer") is not None:
-            try:
-                featurizer.set_state(snap["featurizer"])
-            except Exception as e:
-                self.events.record(
-                    "model-downgrade",
-                    "featurizer state restore failed, re-estimating "
-                    f"({type(e).__name__}: {e})",
-                )
-        for key, w in snap.get("warm", {}).items():
-            s = int(key)
-            try:
-                st = self._rebuild_warm_state(s, w, data, featurizer)
-            except Exception as e:
-                st = None
-                self.events.record(
-                    "model-downgrade",
-                    f"objective {s}: warm-posterior rebuild failed, will refit "
-                    f"({type(e).__name__}: {e})",
-                )
-            if st is not None:
-                self._warm_state[s] = st
-            else:
-                self._warm_state.pop(s, None)
-
-    def _rebuild_warm_state(
-        self,
-        objective: int,
-        w: Mapping[str, Any],
-        data: TuningData,
-        featurizer: Optional[ModelFeaturizer],
-    ) -> Optional[Dict[str, Any]]:
-        """Reconstruct one objective's warm posterior from checkpoint state.
-
-        The base chunk is refactorized at the checkpointed θ via
-        :meth:`LCM.refit_at` (one ``_nll_and_grad`` evaluation — the same
-        code path the original fit's winning restart ended on), then each
-        subsequent chunk is replayed through :meth:`LCM.extend` exactly as
-        the original campaign applied it.  Returns ``None`` when the
-        checkpoint holds no usable rows.
-        """
-        chunks = [list(map(int, c)) for c in w["chunks"]]
-        if not chunks or not any(chunks[-1]):
-            return None
-        tr = _YTransform(str(w["transform"]["kind"]))
-        tr.mean = float(w["transform"]["mean"])
-        tr.std = float(w["transform"]["std"])
-
-        def stack(prev: Sequence[int], cur: Sequence[int]):
-            blocks, ys, tix = [], [], []
-            for i in range(data.n_tasks):
-                if cur[i] <= prev[i]:
-                    continue
-                cfgs = [data.X[i][k] for k in range(prev[i], cur[i])]
-                units = data.unit_rows(i, prev[i], cur[i])
-                if featurizer is not None:
-                    units = featurizer.enrich(
-                        data.tasks[i], cfgs, units, observe=False
-                    )
-                blocks.append(units)
-                ys.extend(data.Y[i][k][objective] for k in range(prev[i], cur[i]))
-                tix.extend([i] * len(cfgs))
-            if not blocks:
-                return None, None, None
-            return (
-                np.vstack(blocks),
-                np.asarray(ys, dtype=float),
-                np.asarray(tix, dtype=int),
-            )
-
-        X0, y0, t0_ = stack([0] * data.n_tasks, chunks[0])
-        if X0 is None:
-            return None
-        model = LCM(
-            data.n_tasks,
-            X0.shape[1],
-            self.options.n_latent or min(data.n_tasks, 3),
-            jitter=self.options.jitter,
-            n_start=1,
-            maxiter=self.options.lbfgs_maxiter,
-            seed=0,  # rng unused by refit_at/extend; must not consume a seed-tree child
-            chol_ranks=self.options.chol_ranks,
-        )
-        model.refit_at(X0, tr.transform(y0), t0_, np.asarray(w["theta"], dtype=float))
-        for prev, cur in zip(chunks, chunks[1:]):
-            Xn, yn, tn = stack(prev, cur)
-            if Xn is not None:
-                model.extend(Xn, tr.transform(yn), tn)
-        return {
-            "model": model,
-            "transform": tr,
-            "counts": list(chunks[-1]),
-            "chunks": [list(c) for c in chunks],
-        }
-
-    def _fit_surrogate(
-        self, data: TuningData, X, yt, tidx, executor, objective: int, fingerprints=None
-    ):
-        """Fit the selected surrogate backend, degrading gracefully on failure.
-
-        The backend comes from the registry
-        (:func:`repro.core.model.select_backend`): ``model_backend="auto"``
-        uses the exact LCM until the stacked observation count exceeds
-        ``sparse_threshold``, then escalates to the O(N·M²) sparse
-        inducing-point backend.  The ladder below the chosen backend is
-        unchanged: backend → independent per-task GPs → ``None`` (random
-        search); each downgrade emits a ``"model-downgrade"`` event.  With
-        ``options.model_fallback`` off, failures propagate as before.
-
-        For θ-carrying backends (exact and sparse LCM — the flat layout is
-        shared, so warm starts survive escalation): when a surrogate cache
-        holds a fit of the same backend whose data is a subset/superset of
-        ours (``fingerprints``), its hyperparameters warm-start a single
-        L-BFGS run in place of the cold multi-start.  With
-        ``options.refit_warm_start``, the previous MLA iteration's optimum
-        (fresher than any cache entry) takes precedence and the start count
-        drops to ``options.refit_warm_n_start``.  Every fit emits a
-        ``"model-fit"`` event recording the backend and how many
-        multi-starts it spent.
-        """
-        n_latent = self.options.n_latent or min(data.n_tasks, 3)
-        backend = select_backend(
-            self.options.model_backend, X.shape[0], self.options.sparse_threshold
-        )
-        spec = get_backend(backend)
-        n_inducing = self.options.n_inducing if backend == "sparse-lcm" else 0
-        self._note_model_backend(backend, objective, int(X.shape[0]))
-        n_start = self.options.n_start
-        theta0 = None
-        if spec.supports_theta and self.options.refit_warm_start:
-            st = self._warm_state.get(objective)
-            prev = st["model"] if st is not None else None
-            if (
-                prev is not None
-                and prev.theta is not None
-                and prev.params.delta == data.n_tasks
-                and prev.params.beta == X.shape[1]
-                and prev.params.Q == n_latent
-            ):
-                theta0 = np.asarray(prev.theta, dtype=float)
-                n_start = self.options.refit_warm_n_start
-        if (
-            spec.supports_theta
-            and theta0 is None
-            and self.model_cache is not None
-            and fingerprints
-        ):
-            cached = self.model_cache.lookup(
-                self.problem.name,
-                objective,
-                fingerprints,
-                n_tasks=data.n_tasks,
-                n_dims=X.shape[1],
-                n_latent=n_latent,
-                backend=backend,
-                n_inducing=n_inducing,
-            )
-            if cached is not None:
-                theta0 = np.asarray(cached.theta, dtype=float)
-                n_start = 1
-                self.events.record(
-                    "model-cache-hit",
-                    f"objective {objective}: warm start from {cached.key[:12]} "
-                    f"({len(cached.fingerprints)} record(s) cached, "
-                    f"{len(fingerprints)} current)",
-                )
-        model = spec.factory(
-            data.n_tasks,
-            X.shape[1],
-            n_latent,
-            n_start,
-            self._child_seed(),
-            executor,
-            self.options,
-        )
-        try:
-            model.fit(X, yt, tidx, theta0=theta0)
-        except Exception as e:
-            if not self.options.model_fallback:
-                raise
-            reason = f"{type(e).__name__}: {e}"
-        else:
-            # a "fit" whose every multi-start diverged (NLL stuck at the
-            # Cholesky-failure sentinel) is as useless as a crashed one
-            ll = getattr(model, "log_likelihood_", 0.0)
-            if np.isfinite(ll) and ll > -1e24:
-                self.events.record(
-                    "model-fit",
-                    f"objective {objective}: backend={backend} n_starts={n_start} "
-                    f"n={X.shape[0]} warm={theta0 is not None}",
-                    backend=backend,
-                    n_starts=n_start,
-                    n=int(X.shape[0]),
-                )
-                if (
-                    spec.supports_theta
-                    and model.theta is not None
-                    and self.model_cache is not None
-                    and fingerprints
-                ):
-                    from ..service.modelcache import CachedFit
-
-                    key = self.model_cache.put(
-                        CachedFit(
-                            self.problem.name,
-                            objective,
-                            data.n_tasks,
-                            X.shape[1],
-                            n_latent,
-                            model.theta,
-                            ll,
-                            fingerprints,
-                            backend=backend,
-                            n_inducing=n_inducing,
-                        )
-                    )
-                    self.events.record(
-                        "model-cache-store", f"objective {objective}: {key[:12]}"
-                    )
-                return model
-            if not self.options.model_fallback:
-                raise RuntimeError(
-                    f"{backend} fit diverged and model_fallback is disabled"
-                )
-            reason = "all multi-starts diverged"
-        self.events.record(
-            "model-downgrade",
-            f"objective {objective}: {backend} -> per-task gp ({reason})",
-        )
-        try:
-            gps: List[Optional[GaussianProcess]] = []
-            for i in range(data.n_tasks):
-                rows = tidx == i
-                if not np.any(rows):
-                    gps.append(None)
-                    continue
-                # the degradation ladder warm-starts the same way the LCM
-                # does: last iteration's per-task optimum, reduced starts
-                gp_theta0 = None
-                gp_starts = self.options.n_start
-                if self.options.refit_warm_start:
-                    prev_gp = self._warm_gp_theta.get((objective, i))
-                    if prev_gp is not None and prev_gp.shape == (X.shape[1] + 2,):
-                        gp_theta0 = prev_gp
-                        gp_starts = self.options.refit_warm_n_start
-                gp = GaussianProcess(
-                    jitter=self.options.jitter,
-                    n_start=gp_starts,
-                    maxiter=self.options.lbfgs_maxiter,
-                    seed=self._child_seed(),
-                )
-                gp.fit(X[rows], yt[rows], theta0=gp_theta0)
-                self._warm_gp_theta[(objective, i)] = np.asarray(gp.theta)
-                gps.append(gp)
-            model = PerTaskGP(data.n_tasks, X.shape[1])
-            model.gps = gps
-            return model
-        except Exception as e:
-            self.events.record(
-                "model-downgrade",
-                f"objective {objective}: per-task gp -> random search "
-                f"({type(e).__name__}: {e})",
-            )
-            return None
-
     def _predict_unit(
         self,
         lcm: LCM,
@@ -1698,7 +1118,7 @@ class GPTune:
         search so the budget keeps moving.
         """
         featurizer = ModelFeaturizer(self.problem.models) if self.problem.has_models else None
-        models, _, ybests = self._fit_models(data, stats, featurizer)
+        models, ybests = self.fitter.fit(data, featurizer, stats)
         single = data.n_objectives == 1
         per_task = self.options.batch_evals if single else self.options.pareto_batch
         if any(m is None for m in models):

@@ -1,10 +1,13 @@
 """Surrogate-backend subsystem: registry, selection policy, and backends.
 
 See :mod:`repro.core.model.registry` for the backend contract and the
-budget-aware ``auto`` escalation policy, :mod:`repro.core.model.sparse_lcm`
-for the O(N·M²) inducing-point LCM, and docs/ALGORITHMS.md §7 for the math.
+budget-aware ``auto`` escalation policy, :mod:`repro.core.model.fitter` for
+the modeling-phase policy (warm starts, extension, degradation ladder,
+checkpoint state), :mod:`repro.core.model.sparse_lcm` for the O(N·M²)
+inducing-point LCM, and docs/ALGORITHMS.md §7 for the math.
 """
 
+from .fitter import SurrogateFitter
 from .gp_backend import PerTaskGP
 from .inducing import max_min_indices, select_inducing
 from .registry import (
@@ -20,6 +23,7 @@ __all__ = [
     "BackendSpec",
     "PerTaskGP",
     "SparseLCM",
+    "SurrogateFitter",
     "available_backends",
     "get_backend",
     "max_min_indices",

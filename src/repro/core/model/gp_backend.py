@@ -6,7 +6,10 @@ the multitask fit breaks down: no task coupling, O(Σ nᵢ³) fit over much
 smaller per-task blocks.  Its :meth:`~PerTaskGP.predict_tasks` loops over
 the tasks' own GPs, so the lockstep batched search runs unchanged on it.
 It has no flat ``theta`` (per-task hyperparameters are not transferable to
-the LCM layout), so the driver skips warm starts and the surrogate cache.
+the LCM layout), so it skips the surrogate cache; warm starts go through
+a per-task ``theta0`` sequence instead (see
+:class:`~repro.core.model.fitter.SurrogateFitter`), the same for the
+explicit backend and the degradation rung.
 """
 
 from __future__ import annotations
@@ -54,9 +57,15 @@ class PerTaskGP:
         X: np.ndarray,
         y: np.ndarray,
         task_index: Sequence[int],
-        theta0=None,
+        theta0: Optional[Sequence[Optional[np.ndarray]]] = None,
     ) -> "PerTaskGP":
-        """Fit each observed task's GP; ``theta0`` is accepted and ignored."""
+        """Fit each observed task's GP.
+
+        ``theta0`` optionally warm-starts the tasks: one entry per task, a
+        :class:`GaussianProcess` θ (``n_dims + 2`` values) that starts that
+        task's first restart, or ``None`` for a cold start.  ``n_start``
+        applies to every task either way.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
         tidx = np.asarray(task_index, dtype=int).ravel()
@@ -66,6 +75,8 @@ class PerTaskGP:
             raise ValueError("no observations")
         if tidx.min() < 0 or tidx.max() >= self.n_tasks:
             raise ValueError("task_index out of range")
+        if theta0 is not None and len(theta0) != self.n_tasks:
+            raise ValueError(f"theta0 has {len(theta0)} entries, expected {self.n_tasks}")
         rng = np.random.default_rng(self.seed)
         seeds = rng.integers(2**31, size=self.n_tasks)
         gps: List[Optional[GaussianProcess]] = []
@@ -81,7 +92,7 @@ class PerTaskGP:
                 maxiter=self.maxiter,
                 seed=int(seeds[i]),
             )
-            gp.fit(X[rows], y[rows])
+            gp.fit(X[rows], y[rows], theta0=None if theta0 is None else theta0[i])
             ll += float(gp.log_likelihood_)
             gps.append(gp)
         self.gps = gps

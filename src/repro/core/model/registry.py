@@ -24,7 +24,10 @@ Three backends ship registered:
     The O(N·M²) inducing-point :class:`~repro.core.model.sparse_lcm.SparseLCM`.
 ``gp``
     Independent per-task GPs (:class:`~repro.core.model.gp_backend.PerTaskGP`)
-    — the degradation rung as an explicit choice.
+    — the degradation rung as an explicit choice.  It carries no flat θ;
+    :class:`~repro.core.model.fitter.SurrogateFitter` warm-starts it with a
+    per-task ``theta0`` sequence instead, the same whether it was chosen
+    or reached by the ladder.
 
 :func:`select_backend` implements the budget-aware policy:
 ``model_backend="auto"`` (the default) keeps today's exact path while the

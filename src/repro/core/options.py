@@ -159,8 +159,10 @@ class Options:
         neighboring crowd-tuning runs.
     model_fallback:
         Degrade gracefully when the LCM fit fails (Cholesky breakdown, all
-        multi-starts diverging): fall back to independent per-task GPs, then
-        to random search, recording a ``"model-downgrade"`` event per step.
+        multi-starts diverging): fall back to independent per-task GPs (the
+        ``gp`` backend), then to random search, recording a
+        ``"model-downgrade"`` event per step; a failing ``gp`` backend goes
+        straight to random search.
         When False, a failed fit aborts the run as before.
     refit_warm_start:
         Keep each objective's fitted hyperparameters between MLA iterations
@@ -169,7 +171,9 @@ class Options:
         barely moves when one batch of points is added, so the previous
         optimum is an excellent initial iterate; the first iteration (and
         any iteration whose model shape changed) still fits cold.  The
-        per-task GP degradation ladder warm-starts the same way.
+        ``gp`` backend warm-starts the same way, each task's GP from its own
+        previous θ, whether it is chosen explicitly
+        (``model_backend="gp"``) or reached by the degradation ladder.
     refit_warm_n_start:
         L-BFGS start count for warm refits (default 1 — a single run from
         the previous optimum).

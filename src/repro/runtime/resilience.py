@@ -392,10 +392,12 @@ class RunCheckpoint:
     completion schedule.  Lockstep resume refuses a checkpoint with pending
     evaluations — they would be silently lost.
 
-    ``modeling`` (version 2) snapshots the posterior-*extension* warm state
-    so campaigns running ``Options(refit_interval > 1)`` resume
-    bit-identically: the modeling-phase counter (``fit_iter``) plus, per
-    objective, the winning hyperparameter vector (``theta``), the fitted
+    ``modeling`` (version 2) snapshots the modeling warm state
+    (:meth:`~repro.core.model.fitter.SurrogateFitter.snapshot`) so lockstep
+    and async campaigns running ``Options(refit_interval > 1)`` or
+    ``Options(refit_warm_start=True)`` resume bit-identically: the
+    modeling-phase counter (``fit_iter``) plus, per objective with an exact
+    LCM, the winning hyperparameter vector (``theta``), the fitted
     y-transform, and the per-extend chunk boundaries (``chunks`` — per-task
     row counts after the base fit and after each extension, replayed
     verbatim on resume because chunked Cholesky updates are not bitwise
@@ -403,7 +405,7 @@ class RunCheckpoint:
     with performance models — the featurizer's running normalization range
     and model hyperparameters.  ``None`` (and every version-1 checkpoint)
     means "no warm state": resume refits from scratch, which is correct but
-    only bit-identical when ``refit_interval == 1``.
+    only bit-identical when neither option is set.
 
     The ``version`` field is derived, not caller-set: a checkpoint carrying
     ``modeling`` is version 2; one without is version 1, byte-compatible

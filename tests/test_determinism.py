@@ -104,6 +104,33 @@ class TestKillResume:
         _assert_same_data(serial_result, resumed)
         assert len(resumed.events.of_kind("resume")) == 1
 
+    @pytest.mark.parametrize(
+        "modeling, k",
+        [
+            ({"refit_interval": 3}, 1),
+            ({"refit_interval": 3}, 2),
+            ({"refit_warm_start": True, "n_start": 3}, 1),
+            ({"refit_warm_start": True, "n_start": 3}, 3),
+        ],
+    )
+    def test_kill_and_resume_with_modeling_state(self, tmp_path, modeling, k):
+        """Lockstep checkpoints carry the fitter's refit cadence, warm θ and
+        extend chunks, so extend-phase and warm-refit campaigns resume to
+        the uninterrupted records and final hyperparameters."""
+        budget = 10
+        ref = GPTune(_problem(), _options(**modeling)).tune(TASKS, budget)
+        path = str(tmp_path / "run-modeling.ck.json")
+        tuner = GPTune(_problem(), _options(checkpoint_path=path, **modeling))
+        with pytest.raises(_Kill):
+            tuner.tune(TASKS, budget, callback=_kill_at(k))
+        ck = RunCheckpoint.load(path)
+        assert ck.version == 2 and ck.modeling is not None
+
+        fresh = GPTune(_problem(), _options(checkpoint_path=path, **modeling))
+        resumed = fresh.resume(path)
+        _assert_same_data(ref, resumed)
+        np.testing.assert_array_equal(ref.models[0].theta, resumed.models[0].theta)
+
     def test_resume_completed_run_adds_nothing(self, tmp_path):
         path = str(tmp_path / "run.ck.json")
         done = GPTune(_problem(), _options(checkpoint_path=path)).tune(TASKS, BUDGET)
@@ -225,6 +252,28 @@ class TestAsyncKillResume:
             scheduler=SimScheduler(_duration, clock=SimClock()),
         )
         _assert_same_data(ref, fresh.resume(path))
+
+    def test_kill_and_resume_with_warm_start(self, tmp_path):
+        """Warm θ is checkpointed at refit_interval=1 too: the resumed
+        campaign's first fit starts from the last fit's optimum, as the
+        uninterrupted one does."""
+        modeling = dict(refit_warm_start=True, n_start=3, max_inflight=2)
+        budget = 10
+
+        def tuner(**kw):
+            return GPTune(
+                _problem(),
+                _async_options(**modeling, **kw),
+                scheduler=SimScheduler(_duration, clock=SimClock()),
+            )
+
+        ref = tuner().tune(TASKS, budget)
+        path = str(tmp_path / "async-warm.ck.json")
+        with pytest.raises(_Kill):
+            tuner(checkpoint_path=path).tune(TASKS, budget, callback=_kill_at(6))
+        ck = RunCheckpoint.load(path)
+        assert ck.version == 2 and ck.modeling["warm"]
+        _assert_same_data(ref, tuner(checkpoint_path=path).resume(path))
 
     def test_resume_when_problem_stops_qualifying(self, tmp_path):
         """An async-written checkpoint (pending non-empty) resumed after the

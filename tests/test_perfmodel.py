@@ -143,7 +143,7 @@ class TestModelState:
 
 
 class TestIncrementalFeatRows:
-    """The driver's `_feat_rows` cache must equal a from-scratch rebuild."""
+    """The fitter's `_feat_rows` cache must equal a from-scratch rebuild."""
 
     def _setup(self):
         from repro.core import GPTune, Integer, Options, Real, Space, TuningProblem
@@ -178,11 +178,11 @@ class TestIncrementalFeatRows:
             for i in range(data.n_tasks):
                 for x in rng.random(3):
                     data.add(i, {"x": float(x)}, float(x))
-            got = tuner._feat_rows(data, featurizer)
+            got = tuner.fitter._feat_rows(data, featurizer)
             np.testing.assert_array_equal(got, self._scratch(data, featurizer))
             # second call with no new data returns identical rows
             np.testing.assert_array_equal(
-                tuner._feat_rows(data, featurizer), got
+                tuner.fitter._feat_rows(data, featurizer), got
             )
 
     def test_cache_invalidated_on_model_update(self, rng):
@@ -190,20 +190,20 @@ class TestIncrementalFeatRows:
         for i in range(data.n_tasks):
             for x in rng.random(4):
                 data.add(i, {"x": float(x)}, float(x))
-        tuner._feat_rows(data, featurizer)
+        tuner.fitter._feat_rows(data, featurizer)
         cfgs = [x for xs in data.X for x in xs]
         tasks = [data.tasks[i] for i in range(data.n_tasks) for _ in data.X[i]]
         y = np.array([y[0] for ys in data.Y for y in ys])
         featurizer.update_hyperparameters(tasks, cfgs, y)
-        got = tuner._feat_rows(data, featurizer)
+        got = tuner.fitter._feat_rows(data, featurizer)
         np.testing.assert_array_equal(got, self._scratch(data, featurizer))
 
     def test_cache_reset_on_new_campaign_data(self, rng):
         tuner, data, featurizer, lin = self._setup()
         for x in rng.random(3):
             data.add(0, {"x": float(x)}, float(x))
-        tuner._feat_rows(data, featurizer)
+        tuner.fitter._feat_rows(data, featurizer)
         _, data2, _, _ = self._setup()
         data2.add(0, {"x": 0.5}, 0.5)
-        got = tuner._feat_rows(data2, featurizer)
+        got = tuner.fitter._feat_rows(data2, featurizer)
         np.testing.assert_array_equal(got, self._scratch(data2, featurizer))

@@ -25,6 +25,7 @@ from repro.core import (
     RetryPolicy,
     RunCheckpoint,
     Space,
+    TuningData,
     TuningProblem,
 )
 from repro.runtime.resilience import (
@@ -509,3 +510,69 @@ class TestDegradationLadder:
         )
         res = GPTune(prob, FAST).tune([{"t": 1}], 6)
         assert res.data.n_samples(0) >= 6
+
+    @staticmethod
+    def _boom(self, *a, **k):
+        raise sla.LinAlgError("cholesky breakdown")
+
+    def _data(self, n_tasks=3, n_per_task=4):
+        ts, ps = _spaces()
+        data = TuningData(ts, ps, [{"t": 1 + 2 * i} for i in range(n_tasks)])
+        rng = np.random.default_rng(0)
+        for i in range(n_tasks):
+            for x in rng.random(n_per_task):
+                data.add(i, {"x": float(x)}, [(x - 0.4) ** 2 + 0.01 * i])
+        return data
+
+    def test_ladder_warm_starts_from_previous_per_task_theta(self, monkeypatch):
+        """With refit_warm_start, the second ladder fit starts every task
+        from its previous θ with refit_warm_n_start starts."""
+        monkeypatch.setattr("repro.core.lcm.LCM.fit", self._boom)
+        calls = []
+        fit = PerTaskGP.fit
+
+        def spy(model, X, y, tidx, theta0=None):
+            out = fit(model, X, y, tidx, theta0=theta0)
+            calls.append((theta0, model.n_start, [g.theta.copy() for g in model.gps]))
+            return out
+
+        monkeypatch.setattr(PerTaskGP, "fit", spy)
+        opts = FAST.replace(refit_warm_start=True, n_start=2, refit_warm_n_start=1)
+        GPTune(self._problem(), opts).tune([{"t": 1}, {"t": 3}], 6)
+        assert len(calls) >= 2
+        first_theta0, first_starts, first_thetas = calls[0]
+        assert first_theta0 is None and first_starts == 2
+        second_theta0, second_starts, _ = calls[1]
+        assert second_starts == 1
+        assert len(second_theta0) == 2
+        for got, want in zip(second_theta0, first_thetas):
+            np.testing.assert_array_equal(got, want)
+
+    def test_downgraded_fit_consumes_one_seed(self, monkeypatch):
+        monkeypatch.setattr("repro.core.lcm.LCM.fit", self._boom)
+        tuner = GPTune(self._problem(), FAST)
+        data = self._data(n_tasks=3)
+        tuner.fitter.reset(data.n_tasks)
+        before = tuner._seeds.n_children_spawned
+        models, _ = tuner.fitter.fit(data, None, {"modeling_time": 0.0})
+        assert isinstance(models[0], PerTaskGP)
+        assert tuner._seeds.n_children_spawned - before == 1
+
+    def test_failing_gp_backend_goes_straight_to_random_search(self, monkeypatch):
+        monkeypatch.setattr("repro.core.gp.GaussianProcess.fit", self._boom)
+        tuner = GPTune(self._problem(), FAST.replace(model_backend="gp"))
+        data = self._data()
+        tuner.fitter.reset(data.n_tasks)
+        models, _ = tuner.fitter.fit(data, None, {"modeling_time": 0.0})
+        assert models[0] is None
+        downgrades = tuner.events.of_kind("model-downgrade")
+        assert len(downgrades) == 1
+        assert downgrades[0].detail.startswith("objective 0: gp -> random search (")
+
+    def test_fallback_carries_finite_log_likelihood(self, monkeypatch):
+        monkeypatch.setattr("repro.core.lcm.LCM.fit", self._boom)
+        res = GPTune(self._problem(), FAST).tune([{"t": 1}, {"t": 3}], 6)
+        model = res.models[0]
+        assert isinstance(model, PerTaskGP)
+        assert np.isfinite(model.log_likelihood_)
+        assert model.log_likelihood_ == sum(g.log_likelihood_ for g in model.gps)

@@ -160,19 +160,19 @@ class TestIncrementalFingerprints:
         for i in range(2):
             for _ in range(3):
                 data.add(i, {"x": float(rng.random()), "y": float(rng.random())}, 1.0)
-        got = tuner._fingerprints(data)
+        got = tuner.fitter._fingerprints(data)
         want = frozenset(content_fingerprint(r) for r in data.to_records())
         assert got == want
         # appending more rows only hashes the new ones, same resulting set
         data.add(0, {"x": 0.123, "y": 0.456}, 2.0)
-        got2 = tuner._fingerprints(data)
+        got2 = tuner.fitter._fingerprints(data)
         want2 = frozenset(content_fingerprint(r) for r in data.to_records())
         assert got2 == want2 and len(got2) == len(want) + 1
 
     def test_none_without_cache(self):
         tuner = GPTune(_problem(), Options(**BASE))
         data = TuningData(_problem().task_space, _problem().tuning_space, TASKS)
-        assert tuner._fingerprints(data) is None
+        assert tuner.fitter._fingerprints(data) is None
 
     def test_cache_still_warms_across_campaigns(self, tmp_path):
         """End-to-end: the incremental fingerprints still hit the cache."""
