@@ -132,7 +132,6 @@ def _cmd_tune(args) -> int:
             async_eval=bool(args.async_eval),
             max_inflight=args.max_inflight,
             async_refit_secs=args.async_interval,
-            allow_async_fallback=bool(args.allow_async_fallback),
             model_backend=args.model_backend,
             sparse_threshold=args.sparse_threshold,
             n_inducing=args.n_inducing,
@@ -417,13 +416,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_tune.add_argument(
         "--async", dest="async_eval", action="store_true",
-        help="stream evaluations through the asynchronous queue instead of "
-             "the lockstep loop: completions are absorbed as they land and "
-             "stragglers no longer stall the other tasks (see docs/ASYNC.md)",
+        help="stream evaluations instead of running lockstep rounds that "
+             "drain the evaluation queue: completions are absorbed as they "
+             "land and stragglers no longer stall the other tasks (see "
+             "docs/ASYNC.md)",
     )
     p_tune.add_argument(
         "--max-inflight", type=int, metavar="N",
-        help="cap on concurrently outstanding evaluations with --async "
+        help="cap on concurrently outstanding evaluations "
              "(default: max(2, workers))",
     )
     p_tune.add_argument(
@@ -431,12 +431,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="with --async, refit/extend the surrogate at most once per "
              "SECS seconds instead of before every fill round (default: "
              "every round)",
-    )
-    p_tune.add_argument(
-        "--allow-async-fallback", action="store_true",
-        help="with --async, run campaign shapes the streaming loop does not "
-             "support through the lockstep loop (recording an "
-             "'async-fallback' event) instead of failing fast",
     )
     p_tune.add_argument(
         "--backend", default=None,

@@ -19,13 +19,17 @@
 
 Phases 2–3 repeat until the per-task budget ``ε_tot`` is exhausted.  The
 returned :class:`TuneResult` carries all data, the best configurations, and
-the phase-time breakdown reported in Table 3 of the paper.
+the phase-time breakdown reported in Table 3 of the paper.  One campaign
+loop runs every evaluation through the asynchronous evaluation queue
+(:mod:`repro.runtime.async_engine`, Sec. 4.2's concurrent evaluations)
+under one of two policies: the lockstep *barrier* (fit, propose for every
+task, drain to empty) or *streaming* (``Options.async_eval``).
 
 The driver is built for flaky production campaigns (see
 :mod:`repro.runtime.resilience`): objective calls run under a retry policy,
-a resumable checkpoint can be written after every batch
-(:meth:`GPTune.resume` continues a killed run with identical decisions, in
-either campaign loop, warm refits and posterior extension included), and a
+a resumable checkpoint can be written after every round
+(:meth:`GPTune.resume` continues a killed run with identical decisions
+under either policy, warm refits and posterior extension included), and a
 failed LCM fit degrades to the ``gp`` backend (independent per-task GPs)
 and then to random search instead of aborting.  Every resilience action is
 recorded in a :class:`~repro.runtime.trace.CampaignLog` exposed as
@@ -34,8 +38,10 @@ recorded in a :class:`~repro.runtime.trace.CampaignLog` exposed as
 
 from __future__ import annotations
 
+import copy
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,8 +133,8 @@ class TuneResult:
 class _TaskEval:
     """Picklable evaluation callable over ``(task_index, config)`` pairs.
 
-    Shared by the lockstep executor map and the async engine's schedulers.
-    Retries/timeouts run *inside* the worker via
+    The evaluation queue's schedulers run it for every campaign, barrier
+    or streaming.  Retries/timeouts run *inside* the worker via
     :meth:`~repro.core.problem.TuningProblem.evaluate_outcome`, and the
     returned :class:`~repro.runtime.resilience.EvalOutcome` carries its
     events back for replay into the driver's campaign log.
@@ -143,6 +149,14 @@ class _TaskEval:
         self.problem = problem
         self.tasks = tasks
         self.retry = retry
+
+    def __getstate__(self):
+        # a process worker only evaluates: ship the problem without its
+        # performance models, which are often closures that cannot pickle
+        state = dict(self.__dict__)
+        state["problem"] = copy.copy(self.problem)
+        state["problem"].models = []
+        return state
 
     def __call__(self, item):
         idx, cfg = item
@@ -186,12 +200,12 @@ class GPTune:
         successful fit is cached for the next campaign.  May also be set via
         ``options.model_cache_path``.
     scheduler:
-        Optional async-engine scheduler override for
-        ``options.async_eval`` campaigns (any object with the
+        Optional scheduler override for the evaluation queue, which serves
+        every campaign, barrier or streaming (any object with the
         ``start``/``wait``/``remaining``/``shutdown`` protocol of
         :mod:`repro.runtime.async_engine`).  Tests and benchmarks inject a
         :class:`~repro.runtime.async_engine.SimScheduler` here; by default
-        the scheduler is built from ``options.backend``/``n_workers``.
+        each campaign builds one from ``options.backend``/``n_workers``.
     """
 
     def __init__(
@@ -262,11 +276,6 @@ class GPTune:
                 n_tasks=n_tasks,
             )
 
-    def _evaluate(self, data: TuningData, task: int, cfg: Mapping[str, Any], stats) -> None:
-        with maybe_span("phase.evaluation", task=task):
-            outcome = self.problem.evaluate_outcome(data.tasks[task], cfg, retry=self._retry)
-        self._record(data, task, cfg, outcome, stats)
-
     def _record(self, data: TuningData, task: int, cfg, outcome, stats) -> None:
         """Absorb one evaluation outcome: log, stats, data, history, metrics."""
         for kind, detail in outcome.events:
@@ -295,21 +304,27 @@ class GPTune:
         frozen: Sequence[int],
         iteration: int,
         stats,
-        pending: Optional[List[Dict[str, Any]]] = None,
-        featurizer: Optional[ModelFeaturizer] = None,
+        eng: AsyncEvalEngine,
+        queue: Sequence[Tuple[int, Dict[str, Any], Optional[float]]],
+        featurizer: Optional[ModelFeaturizer],
     ) -> None:
         """Write the resumable campaign snapshot (if configured).
 
-        ``pending`` carries an async campaign's in-flight evaluations
-        (``{"task", "x", "eta"}`` in submission order) so a resumed run can
-        resubmit them with their remaining durations preserved.  The
-        fitter's modeling state (:meth:`SurrogateFitter.snapshot`, with the
-        async loop's persistent ``featurizer``) rides along, so resumes with
-        ``refit_interval`` or ``refit_warm_start`` stay bit-identical.
+        The checkpoint carries the engine's in-flight evaluations, then the
+        ``queue`` still waiting for a slot (``{"task", "x", "eta"}`` in
+        submission order; none after a barrier round), so a resumed run can
+        resubmit them with their remaining durations preserved.  The fitter's modeling state
+        (:meth:`SurrogateFitter.snapshot`, with the campaign's
+        ``featurizer``) rides along, so resumes with ``refit_interval``,
+        ``refit_warm_start`` or performance models stay bit-identical.
         """
         path = self.options.checkpoint_path
         if path is None or iteration % self.options.checkpoint_every != 0:
             return
+        pending = [
+            {"task": int(t), "x": dict(cfg), "eta": eta}
+            for t, cfg, eta in [e[1:] for e in eng.pending_snapshot()] + list(queue)
+        ]
         ck = RunCheckpoint(
             problem=self.problem.name,
             entropy=self._seeds.entropy,
@@ -321,7 +336,7 @@ class GPTune:
             stats={k: float(v) for k, v in stats.items()},
             X=[[dict(x) for x in xs] for xs in data.X],
             Y=[[[float(v) for v in y] for y in ys] for ys in data.Y],
-            pending=list(pending or []),
+            pending=pending,
             modeling=self.fitter.snapshot(featurizer),
         )
         ck.save(path)
@@ -386,13 +401,13 @@ class GPTune:
             recorder = SpanRecorder(log=self.events, metrics=self.metrics)
             prev_recorder = install_recorder(recorder)
         try:
-            return self._tune_impl(tasks, n_samples, preload, frozen, callback, _resume)
+            return self._campaign(tasks, n_samples, preload, frozen, callback, _resume)
         finally:
             if recorder is not None:
                 recorder.flush()
                 install_recorder(prev_recorder)
 
-    def _tune_impl(
+    def _campaign(
         self,
         tasks: Sequence[Any],
         n_samples: int,
@@ -401,11 +416,42 @@ class GPTune:
         callback: Optional[Any],
         _resume: Optional[RunCheckpoint],
     ) -> TuneResult:
-        """The MLA loop proper (:meth:`tune` handles validation/telemetry)."""
-        gamma = self.problem.n_objectives
+        """The MLA loop proper (:meth:`tune` handles validation/telemetry).
+
+        Every round submits evaluations to an :class:`AsyncEvalEngine` over
+        the scheduler, drains completions and records them in submission
+        order, then checkpoints and consults the callback and
+        ``max_seconds``.  ``options.async_eval`` picks the policy:
+
+        * **barrier** (lockstep, Algorithms 1–2 as written): a round starts
+          with nothing in flight.  While a task is short of its LHS design
+          the round evaluates the design (iteration 0); every later round
+          fits the surrogate, proposes for every active task through the
+          batched search (:meth:`_propose_round`) and drains to empty.
+        * **streaming**: a round refits/extends the posterior on everything
+          absorbed so far (at most once per ``async_refit_secs``), *fills*
+          free queue slots — design entries first, then penalized
+          acquisition search, always for the task with the fewest committed
+          evaluations — and absorbs whatever completes first.  One
+          straggling evaluation holds exactly one slot.
+
+        Performance models ride along in one :class:`ModelFeaturizer` per
+        campaign, re-estimated at each full fit and frozen during extend
+        phases.  Determinism: drain batches are seq-sorted by the engine,
+        every seed-consuming decision spawns its own seed-tree child in
+        published order, the streaming design is regenerated on resume from
+        the campaign's *first* child seed, and checkpoints carry the
+        in-flight set and the fitter's modeling state — so under a
+        deterministic scheduler a killed+resumed campaign is bit-identical
+        to the uninterrupted one (see docs/ASYNC.md).
+        """
+        opts = self.options
+        barrier = not opts.async_eval
         data = TuningData(
-            self.problem.task_space, self.problem.tuning_space, tasks, n_objectives=gamma
+            self.problem.task_space, self.problem.tuning_space, tasks,
+            n_objectives=self.problem.n_objectives,
         )
+        space = data.tuning_space
         frozen_set = set(int(i) for i in (frozen or ()))
         if any(i < 0 or i >= data.n_tasks for i in frozen_set):
             raise ValueError("frozen task index out of range")
@@ -427,10 +473,9 @@ class GPTune:
         resume_children: List[np.random.SeedSequence] = []
         if _resume is not None:
             # Restore the exact campaign state: evaluation sets, phase stats,
-            # and the seed tree fast-forwarded past every child already spawned,
-            # so the continuation takes the same decisions the uninterrupted
-            # run would have.  The already-spawned children are kept: the
-            # async path re-derives its design-sampler seed from children[0].
+            # and the seed tree fast-forwarded past every child already
+            # spawned, so the continuation takes the same decisions the
+            # uninterrupted run would have.
             self._seeds = np.random.SeedSequence(_resume.entropy)
             if _resume.spawn_count > 0:
                 resume_children = self._seeds.spawn(int(_resume.spawn_count))
@@ -454,82 +499,246 @@ class GPTune:
             if data.n_samples(i) == 0:
                 raise ValueError(f"frozen task {i} has no preloaded data")
 
-        if self.options.async_eval:
-            reason = self._async_unsupported_reason()
-            if reason is None:
-                return self._tune_async(
-                    data, stats, active, frozen_set, n_samples, callback,
-                    _resume, resume_children,
-                )
-            if _resume is not None and _resume.pending:
-                raise ValueError(
-                    f"checkpoint holds {len(_resume.pending)} in-flight "
-                    "evaluation(s): it was written by an async campaign, but "
-                    "the current problem no longer qualifies for streaming "
-                    f"({reason})"
-                )
-            if not self.options.allow_async_fallback:
-                raise ValueError(
-                    f"async_eval: {reason}; pass "
-                    "Options(allow_async_fallback=True) to run this campaign "
-                    "through the lockstep loop instead"
-                )
-            self.events.record(
-                "async-fallback",
-                f"{reason}; running lockstep (allow_async_fallback)",
-                reason=reason,
-                gamma=gamma,
-                has_models=self.problem.has_models,
+        featurizer = (
+            ModelFeaturizer(self.problem.models) if self.problem.has_models else None
+        )
+        eps_init = max(2, int(round(n_samples * opts.initial_fraction)))
+        design: Dict[int, List[Dict[str, Any]]] = {}
+        if not barrier:
+            # the streaming design is eps_init points per task from the
+            # campaign's first seed-tree child, re-derived on resume
+            design_seed = (
+                int(resume_children[0].generate_state(1)[0])
+                if resume_children
+                else self._child_seed()
             )
-        if _resume is not None and _resume.pending:
-            raise ValueError(
-                f"checkpoint holds {len(_resume.pending)} in-flight "
-                "evaluation(s) from an async campaign; resume with "
-                "Options(async_eval=True) or they would be lost"
+            design = self._design(data, {i: eps_init for i in active}, design_seed)
+        design_ptr = {i: 0 for i in active}
+
+        scheduler = self._scheduler
+        if scheduler is None:
+            scheduler = make_scheduler(
+                opts.backend, opts.n_workers, on_event=self.events.record
             )
+        max_inflight = (
+            opts.max_inflight if opts.max_inflight is not None else max(2, opts.n_workers)
+        )
+        eng = AsyncEvalEngine(
+            _TaskEval(self.problem, [dict(t) for t in data.tasks], self._retry),
+            scheduler,
+            max_inflight,
+        )
+        policy = "barrier" if barrier else "streaming"
+        self.events.record(
+            "async-start",
+            f"{policy}, {type(scheduler).__name__}, max_inflight={max_inflight}, "
+            f"penalty={opts.pending_penalty}",
+            policy=policy,
+            scheduler=type(scheduler).__name__,
+            max_inflight=max_inflight,
+            penalty=opts.pending_penalty,
+        )
 
-        # -- sampling phase ------------------------------------------------
-        eps_init = max(2, int(round(n_samples * self.options.initial_fraction)))
-        if any(eps_init - data.n_samples(i) > 0 for i in active):
-            # design generation is the "sampling" span; the objective runs it
-            # feeds are "evaluation" spans — disjoint, Table-3 style
-            with maybe_span("phase.sampling", eps_init=eps_init) as sp:
-                sampler = LHSSampler(self.problem.tuning_space, seed=self._child_seed())
-                design: List[Tuple[int, Dict[str, Any]]] = []
-                for i in active:
-                    need = eps_init - data.n_samples(i)
-                    if need <= 0:
-                        continue
-                    for cfg in sampler.sample(need, extra=data.tasks[i]):
-                        design.append((i, cfg))
-                sp.annotate(n_configs=len(design))
-            for i, cfg in design:
-                self._evaluate(data, i, cfg, stats)
+        # per-task in-flight bookkeeping: normalized-key -> (unit point,
+        # native config) — the unit point feeds the pending penalty and
+        # dedup, the native config lets the featurizer enrich pending points
+        # — plus a plain count (key collisions in an exhausted discrete
+        # space must not undercount slots)
+        pend_units: List[Dict[tuple, Tuple[np.ndarray, Dict[str, Any]]]] = [
+            {} for _ in range(data.n_tasks)
+        ]
+        inflight_cnt = [0] * data.n_tasks
 
-        # -- MLA iterations ----------------------------------------------------
-        models: List[LCM] = []
-        t_begin = time.perf_counter()
-        iteration = 0
+        def unit_key(cfg):
+            u = space.normalize(cfg)
+            return tuple(np.round(u, 9)), u
+
+        def submit(i, cfg, eta=None):
+            key, u = unit_key(cfg)
+            eng.submit(i, cfg, eta=eta)
+            pend_units[i][key] = (u, dict(cfg))
+            inflight_cnt[i] += 1
+
+        def committed(i):
+            return data.n_samples(i) + inflight_cnt[i]
+
+        # (task, config, eta) awaiting a free slot, in submission order
+        queue: Deque[Tuple[int, Dict[str, Any], Optional[float]]] = deque()
+
+        def top_up():
+            while queue and eng.can_submit:
+                submit(*queue.popleft())
+
         if _resume is not None:
-            iteration = int(_resume.iteration)
-            self.fitter.restore(_resume.modeling, data)
-        self._checkpoint(data, n_samples, frozen_set, iteration, stats)
-        while min(data.n_samples(i) for i in active) < n_samples:
-            models = self._iteration(data, stats, active)
-            iteration += 1
-            self._checkpoint(data, n_samples, frozen_set, iteration, stats)
-            if self.options.verbose:  # pragma: no cover - logging
-                done = [data.n_samples(i) for i in range(data.n_tasks)]
-                best = [f"{data.best(i)[1]:.4g}" for i in range(data.n_tasks)]
-                print(f"[gptune] samples={done} best={best}")
-            if callback is not None and callback(iteration, data, stats):
-                break
-            if (
-                self.options.max_seconds is not None
-                and time.perf_counter() - t_begin >= self.options.max_seconds
-            ):
-                break
+            # the first round resubmits these, ahead of any new proposal
+            self.fitter.restore(_resume.modeling, data, featurizer)
+            queue.extend(
+                (int(e["task"]), dict(e["x"]), e.get("eta")) for e in _resume.pending
+            )
 
+        def next_design(i):
+            # next unconsumed design entry whose key is neither evaluated
+            # nor in flight; the skip rule replays identically on resume
+            seen = data.seen_keys(i)
+            while design_ptr[i] < len(design[i]):
+                cfg = design[i][design_ptr[i]]
+                design_ptr[i] += 1
+                key, _ = unit_key(cfg)
+                if key in seen or key in pend_units[i]:
+                    continue
+                return cfg
+            return None
+
+        bundle: Optional[Tuple[List[Any], List[np.ndarray]]] = None
+
+        def fill():
+            blocked = set()
+            # γ > 1: one NSGA-II run buffers up to pareto_batch candidates
+            # per task; the buffer lives only within this fill call, so a
+            # resumed run (whose buffer starts empty) replays identically
+            mo_buf: Dict[int, List[np.ndarray]] = {}
+            while eng.can_submit:
+                cands = [
+                    i for i in active if i not in blocked and committed(i) < n_samples
+                ]
+                if not cands:
+                    return
+                # fewest committed (done + in-flight) evaluations first
+                i = min(cands, key=lambda j: (committed(j), j))
+                cfg = next_design(i) if committed(i) < eps_init else None
+                if cfg is None:
+                    if data.n_objectives == 1:
+                        cfg = self._propose_async(
+                            data, i, bundle, pend_units, stats, featurizer
+                        )
+                    else:
+                        cfg = self._propose_async_multi(
+                            data, i, bundle, pend_units, stats, featurizer, mo_buf
+                        )
+                if cfg is None:
+                    # no surrogate yet: leave the slot open until the next fit
+                    blocked.add(i)
+                    continue
+                submit(i, cfg)
+
+        # periodic-refit cadence: with async_refit_secs set, modeling runs at
+        # most once per interval — on the scheduler's virtual clock when it
+        # has one (SimScheduler: deterministic), else on wall time
+        sim_clock = getattr(scheduler, "clock", None)
+        now = (
+            (lambda: float(sim_clock.now)) if sim_clock is not None
+            else time.perf_counter
+        )
+        last_fit: Optional[float] = None
+
+        iteration = int(_resume.iteration) if _resume is not None else 0
+        t_begin = time.perf_counter()
+        total_wait = 0.0
+        try:
+            while min(data.n_samples(i) for i in active) < n_samples:
+                counted = True  # barrier design / resumed-drain rounds are not
+                if barrier:
+                    need = {i: eps_init - data.n_samples(i) for i in active}
+                    proposals: List[Tuple[int, Dict[str, Any]]] = []
+                    if queue or eng.inflight:
+                        counted = False  # a resumed in-flight set drains first
+                    elif max(need.values()) > 0:
+                        counted = False
+                        lhs = self._design(data, need, self._child_seed())
+                        proposals = [(i, c) for i, cfgs in lhs.items() for c in cfgs]
+                    else:
+                        bundle = self.fitter.fit(data, featurizer, stats)
+                        proposals = self._propose_round(
+                            data, bundle, active, featurizer, stats
+                        )
+                    queue.extend((i, c, None) for i, c in proposals)
+                elif min(data.n_samples(i) for i in active) >= 2 and (
+                    last_fit is None
+                    or opts.async_refit_secs is None
+                    or now() - last_fit >= opts.async_refit_secs
+                ):
+                    # modeling precedes fill so proposals see every absorbed
+                    # result; on resume the first pass refits from the
+                    # restored data before anything new is submitted (the
+                    # checkpoint is written pre-fit, which is what keeps the
+                    # resumed seed tree aligned)
+                    bundle = self.fitter.fit(data, featurizer, stats)
+                    last_fit = now()
+                top_up()
+                if not barrier:
+                    fill()
+                if eng.inflight == 0:
+                    break  # budget reached or nothing proposable
+                inflight_before = eng.inflight
+                with maybe_span("async.wait", inflight=inflight_before) as sp:
+                    batch, wait_s = eng.drain()
+                    while barrier and (queue or eng.inflight):  # drain to empty
+                        top_up()
+                        more, w = eng.drain()
+                        batch += more
+                        wait_s += w
+                    sp.annotate(n=len(batch), wait_s=wait_s)
+                batch.sort(key=lambda ce: ce.seq)
+                total_wait += wait_s
+                for ce in batch:
+                    self._record(data, ce.task, ce.config, ce.outcome, stats)
+                    inflight_cnt[ce.task] -= 1
+                    pend_units[ce.task].pop(unit_key(ce.config)[0], None)
+                    if opts.telemetry:
+                        # the objective ran inside the scheduler: emit its
+                        # "phase.evaluation" span from the outcome's
+                        # measured wall time, so `repro report` sums match
+                        self.events.record(
+                            "span",
+                            f"phase.evaluation {ce.outcome.wall_time * 1e3:.3f}ms",
+                            name="phase.evaluation",
+                            dur_s=float(ce.outcome.wall_time),
+                            task=ce.task,
+                            seq=ce.seq,
+                        )
+                self.metrics.set_gauge("repro_eval_inflight", float(eng.inflight))
+                self.events.record(
+                    "async-drain",
+                    f"{len(batch)} completion(s) after {wait_s:.3g}s; "
+                    f"{eng.inflight} still in flight",
+                    n=len(batch),
+                    wait_s=float(wait_s),
+                    inflight=int(inflight_before),
+                )
+                if counted:
+                    iteration += 1
+                self._checkpoint(
+                    data, n_samples, frozen_set, iteration, stats, eng, queue, featurizer
+                )
+                if not counted:
+                    continue
+                if opts.verbose:  # pragma: no cover - logging
+                    done = [data.n_samples(i) for i in range(data.n_tasks)]
+                    best = [f"{data.best(i)[1]:.4g}" for i in range(data.n_tasks)]
+                    print(f"[gptune] {policy} iteration={iteration} samples={done} "
+                          f"best={best} inflight={eng.inflight}")
+                if callback is not None and callback(iteration, data, stats):
+                    break
+                if (
+                    opts.max_seconds is not None
+                    and time.perf_counter() - t_begin >= opts.max_seconds
+                ):
+                    break
+        finally:
+            eng.shutdown()
+
+        self.metrics.set_gauge("repro_eval_inflight", 0.0)
+        self.events.record(
+            "async-stop",
+            f"{eng.submitted} submitted, {eng.completed} completed, "
+            f"peak inflight {eng.peak_inflight}, "
+            f"{total_wait:.3g}s total drain wait",
+            submitted=int(eng.submitted),
+            completed=int(eng.completed),
+            peak_inflight=int(eng.peak_inflight),
+            wait_s=float(total_wait),
+        )
+        models = list(bundle[0]) if bundle is not None else []
         stats["total_time"] = (
             stats["objective_time"] + stats["modeling_time"] + stats["search_time"]
         )
@@ -541,6 +750,19 @@ class GPTune:
             **{k: float(v) for k, v in stats.items()},
         )
         return TuneResult(data, stats, models, events=self.events, metrics=self.metrics)
+
+    def _design(
+        self, data: TuningData, sizes: Mapping[int, int], seed: int
+    ) -> Dict[int, List[Dict[str, Any]]]:
+        """LHS design from one sampler: ``sizes[i]`` configurations for
+        every task with a positive size, drawn in ``sizes`` order."""
+        with maybe_span("phase.sampling", n_tasks=len(sizes)) as sp:
+            sampler = LHSSampler(data.tuning_space, seed=seed)
+            design = {
+                i: sampler.sample(n, extra=data.tasks[i]) for i, n in sizes.items() if n > 0
+            }
+            sp.annotate(n_configs=sum(len(v) for v in design.values()))
+        return design
 
     def resume(
         self,
@@ -569,297 +791,10 @@ class GPTune:
             else RunCheckpoint.load(str(checkpoint))
         )
         return self.tune(
-            ck.tasks,
-            ck.n_samples,
-            frozen=ck.frozen or None,
-            callback=callback,
-            _resume=ck,
+            ck.tasks, ck.n_samples, frozen=ck.frozen or None, callback=callback, _resume=ck
         )
 
-    # -- asynchronous streaming campaign (Options.async_eval) ------------------
-    def _tune_async(
-        self,
-        data: TuningData,
-        stats,
-        active: Sequence[int],
-        frozen_set,
-        n_samples: int,
-        callback: Optional[Any],
-        _resume: Optional[RunCheckpoint],
-        resume_children: List[np.random.SeedSequence],
-    ) -> TuneResult:
-        """Streaming MLA: bounded in-flight queue instead of lockstep barriers.
-
-        The loop per round: (1) refit/extend the posterior on everything
-        absorbed so far (skipped while ``options.async_refit_secs`` has not
-        elapsed since the last modeling phase), (2) *fill* free queue slots
-        with proposals against the freshest posterior (design entries first,
-        then penalized acquisition search — EI/PSO for γ = 1, NSGA-II LCB
-        for γ > 1 — always the task with the fewest committed evaluations),
-        (3) *drain* — block until at least one evaluation lands — and absorb
-        the completions in submission-sequence order.  One straggling
-        evaluation holds exactly one slot; every other task keeps streaming.
-        Performance models ride along: one persistent
-        :class:`ModelFeaturizer` enriches training rows, candidates, and
-        pending points, frozen during posterior-extension phases so extended
-        rows stay in the units the model was fitted in.
-
-        Determinism: drain batches are seq-sorted by the engine, every
-        seed-consuming decision spawns its own seed-tree child in published
-        order, the LHS design is regenerated on resume from the campaign's
-        *first* child seed, and checkpoints carry the fitter's modeling
-        state — so under a deterministic scheduler a killed+resumed
-        campaign is bit-identical to the uninterrupted one, including with
-        ``refit_interval > 1`` or ``refit_warm_start`` (see docs/ASYNC.md).
-        """
-        opts = self.options
-        space = data.tuning_space
-        gamma = data.n_objectives
-        featurizer = (
-            ModelFeaturizer(self.problem.models) if self.problem.has_models else None
-        )
-
-        # The design sampler seed is unconditionally the async campaign's
-        # first seed-tree child, so a resumed run re-derives it from
-        # children[0] instead of spawning anew.
-        if _resume is not None:
-            design_seed = int(resume_children[0].generate_state(1)[0])
-        else:
-            design_seed = self._child_seed()
-        eps_init = max(2, int(round(n_samples * opts.initial_fraction)))
-        with maybe_span("phase.sampling", eps_init=eps_init, mode="async") as sp:
-            sampler = LHSSampler(space, seed=design_seed)
-            design = {
-                i: sampler.sample(eps_init, extra=data.tasks[i]) for i in active
-            }
-            sp.annotate(n_configs=sum(len(v) for v in design.values()))
-        design_ptr = {i: 0 for i in active}
-
-        scheduler = self._scheduler
-        if scheduler is None:
-            scheduler = make_scheduler(
-                opts.backend, opts.n_workers, on_event=self.events.record
-            )
-        max_inflight = (
-            int(opts.max_inflight)
-            if opts.max_inflight is not None
-            else max(2, opts.n_workers)
-        )
-        eng = AsyncEvalEngine(
-            _TaskEval(self.problem, [dict(t) for t in data.tasks], self._retry),
-            scheduler,
-            max_inflight,
-        )
-        self.events.record(
-            "async-start",
-            f"{type(scheduler).__name__}, max_inflight={max_inflight}, "
-            f"penalty={opts.pending_penalty}",
-            scheduler=type(scheduler).__name__,
-            max_inflight=max_inflight,
-            penalty=opts.pending_penalty,
-        )
-
-        # per-task in-flight bookkeeping: normalized-key -> (unit point,
-        # native config) — the unit point feeds the pending penalty and
-        # dedup, the native config lets the featurizer enrich pending points
-        # — plus a plain count (key collisions in an exhausted discrete
-        # space must not undercount slots)
-        pend_units: List[Dict[tuple, Tuple[np.ndarray, Dict[str, Any]]]] = [
-            {} for _ in range(data.n_tasks)
-        ]
-        inflight_cnt = [0] * data.n_tasks
-
-        def unit_key(cfg):
-            u = space.normalize(cfg)
-            return tuple(np.round(u, 9)), u
-
-        def submit(i, cfg, eta=None):
-            key, u = unit_key(cfg)
-            eng.submit(i, cfg, eta=eta)
-            pend_units[i][key] = (u, dict(cfg))
-            inflight_cnt[i] += 1
-
-        if _resume is not None:
-            self.fitter.restore(_resume.modeling, data, featurizer)
-            for entry in _resume.pending:
-                submit(int(entry["task"]), dict(entry["x"]), eta=entry.get("eta"))
-
-        def next_design(i):
-            # next unconsumed design entry whose key is neither evaluated
-            # nor in flight; the skip rule replays identically on resume
-            seen = data.seen_keys(i)
-            while design_ptr[i] < len(design[i]):
-                cfg = design[i][design_ptr[i]]
-                design_ptr[i] += 1
-                key, _ = unit_key(cfg)
-                if key in seen or key in pend_units[i]:
-                    continue
-                return cfg
-            return None
-
-        bundle: Optional[Tuple[List[Any], List[np.ndarray]]] = None
-
-        def fill():
-            blocked = set()
-            # γ > 1: one NSGA-II run buffers up to pareto_batch candidates
-            # per task; the buffer lives only within this fill call, so a
-            # resumed run (whose buffer starts empty) replays identically
-            mo_buf: Dict[int, List[np.ndarray]] = {}
-            while eng.can_submit:
-                cands = [
-                    i
-                    for i in active
-                    if i not in blocked
-                    and data.n_samples(i) + inflight_cnt[i] < n_samples
-                ]
-                if not cands:
-                    return
-                # fewest committed (done + in-flight) evaluations first
-                i = min(cands, key=lambda j: (data.n_samples(j) + inflight_cnt[j], j))
-                cfg = None
-                if data.n_samples(i) + inflight_cnt[i] < eps_init:
-                    cfg = next_design(i)
-                if cfg is None:
-                    if gamma == 1:
-                        cfg = self._propose_async(
-                            data, i, bundle, pend_units, stats, featurizer
-                        )
-                    else:
-                        cfg = self._propose_async_multi(
-                            data, i, bundle, pend_units, stats, mo_buf
-                        )
-                if cfg is None:
-                    # no surrogate yet: leave the slot open until the next fit
-                    blocked.add(i)
-                    continue
-                submit(i, cfg)
-
-        # periodic-refit cadence: with async_refit_secs set, modeling runs at
-        # most once per interval — on the scheduler's virtual clock when it
-        # has one (SimScheduler: deterministic), else on wall time
-        sim_clock = getattr(scheduler, "clock", None)
-        now = (
-            (lambda: float(sim_clock.now)) if sim_clock is not None
-            else time.perf_counter
-        )
-        last_fit: Optional[float] = None
-
-        rounds = int(_resume.iteration) if _resume is not None else 0
-        t_begin = time.perf_counter()
-        total_wait = 0.0
-        while min(data.n_samples(i) for i in active) < n_samples:
-            # modeling precedes fill so proposals see every absorbed result;
-            # on resume the first pass refits from the restored data before
-            # anything new is submitted (the checkpoint is written pre-fit,
-            # which is what keeps the resumed seed tree aligned)
-            if min(data.n_samples(i) for i in active) >= 2 and (
-                last_fit is None
-                or opts.async_refit_secs is None
-                or now() - last_fit >= opts.async_refit_secs
-            ):
-                bundle = self.fitter.fit(data, featurizer, stats, feat_extend=True)
-                last_fit = now()
-            fill()
-            if eng.inflight == 0:
-                break  # budget reached or nothing proposable
-            with maybe_span("async.wait", inflight=eng.inflight) as sp:
-                inflight_before = eng.inflight
-                batch, wait_s = eng.drain()
-                sp.annotate(n=len(batch), wait_s=wait_s)
-            total_wait += wait_s
-            for ce in batch:
-                self._record(data, ce.task, ce.config, ce.outcome, stats)
-                inflight_cnt[ce.task] -= 1
-                key, _ = unit_key(ce.config)
-                pend_units[ce.task].pop(key, None)
-                if opts.telemetry:
-                    # lockstep wraps each objective call in a live
-                    # "phase.evaluation" span; here the call ran inside the
-                    # scheduler, so emit the equivalent span event from the
-                    # outcome's measured wall time — `repro report` sums match
-                    self.events.record(
-                        "span",
-                        f"phase.evaluation {ce.outcome.wall_time * 1e3:.3f}ms",
-                        name="phase.evaluation",
-                        dur_s=float(ce.outcome.wall_time),
-                        task=ce.task,
-                        seq=ce.seq,
-                        mode="async",
-                    )
-            self.metrics.set_gauge("repro_eval_inflight", float(eng.inflight))
-            self.events.record(
-                "async-drain",
-                f"{len(batch)} completion(s) after {wait_s:.3g}s; "
-                f"{eng.inflight} still in flight",
-                n=len(batch),
-                wait_s=float(wait_s),
-                inflight=int(inflight_before),
-            )
-            rounds += 1
-            self._checkpoint(
-                data,
-                n_samples,
-                frozen_set,
-                rounds,
-                stats,
-                pending=[
-                    {"task": int(t), "x": dict(cfg), "eta": eta}
-                    for (_seq, t, cfg, eta) in eng.pending_snapshot()
-                ],
-                featurizer=featurizer,
-            )
-            if self.options.verbose:  # pragma: no cover - logging
-                done = [data.n_samples(i) for i in range(data.n_tasks)]
-                print(f"[gptune] async round={rounds} samples={done} "
-                      f"inflight={eng.inflight}")
-            if callback is not None and callback(rounds, data, stats):
-                break
-            if (
-                opts.max_seconds is not None
-                and time.perf_counter() - t_begin >= opts.max_seconds
-            ):
-                break
-
-        self.metrics.set_gauge("repro_eval_inflight", 0.0)
-        self.events.record(
-            "async-stop",
-            f"{eng.submitted} submitted, {eng.completed} completed, "
-            f"peak inflight {eng.peak_inflight}, "
-            f"{total_wait:.3g}s total drain wait",
-            submitted=int(eng.submitted),
-            completed=int(eng.completed),
-            peak_inflight=int(eng.peak_inflight),
-            wait_s=float(total_wait),
-        )
-        eng.shutdown()
-        models = list(bundle[0]) if bundle is not None else []
-        stats["total_time"] = (
-            stats["objective_time"] + stats["modeling_time"] + stats["search_time"]
-        )
-        self.events.record(
-            "stats",
-            "campaign phase totals",
-            **{k: float(v) for k, v in stats.items()},
-        )
-        return TuneResult(data, stats, models, events=self.events, metrics=self.metrics)
-
-    def _async_unsupported_reason(self) -> Optional[str]:
-        """Why this campaign cannot stream, or ``None`` when it can.
-
-        After multi-objective and performance-model support landed, the one
-        remaining shape the async loop does not cover is their combination:
-        per-task model enrichment is not wired into the async NSGA-II
-        search.  The caller raises (or, with ``allow_async_fallback``,
-        demotes to lockstep) instead of silently falling back.
-        """
-        if self.problem.n_objectives > 1 and self.problem.has_models:
-            return (
-                "multi-objective campaigns with performance models do not "
-                "stream (per-task model enrichment is not wired into the "
-                "async NSGA-II search)"
-            )
-        return None
-
+    # -- streaming proposals -----------------------------------------------------
     def _pending_matrix(
         self,
         data: TuningData,
@@ -887,6 +822,16 @@ class GPTune:
         if not blocks:
             return None, None
         return np.vstack(blocks), np.asarray(tix, dtype=int)
+
+    @staticmethod
+    def _liar(model, yb: np.ndarray, P: np.ndarray, tix: np.ndarray):
+        """Constant-liar copy of ``model``: each pending row of ``P`` lies at
+        its task's incumbent ``yb`` (the worst finite incumbent for a task
+        without one); ``None`` when the copy/extend is impossible."""
+        finite = yb[np.isfinite(yb)]
+        fallback_lie = float(finite.max()) if finite.size else 0.0
+        lies = np.array([yb[i] if np.isfinite(yb[i]) else fallback_lie for i in tix])
+        return constant_liar(model, P, tix, lies)
 
     def _propose_async(
         self,
@@ -920,9 +865,7 @@ class GPTune:
             extra = set(pend_units[task])
             model = models[0]
             if model is None:  # fully degraded: random search
-                cand = sample_feasible(
-                    space, 1, rng, extra=data.tasks[task]
-                )[0]
+                cand = sample_feasible(space, 1, rng, extra=data.tasks[task])[0]
                 cfg = self._dedup(data, task, cand, rng, extra=extra)
             else:
                 yb = ybests[0]
@@ -931,15 +874,7 @@ class GPTune:
                 if opts.pending_penalty == "cl":
                     P, tix = self._pending_matrix(data, pend_units, featurizer)
                     if P is not None:
-                        finite = yb[np.isfinite(yb)]
-                        fallback_lie = float(finite.max()) if finite.size else 0.0
-                        lies = np.array(
-                            [
-                                yb[i] if np.isfinite(yb[i]) else fallback_lie
-                                for i in tix
-                            ]
-                        )
-                        liar = constant_liar(model, P, tix, lies)
+                        liar = self._liar(model, yb, P, tix)
                         if liar is not None:
                             acq_model = liar
                         else:
@@ -976,6 +911,7 @@ class GPTune:
         bundle,
         pend_units: List[Dict[tuple, Tuple[np.ndarray, Dict[str, Any]]]],
         stats,
+        featurizer: Optional[ModelFeaturizer],
         mo_buf: Dict[int, List[np.ndarray]],
     ) -> Optional[Dict[str, Any]]:
         """One streaming multi-objective proposal for ``task`` (γ > 1).
@@ -989,7 +925,9 @@ class GPTune:
         EI penalty is meaningless for a signed, minimized LCB).  One run
         buffers up to ``pareto_batch`` crowding-selected candidates in
         ``mo_buf`` — subsequent slots for the same task within one fill
-        round pop the buffer instead of re-running the search.
+        round pop the buffer instead of re-running the search.  With
+        performance models, candidates and liar rows are enriched by the
+        campaign's ``featurizer``, as in :meth:`_propose_async`.
         """
         if bundle is None:
             return None
@@ -1008,9 +946,9 @@ class GPTune:
                 return cfg
             cands = mo_buf.get(task)
             if not cands:
-                acq_models, lp_flags = [], []
+                predictors, lp_flags = [], []
                 P, tix = (
-                    self._pending_matrix(data, pend_units, None)
+                    self._pending_matrix(data, pend_units, featurizer)
                     if opts.pending_penalty == "cl"
                     else (None, None)
                 )
@@ -1018,21 +956,14 @@ class GPTune:
                     m = models[s]
                     lp = opts.pending_penalty == "lp"
                     if opts.pending_penalty == "cl" and P is not None:
-                        yb = ybests[s]
-                        finite = yb[np.isfinite(yb)]
-                        fallback_lie = float(finite.max()) if finite.size else 0.0
-                        lies = np.array(
-                            [
-                                yb[i] if np.isfinite(yb[i]) else fallback_lie
-                                for i in tix
-                            ]
-                        )
-                        liar = constant_liar(m, P, tix, lies)
+                        liar = self._liar(m, ybests[s], P, tix)
                         if liar is not None:
                             m = liar
                         else:
                             lp = True
-                    acq_models.append(m)
+                    predictors.append(
+                        self._predict_unit(m, task, data.tasks[task], featurizer)
+                    )
                     lp_flags.append(lp)
                 pend_task = (
                     np.vstack([u for (u, _) in pend_units[task].values()])
@@ -1046,7 +977,7 @@ class GPTune:
                     X = np.atleast_2d(X)
                     cols = []
                     for s in range(gamma):
-                        mu, var = acq_models[s].predict(task, X)
+                        mu, var = predictors[s](X)
                         lcb = mu - np.sqrt(var)
                         if lp_flags[s] and pend_task is not None:
                             lcb = penalize_lcb(
@@ -1106,10 +1037,15 @@ class GPTune:
 
         return predict
 
-    def _iteration(
-        self, data: TuningData, stats, active: Sequence[int]
-    ) -> List[Any]:
-        """One lockstep MLA iteration: modeling, search, evaluation.
+    def _propose_round(
+        self,
+        data: TuningData,
+        bundle,
+        active: Sequence[int],
+        featurizer: Optional[ModelFeaturizer],
+        stats,
+    ) -> List[Tuple[int, Dict[str, Any]]]:
+        """One barrier round's proposals against the fitted ``bundle``.
 
         γ = 1 runs Algorithm 1 (batched EI/PSO, ``batch_evals`` proposals
         per task); γ > 1 runs Algorithm 2 (batched NSGA-II over
@@ -1117,28 +1053,27 @@ class GPTune:
         surrogate fully degraded on any objective falls back to random
         search so the budget keeps moving.
         """
-        featurizer = ModelFeaturizer(self.problem.models) if self.problem.has_models else None
-        models, ybests = self.fitter.fit(data, featurizer, stats)
+        models, ybests = bundle
         single = data.n_objectives == 1
         per_task = self.options.batch_evals if single else self.options.pareto_batch
-        if any(m is None for m in models):
-            proposals = self._random_proposals(data, active, per_task, stats)
-        else:
-            algo = "pso-ei" if single else "nsga2"
-            t0 = time.perf_counter()
-            with maybe_span("phase.search", algo=algo, mode="batched"):
-                self._note_search_mode("batched", algo, len(active))
-                if single:
-                    proposals = self._search_single(
-                        data, models[0], featurizer, ybests[0], active
-                    )
-                else:
-                    proposals = self._search_multi(
-                        data, models, featurizer, active, per_task
-                    )
-            stats["search_time"] += time.perf_counter() - t0
-        self._evaluate_batch(data, proposals, stats)
-        return models
+        degraded = any(m is None for m in models)
+        algo = "random" if degraded else "pso-ei" if single else "nsga2"
+        mode = "random" if degraded else "batched"
+        t0 = time.perf_counter()
+        with maybe_span("phase.search", algo=algo, mode=mode):
+            self._note_search_mode(mode, algo, len(active))
+            if degraded:  # the last rung of the degradation ladder
+                rng = np.random.default_rng(self._child_seed())
+                proposals: List[Tuple[int, Dict[str, Any]]] = []
+                for i in active:
+                    cands = sample_feasible(data.tuning_space, per_task, rng, extra=data.tasks[i])
+                    proposals += self._dedup_round(data, i, cands, rng)
+            elif single:
+                proposals = self._search_single(data, models[0], featurizer, ybests[0], active)
+            else:
+                proposals = self._search_multi(data, models, featurizer, active, per_task)
+        stats["search_time"] += time.perf_counter() - t0
+        return proposals
 
     def _posterior(
         self,
@@ -1207,41 +1142,6 @@ class GPTune:
         for t, i in enumerate(active):
             proposals += self._dedup_round(data, i, space.denormalize_many(tops[t]), rng)
         return proposals
-
-    def _random_proposals(
-        self, data: TuningData, active: Sequence[int], per_task: int, stats
-    ) -> List[Tuple[int, Dict[str, Any]]]:
-        """Random-search proposals — the last rung of the degradation ladder."""
-        t0 = time.perf_counter()
-        rng = np.random.default_rng(self._child_seed())
-        proposals: List[Tuple[int, Dict[str, Any]]] = []
-        with maybe_span("phase.search", algo="random", mode="random"):
-            self._note_search_mode("random", "random", len(active))
-            for i in active:
-                cands = sample_feasible(data.tuning_space, per_task, rng, extra=data.tasks[i])
-                proposals += self._dedup_round(data, i, cands, rng)
-        stats["search_time"] += time.perf_counter() - t0
-        return proposals
-
-    def _evaluate_batch(self, data: TuningData, proposals, stats) -> None:
-        """Evaluate proposals, concurrently when an executor is configured.
-
-        The black-box calls run through the executor (Sec. 4.2 concurrent
-        evaluations); recording (data/history/stats) stays sequential and
-        deterministic in proposal order.
-        """
-        executor = self._get_executor()
-        if executor is None or len(proposals) <= 1:
-            for i, cfg in proposals:
-                self._evaluate(data, i, cfg, stats)
-            return
-        with maybe_span("phase.evaluation", n=len(proposals), concurrent=True):
-            outcomes = executor.map(
-                _TaskEval(self.problem, [dict(t) for t in data.tasks], self._retry),
-                proposals,
-            )
-        for (i, cfg), outcome in zip(proposals, outcomes):
-            self._record(data, i, cfg, outcome, stats)
 
     def _dedup(
         self,

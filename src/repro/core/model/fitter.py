@@ -1,12 +1,12 @@
 """The modeling phase (Algorithm 1, step 2) as one component.
 
-:class:`SurrogateFitter` owns the surrogate policy both campaign loops
-share: backend choice, warm starts (previous optimum or surrogate cache),
-posterior extension (``refit_interval``), the degradation ladder (failed
-fit → the registry's ``gp`` backend → ``None``, i.e. random search) and
-the modeling state a checkpoint carries across kill/resume.  It draws one
-seed per objective per full fit from the driver's seed tree; a downgraded
-fit reuses that seed for the ``gp`` rung.
+:class:`SurrogateFitter` owns the surrogate policy of the campaign loop,
+under either evaluation policy: backend choice, warm starts (previous
+optimum or surrogate cache), posterior extension (``refit_interval``), the
+degradation ladder (failed fit → the registry's ``gp`` backend → ``None``,
+i.e. random search) and the modeling state a checkpoint carries across
+kill/resume.  It draws one seed per objective per full fit from the
+driver's seed tree; a downgraded fit reuses that seed for the ``gp`` rung.
 """
 
 from __future__ import annotations
@@ -90,11 +90,7 @@ class SurrogateFitter:
 
     # -- modeling phase --------------------------------------------------------
     def fit(
-        self,
-        data,
-        featurizer,
-        stats: Dict[str, float],
-        feat_extend: bool = False,
+        self, data, featurizer, stats: Dict[str, float]
     ) -> Tuple[List[Any], List[np.ndarray]]:
         """Model-update + modeling phases; returns per-objective surrogates.
 
@@ -105,28 +101,27 @@ class SurrogateFitter:
         posterior with the new rows (O(N²·n_new), no L-BFGS); every k-th
         phase, and any phase where extension is impossible, runs a full fit.
 
-        ``feat_extend`` opts model-enriched campaigns into warm state and
-        extension: only valid for a *persistent* ``featurizer`` frozen
-        between full fits (the async loop), never for the lockstep loop's
-        per-iteration featurizer, whose re-estimated features would change
-        the units the posterior was fitted in.
+        ``featurizer`` is the campaign's one
+        :class:`~repro.core.perfmodel.ModelFeaturizer` (``None`` without
+        performance models).  A full fit re-estimates its hyperparameters
+        and resets its normalization range over every sample; an extend
+        phase freezes both, so the new rows arrive in the units the
+        posterior was fitted in.
         """
         with maybe_span("phase.modeling", n=data.n_samples()):
             t0 = time.perf_counter()
             gamma = data.n_objectives
             X, _, tidx = data.stacked(0)
             counts = [data.n_samples(i) for i in range(data.n_tasks)]
-            keep_warm = featurizer is None or feat_extend
             extend_phase = (
                 self.options.refit_interval > 1
                 and self._fit_iter % self.options.refit_interval != 0
-                and keep_warm
             )
 
             if featurizer is not None:
                 # Extend phases must feed the posterior rows in the units it
                 # was fitted in, so the featurizer is frozen (no
-                # hyperparameter update, no normalization-range growth)
+                # hyperparameter update, no new normalization range)
                 # whenever every objective still has a posterior to extend.
                 update = not (
                     extend_phase and all(self._extendable(s) for s in range(gamma))
@@ -139,7 +134,7 @@ class SurrogateFitter:
                     featurizer.update_hyperparameters(tasks_flat, cfgs_flat, y0)
                 raw = self._feat_rows(data, featurizer)
                 if update:
-                    featurizer.observe(raw)
+                    featurizer.observe(raw, reset=True)
                 X = np.hstack([X, featurizer.scale(raw)])
 
             models, ybests = [], []
@@ -157,7 +152,7 @@ class SurrogateFitter:
                     tr = YTransform(self.options.y_transform)
                     yt = tr.fit(ys)
                     model = self._fit_one(data, X, yt, tidx, executor, s, fingerprints)
-                    if keep_warm and model is not None:
+                    if model is not None:
                         self._warm[s] = {
                             "model": model,
                             "transform": tr,

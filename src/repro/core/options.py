@@ -45,34 +45,36 @@ class Options:
     batch_evals:
         q — single-objective configurations evaluated per task per
         iteration.  q > 1 proposes diverse top EI candidates and runs them
-        concurrently through the executor backend (Sec. 4.2: GPTune
-        "supports calling multiple function evaluations concurrently").
+        concurrently through the evaluation scheduler of ``backend``
+        (Sec. 4.2: GPTune "supports calling multiple function evaluations
+        concurrently").
     initial_fraction:
         Fraction of ``ε_tot`` used for the initial LHS design (paper: 1/2).
     backend:
-        Executor backend for the tuner's own parallelism: ``"serial"``,
-        ``"thread"`` or ``"process"``.
+        Backend for the tuner's own parallelism — the evaluation scheduler
+        and the L-BFGS restart executor: ``"serial"``, ``"thread"`` or
+        ``"process"``.
     n_workers:
         Worker count for the thread/process backends.
     async_eval:
-        Run the campaign through the asynchronous evaluation queue
-        (:mod:`repro.runtime.async_engine`) instead of the lockstep loop:
-        evaluations are submitted as proposals are made (up to
-        ``max_inflight`` outstanding), completions stream back as they
-        finish, the posterior absorbs each drained batch incrementally
-        (``refit_interval`` controls extend-vs-refit as in lockstep), and
-        the search proposes continuously against the freshest posterior
-        with a ``pending_penalty`` so in-flight configurations are never
-        re-proposed.  One straggling evaluation no longer stalls the other
-        tasks.  Covers single- and multi-objective campaigns, with or
-        without performance models; the one remaining unsupported shape
-        (multi-objective *combined with* performance models) raises at
-        campaign start unless ``allow_async_fallback=True`` explicitly
-        requests the old silent lockstep demotion.  See ``docs/ASYNC.md``
-        for the coverage matrix and the ordering/determinism contract.
+        Choose the *streaming* policy of the campaign loop instead of the
+        lockstep *barrier* policy.  Every campaign runs its evaluations
+        through the asynchronous evaluation queue
+        (:mod:`repro.runtime.async_engine`); the barrier policy fits, then
+        proposes for every active task and drains the queue to empty before
+        the next fit.  Streaming submits evaluations as proposals are made
+        (up to ``max_inflight`` outstanding), absorbs each drained batch
+        incrementally (``refit_interval`` controls extend-vs-refit as in
+        lockstep), and proposes continuously against the freshest
+        posterior with a ``pending_penalty`` so in-flight configurations
+        are never re-proposed.  One straggling evaluation no longer stalls
+        the other tasks.  Every campaign shape streams: single- and
+        multi-objective, with or without performance models.  See
+        ``docs/ASYNC.md`` for the ordering/determinism contract.
     max_inflight:
-        Cap on concurrently outstanding evaluations in async mode.
-        ``None`` → ``max(2, n_workers)``.
+        Cap on concurrently outstanding evaluations (a barrier round
+        submits up to the cap, drains, and tops up until its proposals are
+        done).  ``None`` → ``max(2, n_workers)``.
     async_refit_secs:
         Minimum seconds between modeling phases in async mode (the
         periodic-refit cadence).  By default the async driver refits or
@@ -84,11 +86,6 @@ class Options:
         runs).  Under :class:`~repro.runtime.async_engine.SimScheduler`
         the interval is measured on the virtual clock, so campaigns stay
         deterministic.  Requires ``async_eval=True``.
-    allow_async_fallback:
-        Escape hatch restoring the pre-hard-error behavior: when
-        ``async_eval=True`` meets a campaign shape the streaming loop does
-        not support, run lockstep and record an ``"async-fallback"`` event
-        instead of raising ``ValueError``.  Requires ``async_eval=True``.
     pending_penalty:
         How async proposals avoid in-flight points: ``"cl"`` (constant
         liar — the posterior copy is extended with incumbent-valued lies at
@@ -184,10 +181,9 @@ class Options:
         (:meth:`repro.core.lcm.LCM.extend`) — no L-BFGS at all, recorded as
         a ``"model-extend"`` event.  1 (default) refits every iteration;
         larger values trade hyperparameter freshness for modeling time.
-        Lockstep iterations with performance models attached always refit
-        (the per-iteration featurizer re-estimates the enriched inputs
-        wholesale); async campaigns keep one persistent featurizer, frozen
-        during extend phases, so model-enriched campaigns extend too.
+        With performance models attached, the campaign's one featurizer is
+        re-estimated at every full refit and frozen during extend phases,
+        so model-enriched campaigns extend too.
     telemetry:
         Record timestamped phase/model/backoff spans into the campaign log
         while tuning (see :mod:`repro.observability.spans`): the four driver
@@ -218,7 +214,6 @@ class Options:
     async_eval: bool = False
     max_inflight: Optional[int] = None
     async_refit_secs: Optional[float] = None
-    allow_async_fallback: bool = False
     pending_penalty: str = "cl"
     penalty_radius: float = 0.15
     seed: Optional[int] = None
@@ -283,8 +278,6 @@ class Options:
                 raise ValueError("async_refit_secs must be positive")
             if not self.async_eval:
                 raise ValueError("async_refit_secs requires async_eval=True")
-        if self.allow_async_fallback and not self.async_eval:
-            raise ValueError("allow_async_fallback requires async_eval=True")
         if self.pending_penalty not in ("cl", "lp", "none"):
             raise ValueError(f"unknown pending_penalty {self.pending_penalty!r}")
         if self.penalty_radius <= 0:

@@ -157,7 +157,7 @@ class ModelFeaturizer:
     running min/max over everything seen so far — as extra kernel features
     (Sec. 3.3).  The same instance must transform both the training samples
     and the acquisition candidates so the feature scaling stays consistent
-    within one modeling/search iteration.
+    within one modeling/search iteration; a campaign keeps one instance.
     """
 
     def __init__(self, models: Sequence[Any]):
@@ -186,9 +186,16 @@ class ModelFeaturizer:
         """Unscaled model outputs ``(γ̃,)`` at one point."""
         return np.array([m.predict(task, config) for m in self.models], dtype=float)
 
-    def observe(self, values: np.ndarray) -> None:
-        """Fold raw model outputs into the running normalization range."""
+    def observe(self, values: np.ndarray, reset: bool = False) -> None:
+        """Fold raw model outputs into the running normalization range.
+
+        ``reset`` starts the range over from ``values``: a full model update
+        re-estimates it from every sample under the new hyperparameters.
+        """
         v = np.atleast_2d(np.asarray(values, dtype=float))
+        if reset:
+            self._lo = np.full(self.n_features, np.inf)
+            self._hi = np.full(self.n_features, -np.inf)
         self._lo = np.minimum(self._lo, v.min(axis=0))
         self._hi = np.maximum(self._hi, v.max(axis=0))
 

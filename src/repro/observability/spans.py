@@ -8,7 +8,7 @@ with external logs) and **monotonic** (``time.perf_counter``, for correct
 durations across clock adjustments) times at entry, and recording a finished
 :class:`Span` at exit.  Spans nest: each records the ``span_id`` of the
 enclosing span on the same thread, so ``model.fit`` appears inside
-``phase.modeling`` and ``retry.backoff`` inside ``phase.evaluation``.
+``phase.modeling`` and ``model.predict`` inside ``phase.search``.
 
 Instrumented code never talks to a recorder directly — it calls
 :func:`maybe_span`, which returns a shared no-op context manager unless a

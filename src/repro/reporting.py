@@ -181,7 +181,6 @@ _SUMMARY_KINDS = (
     "resume",
     "async-start",
     "async-drain",
-    "async-fallback",
     "async-stop",
 )
 

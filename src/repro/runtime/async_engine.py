@@ -1,12 +1,13 @@
-"""Asynchronous evaluation queue for streaming MLA campaigns.
+"""Asynchronous evaluation queue behind every MLA campaign.
 
-The lockstep MLA loop (sample → model → search → evaluate) stalls every task
-on the slowest evaluation of each batch — one straggling application run
-holds the whole campaign hostage.  :class:`AsyncEvalEngine` removes the
-barrier: the driver submits evaluations as proposals are made, completions
-stream back as they finish, and the posterior absorbs each drained batch
-immediately (see :meth:`repro.core.mla.GPTune.tune` with
-``Options(async_eval=True)``).
+Every campaign of :meth:`repro.core.mla.GPTune.tune` submits its
+evaluations here.  The lockstep *barrier* policy (sample → model → search →
+evaluate) drains the queue to empty each round, so it stalls every task on
+the slowest evaluation of the round — one straggling application run holds
+the whole campaign hostage.  The *streaming* policy
+(``Options(async_eval=True)``) removes the barrier: the driver submits
+evaluations as proposals are made, completions stream back as they finish,
+and the posterior absorbs each drained batch immediately.
 
 The engine separates *queue semantics* from *execution*:
 
@@ -80,9 +81,11 @@ class CompletedEval:
 class SerialScheduler:
     """Run every submission inline; ``wait()`` returns all of them at once.
 
-    The degradation target: an async campaign over a serial scheduler is a
-    barrier-free batched loop with identical queue semantics and no
-    concurrency, useful as a deterministic baseline on any machine.
+    The scheduler of every ``backend="serial"`` campaign: a lockstep round
+    evaluates its proposals one after another in submission order, and a
+    streaming campaign becomes a barrier-free batched loop with identical
+    queue semantics and no concurrency — a deterministic baseline on any
+    machine.
     """
 
     def start(self, seq: int, fn: Callable[[Any], Any], payload: Any,

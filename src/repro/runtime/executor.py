@@ -1,9 +1,11 @@
 """Executor backends for the tuner's own parallelism.
 
-GPTune parallelizes its modeling phase (multi-start L-BFGS restarts) and
-concurrent objective evaluations over workers (Secs. 4.2–4.3); the search
-phase needs no pool, it runs lockstep-batched over all tasks.  On real installations that is MPI spawning;
-here the same call sites take any object with
+GPTune parallelizes its modeling phase (multi-start L-BFGS restarts) over
+workers (Sec. 4.3).  Objective evaluations do not use an executor: every
+campaign runs them through the schedulers of
+:mod:`repro.runtime.async_engine` (Sec. 4.2), and the search phase needs no
+pool, it runs lockstep-batched over all tasks.  On real installations
+that is MPI spawning; here the restart map takes any object with
 ``map(fn, iterable) -> list``:
 
 * :class:`SerialBackend` — plain loop (deterministic baseline),
@@ -20,7 +22,7 @@ guest a 3-start fit over ``ThreadBackend(2)`` took ×1.49 of serial at δ=6,
 
 All backends surface the **first** failing work item (lowest index) as a
 :class:`WorkerError` carrying ``index`` and chaining the original exception,
-so a crashed restart or evaluation is attributable.  :class:`ProcessBackend`
+so a crashed restart is attributable.  :class:`ProcessBackend`
 additionally survives worker death: when the pool breaks (a worker was
 killed, e.g. by the OOM killer), the lost items are resubmitted on a fresh
 pool up to ``max_pool_restarts`` times.

@@ -261,12 +261,11 @@ class _ShardState:
 
 
 class _CacheEntry:
-    __slots__ = ("etag", "rows", "fingerprints", "nbytes")
+    __slots__ = ("etag", "rows", "nbytes")
 
     def __init__(self, etag: str, rows: List[Dict[str, Any]], nbytes: int):
         self.etag = etag
         self.rows = rows
-        self.fingerprints: Optional[List[str]] = None  # computed lazily
         self.nbytes = nbytes
 
 
@@ -275,10 +274,9 @@ class ShardReadCache:
 
     Repeat ``query``/``records`` traffic against a hot shard re-reads and
     re-parses the same JSONL on every request; this cache keeps the parsed
-    rows (and, lazily, their content fingerprints) keyed by the shard's
-    content-defined etag, so an entry self-invalidates the moment the shard
-    changes — an appended record changes the etag and the stale entry is
-    simply never hit again.  Eviction is LRU over an approximate byte
+    rows keyed by the shard's content-defined etag, so an entry
+    self-invalidates the moment the shard changes — an appended record
+    changes the etag and the stale entry is simply never hit again.  Eviction is LRU over an approximate byte
     accounting (the shard's on-disk size), so one huge shard cannot pin the
     whole budget while small hot shards thrash.
 
@@ -358,7 +356,7 @@ class ShardedStore:
         ``"service-torn-line"``, ``"service-lock-stale"``).
     cache:
         Optional :class:`ShardReadCache`; when attached, :meth:`records`,
-        :meth:`count` and :meth:`fingerprints` serve hot shards from parsed
+        :meth:`count` and :meth:`snapshot` serve hot shards from parsed
         memory keyed by the shard's etag instead of re-reading the JSONL.
         Appends/compactions through *this* store invalidate eagerly; writes
         by other processes are caught by the etag key itself.
@@ -436,23 +434,6 @@ class ShardedStore:
             return entry.rows, entry.etag
         rows = self._read_all(problem)
         return rows, _etag_of(row["rid"] for row in rows)
-
-    def fingerprints(self, problem: str) -> List[str]:
-        """Content fingerprints of one shard's records, in append order.
-
-        Served from the read cache when attached — the fingerprints are
-        computed once per shard version and reused until the etag moves,
-        which is what keeps repeat model-cache lookups off the SHA-1 path.
-        """
-        if self.cache is None:
-            return [content_fingerprint(r) for r in self._read_all(problem)]
-        current = self.etag(problem)
-        entry = self.cache.get(problem, current)
-        if entry is None:
-            entry = self._fill_cache(problem)
-        if entry.fingerprints is None:
-            entry.fingerprints = [content_fingerprint(r) for r in entry.rows]
-        return list(entry.fingerprints)
 
     def _cached_rows(self, problem: str) -> List[Dict[str, Any]]:
         """Parsed rows of one shard, through the read cache when attached."""

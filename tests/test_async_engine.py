@@ -377,7 +377,7 @@ class TestStragglerCampaign:
             n_objectives=2,
         )
         res = GPTune(problem, _options()).tune([{"t": 1}], 6)
-        assert len(res.events.of_kind("async-fallback")) == 0
+        assert res.events.of_kind("async-start")[0].fields["policy"] == "streaming"
         assert len(res.events.of_kind("async-start")) == 1
         assert res.data.n_samples(0) >= 6
         _assert_no_duplicates(res)
@@ -387,26 +387,38 @@ class TestStragglerCampaign:
         # threaded through the async fit/extend path
         problem = _problem(models=[lambda t, c: float(t["t"]) * float(c["x"])])
         res = GPTune(problem, _options()).tune(TASKS, 6)
-        assert len(res.events.of_kind("async-fallback")) == 0
+        assert res.events.of_kind("async-start")[0].fields["policy"] == "streaming"
         assert len(res.events.of_kind("async-start")) == 1
         for i in range(len(TASKS)):
             assert res.data.n_samples(i) == 6
         _assert_no_duplicates(res)
 
-    def test_unsupported_combo_raises_without_escape_hatch(self):
-        # the one remaining unsupported shape (γ > 1 + models) must fail
-        # fast, not silently demote to lockstep
+    def test_multiobjective_perf_model_campaign_streams(self):
+        # γ > 1 with performance models used to be the one shape that could
+        # not stream; the campaign's featurizer now enriches the NSGA-II
+        # candidates and the constant-liar rows too
         problem = TuningProblem(
             Space([Integer("t", 0, 10)]),
             Space([Real("x", 0.0, 1.0)]),
-            lambda t, c: [c["x"], 1.0 - c["x"]],
+            lambda t, c: [c["x"], 1.0 - c["x"] + 0.01 * t["t"]],
             n_objectives=2,
             models=[lambda t, c: float(c["x"])],
         )
-        with pytest.raises(ValueError, match="allow_async_fallback"):
-            GPTune(problem, _options()).tune([{"t": 1}], 6)
-        res = GPTune(problem, _options(allow_async_fallback=True)).tune([{"t": 1}], 6)
-        ev = res.events.of_kind("async-fallback")
-        assert len(ev) == 1 and "reason" in ev[0].fields
-        assert len(res.events.of_kind("async-start")) == 0
-        assert res.data.n_samples(0) >= 6  # lockstep multi-objective batches
+
+        def run(shuffle_seed=None):
+            sched = SimScheduler(
+                # integer durations: drains often hold several completions
+                lambda i, c: float(1 + i + int(3.0 * float(c["x"]))),
+                clock=SimClock(),
+                shuffle_seed=shuffle_seed,
+            )
+            opts = _options(nsga_pop=12, nsga_gens=5)
+            return GPTune(problem, opts, scheduler=sched).tune(TASKS, 6)
+
+        res = run()
+        assert res.events.of_kind("async-start")[0].fields["policy"] == "streaming"
+        for i in range(len(TASKS)):
+            assert res.data.n_samples(i) == 6
+        _assert_no_duplicates(res)
+        for other in (run(), run(shuffle_seed=7)):
+            assert other.data.to_records() == res.data.to_records()

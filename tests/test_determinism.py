@@ -49,6 +49,14 @@ def _problem():
     )
 
 
+def _linear_model():
+    from repro.core.perfmodel import LinearPerformanceModel
+
+    return LinearPerformanceModel(
+        [lambda t, c: float(c["x"]), lambda t, c: 0.1 * float(t["t"]) + 0.1]
+    )
+
+
 def _run(**kw):
     return GPTune(_problem(), _options(**kw)).tune(TASKS, BUDGET)
 
@@ -76,6 +84,21 @@ class TestBackendDeterminism:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_backend_matches_serial(self, serial_result, backend):
         _assert_same_data(serial_result, _run(backend=backend, n_workers=2))
+
+    def test_process_backend_with_unpicklable_models(self):
+        """Evaluation workers receive the problem without its performance
+        models, so closure-built models do not stop the process backend."""
+
+        def run(**kw):
+            problem = TuningProblem(
+                Space([Integer("t", 0, 10)]),
+                Space([Real("x", 0.0, 1.0)]),
+                _objective,
+                models=[lambda t, c: float(c["x"])],
+            )
+            return GPTune(problem, _options(**kw)).tune(TASKS, 6)
+
+        _assert_same_data(run(), run(backend="process", n_workers=2))
 
 
 class _Kill(Exception):
@@ -130,6 +153,31 @@ class TestKillResume:
         resumed = fresh.resume(path)
         _assert_same_data(ref, resumed)
         np.testing.assert_array_equal(ref.models[0].theta, resumed.models[0].theta)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_kill_and_resume_with_models(self, tmp_path, k):
+        """A lockstep campaign with performance models keeps one featurizer,
+        so with ``refit_interval=2`` it extends its posterior between full
+        fits; the checkpoint carries the featurizer state and the resumed
+        run matches the uninterrupted one."""
+        from repro.apps.scalapack import PDGEQRF
+        from repro.runtime.machine import cori_haswell
+
+        app = PDGEQRF(machine=cori_haswell(1), mn_max=8000, seed=3)
+        tasks, budget = app.sample_tasks(2, 5), 10
+
+        def tuner(**kw):
+            # a fresh problem each time: the linear models carry fitted state
+            return GPTune(app.problem(with_models=True), _options(refit_interval=2, **kw))
+
+        ref = tuner().tune(tasks, budget)
+        assert ref.events.count("model-extend") > 0
+        path = str(tmp_path / "run-models.ck.json")
+        with pytest.raises(_Kill):
+            tuner(checkpoint_path=path).tune(tasks, budget, callback=_kill_at(k))
+        ck = RunCheckpoint.load(path)
+        assert ck.version == 2 and "featurizer" in ck.modeling
+        _assert_same_data(ref, tuner(checkpoint_path=path).resume(path))
 
     def test_resume_completed_run_adds_nothing(self, tmp_path):
         path = str(tmp_path / "run.ck.json")
@@ -217,7 +265,11 @@ class TestAsyncKillResume:
         _assert_same_data(ref, resumed)
         assert len(resumed.events.of_kind("resume")) == 1
 
-    def test_lockstep_resume_of_pending_checkpoint_rejected(self, tmp_path):
+    def test_lockstep_resume_of_async_checkpoint_resubmits_pending(self, tmp_path):
+        """The barrier policy resumes a streaming checkpoint: its first
+        round drains the resubmitted in-flight set (queued behind a smaller
+        ``max_inflight``), so no evaluation is lost, and the campaign still
+        ends at exactly the budget."""
         path = str(tmp_path / "async.ck.json")
         tuner = GPTune(
             _problem(),
@@ -226,8 +278,45 @@ class TestAsyncKillResume:
         )
         with pytest.raises(_Kill):
             tuner.tune(TASKS, BUDGET, callback=_kill_at(2))
-        with pytest.raises(ValueError, match="in-flight"):
-            GPTune(_problem(), _options()).resume(path)
+        ck = RunCheckpoint.load(path)
+        assert len(ck.pending) > 1
+        resumed = GPTune(_problem(), _options(max_inflight=1)).resume(path)
+        keys = [{tuple(sorted(x.items())) for x in xs} for xs in resumed.data.X]
+        for entry in ck.pending:
+            assert tuple(sorted(entry["x"].items())) in keys[entry["task"]]
+        for i in range(len(TASKS)):
+            assert resumed.data.X[i][: len(ck.X[i])] == ck.X[i]
+            assert resumed.data.n_samples(i) == BUDGET
+            assert len(keys[i]) == BUDGET
+
+    def test_queued_pending_survive_a_second_kill(self, tmp_path):
+        """Resumed under a smaller ``max_inflight``, the pending set waits in
+        the queue; checkpoints written meanwhile still carry the queued
+        entries, so a second kill loses none of them."""
+        path = str(tmp_path / "async-queue.ck.json")
+
+        def tuner(**kw):
+            return GPTune(
+                _problem(),
+                _async_options(checkpoint_path=path, **kw),
+                scheduler=SimScheduler(_duration, clock=SimClock()),
+            )
+
+        with pytest.raises(_Kill):
+            tuner().tune(TASKS, BUDGET, callback=_kill_at(2))
+        first = RunCheckpoint.load(path)
+        assert len(first.pending) > 1
+        with pytest.raises(_Kill):
+            tuner(max_inflight=1).resume(path, callback=_kill_at(3))
+        second = RunCheckpoint.load(path)
+        assert len(second.pending) == len(first.pending) - 1
+        final = tuner(max_inflight=1).resume(path)
+        for entry in first.pending:
+            assert entry["x"] in final.data.X[entry["task"]]
+        for i in range(len(TASKS)):
+            assert final.data.n_samples(i) == BUDGET
+            keys = [tuple(sorted(d.items())) for d in final.data.X[i]]
+            assert len(keys) == len(set(keys))
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_kill_and_resume_with_refit_interval(self, tmp_path, k):
@@ -275,28 +364,25 @@ class TestAsyncKillResume:
         assert ck.version == 2 and ck.modeling["warm"]
         _assert_same_data(ref, tuner(checkpoint_path=path).resume(path))
 
-    def test_resume_when_problem_stops_qualifying(self, tmp_path):
-        """An async-written checkpoint (pending non-empty) resumed after the
-        problem stopped qualifying for streaming names the real cause, not
-        the misleading lockstep in-flight error."""
-        path = str(tmp_path / "async-mo.ck.json")
-        tuner = GPTune(
-            _mo_problem(),
-            _async_options(checkpoint_path=path),
-            scheduler=SimScheduler(_duration, clock=SimClock()),
-        )
-        with pytest.raises(_Kill):
-            tuner.tune(TASKS, BUDGET, callback=_kill_at(2))
-        assert RunCheckpoint.load(path).pending
-        # same problem, now carrying performance models: γ > 1 + models is
-        # the one shape the streaming loop does not support
-        degraded = _mo_problem(models=[lambda t, c: float(c["x"])])
-        with pytest.raises(ValueError, match="no longer qualifies"):
-            GPTune(
-                degraded,
-                _async_options(),
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_kill_and_resume_multiobjective_with_models(self, tmp_path, k):
+        """γ > 1 with performance models streams and resumes bit-identically:
+        the featurizer state rides the checkpoint beside the in-flight set."""
+
+        def tuner(**kw):
+            return GPTune(
+                _mo_problem(models=[_linear_model()]),
+                _async_options(refit_interval=3, nsga_pop=12, nsga_gens=5, **kw),
                 scheduler=SimScheduler(_duration, clock=SimClock()),
-            ).resume(path)
+            )
+
+        ref = tuner().tune(TASKS, BUDGET)
+        path = str(tmp_path / "mo-model-async.ck.json")
+        with pytest.raises(_Kill):
+            tuner(checkpoint_path=path).tune(TASKS, BUDGET, callback=_kill_at(k))
+        ck = RunCheckpoint.load(path)
+        assert ck.pending and "featurizer" in ck.modeling
+        _assert_same_data(ref, tuner(checkpoint_path=path).resume(path))
 
 
 def _mo_objective(t, c):
@@ -334,7 +420,7 @@ class TestAsyncMultiObjective:
 
     def test_streams_not_falls_back(self, mo_result):
         assert len(mo_result.events.of_kind("async-start")) == 1
-        assert len(mo_result.events.of_kind("async-fallback")) == 0
+        assert mo_result.events.of_kind("async-start")[0].fields["policy"] == "streaming"
 
     def test_same_seed_is_reproducible(self, mo_result):
         _assert_same_data(mo_result, _mo_async_run())
@@ -369,17 +455,11 @@ class TestAsyncMultiObjective:
 
 
 def _model_problem():
-    from repro.core.perfmodel import LinearPerformanceModel
-
     return TuningProblem(
         Space([Integer("t", 0, 10)]),
         Space([Real("x", 0.0, 1.0)]),
         _objective,
-        models=[
-            LinearPerformanceModel(
-                [lambda t, c: float(c["x"]), lambda t, c: 0.1 * float(t["t"]) + 0.1]
-            )
-        ],
+        models=[_linear_model()],
     )
 
 
@@ -401,7 +481,7 @@ class TestAsyncPerfModels:
 
     def test_streams_not_falls_back(self, model_result):
         assert len(model_result.events.of_kind("async-start")) == 1
-        assert len(model_result.events.of_kind("async-fallback")) == 0
+        assert model_result.events.of_kind("async-start")[0].fields["policy"] == "streaming"
 
     def test_same_seed_is_reproducible(self, model_result):
         _assert_same_data(model_result, _model_async_run())
@@ -430,6 +510,27 @@ class TestAsyncPerfModels:
             scheduler=SimScheduler(_duration, clock=SimClock()),
         )
         _assert_same_data(ref, fresh.resume(path))
+
+
+class TestAsyncPendingPenalty:
+    """The ``"lp"`` and ``"none"`` pending-point rules, γ = 1 and γ > 1."""
+
+    @staticmethod
+    def _run(penalty, gamma):
+        problem = _problem() if gamma == 1 else _mo_problem()
+        sched = SimScheduler(_duration, clock=SimClock())
+        opts = _async_options(pending_penalty=penalty, nsga_pop=12, nsga_gens=5)
+        return GPTune(problem, opts, scheduler=sched).tune(TASKS, BUDGET)
+
+    @pytest.mark.parametrize("gamma", [1, 2])
+    @pytest.mark.parametrize("penalty", ["lp", "none"])
+    def test_reproducible_exact_budget_no_duplicates(self, penalty, gamma):
+        res = self._run(penalty, gamma)
+        _assert_same_data(res, self._run(penalty, gamma))
+        for i in range(len(TASKS)):
+            assert res.data.n_samples(i) == BUDGET
+            keys = [tuple(sorted(d.items())) for d in res.data.X[i]]
+            assert len(keys) == len(set(keys))
 
 
 class TestAsyncRefitInterval:
