@@ -138,8 +138,8 @@ def run_lockstep():
     The lockstep loop evaluates the LHS design in one batch, then one
     proposal per task per iteration.  Each batch runs on ``N_WORKERS``
     workers (LPT); the barrier means batch walls add up — exactly the
-    schedule ``ProcessBackend`` would execute, with the simulated durations
-    substituted for real wall time.
+    schedule a ``ProcessScheduler`` drained to empty each round would
+    execute, with the simulated durations substituted for real wall time.
     """
     res = GPTune(_problem(), _options(backend="serial")).tune(TASKS, N_SAMPLES)
     eps_init = max(2, int(round(N_SAMPLES * _options().initial_fraction)))

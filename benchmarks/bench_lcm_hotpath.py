@@ -60,6 +60,7 @@ from repro.core.kernels import pairwise_sq_diffs
 from repro.core import lbfgsb, lcm as lcm_module
 from repro.core.lcm import LCM
 from repro.reporting import phase_breakdown
+from repro.runtime.async_engine import SerialScheduler
 
 DEFAULT_OUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "results", "BENCH_lcm.json"
@@ -220,15 +221,13 @@ class _CountingPath:
         return res
 
 
-class _RestartPerGroup:
-    """An in-process executor whose ``n_workers`` makes :meth:`LCM.fit`
-    run every restart as its own group."""
+class _RestartPerGroup(SerialScheduler):
+    """An inline scheduler whose ``n_workers`` makes :meth:`LCM.fit` run
+    every restart as its own group."""
 
     def __init__(self, n_workers):
+        super().__init__()
         self.n_workers = n_workers
-
-    def map(self, fn, jobs):
-        return [fn(job) for job in jobs]
 
 
 #: the three fit paths of ``fit_paths``: (optimizer at the seam, restart

@@ -17,12 +17,12 @@ Hyperparameters — per-latent ARD lengthscales ``l_j^q``, task loadings
 likelihood with multi-start L-BFGS and *analytic* gradients, matching the
 reference implementation.  The restarts run in lockstep: one L-BFGS driver
 advances all of them and evaluates, each round, the rows that ask for a new
-``(f, g)`` in one stacked likelihood call.  With an executor (Sec. 4.3,
-level-1 parallelism), ``min(n_start, n_workers)`` contiguous groups of
-restarts are mapped over it, each group in lockstep.  Threads do not
-overlap this work: on a 2-vCPU guest a 3-start fit over
-``ThreadBackend(2)`` took ×1.49 of serial at δ=6, β=1, N=48 and ×0.83 at
-δ=2, β=1, N=128, against ×0.79 and ×0.60 over ``ProcessBackend(2)``.
+``(f, g)`` in one stacked likelihood call.  With an executor — one of the
+:mod:`repro.runtime.async_engine` schedulers (Sec. 4.3, level-1
+parallelism) — ``min(n_start, n_workers)`` contiguous groups of restarts
+are mapped over it with :func:`~repro.runtime.async_engine.run_all`, each
+group in lockstep.  Threads do not overlap this work; processes do (the
+measured fit-time ratios are in ``docs/PERFORMANCE.md``).
 
 The likelihood/gradient evaluation is the dominant tuner cost (Sec. 4.3
 devotes the whole parallel-modeling design to it), so it runs through a
@@ -91,6 +91,7 @@ from .kernels import (
     pairwise_sq_diffs,
 )
 from ..observability.spans import maybe_span
+from ..runtime.async_engine import run_all
 
 __all__ = ["LCMParams", "LCM"]
 
@@ -154,7 +155,7 @@ class _Workspace:
     fresh each call dominates small-N evaluations.  The buffers are sized
     for the widest lockstep round seen at this ``(Q, N)``; a narrower round
     uses their leading ``R`` rows.  One workspace per thread keeps
-    executor-mapped restart groups race-free.
+    scheduler-mapped restart groups race-free.
     """
 
     def __init__(self, R: int, Q: int, N: int):
@@ -210,10 +211,13 @@ class LCM:
     seed:
         Seed for restart initialization.
     executor:
-        Optional object with ``map(fn, iterable) -> list`` and an
-        ``n_workers`` count (1 when absent); when given, the restarts run
-        through it as ``min(n_start, n_workers)`` contiguous lockstep groups
-        (thread/process/simulated-MPI parallelism).
+        Optional scheduler with an ``n_workers`` count (1 when absent) — a
+        :class:`~repro.runtime.async_engine.ThreadScheduler` or
+        :class:`~repro.runtime.async_engine.ProcessScheduler`, or any object
+        with the scheduler protocol; when given, the restarts run through it
+        (:func:`~repro.runtime.async_engine.run_all`) as
+        ``min(n_start, n_workers)`` contiguous lockstep groups.  It must have
+        nothing else in flight during the fit.
     restart_offset:
         First restart index; restart 0 uses a deterministic heuristic
         initialization, higher indices draw random ones.  Distributed-memory
@@ -281,7 +285,7 @@ class LCM:
         self._batch_cache: dict = {}
 
     def __getstate__(self):
-        # Executors hold process-local pools (locks, pipes) that cannot cross
+        # Schedulers hold process-local pools (locks, pipes) that cannot cross
         # a pickle boundary; a worker-side copy runs its restarts inline.
         # Scratch workspaces and caches are droppable and thread-local.
         state = self.__dict__.copy()
@@ -665,7 +669,7 @@ class LCM:
             for s in range(self.n_start)
         ]
         bounds = self._bounds()
-        # one lockstep group, or one contiguous group per executor worker
+        # one lockstep group, or one contiguous group per scheduler worker
         n_groups = 1
         if self.executor is not None:
             n_groups = min(self.n_start, int(getattr(self.executor, "n_workers", 1)))
@@ -677,7 +681,7 @@ class LCM:
             "model.fit", n=int(X.shape[0]), n_starts=self.n_start, warm=theta0 is not None
         ):
             if self.executor is not None:
-                groups = list(self.executor.map(self._optimize_group, jobs))
+                groups = run_all(self.executor, self._optimize_group, jobs)
             else:
                 groups = [self._optimize_group(jobs[0])]
         results = [r for group in groups for r in group]

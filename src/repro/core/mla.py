@@ -6,8 +6,8 @@
 1. **Sampling phase** — an LHS design of ``ε = ε_tot·initial_fraction``
    feasible configurations per task is evaluated.
 2. **Modeling phase** — an LCM is fitted to all data by multi-start L-BFGS
-   (optionally through an executor; Sec. 4.3).  When coarse performance
-   models are attached, a *model-update phase* first refits their
+   (restart groups spread over a worker pool; Sec. 4.3).  When coarse
+   performance models are attached, a *model-update phase* first refits their
    hyperparameters, then the kernel inputs are enriched with the model
    outputs (Sec. 3.3).  The phase's policy — backend choice, warm starts,
    posterior extension, the degradation ladder, and its checkpoint state —
@@ -206,6 +206,9 @@ class GPTune:
         :mod:`repro.runtime.async_engine`).  Tests and benchmarks inject a
         :class:`~repro.runtime.async_engine.SimScheduler` here; by default
         each campaign builds one from ``options.backend``/``n_workers``.
+        Fits never run on it: with a pooled backend each campaign builds a
+        second scheduler for their restart groups and shuts it down at the
+        end.
     """
 
     def __init__(
@@ -228,7 +231,6 @@ class GPTune:
         self.events = CampaignLog()
         self.metrics = MetricsRegistry()
         self._seeds = np.random.SeedSequence(self.options.seed)
-        self._executor = None
         self._search_mode_last: Optional[str] = None
         # surrogate policy (backend choice, warm starts, extension, the
         # degradation ladder, checkpointed modeling state); reset by tune()
@@ -238,7 +240,6 @@ class GPTune:
             self.events,
             self._child_seed,
             model_cache=self.model_cache,
-            executor=self._get_executor,
         )
         self._retry = RetryPolicy(
             max_attempts=self.options.retry_attempts,
@@ -252,17 +253,6 @@ class GPTune:
     # -- internals ---------------------------------------------------------
     def _child_seed(self) -> int:
         return int(self._seeds.spawn(1)[0].generate_state(1)[0])
-
-    def _get_executor(self):
-        if self.options.backend == "serial":
-            return None
-        if self._executor is None:
-            from ..runtime.executor import make_executor
-
-            self._executor = make_executor(
-                self.options.backend, self.options.n_workers, on_event=self.events.record
-            )
-        return self._executor
 
     def _note_search_mode(self, mode: str, algo: str, n_tasks: int) -> None:
         """Record a ``search-mode`` event when the execution path changes."""
@@ -458,8 +448,6 @@ class GPTune:
         active = [i for i in range(data.n_tasks) if i not in frozen_set]
         if not active:
             raise ValueError("all tasks frozen; nothing to tune")
-        # modeling carryover is per-campaign: start this one cold
-        self.fitter.reset(data.n_tasks)
         self._search_mode_last = None
         stats = {
             "objective_time": 0.0,
@@ -520,6 +508,17 @@ class GPTune:
             scheduler = make_scheduler(
                 opts.backend, opts.n_workers, on_event=self.events.record
             )
+        # the fits' restart groups get a second pool of the same kind:
+        # streaming fits run while evaluations are in flight, and an
+        # injected scheduler (SimScheduler's counters and clock) sees
+        # evaluations only.  Serial fits run one inline group.
+        fit_pool = None
+        if opts.backend != "serial":
+            fit_pool = make_scheduler(
+                opts.backend, opts.n_workers, on_event=self.events.record
+            )
+        # modeling carryover is per-campaign: start this one cold
+        self.fitter.reset(data.n_tasks, pool=fit_pool)
         max_inflight = (
             opts.max_inflight if opts.max_inflight is not None else max(2, opts.n_workers)
         )
@@ -726,6 +725,8 @@ class GPTune:
                     break
         finally:
             eng.shutdown()
+            if fit_pool is not None:
+                fit_pool.shutdown()
 
         self.metrics.set_gauge("repro_eval_inflight", 0.0)
         self.events.record(

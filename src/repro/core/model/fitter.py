@@ -56,10 +56,10 @@ class YTransform:
 class SurrogateFitter:
     """Per-campaign surrogate policy for :class:`~repro.core.mla.GPTune`.
 
-    ``seed`` draws the next seed-tree child; ``executor`` returns the pool
-    for parallel multi-starts (called only with
-    ``options.model_restarts_parallel``); ``problem_name`` keys the
+    ``seed`` draws the next seed-tree child; ``problem_name`` keys the
     optional surrogate ``model_cache``; events go to the campaign log.
+    Each campaign hands :meth:`reset` the scheduler its fits map their
+    multi-start restart groups over (``None``: one inline group).
     """
 
     def __init__(
@@ -69,18 +69,18 @@ class SurrogateFitter:
         events,
         seed: Callable[[], int],
         model_cache: Optional[Any] = None,
-        executor: Callable[[], Any] = lambda: None,
     ):
         self.options = options
         self.problem_name = problem_name
         self.events = events
         self._seed = seed
         self.model_cache = model_cache
-        self._executor = executor
         self.reset(0)
 
-    def reset(self, n_tasks: int) -> None:
-        """Start a campaign over ``n_tasks`` tasks with no carryover."""
+    def reset(self, n_tasks: int, pool: Optional[Any] = None) -> None:
+        """Start a campaign over ``n_tasks`` tasks with no carryover; its
+        fits map their restart groups over ``pool``, owned by the caller."""
+        self.pool = pool
         self.n_latent = self.options.n_latent or min(n_tasks, 3)
         self._warm: Dict[int, Dict[str, Any]] = {}
         self._fit_iter = 0
@@ -138,7 +138,6 @@ class SurrogateFitter:
                 X = np.hstack([X, featurizer.scale(raw)])
 
             models, ybests = [], []
-            executor = self._executor() if self.options.model_restarts_parallel else None
             fingerprints = self._fingerprints(data)
             for s in range(gamma):
                 _, ys, _ = data.stacked(s)
@@ -151,7 +150,7 @@ class SurrogateFitter:
                 else:
                     tr = YTransform(self.options.y_transform)
                     yt = tr.fit(ys)
-                    model = self._fit_one(data, X, yt, tidx, executor, s, fingerprints)
+                    model = self._fit_one(data, X, yt, tidx, s, fingerprints)
                     if model is not None:
                         self._warm[s] = {
                             "model": model,
@@ -174,7 +173,7 @@ class SurrogateFitter:
             stats["modeling_time"] += time.perf_counter() - t0
             return models, ybests
 
-    def _fit_one(self, data, X, yt, tidx, executor, objective: int, fingerprints=None):
+    def _fit_one(self, data, X, yt, tidx, objective: int, fingerprints=None):
         """Fit the selected backend, degrading gracefully on failure.
 
         ``model_backend="auto"`` escalates from the exact to the sparse LCM
@@ -215,7 +214,7 @@ class SurrogateFitter:
                     f"{len(fingerprints)} current)",
                 )
         seed = self._seed()
-        model = spec.factory(n_tasks, beta, self.n_latent, n_start, seed, executor, opts)
+        model = spec.factory(n_tasks, beta, self.n_latent, n_start, seed, self.pool, opts)
         try:
             model.fit(X, yt, tidx, theta0=theta0)
         except Exception as e:
@@ -260,6 +259,9 @@ class SurrogateFitter:
                     self.events.record(
                         "model-cache-store", f"objective {objective}: {key[:12]}"
                     )
+                if getattr(model, "executor", None) is not None:
+                    # the pool dies with the campaign; a returned model refits inline
+                    model.executor = None
                 return model
             if not opts.model_fallback:
                 raise RuntimeError(f"{backend} fit diverged and model_fallback is disabled")
@@ -272,7 +274,7 @@ class SurrogateFitter:
             gp = get_backend("gp")
             theta0, n_start = self._warm_start(objective, gp, n_tasks, beta)
             try:
-                model = gp.factory(n_tasks, beta, self.n_latent, n_start, seed, executor, opts)
+                model = gp.factory(n_tasks, beta, self.n_latent, n_start, seed, self.pool, opts)
                 return model.fit(X, yt, tidx, theta0=theta0)
             except Exception as e:
                 backend, reason = "per-task gp", f"{type(e).__name__}: {e}"

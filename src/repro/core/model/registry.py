@@ -61,8 +61,10 @@ class BackendSpec:
         Registry key (also the ``Options.model_backend`` value).
     factory:
         ``factory(n_tasks, n_dims, n_latent, n_start, seed, executor,
-        options) -> model``; ``options`` is the campaign's
-        :class:`~repro.core.options.Options` for backend-specific knobs.
+        options) -> model``; ``executor`` is the scheduler the fit maps
+        its restart groups over (``None``: inline), ``options`` the
+        campaign's :class:`~repro.core.options.Options` for
+        backend-specific knobs.
     supports_theta:
         The model carries a flat θ in the shared :class:`LCMParams` layout
         — warm-startable across iterations *and* backends, and cacheable in

@@ -13,8 +13,8 @@ construction over a shared inducing set of ``M ≪ N`` stacked rows:
 * hyperparameters θ (identical layout to the exact model's
   :class:`~repro.core.lcm.LCMParams`) are estimated by an **inner exact
   LCM fit on the inducing subset** — O(M³), reusing the vectorized
-  likelihood, multi-start machinery, warm starts and executor parallelism
-  of the exact path unchanged;
+  likelihood, multi-start machinery, warm starts and scheduler-mapped
+  restart groups of the exact path unchanged;
 * the posterior over all N observations uses the Nyström approximation
   ``Σ ≈ K_nm K_mm⁻¹ K_mn + Λ`` with ``Λ = diag(d_{t_n})``, giving
 
@@ -129,7 +129,7 @@ class SparseLCM:
         self._batch_cache: dict = {}
 
     def __getstate__(self):
-        # executors hold process-local pools; prediction caches are droppable
+        # schedulers hold process-local pools; prediction caches are droppable
         state = self.__dict__.copy()
         state["executor"] = None
         state["_pred_cache"] = {}

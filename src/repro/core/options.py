@@ -51,9 +51,11 @@ class Options:
     initial_fraction:
         Fraction of ``ε_tot`` used for the initial LHS design (paper: 1/2).
     backend:
-        Backend for the tuner's own parallelism — the evaluation scheduler
-        and the L-BFGS restart executor: ``"serial"``, ``"thread"`` or
-        ``"process"``.
+        Backend for the tuner's own parallelism: ``"serial"``, ``"thread"``
+        or ``"process"``.  Each campaign builds two schedulers of this kind,
+        one for evaluations and one for the L-BFGS restart groups of its
+        fits (Sec. 4.3 level-1 parallelism); ``"serial"`` runs the restarts
+        inline as one lockstep group.
     n_workers:
         Worker count for the thread/process backends.
     async_eval:
@@ -98,9 +100,6 @@ class Options:
     seed:
         Master seed; all randomness (sampling, PSO, NSGA-II, restarts)
         derives from it, making runs reproducible.
-    model_restarts_parallel:
-        Distribute the ``n_start`` restarts over the executor (Sec. 4.3
-        level-1 parallelism).
     max_seconds:
         Optional wall-clock budget for one :meth:`~repro.core.mla.GPTune.tune`
         call; iteration stops once exceeded (the *anytime* usage mode —
@@ -217,7 +216,6 @@ class Options:
     pending_penalty: str = "cl"
     penalty_radius: float = 0.15
     seed: Optional[int] = None
-    model_restarts_parallel: bool = True
     max_seconds: Optional[float] = None
     retry_attempts: int = 1
     retry_backoff: float = 0.0

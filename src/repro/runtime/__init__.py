@@ -1,17 +1,11 @@
-"""Parallel runtime substrate: machine models, simulated MPI, executors."""
+"""Parallel runtime substrate: machine models, simulated MPI, schedulers."""
 
+from .async_engine import WorkerError
 from .distributed_linalg import (
     cholesky_spmd,
     distributed_cholesky,
     distributed_forward_solve,
     forward_substitution_spmd,
-)
-from .executor import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    WorkerError,
-    make_executor,
 )
 from .machine import Machine, cori_haswell, laptop
 from .mpi import InterComm, Request, SimComm, SimJob, run_spmd
@@ -36,15 +30,12 @@ __all__ = [
     "FatalEvaluationError",
     "InterComm",
     "Machine",
-    "ProcessBackend",
     "Request",
     "RetryPolicy",
     "RunCheckpoint",
-    "SerialBackend",
     "SimClock",
     "SimComm",
     "SimJob",
-    "ThreadBackend",
     "TraceEvent",
     "Tracer",
     "WorkerError",
@@ -57,6 +48,5 @@ __all__ = [
     "forward_substitution_spmd",
     "traced",
     "laptop",
-    "make_executor",
     "run_spmd",
 ]

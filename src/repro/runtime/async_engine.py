@@ -18,12 +18,17 @@ The engine separates *queue semantics* from *execution*:
   batch, never on scheduler-internal races.
 * A **scheduler** actually runs the work: :class:`SerialScheduler` (inline,
   deterministic degradation target), :class:`ThreadScheduler` /
-  :class:`ProcessScheduler` (pools over
-  ``concurrent.futures``; the process variant rebuilds a broken pool and
-  resubmits lost evaluations like
-  :class:`~repro.runtime.executor.ProcessBackend`), and
+  :class:`ProcessScheduler` (pools over ``concurrent.futures``; the process
+  variant rebuilds a broken pool and resubmits the lost work), and
   :class:`SimScheduler`, a :class:`~repro.runtime.simclock.SimClock`-driven
   fake executor for deterministic tests and benchmarks.
+
+The schedulers are the package's only worker pools.  Besides evaluations
+they run the modeling phase's multi-start L-BFGS restart groups (Sec. 4.3,
+level 1): :func:`run_all` maps a function over a list of items on any
+scheduler and returns the results in input order, and
+:meth:`repro.core.lcm.LCM.fit` maps its restart groups through it.  A
+failing item surfaces as one :class:`WorkerError` carrying its index.
 
 Determinism contract (proved in ``tests/test_determinism.py``): under a
 deterministic scheduler, the driver's decision stream is a pure function of
@@ -46,11 +51,10 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .executor import WorkerError
 from .simclock import SimClock
 
 __all__ = [
@@ -60,8 +64,26 @@ __all__ = [
     "SerialScheduler",
     "SimScheduler",
     "ThreadScheduler",
+    "WorkerError",
     "make_scheduler",
+    "run_all",
 ]
+
+
+class WorkerError(RuntimeError):
+    """A piece of work started on a scheduler raised (or its worker died).
+
+    Attributes
+    ----------
+    index:
+        The work's sequence id — the evaluation's submission id, or the
+        item's position in a :func:`run_all` map.  The original exception
+        is chained as ``__cause__``.
+    """
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = int(index)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,7 +143,8 @@ class ThreadScheduler:
 
     Evaluations overlap whenever the objective releases the GIL (BLAS,
     subprocess waits, I/O, sleeps).  A raising evaluation surfaces as a
-    :class:`~repro.runtime.executor.WorkerError` carrying its sequence id.
+    :class:`WorkerError` carrying its sequence id.  Only outstanding work
+    is held: an entry is dropped as soon as its result is collected.
     """
 
     def __init__(self, n_workers: int = 2,
@@ -143,11 +166,20 @@ class ThreadScheduler:
         self._items[seq] = (fn, payload)
         self._futures[seq] = self._pool.submit(fn, payload)
 
-    def _recover(self, lost: List[int]) -> None:
-        raise WorkerError(lost[0], f"thread pool broken on evaluation {lost[0]}")
+    def _recover(self, lost: List[int], cause: BaseException) -> None:
+        # a thread pool breaks only for good; fail one lost evaluation per call
+        self._pop(lost[0])
+        raise WorkerError(
+            lost[0], f"thread pool broken on evaluation {lost[0]}"
+        ) from cause
 
     def wait(self) -> List[Tuple[int, Any]]:
-        """Block until at least one in-flight evaluation completes."""
+        """Block until at least one in-flight evaluation completes.
+
+        A raising evaluation is raised as a :class:`WorkerError`, the
+        lowest-numbered first; completed results stay queued for the next
+        ``wait()``.
+        """
         while True:
             if not self._futures:
                 raise RuntimeError("wait() with nothing in flight")
@@ -155,23 +187,23 @@ class ThreadScheduler:
                 list(self._futures.values()),
                 return_when=concurrent.futures.FIRST_COMPLETED,
             )
-            out: List[Tuple[int, Any]] = []
-            lost: List[int] = []
-            for seq in sorted(self._futures):
-                fut = self._futures[seq]
-                if fut not in done:
-                    continue
-                del self._futures[seq]
-                try:
-                    out.append((seq, fut.result()))
-                except concurrent.futures.BrokenExecutor:
-                    lost.append(seq)
-                except Exception as e:
-                    raise WorkerError(seq, f"evaluation {seq} failed: {e}") from e
+            finished = [(seq, fut.exception()) for seq, fut in sorted(self._futures.items())
+                        if fut in done]
+            for seq, exc in finished:
+                if exc is not None and not isinstance(exc, concurrent.futures.BrokenExecutor):
+                    self._pop(seq)
+                    raise WorkerError(seq, f"evaluation {seq} failed: {exc}") from exc
+            lost = [(seq, exc) for seq, exc in finished if exc is not None]
             if lost:
-                self._recover(lost)
+                self._recover([seq for seq, _ in lost], lost[0][1])
+            out = [(seq, self._pop(seq).result()) for seq, exc in finished if exc is None]
             if out:
                 return out
+
+    def _pop(self, seq: int) -> concurrent.futures.Future:
+        """Forget a finished evaluation; returns its future."""
+        del self._items[seq]
+        return self._futures.pop(seq)
 
     def remaining(self, seq: int) -> Optional[float]:
         """Real executors cannot estimate time left; always ``None``."""
@@ -189,11 +221,13 @@ class ThreadScheduler:
 class ProcessScheduler(ThreadScheduler):
     """Pool scheduler over ``ProcessPoolExecutor`` with worker-death recovery.
 
-    When the pool breaks (a worker was killed — OOM, segfault), the lost
-    evaluations are resubmitted on a rebuilt pool up to ``max_pool_restarts``
-    times, mirroring :class:`~repro.runtime.executor.ProcessBackend`; every
-    rebuild emits a ``("worker-death", ...)`` event.  Evaluation callables
-    and payloads must be picklable.
+    When the pool breaks (a worker was killed — OOM, segfault), it is
+    rebuilt and every outstanding evaluation is resubmitted; each rebuild
+    emits a ``("worker-death", ...)`` event.  The ``max_pool_restarts``
+    budget covers the scheduler's lifetime: past it, a rebuild gives up on
+    the lowest lost evaluation (raised as a :class:`WorkerError`) and
+    still resubmits the rest, so the scheduler keeps serving.  Evaluation
+    callables and payloads must be picklable.
     """
 
     def __init__(self, n_workers: int = 2, max_pool_restarts: int = 2,
@@ -205,28 +239,32 @@ class ProcessScheduler(ThreadScheduler):
     def _make_pool(self):
         return concurrent.futures.ProcessPoolExecutor(max_workers=self.n_workers)
 
-    def _recover(self, lost: List[int]) -> None:
+    def _recover(self, lost: List[int], cause: BaseException) -> None:
         self._restarts += 1
-        if self._restarts > self.max_pool_restarts:
+        give_up = self._restarts > self.max_pool_restarts
+        if give_up:
+            self._pop(lost[0])
+        # a broken pool poisons every future it had not finished: resubmit
+        # all but the completed results on a fresh pool
+        resubmit = [seq for seq, fut in sorted(self._futures.items())
+                    if not (fut.done() and fut.exception() is None)]
+        if not give_up and self.on_event is not None:
+            self.on_event(
+                "worker-death",
+                f"pool broken; resubmitting {len(resubmit)} evaluation(s) "
+                f"(restart {self._restarts}/{self.max_pool_restarts})",
+            )
+        self._pool.shutdown(wait=False)
+        self._pool = self._make_pool()
+        for seq in resubmit:
+            fn, payload = self._items[seq]
+            self._futures[seq] = self._pool.submit(fn, payload)
+        if give_up:
             raise WorkerError(
                 lost[0],
                 f"worker died {self._restarts} time(s); "
                 f"giving up on evaluation {lost[0]}",
-            )
-        if self.on_event is not None:
-            self.on_event(
-                "worker-death",
-                f"pool broken; resubmitting {len(lost)} evaluation(s) "
-                f"(restart {self._restarts}/{self.max_pool_restarts})",
-            )
-        # a broken pool poisons every outstanding future: recollect them all
-        lost_all = sorted(set(lost) | set(self._futures))
-        self._futures.clear()
-        self._pool.shutdown(wait=False)
-        self._pool = self._make_pool()
-        for seq in lost_all:
-            fn, payload = self._items[seq]
-            self._futures[seq] = self._pool.submit(fn, payload)
+            ) from cause
 
 
 class SimScheduler:
@@ -322,6 +360,41 @@ def make_scheduler(backend: str, n_workers: int = 2,
     if backend == "process":
         return ProcessScheduler(n_workers, on_event=on_event)
     raise ValueError(f"unknown backend {backend!r}")
+
+
+def run_all(scheduler, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
+    """Run ``fn`` on every item through ``scheduler``; results in input order.
+
+    Item ``i`` is started under sequence id ``i``, so the scheduler must have
+    nothing else in flight.  On a failure every item already started is
+    still drained, leaving the scheduler empty and reusable, and then the
+    :class:`WorkerError` of the lowest failing index is raised (the item's
+    exception chained as its cause).  An inline scheduler stops starting
+    items at the first failure.
+    """
+    results: List[Any] = [None] * len(items)
+    errors: Dict[int, WorkerError] = {}
+    outstanding = set()
+    for i, item in enumerate(items):
+        try:
+            scheduler.start(i, fn, item)
+        except WorkerError as e:
+            errors[i] = e
+            break
+        outstanding.add(i)
+    while outstanding:
+        try:
+            batch = scheduler.wait()
+        except WorkerError as e:
+            errors[e.index] = e
+            outstanding.discard(e.index)
+            continue
+        for i, result in batch:
+            results[i] = result
+            outstanding.discard(i)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 class AsyncEvalEngine:

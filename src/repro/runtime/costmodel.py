@@ -17,7 +17,6 @@ from .machine import Machine
 __all__ = [
     "pt2pt_time",
     "bcast_time",
-    "reduce_time",
     "allreduce_time",
     "gather_time",
     "alltoall_time",
@@ -38,11 +37,6 @@ def bcast_time(machine: Machine, nbytes: float, p: int) -> float:
     """Binomial-tree broadcast: ``ceil(log2 p) (α + nβ)``."""
     p = max(1, int(p))
     return math.ceil(math.log2(p)) * machine.time_message(nbytes) if p > 1 else 0.0
-
-
-def reduce_time(machine: Machine, nbytes: float, p: int) -> float:
-    """Binomial-tree reduction (same α-β shape as broadcast)."""
-    return bcast_time(machine, nbytes, p)
 
 
 def allreduce_time(machine: Machine, nbytes: float, p: int) -> float:

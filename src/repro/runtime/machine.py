@@ -79,11 +79,6 @@ class Machine:
         """Seconds for one point-to-point message of ``nbytes`` (α-β model)."""
         return self.latency + float(nbytes) * self.inv_bandwidth
 
-    def time_memory(self, nbytes: float, nodes: int = 1) -> float:
-        """Seconds to stream ``nbytes`` through memory on ``nodes`` nodes."""
-        nodes = max(1, min(int(nodes), self.nodes))
-        return float(nbytes) / (self.mem_bandwidth * nodes)
-
 
 def cori_haswell(nodes: int = 1) -> Machine:
     """The Cori Haswell partition used throughout Sec. 6.

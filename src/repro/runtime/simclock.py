@@ -39,6 +39,3 @@ class SimClock:
     def reset(self, t: float = 0.0) -> None:
         """Reset to an absolute time (test helper)."""
         self._t = float(t)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SimClock(t={self._t:.6g})"

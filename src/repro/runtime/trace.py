@@ -182,13 +182,6 @@ class CampaignLog:
                     break
         return total
 
-    def render(self) -> str:
-        """Human-readable one-line-per-event listing."""
-        ev = self.events
-        if not ev:
-            return "(no events)"
-        return "\n".join(f"[{e.seq:>4}] {e.kind:<16} {e.detail}" for e in ev)
-
     # -- JSONL export / import ----------------------------------------------
     def dump_jsonl(self, path: str) -> int:
         """Write every event as one JSON object per line; returns the count."""

@@ -1,6 +1,6 @@
 """Straggler/fault battery for the asynchronous evaluation engine.
 
-Three layers are exercised:
+Four layers are exercised:
 
 * engine invariants — the bounded in-flight cap is enforced, drain batches
   are published in submission-sequence order regardless of scheduler-side
@@ -11,10 +11,17 @@ Three layers are exercised:
   rebuild + resubmission;
 * streaming behaviour — a 50×-median straggler holds exactly one slot while
   every other task keeps completing, so the campaign makespan tracks the
-  straggler, not the sum of all evaluations.
+  straggler, not the sum of all evaluations;
+* ``run_all`` and pool lifetime — the map every pooled LCM fit runs its
+  restart groups through (order, failure attribution, worker death), and
+  the guarantee that a campaign's pools die with it.
 """
 
+import concurrent.futures
+import multiprocessing
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,9 +34,10 @@ from repro.runtime.async_engine import (
     SerialScheduler,
     SimScheduler,
     ThreadScheduler,
+    WorkerError,
     make_scheduler,
+    run_all,
 )
-from repro.runtime.executor import WorkerError
 from repro.runtime.simclock import SimClock
 
 TASKS = [{"t": 1}, {"t": 4}]
@@ -124,6 +132,19 @@ class TestEngineInvariants:
         assert len(snap) == 1
         seq, task, cfg, eta = snap[0]
         assert task == 1 and cfg == {"d": 5.0} and eta == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("make", [SerialScheduler, lambda: ThreadScheduler(1)],
+                             ids=["serial", "thread"])
+    def test_real_schedulers_snapshot_without_eta(self, make):
+        # a checkpoint taken mid-flight on a real scheduler carries no eta
+        eng = AsyncEvalEngine(_echo, make(), max_inflight=2)
+        try:
+            eng.submit(0, {"x": 0.1})
+            eng.submit(1, {"x": 0.2})
+            snap = eng.pending_snapshot()
+            assert [(seq, task, eta) for seq, task, _, eta in snap] == [(0, 0, None), (1, 1, None)]
+        finally:
+            eng.shutdown()
 
     def test_resubmitted_eta_overrides_duration(self):
         # resume path: a checkpointed eta must win over duration(task, cfg)
@@ -244,6 +265,179 @@ class TestProcessWorkerDeath:
 def _crash_forever(payload):
     """A worker that always dies — exhausts the pool-restart budget."""
     os._exit(1)
+
+
+# -- run_all: the map every LCM restart-group fit goes through ---------------
+
+
+def _square(x):
+    return x * x
+
+
+def _fail_on_three(item):
+    """Raise for value 3 after sleeping ``delay`` (so a later failing item
+    can finish first)."""
+    value, delay = item
+    time.sleep(delay)
+    if value == 3:
+        raise ValueError("bad three")
+    return value * 10
+
+
+def _die_once_item(item):
+    """Kill the worker on the first item to find no marker; module-level so
+    it pickles into the process pool."""
+    marker, value = item
+    if not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        os._exit(1)
+    return value * 2
+
+
+SCHEDULERS = [
+    pytest.param(SerialScheduler, id="serial"),
+    pytest.param(lambda: ThreadScheduler(2), id="thread"),
+    pytest.param(lambda: ProcessScheduler(2), id="process"),
+]
+
+
+class TestRunAll:
+    @pytest.mark.parametrize("make", SCHEDULERS)
+    def test_order_preserved(self, make):
+        sched = make()
+        try:
+            assert run_all(sched, _square, list(range(10))) == [i * i for i in range(10)]
+        finally:
+            sched.shutdown()
+
+    @pytest.mark.parametrize("make", SCHEDULERS)
+    def test_lowest_failing_index_surfaces(self, make):
+        # item 3 fails first on a pool; item 1 fails later but ranks first
+        sched = make()
+        try:
+            with pytest.raises(WorkerError) as ei:
+                run_all(sched, _fail_on_three, [(1, 0.0), (3, 0.3), (2, 0.0), (3, 0.0)])
+            assert ei.value.index == 1
+            assert isinstance(ei.value.__cause__, ValueError)
+            assert "bad three" in str(ei.value.__cause__)
+        finally:
+            sched.shutdown()
+
+    @pytest.mark.parametrize("make", SCHEDULERS)
+    def test_failed_map_drains_and_scheduler_serves_next_map(self, make):
+        sched = make()
+        try:
+            with pytest.raises(WorkerError):
+                run_all(sched, _fail_on_three, [(3, 0.0), (1, 0.2), (2, 0.0)])
+            with pytest.raises(RuntimeError, match="nothing in flight"):
+                sched.wait()
+            assert run_all(sched, _square, [4, 5]) == [16, 25]
+        finally:
+            sched.shutdown()
+
+    def test_worker_count_validation(self):
+        for cls in (ThreadScheduler, ProcessScheduler):
+            with pytest.raises(ValueError):
+                cls(0)
+
+    def test_start_after_shutdown_raises(self):
+        sched = ThreadScheduler(1)
+        sched.shutdown()
+        with pytest.raises(RuntimeError):
+            run_all(sched, _square, [1])
+
+    def test_lost_items_resubmitted_on_fresh_pool(self, tmp_path):
+        events = []
+        marker = str(tmp_path / "died")
+        sched = ProcessScheduler(1, on_event=lambda kind, detail: events.append(kind))
+        try:
+            out = run_all(sched, _die_once_item, [(marker, 1), (marker, 2), (marker, 3)])
+            assert out == [2, 4, 6]
+            assert "worker-death" in events
+        finally:
+            sched.shutdown()
+
+    def test_poison_item_exhausts_restarts(self):
+        sched = ProcessScheduler(1, max_pool_restarts=1)
+        try:
+            with pytest.raises(WorkerError, match="giving up") as ei:
+                run_all(sched, _crash_forever, [0])
+            assert ei.value.index == 0
+            assert isinstance(ei.value.__cause__, concurrent.futures.BrokenExecutor)
+            # giving up rebuilt the pool, so the scheduler still serves
+            assert run_all(sched, _square, [3]) == [9]
+        finally:
+            sched.shutdown()
+
+
+def _fail_init():
+    raise RuntimeError("initializer failed")
+
+
+class _BrokenThreadScheduler(ThreadScheduler):
+    """A thread pool that breaks on first use (its initializer raises)."""
+
+    def _make_pool(self):
+        return concurrent.futures.ThreadPoolExecutor(1, initializer=_fail_init)
+
+
+class TestBrokenThreadPool:
+    def test_every_item_fails_loudly_and_the_map_ends(self):
+        sched = _BrokenThreadScheduler(1)
+        try:
+            with pytest.raises(WorkerError, match="thread pool broken") as ei:
+                run_all(sched, _square, [1, 2, 3])
+            assert ei.value.index == 0
+            assert isinstance(ei.value.__cause__, concurrent.futures.BrokenExecutor)
+            with pytest.raises(RuntimeError, match="nothing in flight"):
+                sched.wait()
+        finally:
+            sched.shutdown()
+
+
+class TestPoolLifetime:
+    @pytest.mark.parametrize("cls", [ThreadScheduler, ProcessScheduler])
+    def test_drained_work_is_not_retained(self, cls):
+        """Only outstanding work is held: every drained evaluation's
+        callable and payload are released."""
+        sched = cls(2)
+        eng = AsyncEvalEngine(_echo, sched, max_inflight=3)
+        try:
+            for k in range(8):
+                if not eng.can_submit:
+                    eng.drain()
+                eng.submit(k, {"x": k / 8.0})
+            while eng.inflight:
+                eng.drain()
+            assert eng.completed == 8
+            assert sched._items == {} and sched._futures == {}
+        finally:
+            eng.shutdown()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_campaign_releases_its_workers(self, backend):
+        """A pooled campaign shuts down both of its pools, the evaluation
+        scheduler and the one its fits run on, even while the tuner stays
+        referenced."""
+        threads = set(threading.enumerate())
+        children = set(multiprocessing.active_children())
+
+        def spawned():
+            return ([t for t in threading.enumerate() if t not in threads],
+                    [p for p in multiprocessing.active_children() if p not in children])
+
+        opts = _options(async_eval=False, backend=backend, n_workers=2)
+        tuners = [GPTune(_problem(), opts.replace(seed=seed)) for seed in (0, 1)]
+        for tuner in tuners:
+            res = tuner.tune(TASKS, 5)
+            assert tuner.events.of_kind("model-fit")
+            # returned models keep no handle on the shut-down pool
+            assert res.models and all(m.executor is None for m in res.models)
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and spawned() != ([], []):
+            time.sleep(0.05)
+        assert spawned() == ([], [])
 
 
 # -- streaming campaigns under faults ----------------------------------------

@@ -125,13 +125,16 @@ class TestFitPredict:
         assert np.all(np.abs(C) <= 1.0 + 1e-9)
 
     def test_executor_restarts_equivalent(self, toy_multitask_data):
-        """Serial and executor-mapped restarts find the same optimum."""
-        from repro.runtime.executor import ThreadBackend
+        """Serial and scheduler-mapped restarts find the same optimum."""
+        from repro.runtime.async_engine import ThreadScheduler
 
         X, y, tidx = toy_multitask_data
         serial = LCM(2, 1, n_latent=1, seed=7, n_start=3).fit(X, y, tidx)
-        with ThreadBackend(2) as ex:
+        ex = ThreadScheduler(2)
+        try:
             par = LCM(2, 1, n_latent=1, seed=7, n_start=3, executor=ex).fit(X, y, tidx)
+        finally:
+            ex.shutdown()
         assert par.log_likelihood_ == pytest.approx(serial.log_likelihood_, rel=1e-6)
 
     def test_posterior_variance_zero_at_data(self, toy_multitask_data):

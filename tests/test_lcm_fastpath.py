@@ -16,6 +16,7 @@ from scipy import linalg as sla
 import repro.core.lcm as lcm_mod
 from repro.core import LCM
 from repro.core.kernels import gaussian_kernel_batch, gaussian_kernel, pairwise_sq_diffs
+from repro.runtime.async_engine import SerialScheduler, ThreadScheduler, make_scheduler
 
 
 def _case(rng, delta, beta, n):
@@ -439,18 +440,19 @@ class TestLayoutCache:
 
 
 class TestThreadedRestarts:
-    """Restart groups mapped over threads or processes (threads share one
-    layout record) must fit bitwise-equal to serial restarts."""
+    """Restart groups mapped over thread or process schedulers (threads share
+    one layout record) must fit bitwise-equal to serial restarts."""
 
     def test_thread_backend_fit_bitwise_equals_serial(self, rng):
-        from repro.runtime.executor import ThreadBackend
-
         X, y, tidx = _case(rng, 3, 2, 30)
         serial = LCM(3, 2, n_latent=2, seed=5, n_start=4, maxiter=40).fit(X, y, tidx)
-        with ThreadBackend(2) as ex:
+        ex = ThreadScheduler(2)
+        try:
             par = LCM(3, 2, n_latent=2, seed=5, n_start=4, maxiter=40, executor=ex).fit(
                 X, y, tidx
             )
+        finally:
+            ex.shutdown()
         assert np.array_equal(par.theta, serial.theta)
         assert np.array_equal(par._L, serial._L)
         assert np.array_equal(par._alpha, serial._alpha)
@@ -458,15 +460,15 @@ class TestThreadedRestarts:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_group_mapped_fit_bitwise_equals_serial(self, rng, backend):
-        """An executor with two workers runs the restarts as two lockstep
+        """A scheduler with two workers runs the restarts as two lockstep
         groups; the fit must equal the one-group serial fit bit for bit."""
-        from repro.runtime.executor import ProcessBackend, ThreadBackend
-
         X, y, tidx = _case(rng, 4, 1, 36)
         serial = LCM(4, 1, seed=2, n_start=3, maxiter=40).fit(X, y, tidx)
-        pool = ThreadBackend(2) if backend == "thread" else ProcessBackend(2)
-        with pool as ex:
+        ex = make_scheduler(backend, 2)
+        try:
             par = LCM(4, 1, seed=2, n_start=3, maxiter=40, executor=ex).fit(X, y, tidx)
+        finally:
+            ex.shutdown()
         assert par.theta.tobytes() == serial.theta.tobytes()
         assert par._L.tobytes() == serial._L.tobytes()
         assert par._alpha.tobytes() == serial._alpha.tobytes()
@@ -476,14 +478,16 @@ class TestThreadedRestarts:
         """``min(n_start, n_workers)`` contiguous groups, in restart order."""
         sizes = []
 
-        class Recording:
+        class Recording(SerialScheduler):
             def __init__(self, n_workers):
+                super().__init__()
                 self.n_workers = n_workers
 
-            def map(self, fn, jobs):
-                jobs = list(jobs)
-                sizes.append([len(job[0]) for job in jobs])
-                return [fn(job) for job in jobs]
+            def start(self, seq, fn, job, eta=None):
+                if seq == 0:
+                    sizes.append([])
+                sizes[-1].append(len(job[0]))
+                super().start(seq, fn, job, eta)
 
         X, y, tidx = _case(rng, 2, 1, 20)
         fits = [LCM(2, 1, seed=4, n_start=5, maxiter=30, executor=Recording(w)).fit(X, y, tidx)
@@ -492,28 +496,6 @@ class TestThreadedRestarts:
         serial = LCM(2, 1, seed=4, n_start=5, maxiter=30).fit(X, y, tidx)
         for fit in fits:
             assert fit.theta.tobytes() == serial.theta.tobytes()
-
-    def test_model_restarts_parallel_campaign_matches_serial(self):
-        from repro.core import GPTune, Options, Real, Space, TuningProblem
-
-        problem = TuningProblem(
-            Space([Real("t", 0.0, 1.0)]),
-            Space([Real("x", 0.0, 1.0)]),
-            lambda t, c: (c["x"] - 0.3 - 0.4 * t["t"]) ** 2 + 0.1 * np.sin(7 * c["x"]),
-        )
-        base = dict(
-            seed=3, n_start=3, pso_iters=5, ei_candidates=8, lbfgs_maxiter=30,
-            backend="thread", n_workers=2,
-        )
-        runs = [
-            GPTune(problem, Options(**base, model_restarts_parallel=par)).tune(
-                [{"t": 0.2}, {"t": 0.7}], 7
-            )
-            for par in (False, True)
-        ]
-        for i in range(2):
-            assert runs[0].data.X[i] == runs[1].data.X[i]
-            assert np.array_equal(np.asarray(runs[0].data.Y[i]), np.asarray(runs[1].data.Y[i]))
 
 
 class TestRestartRanking:

@@ -213,6 +213,40 @@ class TestEvalWorkerPool:
         assert len(live) <= _EVAL_POOL.max_idle + 1
         assert all(t.daemon for t in live)
 
+    def test_surplus_idle_workers_retire(self):
+        """Past ``max_idle`` parked workers, a released worker exits."""
+        import threading
+
+        from repro.runtime.resilience import _EvalWorkerPool
+
+        pool = _EvalWorkerPool(max_idle=1)
+        gate = threading.Event()
+        out = []
+        callers = [
+            threading.Thread(target=lambda: out.append(pool.run(gate.wait, timeout=5.0)))
+            for _ in range(2)
+        ]
+        for t in callers:
+            t.start()
+        deadline = time.monotonic() + 5.0
+        while pool.created < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        gate.set()
+        for t in callers:
+            t.join(5.0)
+        assert out == [True, True] and pool.created == 2
+        assert pool.idle_count() == 1
+        parked = pool._idle[0]
+        deadline = time.monotonic() + 5.0
+        workers = lambda: [
+            t for t in threading.enumerate()
+            if t.name.startswith("repro-eval-worker") and t is not parked
+            and getattr(t, "_pool", None) is pool
+        ]
+        while workers() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert workers() == []
+
     def test_worker_result_after_timeout_is_discarded(self):
         calls = []
 
@@ -296,9 +330,7 @@ class TestFailureMatrix:
         ts, ps = _spaces()
         obj = _WorkerKiller(str(tmp_path / "died"), os.getpid())
         prob = TuningProblem(ts, ps, obj, failure_value=100.0)
-        opts = FAST.replace(
-            backend="process", n_workers=2, batch_evals=2, model_restarts_parallel=False
-        )
+        opts = FAST.replace(backend="process", n_workers=2, batch_evals=2)
         res = GPTune(prob, opts).tune([{"t": 1}], 8)
         assert res.data.n_samples(0) >= 8
         assert len(res.events.of_kind("worker-death")) >= 1

@@ -1,133 +1,35 @@
-"""Tests for executor backends (repro.runtime.executor)."""
+"""Tests for the runtime's pool factory (repro.runtime.make_scheduler).
 
-import os
-import signal
+``make_scheduler`` turns an :class:`~repro.core.options.Options` backend
+string into the executor a campaign maps its work over.  The executor
+behaviour itself (ordering, failures, worker death) is covered in
+``test_async_engine.py``.
+"""
 
 import pytest
 
-from repro.runtime import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    WorkerError,
-    make_executor,
+from repro.runtime.async_engine import (
+    ProcessScheduler,
+    SerialScheduler,
+    ThreadScheduler,
+    make_scheduler,
 )
-
-
-def _square(x):
-    return x * x
-
-
-def _fail_on_three(x):
-    if x == 3:
-        raise ValueError("bad three")
-    return x * 10
-
-
-def _die_once(arg):
-    """Kill the worker on first sight of the marker-less filesystem."""
-    marker, val = arg
-    if not os.path.exists(marker):
-        with open(marker, "w"):
-            pass
-        os.kill(os.getpid(), signal.SIGKILL)
-    return val * 2
-
-
-def _always_die(_x):
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-class TestBackends:
-    def test_serial_order(self):
-        assert SerialBackend().map(_square, [1, 2, 3]) == [1, 4, 9]
-
-    def test_thread_order_preserved(self):
-        with ThreadBackend(3) as ex:
-            assert ex.map(_square, range(10)) == [i * i for i in range(10)]
-
-    def test_process_backend(self):
-        with ProcessBackend(2) as ex:
-            assert ex.map(_square, [2, 3]) == [4, 9]
-
-    def test_worker_count_validation(self):
-        with pytest.raises(ValueError):
-            ThreadBackend(0)
-        with pytest.raises(ValueError):
-            ProcessBackend(0)
-
-    def test_context_manager_shutdown(self):
-        ex = ThreadBackend(1)
-        with ex:
-            pass
-        # pool is shut down; submitting again must fail
-        with pytest.raises(RuntimeError):
-            ex.map(_square, [1])
-
-
-class TestWorkerError:
-    BACKENDS = [
-        pytest.param(lambda: SerialBackend(), id="serial"),
-        pytest.param(lambda: ThreadBackend(2), id="thread"),
-        pytest.param(lambda: ProcessBackend(2), id="process"),
-    ]
-
-    @pytest.mark.parametrize("make", BACKENDS)
-    def test_first_failing_index_surfaces(self, make):
-        ex = make()
-        try:
-            with pytest.raises(WorkerError) as ei:
-                ex.map(_fail_on_three, [1, 3, 2, 3])
-            assert ei.value.index == 1
-            assert "work item 1" in str(ei.value)
-            assert isinstance(ei.value.__cause__, ValueError)
-        finally:
-            ex.shutdown()
-
-    @pytest.mark.parametrize("make", BACKENDS)
-    def test_success_unaffected(self, make):
-        ex = make()
-        try:
-            assert ex.map(_square, [4, 5]) == [16, 25]
-        finally:
-            ex.shutdown()
-
-
-class TestWorkerDeath:
-    def test_lost_items_resubmitted_on_fresh_pool(self, tmp_path):
-        events = []
-        marker = str(tmp_path / "died")
-        ex = ProcessBackend(1, on_event=lambda kind, detail: events.append(kind))
-        try:
-            out = ex.map(_die_once, [(marker, 1), (marker, 2), (marker, 3)])
-            assert out == [2, 4, 6]
-            assert "worker-death" in events
-        finally:
-            ex.shutdown()
-
-    def test_poison_item_exhausts_restarts(self):
-        ex = ProcessBackend(1, max_pool_restarts=1)
-        try:
-            with pytest.raises(WorkerError, match="giving up"):
-                ex.map(_always_die, [0])
-        finally:
-            ex.shutdown()
 
 
 class TestFactory:
     def test_make_serial(self):
-        assert isinstance(make_executor("serial"), SerialBackend)
+        assert isinstance(make_scheduler("serial"), SerialScheduler)
 
     def test_make_thread(self):
-        ex = make_executor("thread", 2)
-        assert isinstance(ex, ThreadBackend) and ex.n_workers == 2
+        ex = make_scheduler("thread", 2)
+        assert isinstance(ex, ThreadScheduler) and ex.n_workers == 2
         ex.shutdown()
 
     def test_make_process(self):
-        ex = make_executor("process", 1)
-        assert isinstance(ex, ProcessBackend)
+        ex = make_scheduler("process", 1)
+        assert isinstance(ex, ProcessScheduler) and ex.n_workers == 1
         ex.shutdown()
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
-            make_executor("quantum")
+            make_scheduler("quantum")

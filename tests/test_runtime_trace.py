@@ -74,6 +74,24 @@ class TestTracer:
         assert "#" in chart and "~" in chart
         assert Tracer().gantt() == "(no events)"
 
+    def test_collectives_recorded(self):
+        tracer = Tracer()
+
+        def fn(comm):
+            c = traced(comm, tracer)
+            c.bcast("x", root=0)
+            c.gather(comm.rank, root=0)
+            c.allgather(comm.rank)
+            c.scatter([10, 11] if comm.rank == 0 else None, root=0)
+            c.reduce(comm.rank, root=0)
+
+        run_spmd(2, fn, machine=MACH)
+        names = ["bcast", "gather", "allgather", "scatter", "reduce"]
+        for rank in (0, 1):
+            ev = [e for e in tracer.events if e.rank == rank]
+            assert [e.detail for e in ev] == names
+            assert all(e.kind == "collective" for e in ev)
+
     def test_proxy_passthrough(self):
         tracer = Tracer()
 
