@@ -11,6 +11,7 @@ from repro.core import (
     GPTune,
     Integer,
     Options,
+    ParticleSwarm,
     PerTaskGP,
     Real,
     Space,
@@ -183,6 +184,55 @@ class TestBatchedEIAcquisition:
         )
         with pytest.raises(ValueError):
             acq(rng.random((4, 2)))  # missing task axis
+
+
+class TestOneTaskViews:
+    """``ParticleSwarm`` and ``EIAcquisition`` are their batched classes at
+    one task: same positions, values, batch picks and generator stream,
+    bit for bit."""
+
+    @staticmethod
+    def _objective(rng, dim):
+        centre = rng.random(dim)
+        scale = rng.uniform(0.5, 5.0)
+        cut = rng.uniform(0.0, 0.6)  # a region scored -inf (infeasible)
+
+        def f(X):
+            v = -scale * np.sum((X - centre) ** 2, axis=-1)
+            return np.where(X[..., 0] < cut, -np.inf, v)
+
+        return f
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_particle_swarm_is_one_task_batched(self, case):
+        rng = np.random.default_rng(1000 + case)
+        dim = int(rng.integers(1, 6))
+        n, iters, seed = int(rng.integers(2, 30)), int(rng.integers(1, 12)), int(rng.integers(2**31))
+        f = self._objective(rng, dim)
+        x0 = rng.uniform(-0.2, 1.2, (int(rng.integers(1, 4)), dim)) if case % 3 else None
+        one = ParticleSwarm(dim, n_particles=n, iterations=iters, seed=seed)
+        many = BatchedParticleSwarm(dim, 1, n_particles=n, iterations=iters, seed=seed)
+        x, v = one.maximize(f, x0=x0)
+        xb, vb = many.maximize(f, x0=None if x0 is None else x0[None])
+        assert np.array_equal(x, xb[0]) and v == vb[0] and isinstance(v, float)
+        for q in (1, 3):
+            assert np.array_equal(one.top_batch(q), many.top_batch(q)[0])
+        assert one.rng.bit_generator.state == many.rng.bit_generator.state
+
+    @pytest.mark.parametrize("with_feasibility", [False, True])
+    def test_ei_acquisition_is_one_task_batched(self, rng, with_feasibility):
+        m = _fitted_lcm(rng, delta=3)
+        feas = (lambda X: X[:, 1] > 0.3) if with_feasibility else None
+        for t, yb in ((0, 0.2), (2, -0.4), (1, np.inf)):
+            one = EIAcquisition(lambda X, t=t: m.predict(t, X), y_best=yb, feasibility=feas)
+            many = BatchedEIAcquisition(
+                lambda X, t=t: tuple(a[None] for a in m.predict(t, X[0])),
+                y_best=[yb],
+                feasibility=[feas],
+            )
+            X = rng.random((25, 2))
+            assert np.array_equal(one(X), many(X[None])[0])
+            assert np.array_equal(one(X[3]), many(X[None, 3:4])[0])
 
 
 def _analytical_problem():
