@@ -61,49 +61,14 @@ def expected_improvement(mu: np.ndarray, var: np.ndarray, y_best) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-class EIAcquisition:
-    """EI bound to one task of a fitted surrogate.
-
-    Parameters
-    ----------
-    predict:
-        Callable ``(N*, β) -> (mu, var)`` — e.g.
-        ``functools.partial(lcm.predict, task)``.
-    y_best:
-        Incumbent objective value (in the surrogate's transformed units).
-    feasibility:
-        Optional vectorized predicate over normalized points; infeasible
-        candidates are assigned EI = -inf so optimizers avoid them.
-    """
-
-    def __init__(
-        self,
-        predict: Callable[[np.ndarray], tuple],
-        y_best: float,
-        feasibility: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    ):
-        self.predict = predict
-        self.y_best = float(y_best)
-        self.feasibility = feasibility
-
-    def __call__(self, Xunit: np.ndarray) -> np.ndarray:
-        """EI at a batch of normalized points ``(N*, β)`` (higher is better)."""
-        Xunit = np.atleast_2d(np.asarray(Xunit, dtype=float))
-        mu, var = self.predict(Xunit)
-        ei = expected_improvement(mu, var, self.y_best)
-        if self.feasibility is not None:
-            ok = np.asarray(self.feasibility(Xunit), dtype=bool)
-            ei = np.where(ok, ei, -np.inf)
-        return ei
-
-
 class BatchedEIAcquisition:
     """EI over a task axis: every task's candidate block in one posterior call.
 
     The lockstep search phase advances all active tasks' swarms together and
     scores them with a single cross-task posterior evaluation
     (:meth:`repro.core.lcm.LCM.predict_tasks`) instead of ``n_tasks``
-    separate :class:`EIAcquisition` calls per optimizer step.
+    separate one-task calls per optimizer step; :class:`EIAcquisition` is
+    its one-task view.
 
     Parameters
     ----------
@@ -144,3 +109,37 @@ class BatchedEIAcquisition:
                 ok = np.asarray(feas(Xunit[t]), dtype=bool)
                 ei[t] = np.where(ok, ei[t], -np.inf)
         return ei
+
+
+class EIAcquisition(BatchedEIAcquisition):
+    """EI bound to one task of a fitted surrogate: the one-task view of
+    :class:`BatchedEIAcquisition` (bitwise the same scores).
+
+    Parameters
+    ----------
+    predict:
+        Callable ``(N*, β) -> (mu, var)`` — e.g.
+        ``functools.partial(lcm.predict, task)``.
+    y_best:
+        Incumbent objective value (in the surrogate's transformed units).
+    feasibility:
+        Optional vectorized predicate over normalized points; infeasible
+        candidates are assigned EI = -inf so optimizers avoid them.
+    """
+
+    def __init__(
+        self,
+        predict: Callable[[np.ndarray], tuple],
+        y_best: float,
+        feasibility: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    ):
+        super().__init__(self._predict_block, [float(y_best)], [feasibility])
+        self.predict = predict
+
+    def _predict_block(self, Xunit: np.ndarray) -> tuple:
+        mu, var = self.predict(Xunit[0])
+        return np.asarray(mu)[None], np.asarray(var)[None]
+
+    def __call__(self, Xunit: np.ndarray) -> np.ndarray:
+        """EI at a batch of normalized points ``(N*, β)`` (higher is better)."""
+        return super().__call__(np.atleast_2d(np.asarray(Xunit, dtype=float))[None])[0]

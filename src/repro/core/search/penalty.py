@@ -5,7 +5,7 @@ against a posterior that has not yet absorbed the in-flight configurations.
 Left alone, EI would keep proposing the same promising point until its
 evaluation lands.  Two standard batch-BO devices prevent that:
 
-* **Local penalization** (:func:`local_penalty`,
+* **Local penalization** (:func:`local_penalty`, :func:`penalize_ei`,
   :class:`PenalizedAcquisition`) — multiply the acquisition by
   ``∏_j min(‖x − p_j‖ / r, 1)`` over pending points ``p_j``.  The factor is
   0 at a pending point, grows linearly to 1 at distance ``r``, and is
@@ -36,6 +36,7 @@ __all__ = [
     "PenalizedAcquisition",
     "constant_liar",
     "local_penalty",
+    "penalize_ei",
     "penalize_lcb",
 ]
 
@@ -69,12 +70,31 @@ def local_penalty(Xunit: np.ndarray, pending: Any, radius: float) -> np.ndarray:
     return np.prod(factors, axis=1)
 
 
+def penalize_ei(values: np.ndarray, Xunit: np.ndarray, pending: Any, radius: float) -> np.ndarray:
+    """Apply the local pending-point penalty to maximized, non-negative
+    acquisition ``values`` (EI) at the candidates ``Xunit``.
+
+    Positive finite values are multiplied by :func:`local_penalty`;
+    infeasible sentinels (``-inf``) and zeros pass through unscaled, so
+    ``-inf * 0 = nan`` can never leak into the optimizer.  An empty
+    ``pending`` returns ``values`` unchanged.
+    """
+    values = np.asarray(values, dtype=float)
+    if np.asarray(pending).size == 0:
+        return values
+    pen = local_penalty(Xunit, pending, radius)
+    mask = np.isfinite(values) & (values > 0)
+    out = values.copy()
+    out[mask] = values[mask] * pen[mask]  # masked: -inf * 0 never happens
+    return out
+
+
 class PenalizedAcquisition:
-    """Wrap an acquisition with the local pending-point penalty.
+    """Wrap an acquisition with the local pending-point penalty
+    (:func:`penalize_ei` over the wrapped acquisition's values).
 
     The base acquisition must be maximized and non-negative on feasible
-    points (EI is); infeasible sentinels (``-inf``) pass through unscaled so
-    ``-inf * 0 = nan`` can never leak into the optimizer.
+    points (EI is).
     """
 
     def __init__(
@@ -89,14 +109,7 @@ class PenalizedAcquisition:
         self.radius = float(radius)
 
     def __call__(self, Xunit: np.ndarray) -> np.ndarray:
-        values = np.asarray(self.acquisition(Xunit), dtype=float)
-        if self.pending.size == 0:
-            return values
-        pen = local_penalty(Xunit, self.pending, self.radius)
-        mask = np.isfinite(values) & (values > 0)
-        out = values.copy()
-        out[mask] = values[mask] * pen[mask]  # masked: -inf * 0 never happens
-        return out
+        return penalize_ei(self.acquisition(Xunit), Xunit, self.pending, self.radius)
 
 
 def penalize_lcb(

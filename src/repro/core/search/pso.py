@@ -1,10 +1,9 @@
-"""Particle Swarm Optimization over the unit hypercube.
+"""Single-task Particle Swarm Optimization: a one-task view of the lockstep
+swarm.
 
-The paper's search phase generates large numbers of cheap EI evaluations and
-"uses global, evolutionary algorithms such as the Particle Swarm Optimization
-(PSO) algorithm to optimize the EI".  This is the standard inertia-weight PSO
-of Kennedy & Eberhart with reflecting bounds, specialized to maximize a
-vectorized objective on ``[0, 1]^d``.
+:class:`ParticleSwarm` is :class:`~repro.core.search.pso_batched.BatchedParticleSwarm`
+with ``n_tasks=1`` behind a ``(n, dim) -> (n,)`` objective: same dynamics,
+same generator stream, bitwise the same results.
 """
 
 from __future__ import annotations
@@ -13,11 +12,13 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .pso_batched import BatchedParticleSwarm
+
 __all__ = ["ParticleSwarm"]
 
 
-class ParticleSwarm:
-    """Inertia-weight PSO maximizer on ``[0, 1]^dim``.
+class ParticleSwarm(BatchedParticleSwarm):
+    """Inertia-weight PSO maximizer on ``[0, 1]^dim`` for one objective.
 
     Parameters
     ----------
@@ -44,15 +45,7 @@ class ParticleSwarm:
         social: float = 1.49,
         seed: Optional[int] = None,
     ):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.dim = int(dim)
-        self.n_particles = max(2, int(n_particles))
-        self.iterations = max(1, int(iterations))
-        self.inertia = float(inertia)
-        self.cognitive = float(cognitive)
-        self.social = float(social)
-        self.rng = np.random.default_rng(seed)
+        super().__init__(dim, 1, n_particles, iterations, inertia, cognitive, social, seed)
 
     def maximize(
         self,
@@ -73,70 +66,12 @@ class ParticleSwarm:
         -------
         ``(x_best, f_best)`` — the best position found and its value.
         """
-        n, d = self.n_particles, self.dim
-        pos = self.rng.random((n, d))
         if x0 is not None:
-            x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-            k = min(x0.shape[0], n)
-            pos[:k] = np.clip(x0[:k], 0.0, 1.0)
-        vel = self.rng.uniform(-0.1, 0.1, (n, d))
-
-        fit = np.asarray(objective(pos), dtype=float)
-        pbest, pbest_f = pos.copy(), fit.copy()
-        g = int(np.argmax(pbest_f))
-        gbest, gbest_f = pbest[g].copy(), float(pbest_f[g])
-
-        for it in range(self.iterations):
-            w = self.inertia * (1.0 - 0.6 * it / max(1, self.iterations - 1))
-            r1 = self.rng.random((n, d))
-            r2 = self.rng.random((n, d))
-            vel = (
-                w * vel
-                + self.cognitive * r1 * (pbest - pos)
-                + self.social * r2 * (gbest[None, :] - pos)
-            )
-            np.clip(vel, -0.5, 0.5, out=vel)
-            pos = pos + vel
-            # reflecting bounds keep particles inside the cube
-            over, under = pos > 1.0, pos < 0.0
-            pos[over] = 2.0 - pos[over]
-            pos[under] = -pos[under]
-            np.clip(pos, 0.0, 1.0, out=pos)
-            vel[over | under] *= -0.5
-
-            fit = np.asarray(objective(pos), dtype=float)
-            improved = fit > pbest_f
-            pbest[improved] = pos[improved]
-            pbest_f[improved] = fit[improved]
-            g = int(np.argmax(pbest_f))
-            if pbest_f[g] > gbest_f:
-                gbest, gbest_f = pbest[g].copy(), float(pbest_f[g])
-        self._pbest, self._pbest_f = pbest, pbest_f
-        return gbest, gbest_f
+            x0 = np.atleast_2d(np.asarray(x0, dtype=float))[None]
+        x, f = super().maximize(lambda X: np.asarray(objective(X[0]))[None], x0=x0)
+        return x[0], float(f[0])
 
     def top_batch(self, q: int, min_dist: float = 0.05) -> np.ndarray:
-        """Up to ``q`` diverse high-scoring positions from the last run.
-
-        Greedily picks personal bests in descending score, skipping points
-        within ``min_dist`` (Euclidean, normalized space) of an already
-        selected one — the batch-proposal strategy behind concurrent
-        function evaluations (the paper's Sec. 4.2 notes GPTune "supports
-        calling multiple function evaluations concurrently").
-
-        Must be called after :meth:`maximize`.
-        """
-        if not hasattr(self, "_pbest"):
-            raise RuntimeError("top_batch() before maximize()")
-        order = np.argsort(-self._pbest_f, kind="stable")
-        picked: list = []
-        for i in order:
-            if not np.isfinite(self._pbest_f[i]):
-                continue
-            x = self._pbest[i]
-            if all(np.linalg.norm(x - p) >= min_dist for p in picked):
-                picked.append(x.copy())
-            if len(picked) >= q:
-                break
-        if not picked:  # everything infeasible/-inf: return the global best
-            picked = [self._pbest[order[0]].copy()]
-        return np.vstack(picked)
+        """Up to ``q`` diverse high-scoring positions from the last run, as
+        one ``(<=q, dim)`` array (see :meth:`BatchedParticleSwarm.top_batch`)."""
+        return super().top_batch(q, min_dist)[0]

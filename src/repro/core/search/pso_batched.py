@@ -1,13 +1,15 @@
-"""Lockstep Particle Swarm Optimization over many tasks at once.
+"""Particle Swarm Optimization over the unit hypercube, many tasks at once.
 
-The paper's search phase runs one EI maximization per task; since the tasks
-share one fitted LCM, their swarms can advance *in lockstep*: all positions
-live in a single ``(n_tasks, n_particles, dim)`` tensor and every PSO step
-issues exactly one batched objective evaluation (one cross-task posterior
-call) instead of ``n_tasks`` small ones.  Same inertia-weight dynamics,
-reflecting bounds, and batch-proposal selection as
-:class:`~repro.core.search.pso.ParticleSwarm`, with independent per-task
-personal/global bests.
+The paper's search phase "uses global, evolutionary algorithms such as the
+Particle Swarm Optimization (PSO) algorithm to optimize the EI", one
+maximization per task.  This is the standard inertia-weight PSO of Kennedy
+& Eberhart with reflecting bounds on ``[0, 1]^d``; since the tasks share
+one fitted LCM, their swarms advance *in lockstep*: all positions live in a
+single ``(n_tasks, n_particles, dim)`` tensor and every PSO step issues
+exactly one batched objective evaluation (one cross-task posterior call)
+instead of ``n_tasks`` small ones, with independent per-task
+personal/global bests.  :class:`~repro.core.search.pso.ParticleSwarm` is
+the one-task view of this class.
 """
 
 from __future__ import annotations
@@ -102,44 +104,62 @@ class BatchedParticleSwarm:
         pbest, pbest_f = pos.copy(), fit.copy()
         rows = np.arange(T)
         g = np.argmax(pbest_f, axis=1)
-        gbest = pbest[rows, g].copy()  # (T, dim)
-        gbest_f = pbest_f[rows, g].copy()  # (T,)
+        gbest = pbest[rows, g]  # (T, dim), a copy (advanced indexing)
+        gbest_f = pbest_f[rows, g]  # (T,)
 
+        # The update runs in place on preallocated buffers; every product,
+        # sum and bound is the same IEEE operation, in the same order, as the
+        # textbook ``w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x)``, the clip
+        # included (``np.clip`` is ``minimum(maximum(.))``, only slower).
+        r1 = np.empty((T, n, d))
+        r2 = np.empty((T, n, d))
+        diff = np.empty((T, n, d))
+        gbest_rows = gbest[:, None, :]  # a view: tracks in-place updates
+        steps = max(1, self.iterations - 1)
         for it in range(self.iterations):
-            w = self.inertia * (1.0 - 0.6 * it / max(1, self.iterations - 1))
-            r1 = self.rng.random((T, n, d))
-            r2 = self.rng.random((T, n, d))
-            vel = (
-                w * vel
-                + self.cognitive * r1 * (pbest - pos)
-                + self.social * r2 * (gbest[:, None, :] - pos)
-            )
-            np.clip(vel, -0.5, 0.5, out=vel)
+            w = self.inertia * (1.0 - 0.6 * it / steps)
+            self.rng.random(out=r1)
+            self.rng.random(out=r2)
+            vel *= w
+            r1 *= self.cognitive
+            r1 *= np.subtract(pbest, pos, out=diff)
+            vel += r1
+            r2 *= self.social
+            r2 *= np.subtract(gbest_rows, pos, out=diff)
+            vel += r2
+            np.minimum(np.maximum(vel, -0.5, out=vel), 0.5, out=vel)
             pos = pos + vel
             # reflecting bounds keep particles inside the cube
             over, under = pos > 1.0, pos < 0.0
-            pos[over] = 2.0 - pos[over]
-            pos[under] = -pos[under]
-            np.clip(pos, 0.0, 1.0, out=pos)
-            vel[over | under] *= -0.5
+            np.subtract(2.0, pos, out=pos, where=over)
+            np.negative(pos, out=pos, where=under)
+            np.minimum(np.maximum(pos, 0.0, out=pos), 1.0, out=pos)
+            np.multiply(vel, -0.5, out=vel, where=np.logical_or(over, under, out=over))
 
             fit = np.asarray(objective(pos), dtype=float)
             improved = fit > pbest_f
-            pbest[improved] = pos[improved]
-            pbest_f[improved] = fit[improved]
-            g = np.argmax(pbest_f, axis=1)
-            better = pbest_f[rows, g] > gbest_f
-            gbest[better] = pbest[rows, g][better]
-            gbest_f[better] = pbest_f[rows, g][better]
+            np.copyto(pbest, pos, where=improved[:, :, None])
+            np.copyto(pbest_f, fit, where=improved)
+            # per-task global bests move only when some personal best beat them
+            best_f = pbest_f.max(axis=1)
+            better = best_f > gbest_f
+            if better.any():
+                g = np.argmax(pbest_f, axis=1)
+                gbest[better] = pbest[rows[better], g[better]]
+                gbest_f[better] = best_f[better]
         self._pbest, self._pbest_f = pbest, pbest_f
         return gbest.copy(), gbest_f.copy()
 
     def top_batch(self, q: int, min_dist: float = 0.05) -> List[np.ndarray]:
         """Per-task diverse high-scoring positions from the last run.
 
-        Applies :meth:`ParticleSwarm.top_batch`'s greedy min-distance pick
-        to each task's personal bests; returns one ``(<=q, dim)`` array per
-        task.  Must be called after :meth:`maximize`.
+        Greedily picks each task's personal bests in descending score,
+        skipping points within ``min_dist`` (Euclidean, normalized space)
+        of an already selected one — the batch-proposal strategy behind
+        concurrent function evaluations (the paper's Sec. 4.2 notes GPTune
+        "supports calling multiple function evaluations concurrently").
+        Returns one ``(<=q, dim)`` array per task.  Must be called after
+        :meth:`maximize`.
         """
         if not hasattr(self, "_pbest"):
             raise RuntimeError("top_batch() before maximize()")
