@@ -359,18 +359,40 @@ def _json_default(obj: Any) -> Any:
 def atomic_write_json(path: str, obj: Any, indent: Optional[int] = None) -> None:
     """Write ``obj`` as JSON via temp file + rename so a crash mid-write
     can never leave a truncated file at ``path`` (NumPy scalars/arrays are
-    converted to builtins)."""
+    converted to builtins).
+
+    Durable as well as atomic: the temp file is fsynced before the rename
+    and the directory after it, so after a power cut ``path`` holds either
+    the previous or the new complete content, never an empty file whose
+    data blocks were not yet written.
+    """
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=indent, default=_json_default)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    _fsync_dir(d)
+
+
+def _fsync_dir(path: str) -> None:
+    """Flush a directory entry (a rename inside ``path``) to disk; a no-op
+    where directories cannot be opened (Windows)."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 @dataclasses.dataclass

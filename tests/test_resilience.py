@@ -490,6 +490,32 @@ class TestCheckpointPersistence:
 
         assert json.load(open(p)) == {"a": 3, "b": [1.0, 2.0]}
 
+    def test_atomic_write_json_is_durable(self, tmp_path, monkeypatch):
+        """The temp file's data is fsynced before the rename and the
+        directory entry after it, so a power cut cannot leave an empty file."""
+        import json
+        import stat
+
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            mode = os.fstat(fd).st_mode
+            calls.append(("fsync", "dir" if stat.S_ISDIR(mode) else os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        p = tmp_path / "ck.json"
+        atomic_write_json(str(p), {"a": 1})
+        size = len(json.dumps({"a": 1}))
+        assert calls == [("fsync", size), ("replace", "ck.json"), ("fsync", "dir")]
+        assert json.loads(p.read_text()) == {"a": 1}
+
 
 class TestDegradationLadder:
     def _problem(self):
