@@ -41,13 +41,14 @@ class Options:
         (each >= 1).
     pareto_batch:
         k — number of new configurations evaluated per multi-objective
-        iteration (Algorithm 2, line 5).
+        iteration (Algorithm 2, line 5), capped at the task's remaining
+        budget.
     batch_evals:
         q — single-objective configurations evaluated per task per
-        iteration.  q > 1 proposes diverse top EI candidates and runs them
-        concurrently through the evaluation scheduler of ``backend``
-        (Sec. 4.2: GPTune "supports calling multiple function evaluations
-        concurrently").
+        iteration, capped at the task's remaining budget.  q > 1 proposes
+        diverse top EI candidates and runs them concurrently through the
+        evaluation scheduler of ``backend`` (Sec. 4.2: GPTune "supports
+        calling multiple function evaluations concurrently").
     initial_fraction:
         Fraction of ``ε_tot`` used for the initial LHS design (paper: 1/2).
     backend:

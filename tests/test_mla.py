@@ -145,7 +145,7 @@ class TestMultiObjective:
     def test_batchsize_k_respected(self):
         opts = FAST.replace(nsga_pop=12, nsga_gens=5, pareto_batch=3)
         res = GPTune(self._mo_problem(), opts).tune([{"t": 1}], n_samples=10)
-        assert res.data.n_samples(0) >= 10
+        assert res.data.n_samples(0) == 10  # 5 design + 3 + 2: capped at the budget
         assert len(res.models) == 2
 
 
@@ -188,10 +188,22 @@ class TestBatchEvaluations:
     def test_batch_evals_counted_and_diverse(self):
         opts = FAST.replace(batch_evals=3)
         res = GPTune(quadratic_problem(), opts).tune([{"t": 5}], 12)
-        assert res.data.n_samples(0) >= 12
+        assert res.data.n_samples(0) == 12
         keys = {tuple(np.round(res.data.tuning_space.normalize(x), 9))
                 for x in res.data.X[0]}
         assert len(keys) == res.data.n_samples(0)  # no duplicates
+
+    def test_rounds_stop_at_each_tasks_budget(self):
+        """A task that reaches ε_tot first gets no more proposals while the
+        other catches up (task 0 starts with 6 archived evaluations)."""
+        problem = quadratic_problem()
+        preload = [
+            {"task": {"t": 2}, "x": {"x": x}, "y": [problem.objective({"t": 2}, {"x": x})]}
+            for x in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8)
+        ]
+        for opts in (FAST, FAST.replace(batch_evals=3)):
+            res = GPTune(problem, opts).tune([{"t": 2}, {"t": 7}], 8, preload=preload)
+            assert [res.data.n_samples(i) for i in range(2)] == [8, 8]
 
     def test_batch_with_thread_executor_matches_quality(self):
         serial = GPTune(quadratic_problem(), FAST.replace(batch_evals=2)).tune(
