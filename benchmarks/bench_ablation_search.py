@@ -19,9 +19,11 @@ with wall-clock search times and ``phase.search`` span totals.  ``--check``
 runs the deterministic CI gates (wall-clock times stay informational so the
 job cannot be flaky):
 
-* **equivalence** — ``predict_tasks`` must match per-task ``predict``
-  within 1e-10 on random fits of the exact LCM and of the per-task GP
-  backend (shared and per-task candidate blocks);
+* **equivalence** — ``predict_tasks`` must match an independent posterior
+  within 1e-10 on random fits, on shared and per-task candidate blocks:
+  the dense Eqs. 5–6 of ``tests/posterior_reference.py`` for the exact
+  LCM, the task's own GP (its primitive ``predict``) for the per-task GP
+  backend;
 * **quality** — every incumbent of the fixed-seed campaign must be within
   5% of the objective's known minimum of 1.0;
 * **determinism** — rerunning the campaign with the same seed must
@@ -66,6 +68,10 @@ from repro.core import (
     TuningProblem,
 )
 from repro.reporting import phase_breakdown
+
+# the dense reference posterior is test code: import it from the repo root
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.posterior_reference import lcm_posterior  # noqa: E402
 
 DELTA, TRAIN = 4, 8
 
@@ -214,7 +220,9 @@ def bench_search(repeats):
 
 
 def check_predict_tasks_equivalence():
-    """Gate: ``predict_tasks`` ≡ per-task ``predict`` within 1e-10."""
+    """Gate: ``predict_tasks`` ≡ an independent posterior within 1e-10 (the
+    dense Eqs. 5–6 for the LCM, the per-task GPs' ``predict`` for
+    :class:`PerTaskGP`)."""
     rng = np.random.default_rng(7)
     worst = 0.0
     for delta, beta, q, n in [(2, 2, 1, 24), (4, 3, 2, 48), (8, 2, 2, 64)]:
@@ -231,7 +239,10 @@ def check_predict_tasks_equivalence():
                 mu, var = m.predict_tasks(tasks, Xstar)
                 for s, t in enumerate(tasks):
                     block = Xstar if Xstar.ndim == 2 else Xstar[s]
-                    mu1, var1 = m.predict(t, block)
+                    mu1, var1 = (
+                        lcm_posterior(m, t, block) if isinstance(m, LCM)
+                        else m.predict(t, block)
+                    )
                     worst = max(worst, float(np.max(np.abs(mu[s] - mu1))),
                                 float(np.max(np.abs(var[s] - var1))))
     passed = worst < 1e-10

@@ -69,9 +69,11 @@ The original loop-based implementation is retained verbatim as
 
 For cheap cross-iteration updates, :meth:`extend` appends new observations
 to a fitted posterior with an ``O(N²·n_new)`` block Cholesky update (no
-hyperparameter re-optimization), and :meth:`predict` caches the per-task
-cross-kernel weight vectors so an acquisition search's thousands of calls
-stop re-unpacking θ.
+hyperparameter re-optimization).  The posterior has one kernel,
+:meth:`predict_tasks`, over a block of tasks; :meth:`predict` is its
+one-task view, and :func:`~repro.core.posterior.task_weights` caches the
+per-task cross-kernel weight vectors so an acquisition search's thousands
+of calls stop re-unpacking θ.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ from .kernels import (
     gaussian_kernel_with_grad,
     pairwise_sq_diffs,
 )
+from .posterior import task_block, task_weights
 from ..observability.spans import maybe_span
 from ..runtime.async_engine import run_all
 
@@ -866,30 +869,11 @@ class LCM:
         self._layout_cache = None
         return self
 
-    def _task_weights(self, task: int) -> Tuple[np.ndarray, np.ndarray, float]:
-        """Cached per-(task, θ) prediction constants.
-
-        Returns ``(inv2ls (Q,β), w (Q,N), prior)`` where
-        ``w[q,m] = a_{task,q} a_{t_m,q} + b_{task,q} δ_{t_m,task}`` is the
-        cross-kernel weight vector of Eq. 5 and ``prior`` the task's prior
-        variance.  The PSO/EI inner loop calls :meth:`predict` thousands of
-        times per search phase; caching these stops every call re-unpacking
-        θ and re-deriving the weights.  Invalidated by :meth:`fit` and
-        :meth:`extend`.
-        """
-        cached = self._pred_cache.get(task)
-        if cached is None:
-            ls, a, bw, _ = self.params.unpack(self.theta)
-            inv2 = 0.5 / (ls * ls)
-            w = (a[task][None, :] * a[self.task_index]).T.copy()  # (Q, N)
-            w[:, self.task_index == task] += bw[task][:, None]
-            prior = float(np.sum(a[task] ** 2 + bw[task]))
-            cached = (inv2, w, prior)
-            self._pred_cache[task] = cached
-        return cached
-
     def predict(self, task: int, Xstar: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance for one task at new points (Eqs. 5–6).
+
+        A one-task view of :meth:`predict_tasks`, the model's only
+        posterior kernel.
 
         Parameters
         ----------
@@ -903,33 +887,23 @@ class LCM:
         task = int(task)
         if not 0 <= task < self.params.delta:
             raise ValueError("task out of range")
-        Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-        with maybe_span("model.predict", aggregate=True):
-            inv2, w, prior = self._task_weights(task)
-            ns, n = Xstar.shape[0], self.X.shape[0]
-            sqd = pairwise_sq_diffs(Xstar, self.X)
-            # all Q cross-kernels in one contraction, then the weighted latent sum
-            E = np.matmul(inv2, sqd.reshape(ns * n, self.params.beta).T)
-            np.negative(E, out=E)
-            np.exp(E, out=E)
-            Kstar = np.einsum("qnm,qm->nm", E.reshape(self.params.Q, ns, n), w)
-            mu = Kstar @ self._alpha
-            v = sla.solve_triangular(self._L, Kstar.T, lower=True)
-            var = prior - np.einsum("ij,ij->j", v, v)
-        return mu, np.maximum(var, 0.0)
+        Xs = np.atleast_2d(np.asarray(Xstar, dtype=float))
+        mu, var = self.predict_tasks([task], Xs)
+        return mu[0], var[0]
 
     def predict_tasks(
         self, tasks: Sequence[int], Xstar: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Cross-task batched posterior: many tasks, one kernel evaluation.
+        """Posterior mean and variance (Eqs. 5–6) of many tasks, one kernel
+        evaluation — the model's only posterior kernel (:meth:`predict` is
+        its one-task view).
 
         The ARD lengthscales of the Q latent kernels are shared across
         tasks (Eq. 1 couples tasks only through the coregionalization
         weights), so the exponential base-kernel tensor ``exp(-Σ sqd/2ℓ²)``
         is identical for every task and needs computing once per candidate
-        block.  This turns the search phase's ``n_tasks × pso_iters`` tiny
-        :meth:`predict` calls into a handful of large GEMMs: one
-        ``(Q, N*, β)·(β, N)`` batched contraction producing the weighted
+        block.  One call is a handful of GEMMs: one
+        ``(Q, N*, β+2)·(β+2, N)`` batched contraction producing the weighted
         squared distances by expansion (no ``(N*, N, β)`` broadcast
         temporary), one stacked ``einsum`` against the cached per-task
         weights, and a single triangular solve for all tasks' variances.
@@ -945,33 +919,17 @@ class LCM:
 
         Returns
         -------
-        ``(mu, var)`` — each ``(n_tasks, N*)``, row ``t`` identical (to
-        floating-point roundoff) to ``predict(tasks[t], ...)`` on the
-        corresponding block.
+        ``(mu, var)`` — each ``(n_tasks, N*)``, row ``t`` the posterior of
+        ``tasks[t]`` on its block.
         """
         if self.theta is None or self.X is None:
             raise RuntimeError("predict_tasks() before fit()")
-        task_ids = [int(t) for t in tasks]
-        if not task_ids:
-            raise ValueError("need at least one task")
-        for t in task_ids:
-            if not 0 <= t < self.params.delta:
-                raise ValueError("task out of range")
-        Xs = np.asarray(Xstar, dtype=float)
-        if Xs.ndim == 2:
-            per_task_blocks = False
-        elif Xs.ndim == 3:
-            per_task_blocks = True
-            if Xs.shape[0] != len(task_ids):
-                raise ValueError(
-                    f"got {Xs.shape[0]} candidate blocks for {len(task_ids)} task(s)"
-                )
-        else:
-            raise ValueError("Xstar must be (N*, beta) or (n_tasks, N*, beta)")
+        task_ids, Xs = task_block(tasks, Xstar, self.params.delta)
+        per_task_blocks = Xs.ndim == 3
         T, ns, n = len(task_ids), Xs.shape[-2], self.X.shape[0]
         flat = Xs.reshape(-1, Xs.shape[-1])
         with maybe_span("model.predict_tasks", aggregate=True):
-            weights = [self._task_weights(t) for t in task_ids]
+            weights = [task_weights(self, self.task_index, t) for t in task_ids]
             inv2 = weights[0][0]
             beta = self.params.beta
             cached = self._batch_cache.get(tuple(task_ids))
@@ -998,7 +956,8 @@ class LCM:
             # ([2 x∘w, -x²·w, -1] x [Xᵀ; 1; X²·w]) folds the whole thing into
             # one (Q, N*, β+2)x(β+2, N) batched GEMM plus a single exp pass;
             # the cancellation error is O(eps), far below the 1e-10 agreement
-            # predict() is held to (exp of a +O(eps) argument is harmless).
+            # with the dense Eqs. 5–6 the tests hold it to (exp of a +O(eps)
+            # argument is harmless).
             m = flat.shape[0]
             flatc = flat - center
             A = np.empty((self.params.Q, m, beta + 2))
@@ -1018,7 +977,7 @@ class LCM:
             mu = Kstar @ self._alpha  # (T, ns)
             # One triangular solve for every task's variance — dtrtrs is the
             # routine solve_triangular wraps, minus the per-call wrapper
-            # overhead, so results stay bit-identical to predict()'s solve.
+            # overhead.
             v, info = sla.lapack.dtrtrs(
                 self._L, Kstar.reshape(T * ns, n).T, lower=1
             )

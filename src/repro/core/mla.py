@@ -17,8 +17,8 @@
    posterior (γ = 1), or NSGA-II advances the predicted Pareto front and
    ``k = pareto_batch`` candidates are evaluated (γ > 1, Algorithm 2).  One
    search (:meth:`GPTune._search`) runs over a block of tasks in lockstep —
-   one posterior call per optimizer step for the whole block — with the
-   in-flight penalty and the random-search rung inside it.
+   one ``predict_tasks`` posterior call per optimizer step for the whole
+   block — with the in-flight penalty and the random-search rung inside it.
 
 Phases 2–3 repeat until the per-task budget ``ε_tot`` is exhausted.  The
 returned :class:`TuneResult` carries all data, the best configurations, and
@@ -598,8 +598,8 @@ class GPTune:
 
         def propose(i, mo_buf):
             # one streaming proposal: the search phase on the one-task block
-            # [i], scored with the surrogate's own predict; one run buffers
-            # k candidates (pareto_batch for γ > 1, else 1) in mo_buf
+            # [i], scored through predict_tasks like a barrier round; one run
+            # buffers k candidates (pareto_batch for γ > 1, else 1) in mo_buf
             models = bundle[0]
             with self._search_phase(stats, models, 1, task=i):
                 rng = np.random.default_rng(self._child_seed())
@@ -611,7 +611,7 @@ class GPTune:
                     seeds = [] if degraded else [int(rng.integers(2**31))]
                     [(_, cands)] = self._search(
                         data, [i], bundle,
-                        lambda m: self._posterior(m, data, [i], featurizer, stacked=False),
+                        lambda m: self._posterior(m, data, [i], featurizer),
                         seeds, rng, [k], pend_units, featurizer,
                     )
                     mo_buf[i] = cands
@@ -916,34 +916,25 @@ class GPTune:
         data: TuningData,
         tasks: Sequence[int],
         featurizer: Optional[ModelFeaturizer],
-        stacked: bool = True,
     ):
-        """``(T, P, dim) -> (mu, var)`` posterior over per-task unit blocks.
-
-        ``stacked`` answers a block with one cross-task
-        ``model.predict_tasks`` call; otherwise ``tasks`` is one task whose
-        rows go through ``model.predict`` (how the streaming policy scores
-        its one-task blocks; the two agree to roundoff only).  With a
-        featurizer, each task's candidate block is first enriched with that
-        task's model features (normalization frozen).
+        """``(T, P, dim) -> (mu, var)`` posterior over per-task unit blocks:
+        one cross-task ``model.predict_tasks`` call per block, for the
+        barrier and the streaming policy alike.  With a featurizer, each
+        task's candidate block is first enriched with that task's model
+        features (normalization frozen).
         """
-        if featurizer is None and stacked:
+        if featurizer is None:
             return lambda X: model.predict_tasks(tasks, X)
         space = data.tuning_space
 
         def predict(X: np.ndarray):
-            blocks = X
-            if featurizer is not None:
-                blocks = [
-                    featurizer.enrich(
-                        data.tasks[i], space.denormalize_many(X[t]), X[t], observe=False
-                    )
-                    for t, i in enumerate(tasks)
-                ]
-            if stacked:
-                return model.predict_tasks(tasks, np.stack(blocks))
-            mu, var = model.predict(tasks[0], blocks[0])
-            return mu[None], var[None]
+            blocks = [
+                featurizer.enrich(
+                    data.tasks[i], space.denormalize_many(X[t]), X[t], observe=False
+                )
+                for t, i in enumerate(tasks)
+            ]
+            return model.predict_tasks(tasks, np.stack(blocks))
 
         return predict
 
@@ -963,7 +954,8 @@ class GPTune:
         with up to ``ks[t]`` candidates for ``tasks[t]``, in ``tasks`` order.
 
         ``posterior(model)`` maps a surrogate to a ``(T, P, dim) -> (mu,
-        var)`` callable over the block (:meth:`_posterior`).  γ = 1 runs
+        var)`` callable over the block (:meth:`_posterior`: one
+        ``predict_tasks`` call per block, whatever the policy).  γ = 1 runs
         one :class:`BatchedParticleSwarm` (seed ``seeds[0]``) over a
         :class:`BatchedEIAcquisition` and proposes each task's best point,
         or its ``ks[t]`` most diverse personal bests; γ > 1 advances one NSGA-II

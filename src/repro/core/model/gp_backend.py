@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..gp import GaussianProcess
+from ..posterior import task_block
 
 __all__ = ["PerTaskGP"]
 
@@ -116,22 +117,7 @@ class PerTaskGP:
         ``(n_tasks, N*)``, row ``t`` equal to ``predict(tasks[t], ...)``.
         There is nothing shared to batch, so this loops over the tasks.
         """
-        task_ids = [int(t) for t in tasks]
-        if not task_ids:
-            raise ValueError("need at least one task")
-        for t in task_ids:
-            if not 0 <= t < self.n_tasks:
-                raise ValueError("task out of range")
-        Xs = np.asarray(Xstar, dtype=float)
-        if Xs.ndim == 2:
-            blocks = [Xs] * len(task_ids)
-        elif Xs.ndim == 3:
-            if Xs.shape[0] != len(task_ids):
-                raise ValueError(
-                    f"got {Xs.shape[0]} candidate blocks for {len(task_ids)} task(s)"
-                )
-            blocks = list(Xs)
-        else:
-            raise ValueError("Xstar must be (N*, beta) or (n_tasks, N*, beta)")
+        task_ids, Xs = task_block(tasks, Xstar, self.n_tasks)
+        blocks = list(Xs) if Xs.ndim == 3 else [Xs] * len(task_ids)
         out = [self.predict(t, X) for t, X in zip(task_ids, blocks)]
         return np.stack([m for m, _ in out]), np.stack([v for _, v in out])

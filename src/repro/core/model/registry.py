@@ -5,10 +5,16 @@ surrogate into a pluggable **backend**: a named factory producing a model
 with the driver's fit/predict contract —
 
 * ``fit(X, y, task_index, theta0=None)`` on stacked normalized samples,
-* ``predict(task, Xstar) -> (mu, var)``,
 * ``predict_tasks(tasks, Xstar) -> (mu, var)`` over a shared ``(N*, β)``
-  block or per-task ``(n_tasks, N*, β)`` blocks (the lockstep search's
-  only posterior call);
+  block or per-task ``(n_tasks, N*, β)`` blocks, each output
+  ``(n_tasks, N*)`` — the search phase's only posterior call, under the
+  barrier and the streaming policy alike; validate its arguments with
+  :func:`~repro.core.posterior.task_block`,
+* ``predict(task, Xstar) -> (mu, var)`` for one task, each ``(N*,)``, for
+  library callers such as :mod:`~repro.core.sensitivity`.  Where tasks
+  share a kernel it is the one-task view of ``predict_tasks`` (the
+  ``LCM``/``SparseLCM`` backends); where they do not it is the primitive
+  ``predict_tasks`` loops over (``PerTaskGP``);
 * optionally ``extend`` (enables refit-interval/async streaming
   absorption), a flat ``theta`` in the :class:`~repro.core.lcm.LCMParams`
   layout (enables warm starts and the surrogate cache), and

@@ -53,6 +53,7 @@ from scipy import linalg as sla
 from ..kernels import gaussian_kernel_batch, pairwise_sq_diffs
 from ..lbfgsb import check_restarts
 from ..lcm import LCM, LCMParams
+from ..posterior import task_block, task_weights
 from ...observability.spans import maybe_span
 from .inducing import select_inducing
 
@@ -311,23 +312,6 @@ class SparseLCM:
             self._batch_cache = {}
         return self
 
-    def _task_weights(self, task: int) -> Tuple[np.ndarray, np.ndarray, float]:
-        """Cached ``(inv2ls, w (Q,M), prior)`` over the inducing rows.
-
-        Mirror of :meth:`LCM._task_weights` with the inducing set standing
-        in for the training set.
-        """
-        cached = self._pred_cache.get(task)
-        if cached is None:
-            ls, a, bw, _ = self.params.unpack(self.theta)
-            inv2 = 0.5 / (ls * ls)
-            w = (a[task][None, :] * a[self.z_index]).T.copy()  # (Q, M)
-            w[:, self.z_index == task] += bw[task][:, None]
-            prior = float(np.sum(a[task] ** 2 + bw[task]))
-            cached = (inv2, w, prior)
-            self._pred_cache[task] = cached
-        return cached
-
     def _cross_kernels(self, flat: np.ndarray) -> np.ndarray:
         """``exp(−Σ_b sqd_b / 2ℓ²)`` base kernels ``(Q, n, M)`` vs inducing."""
         ls = self.params.unpack(self.theta)[0]
@@ -340,60 +324,36 @@ class SparseLCM:
         return E.reshape(self.params.Q, n, M)
 
     def predict(self, task: int, Xstar: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """DTC posterior mean and variance for one task — O(M²) per point."""
+        """DTC posterior mean and variance for one task — O(M²) per point;
+        a one-task view of :meth:`predict_tasks`."""
         if self.theta is None or self._c is None:
             raise RuntimeError("predict() before fit()")
         task = int(task)
         if not 0 <= task < self.params.delta:
             raise ValueError("task out of range")
-        Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-        with maybe_span("model.predict", aggregate=True):
-            _, w, prior = self._task_weights(task)
-            E = self._cross_kernels(Xstar)
-            Ksm = np.einsum("qnm,qm->nm", E, w)
-            mu = Ksm @ self._c
-            v1 = sla.solve_triangular(self._Lm, Ksm.T, lower=True)
-            v2 = sla.solve_triangular(self._La, Ksm.T, lower=True)
-            var = (
-                prior
-                - np.einsum("ij,ij->j", v1, v1)
-                + np.einsum("ij,ij->j", v2, v2)
-            )
-        return mu, np.maximum(var, 0.0)
+        Xs = np.atleast_2d(np.asarray(Xstar, dtype=float))
+        mu, var = self.predict_tasks([task], Xs)
+        return mu[0], var[0]
 
     def predict_tasks(
         self, tasks: Sequence[int], Xstar: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Cross-task batched posterior, same contract as
+        """Cross-task DTC posterior, same contract as
         :meth:`LCM.predict_tasks` — one kernel evaluation against the M
         inducing rows serves every task (shared ``(N*, β)`` block or
-        per-task ``(n_tasks, N*, β)`` blocks).
+        per-task ``(n_tasks, N*, β)`` blocks).  The model's only posterior
+        kernel: :meth:`predict` is its one-task view.
         """
         if self.theta is None or self._c is None:
             raise RuntimeError("predict_tasks() before fit()")
-        task_ids = [int(t) for t in tasks]
-        if not task_ids:
-            raise ValueError("need at least one task")
-        for t in task_ids:
-            if not 0 <= t < self.params.delta:
-                raise ValueError("task out of range")
-        Xs = np.asarray(Xstar, dtype=float)
-        if Xs.ndim == 2:
-            per_task_blocks = False
-        elif Xs.ndim == 3:
-            per_task_blocks = True
-            if Xs.shape[0] != len(task_ids):
-                raise ValueError(
-                    f"got {Xs.shape[0]} candidate blocks for {len(task_ids)} task(s)"
-                )
-        else:
-            raise ValueError("Xstar must be (N*, beta) or (n_tasks, N*, beta)")
+        task_ids, Xs = task_block(tasks, Xstar, self.params.delta)
+        per_task_blocks = Xs.ndim == 3
         T, ns, M = len(task_ids), Xs.shape[-2], self.Z.shape[0]
         flat = Xs.reshape(-1, Xs.shape[-1])
         with maybe_span("model.predict_tasks", aggregate=True):
             cached = self._batch_cache.get(tuple(task_ids))
             if cached is None:
-                weights = [self._task_weights(t) for t in task_ids]
+                weights = [task_weights(self, self.z_index, t) for t in task_ids]
                 W = np.stack([w for _, w, _ in weights])  # (T, Q, M)
                 prior = np.array([p for _, _, p in weights])  # (T,)
                 self._batch_cache[tuple(task_ids)] = (W, prior)

@@ -8,15 +8,15 @@ with external logs) and **monotonic** (``time.perf_counter``, for correct
 durations across clock adjustments) times at entry, and recording a finished
 :class:`Span` at exit.  Spans nest: each records the ``span_id`` of the
 enclosing span on the same thread, so ``model.fit`` appears inside
-``phase.modeling`` and ``model.predict`` inside ``phase.search``.
+``phase.modeling`` and ``model.predict_tasks`` inside ``phase.search``.
 
 Instrumented code never talks to a recorder directly — it calls
 :func:`maybe_span`, which returns a shared no-op context manager unless a
 :class:`SpanRecorder` has been installed (:func:`install_recorder`).  The
 disabled path is one module-global read plus a no-op ``with``, so telemetry
-off costs nothing measurable even in the ``LCM.predict`` hot loop.
+off costs nothing measurable even in the ``LCM.predict_tasks`` hot loop.
 
-High-frequency spans (thousands of ``model.predict`` calls per search
+High-frequency spans (thousands of ``model.predict_tasks`` calls per search
 phase) pass ``aggregate=True``: they fold into a per-name (count, total)
 accumulator and a metrics histogram instead of appending one event each;
 :meth:`SpanRecorder.flush` emits the accumulated totals as single

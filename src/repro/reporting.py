@@ -190,7 +190,7 @@ def phase_breakdown(events) -> Dict[str, Dict[str, float]]:
 
     Sums both individual ``"span"`` events (``dur_s`` field) and aggregated
     ``"span-summary"`` events (``count``/``total_s`` fields, emitted for
-    hot-path spans like ``model.predict``).  Returns
+    hot-path spans like ``model.predict_tasks``).  Returns
     ``{name: {"count": n, "total_s": seconds}}``.
     """
     out: Dict[str, Dict[str, float]] = {}

@@ -411,8 +411,9 @@ class RunCheckpoint:
     order, where ``eta`` is the remaining virtual duration under a
     :class:`~repro.runtime.async_engine.SimScheduler` (``None`` for real
     executors).  Resuming resubmits them first, preserving the original
-    completion schedule.  Lockstep resume refuses a checkpoint with pending
-    evaluations — they would be silently lost.
+    completion schedule.  A lockstep resume of such a checkpoint resubmits
+    them too and drains them before its first barrier round, so none is
+    lost.
 
     ``modeling`` (version 2) snapshots the modeling warm state
     (:meth:`~repro.core.model.fitter.SurrogateFitter.snapshot`) so lockstep

@@ -44,6 +44,8 @@ import uuid
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..runtime.resilience import _fsync_dir
+
 __all__ = [
     "ShardedStore",
     "ShardLock",
@@ -586,8 +588,9 @@ class ShardedStore:
         """Rewrite one shard: drop torn lines and duplicate rids.
 
         Crash-safe: the compacted content goes to a temp file in the shard
-        directory, is fsynced, and replaces the shard atomically — a crash
-        at any point leaves either the old or the new complete file.  Runs
+        directory, is fsynced, and replaces the shard atomically, and the
+        directory is fsynced after the rename — a crash or power cut at any
+        point leaves either the old or the new complete file.  Runs
         under the shard lock, so concurrent appends wait rather than vanish.
         """
         path = self.shard_path(problem)
@@ -607,6 +610,7 @@ class ShardedStore:
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
+            _fsync_dir(os.path.dirname(os.path.abspath(path)))
             state = _ShardState()
             state.offset = os.path.getsize(path)
             state.rids = seen

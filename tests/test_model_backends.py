@@ -30,6 +30,7 @@ from repro.core import (
 from repro.core.model.inducing import max_min_indices, select_inducing
 from repro.core.model.registry import BackendSpec
 from repro.service.modelcache import CachedFit, SurrogateCache
+from tests.posterior_reference import sparse_posterior
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +255,8 @@ class TestSparseLCM:
             assert np.allclose(ve, vs, atol=2e-4)
 
     def test_predict_tasks_matches_predict(self, sparse_data):
+        """predict_tasks ≡ the dense DTC reference to 1e-10, and predict is
+        its one-task row bit for bit."""
         X, y, tidx = sparse_data
         sp = SparseLCM(3, 2, n_inducing=24, seed=0, n_start=1).fit(X, y, tidx)
         rng = np.random.default_rng(11)
@@ -261,16 +264,19 @@ class TestSparseLCM:
         Xs = rng.random((12, 2))
         mu_b, var_b = sp.predict_tasks([0, 1, 2], Xs)
         for t in range(3):
-            mu, var = sp.predict(t, Xs)
-            assert np.allclose(mu_b[t], mu, atol=1e-10)
-            assert np.allclose(var_b[t], var, atol=1e-10)
+            mu, var = sparse_posterior(sp, t, Xs)
+            assert np.allclose(mu_b[t], mu, rtol=0, atol=1e-10)
+            assert np.allclose(var_b[t], var, rtol=0, atol=1e-10)
+            mu1, var1 = sp.predict(t, Xs)
+            mu_t, var_t = sp.predict_tasks([t], Xs)
+            assert np.array_equal(mu1, mu_t[0]) and np.array_equal(var1, var_t[0])
         # per-task 3-D block
         Xs3 = rng.random((3, 9, 2))
         mu_b3, var_b3 = sp.predict_tasks([0, 1, 2], Xs3)
         for t in range(3):
-            mu, var = sp.predict(t, Xs3[t])
-            assert np.allclose(mu_b3[t], mu, atol=1e-10)
-            assert np.allclose(var_b3[t], var, atol=1e-10)
+            mu, var = sparse_posterior(sp, t, Xs3[t])
+            assert np.allclose(mu_b3[t], mu, rtol=0, atol=1e-10)
+            assert np.allclose(var_b3[t], var, rtol=0, atol=1e-10)
 
     def test_extend_matches_fresh_assemble(self, sparse_data, rng):
         """The rank-M information update equals rebuilding from all data.

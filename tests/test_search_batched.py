@@ -18,6 +18,7 @@ from repro.core import (
     TuningProblem,
 )
 from repro.core.lcm import LCM
+from tests.posterior_reference import lcm_posterior
 
 
 def _fit_data(rng, n, delta, beta):
@@ -42,9 +43,16 @@ def _fitted_models(rng, n=50, delta=3, beta=2, q=2):
     )
 
 
+def _reference(m, task, X):
+    """The independent posterior of one task: the dense Eqs. 5–6 for the
+    LCM, the task's own GP (its primitive ``predict``) for PerTaskGP."""
+    return lcm_posterior(m, task, X) if isinstance(m, LCM) else m.predict(task, X)
+
+
 class TestPredictTasks:
-    """predict_tasks ≡ per-task predict to 1e-10 on random fits, for the
-    exact LCM and the per-task GP backend."""
+    """predict_tasks ≡ an independent posterior to 1e-10 on random fits:
+    the dense Eqs. 5–6 for the exact LCM, the per-task GPs for the per-task
+    GP backend."""
 
     @pytest.mark.parametrize("delta,beta,q,n", [(2, 2, 1, 24), (3, 2, 2, 40), (4, 3, 3, 60)])
     def test_shared_block_equivalence(self, rng, delta, beta, q, n):
@@ -54,9 +62,9 @@ class TestPredictTasks:
             mu_b, var_b = m.predict_tasks(tasks, Xs)
             assert mu_b.shape == var_b.shape == (delta, 17)
             for t in tasks:
-                mu, var = m.predict(t, Xs)
-                assert np.allclose(mu_b[t], mu, atol=1e-10)
-                assert np.allclose(var_b[t], var, atol=1e-10)
+                mu, var = _reference(m, t, Xs)
+                assert np.allclose(mu_b[t], mu, rtol=0, atol=1e-10)
+                assert np.allclose(var_b[t], var, rtol=0, atol=1e-10)
 
     def test_per_task_blocks_equivalence(self, rng):
         blocks = rng.random((3, 11, 2))
@@ -64,9 +72,9 @@ class TestPredictTasks:
             mu_b, var_b = m.predict_tasks([0, 1, 2], blocks)
             assert mu_b.shape == var_b.shape == (3, 11)
             for t in range(3):
-                mu, var = m.predict(t, blocks[t])
-                assert np.allclose(mu_b[t], mu, atol=1e-10)
-                assert np.allclose(var_b[t], var, atol=1e-10)
+                mu, var = _reference(m, t, blocks[t])
+                assert np.allclose(mu_b[t], mu, rtol=0, atol=1e-10)
+                assert np.allclose(var_b[t], var, rtol=0, atol=1e-10)
 
     def test_task_subset_and_order(self, rng):
         """Any subset of tasks, in any order (frozen tasks are skipped)."""
@@ -76,9 +84,25 @@ class TestPredictTasks:
             for X in (Xs, blocks):
                 mu_b, var_b = m.predict_tasks([3, 1], X)
                 for row, t in enumerate([3, 1]):
-                    mu, var = m.predict(t, X if X.ndim == 2 else X[row])
-                    assert np.allclose(mu_b[row], mu, atol=1e-10)
-                    assert np.allclose(var_b[row], var, atol=1e-10)
+                    mu, var = _reference(m, t, X if X.ndim == 2 else X[row])
+                    assert np.allclose(mu_b[row], mu, rtol=0, atol=1e-10)
+                    assert np.allclose(var_b[row], var, rtol=0, atol=1e-10)
+
+    def test_predict_is_the_one_task_view(self, rng):
+        """LCM.predict returns predict_tasks' row bit for bit, and keeps its
+        own checks."""
+        m = _fitted_lcm(rng)
+        Xs = rng.random((13, 2))
+        for t in range(3):
+            mu, var = m.predict(t, Xs)
+            mu_b, var_b = m.predict_tasks([t], Xs)
+            assert np.array_equal(mu, mu_b[0]) and np.array_equal(var, var_b[0])
+        mu, var = m.predict(1, Xs[0])  # one point as a 1-D vector
+        assert mu.shape == var.shape == (1,)
+        with pytest.raises(ValueError):
+            m.predict(3, Xs)
+        with pytest.raises(RuntimeError):
+            LCM(2, 2, seed=0).predict(0, Xs)
 
     def test_variance_nonnegative(self, rng):
         m = _fitted_lcm(rng)
@@ -316,6 +340,48 @@ class TestBatchedCampaign:
         assert _search_modes(runs[0]) == ["batched"]
         assert runs[0].data.to_records() == runs[1].data.to_records()
         assert np.all(runs[0].best_values() <= 1.05)
+
+
+class TestSinglePosteriorPath:
+    """Both campaign policies score through ``predict_tasks`` only: a
+    streaming campaign never calls the per-task ``LCM.predict``."""
+
+    @staticmethod
+    def _stream(problem):
+        from repro.runtime.async_engine import SimScheduler
+        from repro.runtime.simclock import SimClock
+
+        sched = SimScheduler(lambda task, cfg: 1.0 + 3.0 * float(cfg["x"]), clock=SimClock())
+        opts = Options(**{**BASE, "async_eval": True, "max_inflight": 2,
+                          "nsga_pop": 10, "nsga_gens": 3, "pareto_batch": 2})
+        with pytest.MonkeyPatch.context() as mp:
+
+            def boom(self, task, Xstar):
+                raise AssertionError("LCM.predict called by the campaign")
+
+            mp.setattr(LCM, "predict", boom)
+            res = GPTune(problem, opts, scheduler=sched).tune(TASKS[:2], 9)
+        assert _search_modes(res) == ["batched"]
+        assert all(isinstance(m, LCM) for m in res.models)
+        assert [res.data.n_samples(i) for i in range(2)] == [9, 9]
+
+    def test_streaming_gamma1(self):
+        self._stream(_analytical_problem())
+
+    def test_streaming_gamma2_with_models(self):
+        base = _analytical_problem()
+        prob = TuningProblem(
+            task_space=base.task_space,
+            tuning_space=base.tuning_space,
+            objective=lambda task, cfg: [
+                base.objective(task, cfg),
+                (cfg["y"] - 0.5) ** 2 + 0.1,
+            ],
+            n_objectives=2,
+            models=[lambda t, c: (c["x"] - 0.2 - 0.3 * t["t"]) ** 2],
+            name="stream-mo-perfmodel",
+        )
+        self._stream(prob)
 
 
 def _integer_problem(n_objectives=1):

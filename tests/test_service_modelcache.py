@@ -108,6 +108,32 @@ class TestSurrogateCache:
         assert cache.lookup("p", 0, ["f5"], 2, 1, 2) is not None
         assert cache.lookup("p", 0, ["f0"], 2, 1, 2) is None
 
+    def test_compact_is_durable(self, cache, monkeypatch):
+        """The compacted temp file is fsynced before the rename and the
+        cache's directory after it."""
+        import os
+        import stat
+
+        for i in range(3):
+            cache.put(_fit([f"f{i}"], problem="p"))
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            calls.append(("fsync", "dir" if stat.S_ISDIR(st.st_mode) else st.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        assert cache.compact(keep_latest=1) == 1
+        size = os.path.getsize(cache.path)
+        assert calls == [("fsync", size), ("replace", "fits.jsonl"), ("fsync", "dir")]
+
     def test_bad_min_overlap_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             SurrogateCache(str(tmp_path / "c.jsonl"), min_overlap=0.0)

@@ -79,6 +79,32 @@ class TestShardedStore:
         assert stats == {"kept": 2, "duplicates": 1, "torn": 1}
         assert store.count("qr") == 2
 
+    def test_compact_is_durable(self, store, monkeypatch):
+        """The compacted temp file is fsynced before the rename and the
+        shard directory after it, so a power cut cannot leave the directory
+        naming the pre-compaction file."""
+        import stat
+
+        store.append("qr", [REC, REC2])
+        path = store.shard_path("qr")
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            calls.append(("fsync", "dir" if stat.S_ISDIR(st.st_mode) else st.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        store.compact("qr")
+        size = os.path.getsize(path)
+        assert calls == [("fsync", size), ("replace", "qr.jsonl"), ("fsync", "dir")]
+
     def test_etag_changes_on_append_stable_across_compaction(self, store):
         store.append("qr", [REC])
         e1 = store.etag("qr")
