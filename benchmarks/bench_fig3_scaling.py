@@ -112,7 +112,7 @@ def test_fig3_distributed_covariance_factorization(benchmark):
     X, y, tidx = _dataset(128, rng)  # N = 768 — the paper's largest regime
     lcm = LCM(DELTA, 1, n_latent=2, seed=0, n_start=1)
     theta = lcm._initial_theta(y, restart=0)  # covariance only; no fit needed
-    Sigma, _, _ = lcm._covariance(theta, pairwise_sq_diffs(X), tidx)
+    Sigma = lcm._covariance(theta, pairwise_sq_diffs(X), tidx)
     Sigma[np.diag_indices(Sigma.shape[0])] += 1e-4
 
     rows, times = [], {}

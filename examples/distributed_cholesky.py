@@ -32,7 +32,7 @@ def build_covariance(delta=6, eps=96, seed=0):
     X, y, tid = np.vstack(X), np.concatenate(y), np.array(tid)
     lcm = LCM(delta, 1, n_latent=2, seed=seed, n_start=1)
     theta = lcm._initial_theta(y, restart=0)
-    Sigma, _, _ = lcm._covariance(theta, pairwise_sq_diffs(X), tid)
+    Sigma = lcm._covariance(theta, pairwise_sq_diffs(X), tid)
     Sigma[np.diag_indices(Sigma.shape[0])] += 1e-4
     return Sigma
 

@@ -4,7 +4,7 @@ from .acquisition import BatchedEIAcquisition, EIAcquisition, expected_improveme
 from .data import TuningData
 from .gp import GaussianProcess
 from .history import HistoryDB
-from .lcm import LCM, LCMParams
+from .lcm import LCM
 from .metrics import (
     dominates,
     hypervolume_2d,
@@ -38,6 +38,7 @@ from .perfmodel import (
     ModelFeaturizer,
     PerformanceModel,
 )
+from .posterior import LCMParams
 from .problem import TuningProblem
 from .sampling import LHSSampler, RandomSampler, lhs_unit, sample_feasible
 from .search import NSGA2, BatchedParticleSwarm, ParticleSwarm

@@ -15,7 +15,11 @@ Hyperparameters — per-latent ARD lengthscales ``l_j^q``, task loadings
 ``a_{i,q}``, task-specific kernel weights ``b_{i,q} ≥ 0`` and diagonal noise
 ``d_i > 0`` (``σ_q`` fixed at 1) — are found by maximizing the log marginal
 likelihood with multi-start L-BFGS and *analytic* gradients, matching the
-reference implementation.  The restarts run in lockstep: one L-BFGS driver
+reference implementation.  The model itself — its shape, the θ layout and
+bounds, the Eq. 4 block and the task correlation — is
+:class:`~repro.core.posterior.LCMParams`, which the inducing-point
+:class:`~repro.core.model.sparse_lcm.SparseLCM` shares; this module is the
+exact solver for it.  The restarts run in lockstep: one L-BFGS driver
 advances all of them and evaluates, each round, the rows that ask for a new
 ``(f, g)`` in one stacked likelihood call.  With an executor — one of the
 :mod:`repro.runtime.async_engine` schedulers (Sec. 4.3, level-1
@@ -86,13 +90,8 @@ from scipy import linalg as sla
 
 from . import lbfgsb as optimize
 from .lbfgsb import check_restarts
-from .kernels import (
-    gaussian_kernel,
-    gaussian_kernel_batch,
-    gaussian_kernel_with_grad,
-    pairwise_sq_diffs,
-)
-from .posterior import task_block, task_weights
+from .kernels import gaussian_kernel_with_grad, pairwise_sq_diffs
+from .posterior import LCMParams, chol_escalate, observations, task_block, task_weights
 from ..observability.spans import maybe_span
 from ..runtime.async_engine import run_all
 
@@ -106,48 +105,6 @@ _DIVERGED = 1e25
 _POTRF, _POTRS, _POTRI = sla.get_lapack_funcs(
     ("potrf", "potrs", "potri"), (np.empty((1, 1), dtype=np.float64),)
 )
-
-
-class LCMParams:
-    """Structured view of the flat hyperparameter vector.
-
-    Layout of ``theta`` (all optimizer variables are unconstrained):
-
-    * ``theta[0 : Q*β]``             — ``log l_j^q`` (latent-major),
-    * ``theta[Q*β : Q*β + δ*Q]``     — ``a_{i,q}`` (task-major),
-    * ``theta[… : … + δ*Q]``         — ``log b_{i,q}``,
-    * ``theta[-δ:]``                 — ``log d_i``.
-    """
-
-    def __init__(self, n_tasks: int, n_dims: int, n_latent: int):
-        self.delta, self.beta, self.Q = int(n_tasks), int(n_dims), int(n_latent)
-
-    @property
-    def size(self) -> int:
-        """Total number of scalar hyperparameters."""
-        return self.Q * self.beta + 2 * self.delta * self.Q + self.delta
-
-    def unpack(self, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Split ``theta`` into ``(lengthscales (Q,β), a (δ,Q), b (δ,Q), d (δ,))``."""
-        q, b, d = self.Q, self.beta, self.delta
-        i0 = q * b
-        ls = np.exp(theta[:i0]).reshape(q, b)
-        a = theta[i0 : i0 + d * q].reshape(d, q)
-        bw = np.exp(theta[i0 + d * q : i0 + 2 * d * q]).reshape(d, q)
-        dn = np.exp(theta[i0 + 2 * d * q :])
-        return ls, a, bw, dn
-
-    def pack(self, ls: np.ndarray, a: np.ndarray, bw: np.ndarray, dn: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`unpack` (takes natural-scale values)."""
-        return np.concatenate(
-            [np.log(ls).ravel(), a.ravel(), np.log(bw).ravel(), np.log(dn).ravel()]
-        )
-
-    def pack_grad(
-        self, g_ls: np.ndarray, g_a: np.ndarray, g_b: np.ndarray, g_d: np.ndarray
-    ) -> np.ndarray:
-        """Pack gradient blocks into the flat layout (mirrors :meth:`pack`)."""
-        return np.concatenate([g_ls.ravel(), g_a.ravel(), g_b.ravel(), g_d.ravel()])
 
 
 class _Workspace:
@@ -257,14 +214,9 @@ class LCM:
         restart_offset: int = 0,
         chol_ranks: Optional[int] = None,
     ):
-        if n_tasks < 1 or n_dims < 1:
-            raise ValueError("need n_tasks >= 1 and n_dims >= 1")
+        self.params = LCMParams(n_tasks, n_dims, n_latent)
         if chol_ranks is not None and int(chol_ranks) < 1:
             raise ValueError("need chol_ranks >= 1")
-        Q = min(n_tasks, 3) if n_latent is None else int(n_latent)
-        if Q < 1 or Q > n_tasks:
-            raise ValueError(f"need 1 <= Q <= δ, got Q={Q}, δ={n_tasks}")
-        self.params = LCMParams(n_tasks, n_dims, Q)
         self.jitter = float(jitter)
         self.n_start, self.maxiter = check_restarts(n_start, maxiter)
         self.rng = np.random.default_rng(seed)
@@ -310,45 +262,12 @@ class LCM:
         self._layout_cache = None
 
     # -- covariance assembly ------------------------------------------------
-    def _covariance(
-        self, theta: np.ndarray, sqd: np.ndarray, tidx: np.ndarray
-    ) -> Tuple[np.ndarray, list, list]:
-        """Return ``(Σ, [K_q], [A_q])`` for the stacked samples."""
-        ls, a, bw, dn = self.params.unpack(theta)
-        same = tidx[:, None] == tidx[None, :]
-        Sigma = np.diag(dn[tidx]).astype(float)
-        Ks, As = [], []
-        for q in range(self.params.Q):
-            Kq = gaussian_kernel(sqd, ls[q])
-            aq = a[tidx, q]
-            Aq = np.outer(aq, aq) + np.where(same, bw[tidx, q][:, None], 0.0)
-            Sigma += Aq * Kq
-            Ks.append(Kq)
-            As.append(Aq)
-        return Sigma, Ks, As
-
-    def _cov_block(
-        self,
-        theta: np.ndarray,
-        sqd: np.ndarray,
-        tidx_rows: np.ndarray,
-        tidx_cols: np.ndarray,
-    ) -> np.ndarray:
-        """Noise-free LCM covariance between two stacked sample sets.
-
-        Used by :meth:`extend` for the cross/new blocks of the block-append
-        Cholesky update; the per-sample noise ``d_i`` (which applies to the
-        exact diagonal only) is added by the caller where appropriate.
-        """
-        ls, a, bw, _ = self.params.unpack(theta)
-        same = tidx_rows[:, None] == tidx_cols[None, :]
-        Kall = gaussian_kernel_batch(sqd, ls)
-        out = np.zeros(same.shape)
-        for q in range(self.params.Q):
-            Aq = np.outer(a[tidx_rows, q], a[tidx_cols, q])
-            Aq += np.where(same, bw[tidx_rows, q][:, None], 0.0)
-            out += Aq * Kall[q]
-        return out
+    def _covariance(self, theta: np.ndarray, sqd: np.ndarray, tidx: np.ndarray) -> np.ndarray:
+        """Σ of Eq. 4 over the stacked samples: :meth:`LCMParams.cov` plus
+        the noise ``d_i`` on the diagonal (no jitter)."""
+        Sigma = self.params.cov(theta, sqd, tidx, tidx)
+        Sigma[np.diag_indices(tidx.shape[0])] += self.params.unpack(theta)[3][tidx]
+        return Sigma
 
     # -- likelihood ----------------------------------------------------------
     def _workspace(self, R: int, N: int) -> _Workspace:
@@ -402,13 +321,7 @@ class LCM:
         R, N = theta.shape[0], y.shape[0]
         ws = self._workspace(R, N)
         lay = self._layout(tidx)
-        i0 = Q * beta
-        i1 = i0 + delta * Q
-        i2 = i1 + delta * Q
-        ls = np.exp(theta[:, :i0]).reshape(R, Q, beta)
-        a = theta[:, i0:i1].reshape(R, delta, Q)
-        bw = np.exp(theta[:, i1:i2]).reshape(R, delta, Q)
-        dn = np.exp(theta[:, i2:])  # (R, δ)
+        ls, a, bw, dn = p.unpack(theta)  # (R, Q, β), (R, δ, Q) ×2, (R, δ)
         inv2 = 0.5 / (ls * ls)
 
         Aall = ws.Aall[:R]
@@ -499,11 +412,7 @@ class LCM:
         g_d *= 0.5
 
         # chain rule to log-parameters for ls, b, d; negate for NLL
-        grad = np.concatenate(
-            [g_ls.reshape(R, i0), g_a.reshape(R, i1 - i0),
-             (g_b * bw).reshape(R, i2 - i1), g_d * dn],
-            axis=1,
-        )
+        grad = p.pack_grad(g_ls, g_a, g_b * bw, g_d * dn)
         np.negative(grad, out=grad)
         if bad:
             grad[bad] = 0.0
@@ -613,17 +522,6 @@ class LCM:
                 out.append((float(cap["nll"]), x, cap["L"], cap["alpha"]))
         return out
 
-    def _bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(lower, upper)`` for θ: ``±1e3`` on the loadings ``a_{i,q}``,
-        ``[-20, 12]`` on the log-scale variables."""
-        p = self.params
-        i0 = p.Q * p.beta
-        lower = np.full(p.size, -20.0)
-        upper = np.full(p.size, 12.0)
-        lower[i0 : i0 + p.delta * p.Q] = -1e3
-        upper[i0 : i0 + p.delta * p.Q] = 1e3
-        return lower, upper
-
     # -- public API ------------------------------------------------------------
     def fit(
         self,
@@ -649,29 +547,18 @@ class LCM:
             reduces the multi-start search to one L-BFGS run from a
             known-good optimum.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        tidx = np.asarray(task_index, dtype=int).ravel()
-        if not (X.shape[0] == y.shape[0] == tidx.shape[0]):
-            raise ValueError("X, y and task_index row counts differ")
-        if X.shape[0] == 0:
-            raise ValueError("no observations")
-        if tidx.min() < 0 or tidx.max() >= self.params.delta:
-            raise ValueError("task_index out of range")
+        p = self.params
+        X, y, tidx = observations(X, y, task_index, p.delta, p.beta)
         sqd = pairwise_sq_diffs(X)
 
         if theta0 is not None:
-            theta0 = np.asarray(theta0, dtype=float).ravel()
-            if theta0.shape != (self.params.size,):
-                raise ValueError(
-                    f"theta0 has {theta0.shape[0]} entries, expected {self.params.size}"
-                )
+            theta0 = p.vector(theta0, "theta0")
         starts = [
             theta0 if s == 0 and theta0 is not None
             else self._initial_theta(y, s + self.restart_offset)
             for s in range(self.n_start)
         ]
-        bounds = self._bounds()
+        bounds = p.bounds()
         # one lockstep group, or one contiguous group per scheduler worker
         n_groups = 1
         if self.executor is not None:
@@ -725,18 +612,9 @@ class LCM:
         ``(L, α)`` is bitwise identical to the fit that produced ``θ``,
         which keeps subsequent :meth:`extend` chains bit-identical too.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        tidx = np.asarray(task_index, dtype=int).ravel()
-        if not (X.shape[0] == y.shape[0] == tidx.shape[0]):
-            raise ValueError("X, y and task_index row counts differ")
-        if X.shape[0] == 0:
-            raise ValueError("no observations")
-        theta = np.asarray(theta, dtype=float).ravel()
-        if theta.shape != (self.params.size,):
-            raise ValueError(
-                f"theta has {theta.shape[0]} entries, expected {self.params.size}"
-            )
+        p = self.params
+        X, y, tidx = observations(X, y, task_index, p.delta, p.beta)
+        theta = p.vector(theta, "theta")
         sqd = pairwise_sq_diffs(X)
         cap: dict = {}
         nll, _ = self._nll_and_grad(theta, sqd, y, tidx, capture=cap)
@@ -759,7 +637,7 @@ class LCM:
         rather than the sum of every previous attempt's additions.
         """
         assert self.theta is not None and self.X is not None
-        Sigma, _, _ = self._covariance(self.theta, sqd, self.task_index)
+        Sigma = self._covariance(self.theta, sqd, self.task_index)
         di = np.diag_indices(Sigma.shape[0])
         base = Sigma[di].copy()
         j = self.jitter
@@ -807,17 +685,10 @@ class LCM:
         """
         if self.theta is None or self.X is None or self._L is None:
             raise RuntimeError("extend() before fit()")
-        Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
-        ynew = np.asarray(ynew, dtype=float).ravel()
-        tnew = np.asarray(tidx_new, dtype=int).ravel()
-        if not (Xnew.shape[0] == ynew.shape[0] == tnew.shape[0]):
-            raise ValueError("Xnew, ynew and tidx_new row counts differ")
+        p = self.params
+        Xnew, ynew, tnew = observations(Xnew, ynew, tidx_new, p.delta, p.beta, extend=True)
         if Xnew.shape[0] == 0:
             return self
-        if Xnew.shape[1] != self.X.shape[1]:
-            raise ValueError("Xnew dimension differs from fitted inputs")
-        if tnew.min() < 0 or tnew.max() >= self.params.delta:
-            raise ValueError("task_index out of range")
         with maybe_span(
             "model.extend", n_old=int(self.X.shape[0]), n_new=int(Xnew.shape[0])
         ):
@@ -828,26 +699,13 @@ class LCM:
         _, _, _, dn = self.params.unpack(self.theta)
         n_old, n_new = self.X.shape[0], Xnew.shape[0]
 
-        S12 = self._cov_block(
-            self.theta, pairwise_sq_diffs(self.X, Xnew), self.task_index, tnew
-        )
-        S22 = self._cov_block(self.theta, pairwise_sq_diffs(Xnew), tnew, tnew)
-        di = np.diag_indices(n_new)
-        S22[di] += dn[tnew] + self.jitter_used_
+        cov = self.params.cov
+        S12 = cov(self.theta, pairwise_sq_diffs(self.X, Xnew), self.task_index, tnew)
+        S22 = cov(self.theta, pairwise_sq_diffs(Xnew), tnew, tnew)
+        S22[np.diag_indices(n_new)] += dn[tnew] + self.jitter_used_
 
         B = sla.solve_triangular(self._L, S12, lower=True)  # (n_old, n_new)
-        C = S22 - B.T @ B
-        base = C[di].copy()
-        j = 0.0
-        while True:
-            try:
-                L22 = sla.cholesky(C, lower=True)
-                break
-            except sla.LinAlgError:
-                j = max(j, self.jitter, 1e-10) * 10.0
-                if j > 1.0:
-                    raise
-                C[di] = base + j
+        L22, _ = chol_escalate(S22 - B.T @ B, self.jitter, 1.0)
 
         L = np.zeros((n_old + n_new, n_old + n_new))
         L[:n_old, :n_old] = self._L
@@ -882,13 +740,7 @@ class LCM:
         Xstar:
             ``(N*, β)`` normalized query points.
         """
-        if self.theta is None or self.X is None:
-            raise RuntimeError("predict() before fit()")
-        task = int(task)
-        if not 0 <= task < self.params.delta:
-            raise ValueError("task out of range")
-        Xs = np.atleast_2d(np.asarray(Xstar, dtype=float))
-        mu, var = self.predict_tasks([task], Xs)
+        mu, var = self.predict_tasks([task], np.atleast_2d(Xstar))
         return mu[0], var[0]
 
     def predict_tasks(
@@ -987,15 +839,7 @@ class LCM:
         return mu, np.maximum(var, 0.0)
 
     def task_correlation(self) -> np.ndarray:
-        """Fitted between-task correlation matrix ``B / sqrt(diag ⊗ diag)``.
-
-        ``B = A A^T + diag(Σ_q b)`` is the coregionalization matrix summed over
-        latents; its normalized form shows how much knowledge the model shares
-        between tasks (a diagnostic the multitask-learning literature uses).
-        """
+        """Fitted between-task correlation matrix (:meth:`LCMParams.correlation`)."""
         if self.theta is None:
             raise RuntimeError("not fitted")
-        _, a, bw, _ = self.params.unpack(self.theta)
-        B = a @ a.T + np.diag(bw.sum(axis=1))
-        dd = np.sqrt(np.clip(np.diag(B), 1e-300, None))
-        return B / np.outer(dd, dd)
+        return self.params.correlation(self.theta)

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..gp import GaussianProcess
-from ..posterior import task_block
+from ..posterior import observations, task_block
 
 __all__ = ["PerTaskGP"]
 
@@ -67,15 +67,7 @@ class PerTaskGP:
         task's first restart, or ``None`` for a cold start.  ``n_start``
         applies to every task either way.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        tidx = np.asarray(task_index, dtype=int).ravel()
-        if not (X.shape[0] == y.shape[0] == tidx.shape[0]):
-            raise ValueError("X, y and task_index row counts differ")
-        if X.shape[0] == 0:
-            raise ValueError("no observations")
-        if tidx.min() < 0 or tidx.max() >= self.n_tasks:
-            raise ValueError("task_index out of range")
+        X, y, tidx = observations(X, y, task_index, self.n_tasks, self.n_dims)
         if theta0 is not None and len(theta0) != self.n_tasks:
             raise ValueError(f"theta0 has {len(theta0)} entries, expected {self.n_tasks}")
         rng = np.random.default_rng(self.seed)

@@ -16,7 +16,7 @@ with the driver's fit/predict contract —
   ``LCM``/``SparseLCM`` backends); where they do not it is the primitive
   ``predict_tasks`` loops over (``PerTaskGP``);
 * optionally ``extend`` (enables refit-interval/async streaming
-  absorption), a flat ``theta`` in the :class:`~repro.core.lcm.LCMParams`
+  absorption), a flat ``theta`` in the :class:`~repro.core.posterior.LCMParams`
   layout (enables warm starts and the surrogate cache), and
   ``log_likelihood_`` (the driver's divergence check).
 

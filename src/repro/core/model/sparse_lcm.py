@@ -10,11 +10,12 @@ construction over a shared inducing set of ``M ≪ N`` stacked rows:
 * the inducing rows ``Z`` (configuration + task id) are picked from the
   data by deterministic greedy max-min selection
   (:func:`~repro.core.model.inducing.select_inducing`);
-* hyperparameters θ (identical layout to the exact model's
-  :class:`~repro.core.lcm.LCMParams`) are estimated by an **inner exact
-  LCM fit on the inducing subset** — O(M³), reusing the vectorized
-  likelihood, multi-start machinery, warm starts and scheduler-mapped
-  restart groups of the exact path unchanged;
+* hyperparameters θ of the same :class:`~repro.core.posterior.LCMParams`
+  model as the exact solver's (θ, its bounds, the covariance blocks and
+  :meth:`task_correlation` are one code path) are estimated by an
+  **inner exact LCM fit on the inducing subset** — O(M³), reusing the
+  vectorized likelihood, multi-start machinery, warm starts and
+  scheduler-mapped restart groups of the exact path unchanged;
 * the posterior over all N observations uses the Nyström approximation
   ``Σ ≈ K_nm K_mm⁻¹ K_mn + Λ`` with ``Λ = diag(d_{t_n})``, giving
 
@@ -27,10 +28,11 @@ construction over a shared inducing set of ``M ≪ N`` stacked rows:
   ``σ²_* = prior − ‖L_m⁻¹ k_*‖² + ‖L_A⁻¹ k_*‖²`` — an **O(N·M²) fit** (one
   GEMM to build ``A``) and **O(M²) per prediction point**, independent of N.
 
-All cross-covariances go through one batched-kernel contraction
-(:func:`~repro.core.kernels.gaussian_kernel_batch`), mirroring the exact
-model's hot path.  The class is interface-compatible with :class:`LCM`
-where the MLA driver cares: ``fit/extend/predict/predict_tasks``, the
+All cross-covariances are :meth:`LCMParams.cov
+<repro.core.posterior.LCMParams.cov>` blocks, the assembly the exact
+model's block-append :meth:`LCM.extend` uses.  The class is
+interface-compatible with :class:`LCM` where the MLA driver cares:
+``fit/extend/predict/predict_tasks``, the
 ``params``/``theta``/``log_likelihood_`` attributes (θ is transferable
 between exact and sparse fits, so warm starts survive backend
 escalation), deep-copyability for the constant-liar pending penalty, and
@@ -50,14 +52,26 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy import linalg as sla
 
-from ..kernels import gaussian_kernel_batch, pairwise_sq_diffs
+from ..kernels import pairwise_sq_diffs
 from ..lbfgsb import check_restarts
-from ..lcm import LCM, LCMParams
-from ..posterior import task_block, task_weights
+from ..lcm import LCM
+from ..posterior import LCMParams, chol_escalate, observations, task_block, task_weights
 from ...observability.spans import maybe_span
 from .inducing import select_inducing
 
-__all__ = ["SparseLCM"]
+__all__ = ["SparseLCM", "jitter_ceiling"]
+
+
+def jitter_ceiling(A: np.ndarray) -> float:
+    """Give-up point ``max(1, 1e-6·max|A_ii|)`` of the sparse solver's
+    escalating Cholesky jitter.
+
+    Round-off in ``A = K_mm + K_nmᵀΛ⁻¹K_nm`` scales with its entries, so an
+    absolute ceiling cannot repair an ``A`` whose diagonal reaches 1e17,
+    while a millionth of the largest diagonal entry is still a small
+    relative perturbation.  Below 1.0 this is the exact solver's ceiling.
+    """
+    return max(1.0, 1e-6 * float(np.abs(A.diagonal()).max(initial=0.0)))
 
 
 class SparseLCM:
@@ -93,14 +107,9 @@ class SparseLCM:
         executor=None,
         restart_offset: int = 0,
     ):
-        if n_tasks < 1 or n_dims < 1:
-            raise ValueError("need n_tasks >= 1 and n_dims >= 1")
+        self.params = LCMParams(n_tasks, n_dims, n_latent)
         if int(n_inducing) < 2:
             raise ValueError("need n_inducing >= 2")
-        Q = min(n_tasks, 3) if n_latent is None else int(n_latent)
-        if Q < 1 or Q > n_tasks:
-            raise ValueError(f"need 1 <= Q <= δ, got Q={Q}, δ={n_tasks}")
-        self.params = LCMParams(n_tasks, n_dims, Q)
         self.n_inducing = int(n_inducing)
         self.jitter = float(jitter)
         self.n_start, self.maxiter = check_restarts(n_start, maxiter)
@@ -138,51 +147,9 @@ class SparseLCM:
         return state
 
     # -- covariance assembly ------------------------------------------------
-    def _cov(
-        self,
-        Xa: np.ndarray,
-        ta: np.ndarray,
-        Xb: np.ndarray,
-        tb: np.ndarray,
-    ) -> np.ndarray:
-        """Noise-free LCM covariance between two stacked sample sets.
-
-        Same construction as :meth:`LCM._cov_block`; per-sample noise
-        ``d_i`` is applied by the caller (it enters Λ, never the kernels).
-        """
-        ls, a, bw, _ = self.params.unpack(self.theta)
-        same = ta[:, None] == tb[None, :]
-        Kall = gaussian_kernel_batch(pairwise_sq_diffs(Xa, Xb), ls)
-        out = np.zeros(same.shape)
-        for q in range(self.params.Q):
-            Aq = np.outer(a[ta, q], a[tb, q])
-            Aq += np.where(same, bw[ta, q][:, None], 0.0)
-            out += Aq * Kall[q]
-        return out
-
-    def _chol_escalate(self, A: np.ndarray) -> Tuple[np.ndarray, float]:
-        """Cholesky with escalating — not compounding — diagonal jitter.
-
-        The jitter grows tenfold per attempt up to ``max(1, 1e-6·max|A_ii|)``.
-        Round-off in ``A = K_mm + K_nmᵀΛ⁻¹K_nm`` scales with its entries, so
-        an absolute ceiling cannot repair an ``A`` whose diagonal reaches
-        1e17, while a millionth of the largest diagonal entry is still a
-        small relative perturbation.  Factorizations that succeed below 1.0
-        see the same jitter sequence as before.
-        """
-        di = np.diag_indices(A.shape[0])
-        base = A[di].copy()
-        ceiling = max(1.0, 1e-6 * float(np.abs(base).max(initial=0.0)))
-        j = 0.0
-        while True:
-            try:
-                L = sla.cholesky(A, lower=True)
-                return L, j
-            except sla.LinAlgError:
-                j = max(j, self.jitter, 1e-10) * 10.0
-                if j > ceiling:
-                    raise
-                A[di] = base + j
+    def _cov(self, Xa: np.ndarray, ta: np.ndarray, Xb: np.ndarray, tb: np.ndarray) -> np.ndarray:
+        """Noise-free :meth:`LCMParams.cov` block (the noise enters Λ only)."""
+        return self.params.cov(self.theta, pairwise_sq_diffs(Xa, Xb), ta, tb)
 
     # -- public API ---------------------------------------------------------
     def fit(
@@ -198,15 +165,7 @@ class SparseLCM:
         inner subset fit (a θ from a previous exact *or* sparse fit — the
         flat layout is shared).
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        tidx = np.asarray(task_index, dtype=int).ravel()
-        if not (X.shape[0] == y.shape[0] == tidx.shape[0]):
-            raise ValueError("X, y and task_index row counts differ")
-        if X.shape[0] == 0:
-            raise ValueError("no observations")
-        if tidx.min() < 0 or tidx.max() >= self.params.delta:
-            raise ValueError("task_index out of range")
+        X, y, tidx = observations(X, y, task_index, self.params.delta, self.params.beta)
 
         # Λ floor: the inner subset fit often drives the per-task noise d_i
         # to ~0 (M points are easy to interpolate), which makes Λ⁻¹ — and
@@ -247,7 +206,7 @@ class SparseLCM:
         M = self.Z.shape[0]
         Kmm = self._cov(self.Z, self.z_index, self.Z, self.z_index)
         Kmm[np.diag_indices(M)] += self.jitter
-        self._Lm, jm = self._chol_escalate(Kmm)
+        self._Lm, jm = chol_escalate(Kmm, self.jitter, jitter_ceiling(Kmm))
         self.jitter_used_ = max(self.jitter, jm)
         self._logdet_mm = 2.0 * float(np.log(np.diag(self._Lm)).sum())
 
@@ -261,7 +220,7 @@ class SparseLCM:
 
     def _factorize(self) -> None:
         """Refactorize A, refresh the weight vector and the DTC likelihood."""
-        self._La, _ = self._chol_escalate(self._A)
+        self._La, _ = chol_escalate(self._A, self.jitter, jitter_ceiling(self._A))
         self._c = sla.cho_solve((self._La, True), self._rhs)
         N = self.y.shape[0]
         quad = self._yly - float(self._rhs @ self._c)
@@ -283,17 +242,10 @@ class SparseLCM:
         """
         if self.theta is None or self._A is None:
             raise RuntimeError("extend() before fit()")
-        Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
-        ynew = np.asarray(ynew, dtype=float).ravel()
-        tnew = np.asarray(tidx_new, dtype=int).ravel()
-        if not (Xnew.shape[0] == ynew.shape[0] == tnew.shape[0]):
-            raise ValueError("Xnew, ynew and tidx_new row counts differ")
+        p = self.params
+        Xnew, ynew, tnew = observations(Xnew, ynew, tidx_new, p.delta, p.beta, extend=True)
         if Xnew.shape[0] == 0:
             return self
-        if Xnew.shape[1] != self.X.shape[1]:
-            raise ValueError("Xnew dimension differs from fitted inputs")
-        if tnew.min() < 0 or tnew.max() >= self.params.delta:
-            raise ValueError("task_index out of range")
         with maybe_span(
             "model.extend", n_old=int(self.X.shape[0]), n_new=int(Xnew.shape[0])
         ):
@@ -326,13 +278,7 @@ class SparseLCM:
     def predict(self, task: int, Xstar: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """DTC posterior mean and variance for one task — O(M²) per point;
         a one-task view of :meth:`predict_tasks`."""
-        if self.theta is None or self._c is None:
-            raise RuntimeError("predict() before fit()")
-        task = int(task)
-        if not 0 <= task < self.params.delta:
-            raise ValueError("task out of range")
-        Xs = np.atleast_2d(np.asarray(Xstar, dtype=float))
-        mu, var = self.predict_tasks([task], Xs)
+        mu, var = self.predict_tasks([task], np.atleast_2d(Xstar))
         return mu[0], var[0]
 
     def predict_tasks(
@@ -380,10 +326,7 @@ class SparseLCM:
         return mu, np.maximum(var, 0.0)
 
     def task_correlation(self) -> np.ndarray:
-        """Fitted between-task correlation matrix (see :meth:`LCM.task_correlation`)."""
+        """Fitted between-task correlation matrix (:meth:`LCMParams.correlation`)."""
         if self.theta is None:
             raise RuntimeError("not fitted")
-        _, a, bw, _ = self.params.unpack(self.theta)
-        B = a @ a.T + np.diag(bw.sum(axis=1))
-        dd = np.sqrt(np.clip(np.diag(B), 1e-300, None))
-        return B / np.outer(dd, dd)
+        return self.params.correlation(self.theta)

@@ -8,7 +8,7 @@ solves on the fitted factors — from the pieces the fit and ``extend`` paths
 already use:
 
 * :func:`lcm_posterior` — Eqs. 5–6 of the exact LCM, with the cross
-  covariance from ``LCM._cov_block`` (the block-append update's own
+  covariance from ``LCMParams.cov`` (the block-append update's own
   assembly) over the per-dimension squared differences, and the fitted
   ``_L``/``_alpha``;
 * :func:`sparse_posterior` — the DTC mean and variance of ``SparseLCM``
@@ -36,7 +36,7 @@ def lcm_posterior(model, task: int, Xstar: np.ndarray):
     rows = np.full(Xs.shape[0], int(task))
 
     def cov(Xa, ta, Xb, tb):
-        return model._cov_block(model.theta, pairwise_sq_diffs(Xa, Xb), ta, tb)
+        return model.params.cov(model.theta, pairwise_sq_diffs(Xa, Xb), ta, tb)
 
     Kstar = cov(Xs, rows, model.X, model.task_index)  # (N*, N)
     mu = Kstar @ model._alpha

@@ -42,6 +42,11 @@ class TestExamples:
         assert "user B raised the archive" in out
         assert "transferred config" in out
 
+    def test_distributed_cholesky(self, capsys):
+        out = _run("distributed_cholesky.py", capsys)
+        assert "LCM covariance" in out and "p=4: simulated" in out
+        assert "per-rank timeline" in out
+
     def test_all_examples_importable(self):
         """Every example compiles (catches syntax/import drift cheaply)."""
         import py_compile

@@ -25,6 +25,56 @@ class TestParams:
         assert np.allclose(ls, ls2) and np.allclose(a, a2)
         assert np.allclose(bw, bw2) and np.allclose(dn, dn2)
 
+    def test_stacked_rows_bitwise_equal_row_calls(self, rng):
+        p = LCMParams(3, 2, 2)
+        thetas = rng.normal(size=(4, p.size))
+        blocks = p.unpack(thetas)
+        for r, theta in enumerate(thetas):
+            for stacked, row in zip(blocks, p.unpack(theta)):
+                assert np.array_equal(stacked[r], row)
+        packed = p.pack_grad(*blocks)
+        assert packed.shape == thetas.shape
+        for r in range(thetas.shape[0]):
+            assert np.array_equal(packed[r], p.pack_grad(*(b[r] for b in blocks)))
+
+    def test_cov_matches_eq4_double_loop(self, rng):
+        p = LCMParams(3, 2, 2)
+        theta = rng.normal(scale=0.5, size=p.size)
+        ls, a, bw, _ = p.unpack(theta)
+        Xa, Xb = rng.random((7, 2)), rng.random((5, 2))
+        ta, tb = rng.integers(3, size=7), rng.integers(3, size=5)
+        want = np.zeros((7, 5))
+        for n in range(7):
+            for m in range(5):
+                for q in range(p.Q):
+                    k = np.exp(-0.5 * np.sum((Xa[n] - Xb[m]) ** 2 / ls[q] ** 2))
+                    B = a[ta[n], q] * a[tb[m], q] + (bw[ta[n], q] if ta[n] == tb[m] else 0.0)
+                    want[n, m] += B * k
+        got = p.cov(theta, pairwise_sq_diffs(Xa, Xb), ta, tb)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_sparse_task_correlation_at_exact_theta(self, toy_multitask_data):
+        from repro.core import SparseLCM
+
+        X, y, tidx = toy_multitask_data
+        exact = LCM(2, 1, n_latent=2, seed=0, n_start=1).fit(X, y, tidx)
+        sparse = SparseLCM(2, 1, n_latent=2)
+        sparse.theta = exact.theta
+        assert np.array_equal(sparse.task_correlation(), exact.task_correlation())
+
+    @pytest.mark.parametrize(
+        "n_dims,n_latent", [(1, 3), (1, 0), (0, None)], ids=["Q>delta", "Q=0", "n_dims=0"]
+    )
+    def test_backends_share_shape_checks(self, n_dims, n_latent):
+        from repro.core import SparseLCM
+
+        messages = []
+        for cls in (LCMParams, LCM, SparseLCM):
+            with pytest.raises(ValueError) as err:
+                cls(2, n_dims, n_latent)
+            messages.append(str(err.value))
+        assert len(set(messages)) == 1
+
 
 class TestValidation:
     def test_q_bounds(self):

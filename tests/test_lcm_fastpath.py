@@ -229,7 +229,7 @@ class TestFitCapture:
         """The captured (L, α) equal a from-scratch factorization at θ*."""
         X, y, tidx = toy_multitask_data
         m = LCM(2, 1, n_latent=2, seed=0, n_start=2).fit(X, y, tidx)
-        Sigma, _, _ = m._covariance(m.theta, pairwise_sq_diffs(X), tidx)
+        Sigma = m._covariance(m.theta, pairwise_sq_diffs(X), tidx)
         Sigma[np.diag_indices(X.shape[0])] += m.jitter_used_
         L = sla.cholesky(Sigma, lower=True)
         assert np.allclose(m._L, L, atol=1e-10)
@@ -258,7 +258,7 @@ class TestJitterEscalation:
         )
         m._refactorize(pairwise_sq_diffs(X))
         assert np.isfinite(m.jitter_used_) and m.jitter_used_ > m.jitter
-        Sigma, _, _ = m._covariance(m.theta, pairwise_sq_diffs(X), tidx)
+        Sigma = m._covariance(m.theta, pairwise_sq_diffs(X), tidx)
         Sigma[np.diag_indices(3)] += m.jitter_used_
         # the known, reported jitter reproduces the factorization exactly
         assert np.allclose(m._L @ m._L.T, Sigma, atol=1e-12)
@@ -281,7 +281,7 @@ class TestExtend:
         X, y, tidx = _case(rng, delta, beta, n)
         m = LCM(delta, beta, n_latent=2, seed=0, n_start=2).fit(X[:22], y[:22], tidx[:22])
         m.extend(X[22:], y[22:], tidx[22:])
-        Sigma, _, _ = m._covariance(m.theta, pairwise_sq_diffs(X), tidx)
+        Sigma = m._covariance(m.theta, pairwise_sq_diffs(X), tidx)
         Sigma[np.diag_indices(n)] += m.jitter_used_
         L = sla.cholesky(Sigma, lower=True)
         assert np.allclose(m._L, L, atol=1e-9)

@@ -28,6 +28,8 @@ from repro.core import (
     select_backend,
 )
 from repro.core.model.inducing import max_min_indices, select_inducing
+from repro.core.model.sparse_lcm import jitter_ceiling
+from repro.core.posterior import chol_escalate
 from repro.core.model.registry import BackendSpec
 from repro.service.modelcache import CachedFit, SurrogateCache
 from tests.posterior_reference import sparse_posterior
@@ -344,7 +346,7 @@ class TestSparseLCM:
 
 
 class TestSparseJitterCeiling:
-    """``_chol_escalate`` scales its give-up point with ``A``'s diagonal."""
+    """The sparse solver's ``chol_escalate`` ceiling scales with ``A``'s diagonal."""
 
     @staticmethod
     def _gram(scale, shift, m=40, rank=6):
@@ -361,26 +363,26 @@ class TestSparseJitterCeiling:
         A = self._gram(1e17, 1.8e3)
         assert np.linalg.eigvalsh(A).min() < -1e3
         want = A.copy()
-        L, j = SparseLCM(2, 1, n_inducing=8)._chol_escalate(A)
+        L, j = chol_escalate(A, 1e-8, jitter_ceiling(A))
         assert 1.0 < j <= 1e-6 * np.abs(np.diag(want)).max()
         want[np.diag_indices(want.shape[0])] += j
         assert np.allclose(L @ L.T, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_well_conditioned_matrix_gets_no_jitter(self):
         A = self._gram(1.0, -0.5)
-        L, j = SparseLCM(2, 1, n_inducing=8)._chol_escalate(A.copy())
+        L, j = chol_escalate(A.copy(), 1e-8, jitter_ceiling(A))
         assert j == 0.0 and np.allclose(L @ L.T, A)
 
     def test_unit_scale_sequence_unchanged(self):
         # below 1.0 the tenfold sequence is the old one: smallest jitter > 0.3
         A = self._gram(1.0, 0.3)
-        _, j = SparseLCM(2, 1, n_inducing=8, jitter=1e-8)._chol_escalate(A)
+        _, j = chol_escalate(A, 1e-8, jitter_ceiling(A))
         assert j == pytest.approx(1.0)
 
     def test_indefinite_unit_scale_matrix_still_raises(self):
         A = self._gram(1.0, 5.0)
         with pytest.raises(np.linalg.LinAlgError):
-            SparseLCM(2, 1, n_inducing=8)._chol_escalate(A)
+            chol_escalate(A, 1e-8, jitter_ceiling(A))
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +407,36 @@ class TestPerTaskGP:
         mu_a, _ = a.predict(0, X[:6])
         mu_b, _ = b.predict(0, X[:6])
         assert np.array_equal(mu_a, mu_b)
+
+
+class TestObservationChecks:
+    """Every fit/extend entry point checks X's column count against n_dims."""
+
+    @staticmethod
+    def _call(backend, method, X, y, tidx):
+        wide = np.hstack([X, X[:, :1]])  # 3 columns for a 2-dim model
+        if backend == "gp":
+            m = PerTaskGP(3, 2, seed=0, n_start=1)
+        elif backend == "sparse-lcm":
+            m = SparseLCM(3, 2, n_inducing=16, seed=0, n_start=1, maxiter=20)
+        else:
+            m = LCM(3, 2, seed=0, n_start=1, maxiter=20)
+        if method == "fit":
+            return m.fit(wide, y, tidx)
+        if method == "refit_at":
+            return m.refit_at(wide, y, tidx, m._initial_theta(y, 0))
+        m.fit(X[:-6], y[:-6], tidx[:-6])
+        return m.extend(wide[-6:], y[-6:], tidx[-6:])
+
+    @pytest.mark.parametrize(
+        "backend,method",
+        [("exact-lcm", "fit"), ("exact-lcm", "refit_at"), ("exact-lcm", "extend"),
+         ("sparse-lcm", "fit"), ("sparse-lcm", "extend"), ("gp", "fit")],
+    )
+    def test_wrong_column_count_names_both(self, sparse_data, backend, method):
+        X, y, tidx = sparse_data
+        with pytest.raises(ValueError, match=r"X has 3 columns, the model has n_dims=2"):
+            self._call(backend, method, X, y, tidx)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ class TestLOOResiduals:
 
         for n in (0, 5, 11):
             keep = np.arange(len(y)) != n
-            Sigma, _, _ = lcm._covariance(lcm.theta, pairwise_sq_diffs(X), lcm.task_index)
+            Sigma = lcm._covariance(lcm.theta, pairwise_sq_diffs(X), lcm.task_index)
             Sigma[np.diag_indices(len(y))] += lcm.jitter
             S_kk = Sigma[np.ix_(keep, keep)]
             S_nk = Sigma[n, keep]
