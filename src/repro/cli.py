@@ -39,27 +39,35 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from .apps import M3DC1, NIMROD, AnalyticalApp, HypreApp, PDGEQRF, PDSYEVX, SuperLUDIST
-from .core import GPTune, Options, surrogate_sensitivity
-from .core.metrics import mean_stability, win_task
-from .core.model import available_backends
-from .runtime import cori_haswell
-
 __all__ = ["main", "build_app", "APPS"]
 
+# The tuner (repro.core, repro.apps and scipy.optimize behind them) is
+# imported only inside the commands that tune: list-apps, tune, compare and
+# sensitivity.  serve, query and report load the service, runtime,
+# observability and reporting layers alone.
+
+#: CLI name -> class name in :mod:`repro.apps`
 APPS = {
-    "analytical": AnalyticalApp,
-    "pdgeqrf": PDGEQRF,
-    "pdsyevx": PDSYEVX,
-    "superlu_dist": SuperLUDIST,
-    "hypre": HypreApp,
-    "m3dc1": M3DC1,
-    "nimrod": NIMROD,
+    "analytical": "AnalyticalApp",
+    "pdgeqrf": "PDGEQRF",
+    "pdsyevx": "PDSYEVX",
+    "superlu_dist": "SuperLUDIST",
+    "hypre": "HypreApp",
+    "m3dc1": "M3DC1",
+    "nimrod": "NIMROD",
 }
+
+
+def _app_class(name: str):
+    from . import apps
+
+    return getattr(apps, APPS[name])
 
 
 def build_app(name: str, nodes: int, seed: int):
     """Instantiate an application on an ``nodes``-node Cori model."""
+    from .runtime import cori_haswell
+
     if name not in APPS:
         raise SystemExit(f"unknown app {name!r}; known: {', '.join(sorted(APPS))}")
     kwargs: Dict[str, Any] = {"machine": cori_haswell(nodes), "seed": seed}
@@ -67,7 +75,19 @@ def build_app(name: str, nodes: int, seed: int):
         kwargs["solve_cap"] = 1000
     if name in ("m3dc1", "nimrod"):
         kwargs["plane_size"] = 300
-    return APPS[name](**kwargs)
+    return _app_class(name)(**kwargs)
+
+
+def _model_backend(name: str) -> str:
+    """``--model-backend`` type: 'auto' or a name from the backend registry."""
+    from .core.model import available_backends
+
+    choices = ("auto",) + available_backends()
+    if name not in choices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(map(repr, choices))})"
+        )
+    return name
 
 
 def _parse_tasks(app, spec: Optional[str], n_random: int, seed: int) -> List[Dict[str, Any]]:
@@ -91,7 +111,8 @@ def _parse_tasks(app, spec: Optional[str], n_random: int, seed: int) -> List[Dic
 
 
 def _cmd_list_apps(_args) -> int:
-    for name, cls in sorted(APPS.items()):
+    for name in sorted(APPS):
+        cls = _app_class(name)
         app = cls() if name != "hypre" else cls(solve_cap=512)
         print(f"{name:14s} β={app.tuning_space().dimension:<3} "
               f"tasks={app.task_space().names} γ={app.n_objectives}")
@@ -114,6 +135,8 @@ def _archive_from(spec: str):
 
 
 def _cmd_tune(args) -> int:
+    from .core import GPTune, Options
+
     app = build_app(args.app, args.nodes, args.seed)
     # async campaigns need an overlapping backend to stream; lockstep keeps
     # the serial default
@@ -196,6 +219,8 @@ def _cmd_tune(args) -> int:
 def _cmd_compare(args) -> int:
     # the baseline tuners pull in scipy.stats; only this verb needs them
     from .tuners import HpBandSterTuner, OpenTunerTuner, RandomSearchTuner, YtoptTuner
+    from .core import GPTune, Options
+    from .core.metrics import mean_stability, win_task
 
     app = build_app(args.app, args.nodes, args.seed)
     tasks = _parse_tasks(app, args.tasks, args.random_tasks, args.seed)
@@ -229,6 +254,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
+    from .core import GPTune, Options, surrogate_sensitivity
+
     app = build_app(args.app, args.nodes, args.seed)
     tasks = _parse_tasks(app, args.tasks, 1, args.seed)
     opts = Options(seed=args.seed, n_start=args.n_start)
@@ -399,8 +426,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              "event to this JSONL file (render it with 'repro report PATH')",
     )
     p_tune.add_argument(
-        "--model-backend", default="auto",
-        choices=("auto",) + available_backends(),
+        "--model-backend", default="auto", type=_model_backend,
         help="surrogate backend for the modeling phase: 'auto' escalates "
              "from the exact LCM to the sparse inducing-point LCM past "
              "--sparse-threshold observations (default: auto)",

@@ -261,6 +261,18 @@ class TestProcessWorkerDeath:
         finally:
             eng.shutdown()
 
+    def test_process_pool_broken_before_start_is_rebuilt(self):
+        events = []
+        sched = ProcessScheduler(1, on_event=lambda kind, detail: events.append(kind))
+        try:
+            probe = sched._pool.submit(_crash_forever, 0)
+            assert isinstance(probe.exception(timeout=30), concurrent.futures.BrokenExecutor)
+            sched.start(0, _square, 4)
+            assert sched.wait() == [(0, 16)]
+            assert events == ["worker-death"]
+        finally:
+            sched.shutdown()
+
 
 def _crash_forever(payload):
     """A worker that always dies — exhausts the pool-restart budget."""
@@ -392,6 +404,22 @@ class TestBrokenThreadPool:
             assert isinstance(ei.value.__cause__, concurrent.futures.BrokenExecutor)
             with pytest.raises(RuntimeError, match="nothing in flight"):
                 sched.wait()
+        finally:
+            sched.shutdown()
+
+    def test_pool_broken_before_start_fails_that_evaluation(self):
+        """``submit`` on an already broken pool raises ``BrokenThreadPool``;
+        ``start`` turns it into the evaluation's ``WorkerError`` and keeps
+        no entry for it."""
+        sched = _BrokenThreadScheduler(1)
+        try:
+            probe = sched._pool.submit(_square, 0)
+            assert isinstance(probe.exception(timeout=10), concurrent.futures.BrokenExecutor)
+            with pytest.raises(WorkerError, match="thread pool broken") as ei:
+                sched.start(5, _square, 5)
+            assert ei.value.index == 5
+            assert isinstance(ei.value.__cause__, concurrent.futures.BrokenExecutor)
+            assert sched._items == {} and sched._futures == {}
         finally:
             sched.shutdown()
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -59,6 +60,17 @@ class TestTune:
         )
         assert rc == 0
         assert '"matrix": "Si2"' in capsys.readouterr().out
+
+    def test_unknown_model_backend_is_a_usage_error(self, capsys):
+        from repro.core.model import available_backends
+
+        with pytest.raises(SystemExit) as ei:
+            main(["tune", "--app", "analytical", "--model-backend", "nope"])
+        assert ei.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --model-backend: invalid choice: 'nope'" in err
+        for name in ("auto",) + available_backends():
+            assert repr(name) in err
 
 
 class TestTelemetryAndReport:
@@ -143,10 +155,63 @@ class TestImportCost:
             "print(sorted(m for m in ('repro.tuners', 'scipy.stats') "
             "if m in sys.modules))"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, check=True,
-        )
-        assert out.stdout.strip() == "[]"
+        assert _run_fresh(code) == "[]"
+
+    def test_service_commands_skip_the_tuner(self, tmp_path):
+        # `serve`, `query` and `report` load the service, runtime,
+        # observability and reporting layers only: no repro.core (and no
+        # scipy.optimize/scipy.special behind it), no applications
+        from repro.service import ShardedStore
+
+        db = str(tmp_path / "db")
+        ShardedStore(db).append("p", [{"task": {"t": 1.0}, "x": {"x": 0.5}, "y": [2.0]}])
+        telemetry = tmp_path / "run.jsonl"
+        telemetry.write_text(json.dumps(
+            {"seq": 0, "kind": "stats", "detail": "campaign phase totals", "fields": {}}
+        ) + "\n")
+        code = textwrap.dedent(f"""
+            import sys, threading
+            import repro.cli
+            from repro.service import ShardSupervisor, make_server, serve
+            server = make_server({db!r}, port=0)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            url = "http://127.0.0.1:%d" % server.server_address[1]
+            for argv in (["query", "--url", url, "--problem", "p", "--task", '{{"t": 2.0}}'],
+                         ["query", "--root", {db!r}],
+                         ["report", {str(telemetry)!r}]):
+                assert repro.cli.main(argv) == 0
+            server.shutdown()
+            server.server_close()
+            print(sorted(m for m in ("repro.core", "repro.apps", "scipy.optimize",
+                                     "scipy.special") if m in sys.modules))
+        """)
+        out = _run_fresh(code)
+        assert "distance 1" in out
+        assert out.splitlines()[-1] == "[]"
+
+    def test_tune_imports_nothing_new(self):
+        # `from repro import GPTune` pays the tuner's whole import cost at
+        # that line; a lazy import inside tune() would move it into the
+        # campaign's own time
+        code = textwrap.dedent("""
+            import sys
+            from repro import GPTune, Options
+            from repro.apps.analytical import AnalyticalApp
+            tuner = GPTune(AnalyticalApp().problem(), Options(seed=0, n_start=1))
+            before = set(sys.modules)
+            tuner.tune([{"t": 1.0}, {"t": 2.0}], 6)
+            print(sorted(m for m in set(sys.modules) - before
+                         if m.startswith(("repro.", "scipy."))))
+        """)
+        assert _run_fresh(code).splitlines()[-1] == "[]"
+
+
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
