@@ -17,51 +17,36 @@ Quickstart::
     result = tuner.tune(tasks=[{"t": 2.0}], n_samples=20)
     print(result.best(0))
 
-The public names below resolve on first use (PEP 562): ``import repro``
-alone loads no subpackage, so a process that only serves or queries the
-tuning-history service never imports the tuner.  ``from repro import
-GPTune`` imports all of :mod:`repro.core` at that line.
+The public names below, and those of the subpackages :mod:`repro.core`,
+:mod:`repro.apps`, :mod:`repro.runtime` and :mod:`repro.service`, resolve
+on first use (PEP 562, :mod:`repro._lazy`).  ``import repro`` alone loads
+no subpackage, so a process that only serves or queries the tuning-history
+service never imports the tuner, and ``from repro import GPTune`` loads
+the modules the driver runs rather than every module of :mod:`repro.core`.
 """
 
-import importlib
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-_CORE = (
-    "Categorical",
-    "Constraint",
-    "GaussianProcess",
-    "GPTune",
-    "HistoryDB",
-    "Integer",
-    "LCM",
-    "Options",
-    "Real",
-    "Space",
-    "TransferLearner",
-    "TuneResult",
-    "TuningData",
-    "TuningProblem",
-    "surrogate_sensitivity",
-)
-_SERVICE = ("ServiceClient", "ShardedStore", "SurrogateCache")
-
-__all__ = [*_SERVICE, *_CORE, "__version__"]
-
-
-def __getattr__(name):
-    """Import a public name's subpackage on first access (PEP 562)."""
-    if name in _CORE:
-        module = ".core"
-    elif name in _SERVICE:
-        module = ".service"
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module, __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    """Module attributes plus the not yet resolved public names."""
-    return sorted(set(globals()) | set(__all__))
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".service": ("ServiceClient", "ShardedStore", "SurrogateCache"),
+    ".core": (
+        "Categorical",
+        "Constraint",
+        "GaussianProcess",
+        "GPTune",
+        "HistoryDB",
+        "Integer",
+        "LCM",
+        "Options",
+        "Real",
+        "Space",
+        "TransferLearner",
+        "TuneResult",
+        "TuningData",
+        "TuningProblem",
+        "surrogate_sensitivity",
+    ),
+})
+__all__.append("__version__")

@@ -1,26 +1,18 @@
-"""Application substrates evaluated in the paper (Table 2)."""
+"""Application substrates evaluated in the paper (Table 2).
 
-from .analytical import AnalyticalApp, analytical_function, true_minimum
-from .base import Application, noise_rng
-from .fusion import M3DC1, NIMROD
-from .hypre import HypreApp
-from .scalapack import PDGEQRF, PDSYEVX
-from .superlu import SuperLUDIST
-from .synthetic import BraninApp, RosenbrockApp, SphereApp
+The names below resolve on first use (PEP 562): tuning one application
+does not import the others (SuperLU alone pulls in ``scipy.sparse`` and
+``scipy.spatial``).
+"""
 
-__all__ = [
-    "AnalyticalApp",
-    "BraninApp",
-    "Application",
-    "HypreApp",
-    "M3DC1",
-    "NIMROD",
-    "PDGEQRF",
-    "PDSYEVX",
-    "RosenbrockApp",
-    "SphereApp",
-    "SuperLUDIST",
-    "analytical_function",
-    "noise_rng",
-    "true_minimum",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".analytical": ("AnalyticalApp", "analytical_function", "true_minimum"),
+    ".base": ("Application", "noise_rng"),
+    ".fusion": ("M3DC1", "NIMROD"),
+    ".hypre": ("HypreApp",),
+    ".scalapack": ("PDGEQRF", "PDSYEVX"),
+    ".superlu": ("SuperLUDIST",),
+    ".synthetic": ("BraninApp", "RosenbrockApp", "SphereApp"),
+})

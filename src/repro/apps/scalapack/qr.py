@@ -30,6 +30,7 @@ from ...core.perfmodel import LinearPerformanceModel
 from ...core.space import Space
 from ..base import Application, noise_rng
 from . import costs
+from .blockcyclic import factorization_imbalance
 
 __all__ = ["PDGEQRF"]
 
@@ -92,8 +93,6 @@ class PDGEQRF(Application):
 
     def _imbalance(self, m: int, n: int, b: int, p_r: int, p_c: int) -> float:
         """Load imbalance computed from the actual block-cyclic layout."""
-        from .blockcyclic import factorization_imbalance
-
         return factorization_imbalance(m, n, b, p_r, p_c)
 
     def run(self, task: Mapping[str, Any], config: Mapping[str, Any], repeat: int) -> float:

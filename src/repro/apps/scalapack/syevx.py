@@ -23,6 +23,7 @@ from ...core.params import Integer
 from ...core.space import Space
 from ..base import Application, noise_rng
 from . import costs
+from .blockcyclic import factorization_imbalance
 
 __all__ = ["PDSYEVX"]
 
@@ -104,8 +105,6 @@ class PDSYEVX(Application):
         t_comm = msgs * mach.latency + 8.0 * words * mach.inv_bandwidth
 
         # imbalance from the actual block-cyclic layout of the m × m matrix
-        from .blockcyclic import factorization_imbalance
-
         imbalance = factorization_imbalance(m, m, b, p_r, p_c)
         base = (t_tri + t_tridiag_solve + t_back) * imbalance + t_comm + 1e-4
 

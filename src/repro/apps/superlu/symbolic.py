@@ -277,14 +277,6 @@ class SupernodePartition:
         """Average supernode width (drives BLAS-3 efficiency)."""
         return float(self.widths.mean()) if self.widths.size else 0.0
 
-    @property
-    def gemm_flops(self) -> float:
-        """Σ over supernodes of the dense-trapezoid update flops (LU)."""
-        w = self.widths.astype(float)
-        h = self.heights.astype(float)
-        # panel LU (w² h) plus the rank-w trailing update touching h rows/cols
-        return float(np.sum(w * w * h + 2.0 * w * h * h))
-
 
 def supernodes(sym: SymbolicResult, nsup: int, nrel: int) -> SupernodePartition:
     """Partition columns into supernodes.

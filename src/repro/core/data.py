@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .metrics import pareto_mask
 from .space import Space
 
 __all__ = ["TuningData"]
@@ -133,8 +134,6 @@ class TuningData:
 
     def pareto_front(self, task: int) -> Tuple[List[Dict[str, Any]], np.ndarray]:
         """Non-dominated ``(configs, objectives)`` for one task (minimization)."""
-        from .metrics import pareto_mask
-
         if not self.Y[task]:
             return [], np.empty((0, self.n_objectives))
         Y = np.vstack(self.Y[task])

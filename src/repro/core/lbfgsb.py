@@ -33,7 +33,10 @@ The driver needs the ``setulb`` signature of scipy's C port of L-BFGS-B
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import re
+import sys
 from typing import Any, Callable, NamedTuple, Tuple
 
 import numpy as np
@@ -46,6 +49,9 @@ REQUIRED_SCIPY = "1.15"
 SETULB_SIGNATURE = (
     "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
 )
+
+#: the compiled module whose ``setulb`` the driver calls
+_LBFGSB = "scipy.optimize._lbfgsb"
 
 # scipy's L-BFGS-B defaults (``_minimize_lbfgsb``)
 _M = 10
@@ -85,11 +91,26 @@ def check_setulb(version: str, setulb: Any) -> Callable:
 
 
 def _load_setulb() -> Callable:
-    try:
-        from scipy.optimize import _lbfgsb
-    except ImportError:
-        return check_setulb(scipy.__version__, None)
-    return check_setulb(scipy.__version__, getattr(_lbfgsb, "setulb", None))
+    """``setulb`` of scipy's compiled ``scipy.optimize._lbfgsb`` extension.
+
+    The extension is loaded from ``scipy.optimize``'s directory without
+    running ``scipy/optimize/__init__.py``, which imports ``scipy.sparse``,
+    ``scipy.spatial`` and most of the optimizers (~0.2 s) for none of which
+    the driver has a use.  The module is registered in ``sys.modules``
+    under its own name, so a later ``import scipy.optimize`` reuses it.
+    """
+    module = sys.modules.get(_LBFGSB)
+    if module is None:
+        package = importlib.util.find_spec("scipy.optimize")  # imports only scipy
+        spec = importlib.machinery.PathFinder.find_spec(
+            _LBFGSB, package.submodule_search_locations
+        )
+        if spec is None:
+            return check_setulb(scipy.__version__, None)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module = sys.modules.setdefault(_LBFGSB, module)
+    return check_setulb(scipy.__version__, getattr(module, "setulb", None))
 
 
 _setulb = _load_setulb()

@@ -94,6 +94,7 @@ from .kernels import gaussian_kernel_with_grad, pairwise_sq_diffs
 from .posterior import LCMParams, chol_escalate, observations, task_block, task_weights
 from ..observability.spans import maybe_span
 from ..runtime.async_engine import run_all
+from ..runtime.distributed_linalg import distributed_cholesky
 
 __all__ = ["LCMParams", "LCM"]
 
@@ -656,8 +657,6 @@ class LCM:
     def _posterior_chol(self, Sigma: np.ndarray) -> np.ndarray:
         """Factorize Σ serially, or on the simulated MPI ranks when configured."""
         if self.chol_ranks and self.chol_ranks > 1:
-            from ..runtime.distributed_linalg import distributed_cholesky
-
             L, makespan = distributed_cholesky(Sigma, self.chol_ranks)
             self.chol_makespan_ = float(makespan)
             return L

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Any, Callable, List, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 __all__ = ["PerformanceModel", "CallableModel", "LinearPerformanceModel", "ModelFeaturizer"]
 
@@ -97,6 +96,11 @@ class LinearPerformanceModel(PerformanceModel):
         features: Sequence[Callable[[Mapping[str, Any], Mapping[str, Any]], float]],
         initial_coefficients: Optional[Sequence[float]] = None,
     ):
+        # scipy.optimize takes ~0.2 s to import: only a campaign with a
+        # linear model pays it, while its problem is built
+        from scipy.optimize import nnls
+
+        self._nnls = nnls
         self.features = list(features)
         if not self.features:
             raise ValueError("need at least one feature")
@@ -127,7 +131,7 @@ class LinearPerformanceModel(PerformanceModel):
         Phi = np.vstack([self._phi(t, x) for t, x in zip(tasks, configs)])
         # scale columns for conditioning, then solve the non-negative LS
         scale = np.maximum(np.abs(Phi).max(axis=0), 1e-300)
-        coef, _ = optimize.nnls(Phi / scale, y)
+        coef, _ = self._nnls(Phi / scale, y)
         self.coefficients = coef / scale
         self.n_updates += 1
 

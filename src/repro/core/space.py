@@ -209,10 +209,6 @@ class Space:
             raise ValueError(f"expected {len(self.names)} values, got {len(vals)}")
         return dict(zip(self.names, vals))
 
-    def to_list(self, values: Union[Mapping[str, Any], Sequence[Any]]) -> List[Any]:
-        """Coerce to a positional list ordered like :attr:`parameters`."""
-        return [self.to_dict(values)[n] for n in self.names]
-
     def normalize(self, values: Union[Mapping[str, Any], Sequence[Any]]) -> np.ndarray:
         """Map native values to a point of the unit hypercube."""
         d = self.to_dict(values)

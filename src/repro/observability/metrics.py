@@ -220,15 +220,6 @@ class MetricsRegistry:
         with self._lock:
             return self._gauges.get(k, default)
 
-    def histogram_stats(self, name: str, **labels: Any) -> Dict[str, float]:
-        """One histogram series' ``{"count", "sum"}`` (zeros if empty)."""
-        k = _key(name, labels)
-        with self._lock:
-            series = self._hists.get(k)
-            if series is None:
-                return {"count": 0.0, "sum": 0.0}
-            return {"count": series[-2], "sum": series[-1]}
-
     # -- snapshot / merge ----------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able copy of every series (the merge/export interchange form)."""

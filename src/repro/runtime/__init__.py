@@ -1,52 +1,38 @@
-"""Parallel runtime substrate: machine models, simulated MPI, schedulers."""
+"""Parallel runtime substrate: machine models, simulated MPI, schedulers.
 
-from .async_engine import WorkerError
-from .distributed_linalg import (
-    cholesky_spmd,
-    distributed_cholesky,
-    distributed_forward_solve,
-    forward_substitution_spmd,
-)
-from .machine import Machine, cori_haswell, laptop
-from .mpi import InterComm, Request, SimComm, SimJob, run_spmd
-from .resilience import (
-    EvalOutcome,
-    EvalTimeoutError,
-    FatalEvaluationError,
-    RetryPolicy,
-    RunCheckpoint,
-    atomic_write_json,
-    run_with_retries,
-)
-from .simclock import SimClock
-from .trace import CampaignEvent, CampaignLog, JsonlEventWriter, TraceEvent, Tracer, traced
+The names below resolve on first use (PEP 562): a process that needs one
+runtime module (the history service needs only ``resilience``) does not
+import the schedulers, simulated MPI or distributed linear algebra.
+"""
 
-__all__ = [
-    "CampaignEvent",
-    "CampaignLog",
-    "EvalOutcome",
-    "JsonlEventWriter",
-    "EvalTimeoutError",
-    "FatalEvaluationError",
-    "InterComm",
-    "Machine",
-    "Request",
-    "RetryPolicy",
-    "RunCheckpoint",
-    "SimClock",
-    "SimComm",
-    "SimJob",
-    "TraceEvent",
-    "Tracer",
-    "WorkerError",
-    "atomic_write_json",
-    "run_with_retries",
-    "cholesky_spmd",
-    "cori_haswell",
-    "distributed_cholesky",
-    "distributed_forward_solve",
-    "forward_substitution_spmd",
-    "traced",
-    "laptop",
-    "run_spmd",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".async_engine": ("WorkerError",),
+    ".distributed_linalg": (
+        "cholesky_spmd",
+        "distributed_cholesky",
+        "distributed_forward_solve",
+        "forward_substitution_spmd",
+    ),
+    ".machine": ("Machine", "cori_haswell", "laptop"),
+    ".mpi": ("InterComm", "Request", "SimComm", "SimJob", "run_spmd"),
+    ".resilience": (
+        "EvalOutcome",
+        "EvalTimeoutError",
+        "FatalEvaluationError",
+        "RetryPolicy",
+        "RunCheckpoint",
+        "atomic_write_json",
+        "run_with_retries",
+    ),
+    ".simclock": ("SimClock",),
+    ".trace": (
+        "CampaignEvent",
+        "CampaignLog",
+        "JsonlEventWriter",
+        "TraceEvent",
+        "Tracer",
+        "traced",
+    ),
+})

@@ -10,45 +10,25 @@ learning (:mod:`~repro.service.query`), a stdlib HTTP server/client pair
 for crowd tuning across machines (:mod:`~repro.service.server`,
 :mod:`~repro.service.client`), and consistent-hash routing over N server
 processes (:mod:`~repro.service.router`).  See ``docs/SERVICE.md``.
+
+The names below resolve on first use (PEP 562): a campaign that appends
+to a local store does not import the HTTP server, router or client.
 """
 
-from .batch import BackpressureError, WriteBatcher
-from .client import ServiceClient, ServiceError, StaleEtagError
-from .modelcache import CachedFit, SurrogateCache
-from .query import archive_source, group_by_task, nearest_tasks, source_data_from_records
-from .router import HashRing, RouterClient, ShardSupervisor, rebalance_stores, shard_id
-from .server import TuningHistoryServer, make_server, serve
-from .store import (
-    ShardLock,
-    ShardReadCache,
-    ShardedStore,
-    canonical_payload,
-    content_fingerprint,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BackpressureError",
-    "CachedFit",
-    "HashRing",
-    "RouterClient",
-    "ServiceClient",
-    "ServiceError",
-    "ShardLock",
-    "ShardReadCache",
-    "ShardSupervisor",
-    "ShardedStore",
-    "StaleEtagError",
-    "SurrogateCache",
-    "TuningHistoryServer",
-    "WriteBatcher",
-    "archive_source",
-    "canonical_payload",
-    "content_fingerprint",
-    "group_by_task",
-    "make_server",
-    "nearest_tasks",
-    "rebalance_stores",
-    "serve",
-    "shard_id",
-    "source_data_from_records",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".batch": ("BackpressureError", "WriteBatcher"),
+    ".client": ("ServiceClient", "ServiceError", "StaleEtagError"),
+    ".modelcache": ("CachedFit", "SurrogateCache"),
+    ".query": ("archive_source", "group_by_task", "nearest_tasks", "source_data_from_records"),
+    ".router": ("HashRing", "RouterClient", "ShardSupervisor", "rebalance_stores", "shard_id"),
+    ".server": ("TuningHistoryServer", "make_server", "serve"),
+    ".store": (
+        "ShardLock",
+        "ShardReadCache",
+        "ShardedStore",
+        "canonical_payload",
+        "content_fingerprint",
+    ),
+})

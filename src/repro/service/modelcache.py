@@ -183,11 +183,6 @@ class SurrogateCache:
         self._load()
         return len(self._entries)
 
-    def entries(self) -> List[CachedFit]:
-        """All cached fits (latest version per key)."""
-        self._load()
-        return list(self._entries.values())
-
     def put(self, fit: CachedFit) -> str:
         """Persist one fit; returns its key.  Idempotent per key."""
         with self._lock():

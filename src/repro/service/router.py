@@ -262,10 +262,6 @@ class ShardSupervisor:
                 "shards": {sid: sp.url for sid, sp in sorted(self._procs.items())},
             }
 
-    def urls(self) -> List[str]:
-        """Backend base URLs, ordered by shard id."""
-        return [url for _, url in sorted(self.topology()["shards"].items())]
-
     def serve_topology(self, port: int = 0, host: Optional[str] = None) -> str:
         """Expose ``GET /v1/topology`` on a tiny HTTP endpoint; returns its URL.
 

@@ -88,6 +88,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: _reply writes headers and body separately; with Nagle's algorithm the
     #: body waits for the client's delayed ACK (~40 ms) on keep-alive sockets
     disable_nagle_algorithm = True
+    #: buffer each response until the handler returns, after ``_timed`` has
+    #: recorded its metrics: unbuffered, a client could read the reply and
+    #: scrape ``/metrics`` before the request it just made was counted
+    wbufsize = -1
 
     # -- plumbing ------------------------------------------------------------
     @property

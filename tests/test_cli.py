@@ -189,19 +189,68 @@ class TestImportCost:
         assert "distance 1" in out
         assert out.splitlines()[-1] == "[]"
 
-    def test_tune_imports_nothing_new(self):
-        # `from repro import GPTune` pays the tuner's whole import cost at
-        # that line; a lazy import inside tune() would move it into the
-        # campaign's own time
-        code = textwrap.dedent("""
-            import sys
+    # one campaign per shape: the set-up lines build a `tuner` and the
+    # `tune()` arguments; everything the campaign runs must be imported by then
+    CAMPAIGNS = {
+        "lockstep": """
             from repro import GPTune, Options
             from repro.apps.analytical import AnalyticalApp
             tuner = GPTune(AnalyticalApp().problem(), Options(seed=0, n_start=1))
-            before = set(sys.modules)
-            tuner.tune([{"t": 1.0}, {"t": 2.0}], 6)
-            print(sorted(m for m in set(sys.modules) - before
-                         if m.startswith(("repro.", "scipy."))))
+            args = ([{"t": 1.0}, {"t": 2.0}], 6)
+        """,
+        "streaming-pdgeqrf": """
+            from repro import GPTune, Options
+            from repro.apps.scalapack import PDGEQRF
+            from repro.runtime.async_engine import SimScheduler
+            from repro.runtime.machine import cori_haswell
+            from repro.runtime.simclock import SimClock
+            app = PDGEQRF(machine=cori_haswell(4))
+            tasks = app.sample_tasks(2, 0)
+            scheduler = SimScheduler(lambda i, cfg: app.run(tasks[i], cfg, 0),
+                                     clock=SimClock())
+            opts = Options(seed=0, n_start=1, async_eval=True, max_inflight=2)
+            tuner = GPTune(app.problem(), opts, scheduler=scheduler)
+            args = (tasks, 5)
+        """,
+        "two-objective": """
+            from repro import GPTune, Options
+            from repro.apps.superlu import SuperLUDIST
+            app = SuperLUDIST(objectives=("time", "memory"))
+            tuner = GPTune(app.problem(), Options(seed=0, n_start=1))
+            args = ([{"matrix": "Si2"}], 5)
+        """,
+        "sparse-lcm": """
+            from repro import GPTune, Options
+            from repro.apps.analytical import AnalyticalApp
+            opts = Options(seed=0, n_start=1, model_backend="sparse-lcm")
+            tuner = GPTune(AnalyticalApp().problem(), opts)
+            args = ([{"t": 1.0}, {"t": 2.0}], 6)
+        """,
+    }
+
+    def test_tune_imports_nothing_new(self):
+        # set-up pays the tuner's whole import cost; a lazy import inside
+        # tune() would move it into the campaign's own time.  One fresh
+        # interpreter per shape, so no shape imports for another
+        new = {}
+        for shape, setup in self.CAMPAIGNS.items():
+            code = "import sys\n" + textwrap.dedent(setup) + textwrap.dedent("""
+                before = set(sys.modules)
+                tuner.tune(*args)
+                print(sorted(m for m in set(sys.modules) - before
+                             if m.startswith(("repro.", "scipy."))))
+            """)
+            new[shape] = _run_fresh(code).splitlines()[-1]
+        assert new == {shape: "[]" for shape in self.CAMPAIGNS}
+
+    def test_tuner_loads_only_what_it_runs(self):
+        # a campaign without a linear performance model, a SuperLU or hypre
+        # problem, or an HTTP history never imports what only those need
+        code = "import sys\n" + textwrap.dedent(self.CAMPAIGNS["lockstep"]) + textwrap.dedent("""
+            print(sorted(m for m in ("scipy.optimize", "scipy.sparse", "scipy.spatial",
+                                     "repro.apps.superlu", "repro.apps.hypre",
+                                     "repro.service.server", "repro.service.router",
+                                     "http.server") if m in sys.modules))
         """)
         assert _run_fresh(code).splitlines()[-1] == "[]"
 

@@ -11,9 +11,11 @@ evaluation.  Thread- and process-mapped restart groups are pinned bitwise
 to serial fits by ``tests/test_lcm_fastpath.py::TestThreadedRestarts``.
 """
 
+import importlib.machinery
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -320,6 +322,37 @@ class TestScipyVersionCheck:
         spec = importlib.util.spec_from_file_location("_lbfgsb_probe", lbfgsb.__file__)
         with pytest.raises(ImportError, match="1.11.4"):
             spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+    def test_missing_extension_fails_loudly(self, monkeypatch, tmp_path):
+        """A fresh load that finds no compiled ``_lbfgsb`` in scipy.optimize's
+        directory raises, naming the installed scipy; nothing falls back."""
+        empty = importlib.machinery.ModuleSpec("scipy.optimize", None, is_package=True)
+        empty.submodule_search_locations = [str(tmp_path)]
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(
+            importlib.util, "find_spec",
+            lambda name, *a: empty if name == "scipy.optimize" else find_spec(name, *a),
+        )
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
+        spec = importlib.util.spec_from_file_location("_lbfgsb_probe", lbfgsb.__file__)
+        with pytest.raises(ImportError, match=re.escape(f"scipy {scipy.__version__}")):
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+    def test_direct_load_is_scipys_setulb(self):
+        """The extension loaded without ``scipy/optimize/__init__.py`` is the
+        one ``scipy.optimize`` itself uses, and its L-BFGS-B still runs."""
+        code = (
+            "import sys; from repro.core import lbfgsb; "
+            "assert 'scipy.optimize' not in sys.modules; "
+            "from scipy.optimize import _lbfgsb, minimize; "
+            "assert _lbfgsb.setulb is lbfgsb._setulb; "
+            "r = minimize(lambda x: ((x - 1.0) ** 2).sum(), [0.0, 3.0], method='L-BFGS-B'); "
+            "print(r.success, r.x.round(6).tolist())"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "True [1.0, 1.0]"
 
 
 # θ and log-likelihood of three fits, recorded (as float.hex) with the

@@ -5,6 +5,7 @@ through the service, with no lost or corrupted records."""
 import json
 import socket
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -163,6 +164,25 @@ class TestMetricsEndpoint:
         text = urllib.request.urlopen(client.base_url + "/metrics").read().decode()
         assert ('repro_http_requests_total{endpoint="metrics",method="GET",'
                 'status="200"}') in text
+
+    def test_reply_leaves_after_the_request_is_counted(self, service, monkeypatch):
+        # a handler thread descheduled between its reply and its metrics
+        # must not let the client's next scrape miss the request
+        from repro.observability import MetricsRegistry
+
+        inc = MetricsRegistry.inc
+
+        def late_inc(self, name, *args, **labels):
+            if name == "repro_http_requests_total":
+                time.sleep(0.05)
+            return inc(self, name, *args, **labels)
+
+        monkeypatch.setattr(MetricsRegistry, "inc", late_inc)
+        client, _ = service
+        urllib.request.urlopen(client.base_url + "/metrics").read()
+        text = urllib.request.urlopen(client.base_url + "/metrics").read().decode()
+        assert ('repro_http_requests_total{endpoint="metrics",method="GET",'
+                'status="200"} 1') in text
 
 
 class TestCrowdTuning:
