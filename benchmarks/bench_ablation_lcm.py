@@ -44,7 +44,7 @@ def test_ablation_lcm_vs_independent_gps(benchmark):
     xq = np.linspace(0, 1, TEST)[:, None]
 
     lcm = LCM(DELTA, 1, n_latent=2, seed=0, n_start=3).fit(X, y, tid)
-    rows, rmse_l, rmse_g = [], [], []
+    rows, rmse_l, rmse_g, ll_g, ls_g = [], [], [], [], []
     for i, t in enumerate(_tasks()):
         truth = analytical_function(t, xq[:, 0])
         mu_l, _ = lcm.predict(i, xq)
@@ -54,13 +54,17 @@ def test_ablation_lcm_vs_independent_gps(benchmark):
         rg = float(np.sqrt(np.mean((mu_g - truth) ** 2)))
         rmse_l.append(rl)
         rmse_g.append(rg)
-        rows.append([fmt(t, 2), fmt(rl, 3), fmt(rg, 3), fmt(rg / rl, 3)])
+        ll_g.append(float(gp.log_likelihood_))
+        ls_g.append(float(gp.lengthscales[0]))
+        rows.append([fmt(t, 2), fmt(rl, 3), fmt(rg, 3), fmt(rg / rl, 3),
+                     fmt(ll_g[-1], 3), fmt(ls_g[-1], 3)])
     print_table(
         "Ablation: LCM vs independent GPs, out-of-sample RMSE (6 samples/task)",
-        ["t", "RMSE LCM", "RMSE indep GP", "GP/LCM"],
+        ["t", "RMSE LCM", "RMSE indep GP", "GP/LCM", "GP log-lik", "GP lengthscale"],
         rows,
     )
-    save_results("ablation_lcm_vs_gp", {"rmse_lcm": rmse_l, "rmse_gp": rmse_g})
+    save_results("ablation_lcm_vs_gp", {"rmse_lcm": rmse_l, "rmse_gp": rmse_g,
+                                        "loglik_gp": ll_g, "lengthscale_gp": ls_g})
 
     # knowledge sharing must not hurt on average with related tasks
     assert float(np.mean(rmse_l)) <= 1.1 * float(np.mean(rmse_g))

@@ -968,9 +968,8 @@ class GPTune:
         ``options.pending_penalty``: ``"cl"`` scores a constant-liar copy
         of the posterior with incumbent lies at every task's pending points
         (cross-task correlations steer every task away), falling back to
-        local penalization when the copy/extend is impossible (the
-        :class:`~repro.core.model.PerTaskGP` rung); ``"lp"`` applies the
-        local penalty of each task's own pending points
+        local penalization when the copy/extend is impossible; ``"lp"``
+        applies the local penalty of each task's own pending points
         (:func:`~repro.core.search.penalty.penalize_ei` on EI,
         :func:`~repro.core.search.penalty.penalize_lcb` on an LCB);
         ``"none"`` leaves it to the caller's dedup.  A surrogate fully

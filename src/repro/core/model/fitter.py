@@ -17,8 +17,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ...observability.spans import maybe_span
-from ..lcm import LCM
-from .gp_backend import PerTaskGP
 from .registry import BackendSpec, get_backend, select_backend
 
 __all__ = ["SurrogateFitter", "YTransform"]
@@ -150,10 +148,11 @@ class SurrogateFitter:
                 else:
                     tr = YTransform(self.options.y_transform)
                     yt = tr.fit(ys)
-                    model = self._fit_one(data, X, yt, tidx, s, fingerprints)
+                    model, backend = self._fit_one(data, X, yt, tidx, s, fingerprints)
                     if model is not None:
                         self._warm[s] = {
                             "model": model,
+                            "backend": backend,
                             "transform": tr,
                             "chunks": [list(counts)],
                         }
@@ -174,7 +173,9 @@ class SurrogateFitter:
             return models, ybests
 
     def _fit_one(self, data, X, yt, tidx, objective: int, fingerprints=None):
-        """Fit the selected backend, degrading gracefully on failure.
+        """Fit the selected backend, degrading gracefully on failure;
+        returns ``(model, backend name)``, ``(None, None)`` after a full
+        downgrade.
 
         ``model_backend="auto"`` escalates from the exact to the sparse LCM
         past ``sparse_threshold`` (:func:`select_backend`).  A failed fit
@@ -262,7 +263,7 @@ class SurrogateFitter:
                 if getattr(model, "executor", None) is not None:
                     # the pool dies with the campaign; a returned model refits inline
                     model.executor = None
-                return model
+                return model, backend
             if not opts.model_fallback:
                 raise RuntimeError(f"{backend} fit diverged and model_fallback is disabled")
             reason = "all multi-starts diverged"
@@ -275,14 +276,14 @@ class SurrogateFitter:
             theta0, n_start = self._warm_start(objective, gp, n_tasks, beta)
             try:
                 model = gp.factory(n_tasks, beta, self.n_latent, n_start, seed, self.pool, opts)
-                return model.fit(X, yt, tidx, theta0=theta0)
+                return model.fit(X, yt, tidx, theta0=theta0), gp.name
             except Exception as e:
                 backend, reason = "per-task gp", f"{type(e).__name__}: {e}"
         self.events.record(
             "model-downgrade",
             f"objective {objective}: {backend} -> random search ({reason})",
         )
-        return None
+        return None, None
 
     def _warm_start(
         self, objective: int, spec: BackendSpec, n_tasks: int, beta: int
@@ -298,21 +299,21 @@ class SurrogateFitter:
         opts = self.options
         st = self._warm.get(objective) if opts.refit_warm_start else None
         prev = st["model"] if st is not None else None
+        if prev is None:
+            return None, opts.n_start
         if spec.supports_theta:
             if (
-                prev is not None
-                and prev.theta is not None
+                prev.theta is not None
                 and prev.params.delta == n_tasks
                 and prev.params.beta == beta
                 and prev.params.Q == self.n_latent
             ):
                 return np.asarray(prev.theta, dtype=float), opts.refit_warm_n_start
         elif (
-            spec.name == "gp"
-            and isinstance(prev, PerTaskGP)
+            spec.name == st["backend"] == "gp"
             and (prev.n_tasks, prev.n_dims) == (n_tasks, beta)
         ):
-            return [None if g is None else g.theta for g in prev.gps], opts.refit_warm_n_start
+            return prev.thetas, opts.refit_warm_n_start
         return None, opts.n_start
 
     def _note_backend(self, backend: str, objective: int, n_obs: int) -> None:
@@ -440,7 +441,7 @@ class SurrogateFitter:
         n_new = 0 if tn is None else len(tn)
         self.events.record(
             "model-extend",
-            f"objective {objective}: n_new={n_new} n={model.y.shape[0]} n_starts=0",
+            f"objective {objective}: n_new={n_new} n={sum(st['chunks'][-1])} n_starts=0",
         )
         return model
 
@@ -449,12 +450,15 @@ class SurrogateFitter:
         """Modeling state for :class:`RunCheckpoint.modeling`.
 
         What a resume cannot rederive from the data: the refit cadence
-        (``fit_iter``), each objective's exact-LCM warm posterior (θ, output
-        transform, and the extend chunk boundaries whose replay rebuilds
-        the Cholesky bitwise), and the featurizer state.  ``None`` without
-        ``refit_warm_start``, ``refit_interval > 1`` or a featurizer, which
-        keeps the checkpoint at version 1.  Sparse-LCM and per-task-GP warm
-        θ are not captured: they refit cold on resume.
+        (``fit_iter``), each objective's warm posterior (its backend, θ,
+        output transform, and the extend chunk boundaries whose replay
+        rebuilds the Cholesky bitwise), and the featurizer state.  ``None``
+        without ``refit_warm_start``, ``refit_interval > 1`` or a
+        featurizer, which keeps the checkpoint at version 1.  A posterior
+        is captured when its model has ``refit_at`` — the exact LCM (θ one
+        flat list) and ``gp`` (θ one list per task, ``None`` for a task
+        without a GP); sparse-LCM warm state is not, and refits cold on
+        resume.
         """
         opts = self.options
         if opts.refit_interval <= 1 and not opts.refit_warm_start and featurizer is None:
@@ -462,11 +466,16 @@ class SurrogateFitter:
         warm: Dict[str, Any] = {}
         for s, st in self._warm.items():
             model = st["model"]
-            if type(model) is not LCM or model.theta is None:
+            if not hasattr(model, "refit_at"):
                 continue
+            if st["backend"] == "gp":
+                theta = [None if t is None else t.tolist() for t in model.thetas]
+            else:
+                theta = model.theta.tolist()
             tr: YTransform = st["transform"]
             warm[str(s)] = {
-                "theta": [float(v) for v in np.asarray(model.theta).ravel()],
+                "backend": st["backend"],
+                "theta": theta,
                 "transform": {"kind": tr.kind, "mean": float(tr.mean), "std": float(tr.std)},
                 "chunks": [[int(c) for c in chunk] for chunk in st["chunks"]],
             }
@@ -513,12 +522,14 @@ class SurrogateFitter:
     def _rebuild(self, objective: int, w: Mapping[str, Any], data, featurizer):
         """Reconstruct one objective's warm posterior from checkpoint state.
 
+        The entry's backend (``exact-lcm`` when it names none, as version-2
+        checkpoints written before ``gp`` was captured do) builds the model.
         The base chunk is refactorized at the checkpointed θ via
-        :meth:`LCM.refit_at` (one ``_nll_and_grad`` evaluation — the same
-        code path the original fit's winning restart ended on), then each
-        subsequent chunk is replayed through :meth:`LCM.extend` exactly as
-        the original campaign applied it.  Returns ``None`` when the
-        checkpoint holds no usable rows.
+        ``refit_at`` (:meth:`LCM.refit_at`: one ``_nll_and_grad`` evaluation
+        — the same code path the original fit's winning restart ended on —
+        per task for ``gp``), then each subsequent chunk is replayed
+        through ``extend`` exactly as the original campaign applied it.
+        Returns ``None`` when the checkpoint holds no usable rows.
         """
         chunks = [list(map(int, c)) for c in w["chunks"]]
         if not chunks or not any(chunks[-1]):
@@ -529,18 +540,20 @@ class SurrogateFitter:
         X0, y0, t0 = self._rows(data, objective, [0] * data.n_tasks, chunks[0], featurizer)
         if X0 is None:
             return None
+        backend = str(w.get("backend", "exact-lcm"))
         # n_start=1, seed=0: refit_at/extend never draw from the rng, and a
         # rebuild must not consume a seed-tree child
-        model = get_backend("exact-lcm").factory(
+        model = get_backend(backend).factory(
             data.n_tasks, X0.shape[1], self.n_latent, 1, 0, None, self.options
         )
-        model.refit_at(X0, tr.transform(y0), t0, np.asarray(w["theta"], dtype=float))
+        model.refit_at(X0, tr.transform(y0), t0, w["theta"])
         for prev, cur in zip(chunks, chunks[1:]):
             Xn, yn, tn = self._rows(data, objective, prev, cur, featurizer)
             if Xn is not None:
                 model.extend(Xn, tr.transform(yn), tn)
         return {
             "model": model,
+            "backend": backend,
             "transform": tr,
             "chunks": chunks,
         }

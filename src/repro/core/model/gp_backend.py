@@ -3,11 +3,15 @@
 :class:`PerTaskGP` is both an explicitly selectable backend
 (``Options(model_backend="gp")``) and the driver's *degradation* rung when
 the multitask fit breaks down: no task coupling, O(Σ nᵢ³) fit over much
-smaller per-task blocks.  Its :meth:`~PerTaskGP.predict_tasks` loops over
-the tasks' own GPs, so the lockstep batched search runs unchanged on it.
-It has no flat ``theta`` (per-task hyperparameters are not transferable to
-the LCM layout), so it skips the surrogate cache; warm starts go through
-a per-task ``theta0`` sequence instead (see
+smaller per-task blocks.  Each task's :class:`~repro.core.gp.GaussianProcess`
+is the exact LCM at ``δ = 1``, so the rung has the LCM's likelihood,
+``extend`` and ``refit_at``: the ``gp`` backend honours ``refit_interval``
+and the constant liar, and its warm state rides the checkpoint, like the
+exact LCM's.  Its :meth:`~PerTaskGP.predict_tasks` loops over the tasks'
+own GPs, so the lockstep batched search runs unchanged on it.  It has no
+flat ``theta`` (per-task hyperparameters are not transferable to the
+multitask layout), so it skips the surrogate cache; warm starts go through
+the per-task :attr:`~PerTaskGP.thetas` instead (see
 :class:`~repro.core.model.fitter.SurrogateFitter`), the same for the
 explicit backend and the degradation rung.
 """
@@ -19,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..gp import GaussianProcess
-from ..posterior import observations, task_block
+from ..posterior import LCMParams, observations, task_block
 
 __all__ = ["PerTaskGP"]
 
@@ -29,7 +33,8 @@ class PerTaskGP:
 
     Per-task seeds derive deterministically from ``seed`` in task order, so
     a campaign consumes exactly one driver seed per fit regardless of the
-    task count — the same contract the other backends honor.
+    task count — the same contract the other backends honor.  ``params``
+    is the one-task model every task's GP fits, ``LCMParams(1, β, 1)``.
     """
 
     def __init__(
@@ -45,13 +50,31 @@ class PerTaskGP:
             raise ValueError("need n_tasks >= 1 and n_dims >= 1")
         self.n_tasks = int(n_tasks)
         self.n_dims = int(n_dims)
+        self.params = LCMParams(1, self.n_dims, 1)
         self.jitter = float(jitter)
         self.n_start = int(n_start)
         self.maxiter = int(maxiter)
         self.seed = seed
         self.gps: List[Optional[GaussianProcess]] = [None] * self.n_tasks
         self.theta = None  # no shared flat θ — see module docstring
-        self.log_likelihood_: float = -np.inf
+
+    def _gp(self, seed: Optional[int] = None) -> GaussianProcess:
+        return GaussianProcess(self.jitter, self.n_start, self.maxiter, seed)
+
+    def _each_task(self, X, y, task_index, thetas, name, build) -> "PerTaskGP":
+        """Validate, then set ``gps[i] = build(i, X_i, y_i, θ_i)`` for every
+        observed task and ``None`` for the others; ``thetas`` is one entry
+        per task, or ``None`` for all."""
+        X, y, tidx = observations(X, y, task_index, self.n_tasks, self.n_dims)
+        if thetas is None:
+            thetas = [None] * self.n_tasks
+        elif len(thetas) != self.n_tasks:
+            raise ValueError(f"{name} has {len(thetas)} entries, expected {self.n_tasks}")
+        rows = [tidx == i for i in range(self.n_tasks)]
+        self.gps = [
+            build(i, X[r], y[r], thetas[i]) if np.any(r) else None for i, r in enumerate(rows)
+        ]
+        return self
 
     def fit(
         self,
@@ -63,34 +86,55 @@ class PerTaskGP:
         """Fit each observed task's GP.
 
         ``theta0`` optionally warm-starts the tasks: one entry per task, a
-        :class:`GaussianProcess` θ (``n_dims + 2`` values) that starts that
+        :class:`GaussianProcess` θ (``n_dims + 3`` values) that starts that
         task's first restart, or ``None`` for a cold start.  ``n_start``
         applies to every task either way.
         """
-        X, y, tidx = observations(X, y, task_index, self.n_tasks, self.n_dims)
-        if theta0 is not None and len(theta0) != self.n_tasks:
-            raise ValueError(f"theta0 has {len(theta0)} entries, expected {self.n_tasks}")
-        rng = np.random.default_rng(self.seed)
-        seeds = rng.integers(2**31, size=self.n_tasks)
-        gps: List[Optional[GaussianProcess]] = []
-        ll = 0.0
-        for i in range(self.n_tasks):
-            rows = tidx == i
-            if not np.any(rows):
-                gps.append(None)
-                continue
-            gp = GaussianProcess(
-                jitter=self.jitter,
-                n_start=self.n_start,
-                maxiter=self.maxiter,
-                seed=int(seeds[i]),
-            )
-            gp.fit(X[rows], y[rows], theta0=None if theta0 is None else theta0[i])
-            ll += float(gp.log_likelihood_)
-            gps.append(gp)
-        self.gps = gps
-        self.log_likelihood_ = ll
+        seeds = np.random.default_rng(self.seed).integers(2**31, size=self.n_tasks)
+        return self._each_task(
+            X, y, task_index, theta0, "theta0",
+            lambda i, Xi, yi, t: self._gp(int(seeds[i])).fit(Xi, yi, theta0=t),
+        )
+
+    def refit_at(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        task_index: Sequence[int],
+        thetas: Sequence[Optional[np.ndarray]],
+    ) -> "PerTaskGP":
+        """Rebuild every observed task's posterior at its known θ
+        (:meth:`GaussianProcess.refit_at`), without L-BFGS."""
+        return self._each_task(
+            X, y, task_index, thetas, "thetas",
+            lambda i, Xi, yi, t: self._gp().refit_at(Xi, yi, t),
+        )
+
+    def extend(
+        self, X: np.ndarray, y: np.ndarray, task_index: Sequence[int]
+    ) -> "PerTaskGP":
+        """Append each task's new rows to its own posterior
+        (:meth:`GaussianProcess.extend`); ``RuntimeError`` when a task with
+        new rows has no fitted GP."""
+        X, y, tidx = observations(X, y, task_index, self.n_tasks, self.n_dims, extend=True)
+        tasks = np.unique(tidx)
+        for i in tasks:
+            if self.gps[i] is None:
+                raise RuntimeError(f"task {i} has no fitted surrogate to extend")
+        for i in tasks:
+            self.gps[i].extend(X[tidx == i], y[tidx == i])
         return self
+
+    @property
+    def thetas(self) -> List[Optional[np.ndarray]]:
+        """Each task's fitted θ (``None`` for a task without a GP)."""
+        return [None if g is None else g.theta for g in self.gps]
+
+    @property
+    def log_likelihood_(self) -> float:
+        """Sum of the tasks' log marginal likelihoods (``-inf`` unfitted)."""
+        fitted = [g.log_likelihood_ for g in self.gps if g is not None]
+        return float(sum(fitted)) if fitted else -np.inf
 
     def predict(self, task: int, Xstar: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance from the task's own GP."""

@@ -16,9 +16,11 @@ with the driver's fit/predict contract —
   ``LCM``/``SparseLCM`` backends); where they do not it is the primitive
   ``predict_tasks`` loops over (``PerTaskGP``);
 * optionally ``extend`` (enables refit-interval/async streaming
-  absorption), a flat ``theta`` in the :class:`~repro.core.posterior.LCMParams`
-  layout (enables warm starts and the surrogate cache), and
-  ``log_likelihood_`` (the driver's divergence check).
+  absorption and the constant liar), ``refit_at`` (the fitter checkpoints
+  the warm posterior and rebuilds it on resume), a flat ``theta`` in the
+  :class:`~repro.core.posterior.LCMParams` layout (enables warm starts and
+  the surrogate cache), and ``log_likelihood_`` (the driver's divergence
+  check).
 
 Three backends ship registered:
 
@@ -30,10 +32,11 @@ Three backends ship registered:
     The O(N·M²) inducing-point :class:`~repro.core.model.sparse_lcm.SparseLCM`.
 ``gp``
     Independent per-task GPs (:class:`~repro.core.model.gp_backend.PerTaskGP`)
-    — the degradation rung as an explicit choice.  It carries no flat θ;
-    :class:`~repro.core.model.fitter.SurrogateFitter` warm-starts it with a
-    per-task ``theta0`` sequence instead, the same whether it was chosen
-    or reached by the ladder.
+    — the degradation rung as an explicit choice.  Each task's GP is the
+    exact LCM at ``δ = 1``, so it has ``extend`` and ``refit_at`` too.  It
+    carries no flat θ; :class:`~repro.core.model.fitter.SurrogateFitter`
+    warm-starts and checkpoints it with per-task θ instead, the same
+    whether it was chosen or reached by the ladder.
 
 :func:`select_backend` implements the budget-aware policy:
 ``model_backend="auto"`` (the default) keeps today's exact path while the

@@ -172,7 +172,8 @@ def constant_liar(
     ----------
     model:
         A fitted surrogate with an ``extend(X, y, tidx)`` posterior update
-        (the :class:`~repro.core.lcm.LCM`); the original is never mutated.
+        (the :class:`~repro.core.lcm.LCM`, ``SparseLCM`` or ``PerTaskGP``);
+        the original is never mutated.
     Xpending_unit:
         Pending points ``(m, dim)`` on the unit cube.
     task_idx:

@@ -12,8 +12,8 @@ models; a partial history preload; a transfer-learning campaign with a
 frozen source task; a fit that degrades all the way to random search) and
 streaming on :class:`~repro.runtime.async_engine.SimScheduler` (γ = 1,
 γ > 1, with performance models, each ``pending_penalty``, the ``gp``
-backend — which has no ``extend``, so the constant liar falls back to local
-penalization — and fits that degrade all the way to random search).
+backend — whose per-task GPs extend, so the constant liar applies to it as
+to the LCM — and fits that degrade all the way to random search).
 
 The digests depend on bitwise floating-point results, so they hold for one
 numpy/scipy/BLAS build (recorded with numpy 2.4, scipy 1.17, OpenBLAS
@@ -160,8 +160,8 @@ DIGESTS = {
     "random-search": "42eb6bb6d3fd4a8a",
     "stream-gamma1": "d58298c6e8e74248",
     "stream-gamma2": "331dfb87b6e4d19c",
-    "stream-gp": "76ebe0f393c30cb3",
-    "stream-gp-gamma2": "1b4e8d91c9b02d32",
+    "stream-gp": "770034ddafe6bb34",
+    "stream-gp-gamma2": "d6798f4d8fe5efd3",
     "stream-lp": "005c87f6dec398e5",
     "stream-lp-gamma2": "2974a7ddf340d7a0",
     "stream-models": "3fec5dc92abe1c8b",

@@ -154,6 +154,34 @@ class TestKillResume:
         _assert_same_data(ref, resumed)
         np.testing.assert_array_equal(ref.models[0].theta, resumed.models[0].theta)
 
+    @pytest.mark.parametrize(
+        "modeling, k",
+        [
+            ({"refit_interval": 3}, 2),
+            ({"refit_warm_start": True, "n_start": 3}, 3),
+        ],
+        ids=["refit_interval", "warm_start"],
+    )
+    def test_kill_and_resume_gp_backend(self, tmp_path, modeling, k):
+        """The ``gp`` backend's warm state (per-task θ, output transform,
+        extend chunks) rides the checkpoint like the exact LCM's: a resumed
+        campaign extends and warm-refits as the uninterrupted one does."""
+        modeling = dict(modeling, model_backend="gp")
+        budget = 10
+        ref = GPTune(_problem(), _options(**modeling)).tune(TASKS, budget)
+        path = str(tmp_path / "run-gp.ck.json")
+        tuner = GPTune(_problem(), _options(checkpoint_path=path, **modeling))
+        with pytest.raises(_Kill):
+            tuner.tune(TASKS, budget, callback=_kill_at(k))
+        ck = RunCheckpoint.load(path)
+        assert ck.version == 2 and ck.modeling is not None
+
+        fresh = GPTune(_problem(), _options(checkpoint_path=path, **modeling))
+        resumed = fresh.resume(path)
+        _assert_same_data(ref, resumed)
+        for a, b in zip(ref.models[0].gps, resumed.models[0].gps):
+            np.testing.assert_array_equal(a.theta, b.theta)
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_kill_and_resume_with_models(self, tmp_path, k):
         """A lockstep campaign with performance models keeps one featurizer,
@@ -362,6 +390,36 @@ class TestAsyncKillResume:
             tuner(checkpoint_path=path).tune(TASKS, budget, callback=_kill_at(6))
         ck = RunCheckpoint.load(path)
         assert ck.version == 2 and ck.modeling["warm"]
+        _assert_same_data(ref, tuner(checkpoint_path=path).resume(path))
+
+    @pytest.mark.parametrize(
+        "modeling, k",
+        [
+            ({"refit_interval": 3}, 7),
+            ({"refit_warm_start": True, "n_start": 3, "max_inflight": 2}, 6),
+        ],
+        ids=["refit_interval", "warm_start"],
+    )
+    def test_kill_and_resume_gp_backend(self, tmp_path, modeling, k):
+        """Streaming ``gp`` campaigns resume bit-identically too: the
+        constant liar and the extend phases run on the per-task GPs, whose
+        warm state the checkpoint carries."""
+        modeling = dict(modeling, model_backend="gp")
+        budget = 10
+
+        def tuner(**kw):
+            return GPTune(
+                _problem(),
+                _async_options(**modeling, **kw),
+                scheduler=SimScheduler(_duration, clock=SimClock()),
+            )
+
+        ref = tuner().tune(TASKS, budget)
+        path = str(tmp_path / "async-gp.ck.json")
+        with pytest.raises(_Kill):
+            tuner(checkpoint_path=path).tune(TASKS, budget, callback=_kill_at(k))
+        ck = RunCheckpoint.load(path)
+        assert ck.version == 2 and ck.modeling is not None
         _assert_same_data(ref, tuner(checkpoint_path=path).resume(path))
 
     @pytest.mark.parametrize("k", [2, 4])

@@ -164,14 +164,22 @@ class TestExtension:
         assert fitter.events.count("model-extend") == 2
         assert fitter._warm[0]["chunks"] == [[8, 8]]
 
-    def test_per_task_gp_is_not_extended(self):
+    def test_per_task_gp_extends(self):
+        """Each task's GP is the one-task LCM, so the gp backend extends its
+        posterior between full fits like the exact LCM does."""
         fitter = _fitter(model_backend="gp", refit_interval=2)
         data = _data()
-        fitter.fit(data, None, _stats())
+        (first,), _ = fitter.fit(data, None, _stats())
+        thetas = [t.copy() for t in first.thetas]
         _grow(data, 1, seed=1)
-        fitter.fit(data, None, _stats())
-        assert fitter.events.count("model-extend") == 0
-        assert fitter.events.count("model-fit") == 2
+        (second,), _ = fitter.fit(data, None, _stats())
+        assert second is first and isinstance(second, PerTaskGP)
+        assert fitter.events.count("model-extend") == 1
+        assert fitter.events.count("model-fit") == 1
+        assert fitter._warm[0]["chunks"] == [[5, 5], [6, 6]]
+        for gp, theta in zip(second.gps, thetas):
+            assert gp.lcm.y.shape == (6,)
+            np.testing.assert_array_equal(gp.theta, theta)
 
 
 class TestSnapshot:
@@ -216,6 +224,42 @@ class TestSnapshot:
         (fb,), _ = b.fit(data, None, _stats())
         assert a.events.count("model-fit") == 2 and b.events.count("model-fit") == 1
         np.testing.assert_array_equal(fa.theta, fb.theta)
+
+    def test_gp_warm_state_round_trips(self):
+        """The gp backend's per-task θ and extend chunks are checkpointed,
+        and the restored posterior predicts bitwise like the original."""
+        opts = dict(model_backend="gp", refit_warm_start=True, refit_interval=2)
+        a = _fitter(**opts)
+        data = _data()
+        a.fit(data, None, _stats())
+        _grow(data, 1, seed=1)
+        a.fit(data, None, _stats())
+        snap = json.loads(json.dumps(a.snapshot()))
+        w = snap["warm"]["0"]
+        assert w["backend"] == "gp" and w["chunks"] == [[5, 5], [6, 6]]
+        assert [len(t) for t in w["theta"]] == [2 + 3, 2 + 3]
+
+        b = _fitter(**opts)
+        b.restore(snap, data)
+        ma, mb = a._warm[0]["model"], b._warm[0]["model"]
+        assert isinstance(mb, PerTaskGP) and b._warm[0]["backend"] == "gp"
+        Xq = np.random.default_rng(3).random((7, 2))
+        for task in range(len(TASKS)):
+            for u, v in zip(ma.predict(task, Xq), mb.predict(task, Xq)):
+                np.testing.assert_array_equal(u, v)
+
+    def test_entry_without_backend_restores_exact_lcm(self):
+        """Version-2 checkpoints written before entries named their backend
+        hold exact-LCM state, and still load."""
+        a = _fitter(refit_interval=2)
+        data = _data()
+        a.fit(data, None, _stats())
+        snap = json.loads(json.dumps(a.snapshot()))
+        assert snap["warm"]["0"].pop("backend") == "exact-lcm"
+        b = _fitter(refit_interval=2)
+        b.restore(snap, data)
+        assert b._warm[0]["backend"] == "exact-lcm"
+        np.testing.assert_array_equal(a._warm[0]["model"].theta, b._warm[0]["model"].theta)
 
     def test_restore_of_broken_state_degrades_to_refit(self):
         fitter = _fitter(refit_interval=2)

@@ -1,10 +1,12 @@
-"""Unit tests for the single-task GP (repro.core.gp)."""
+"""Unit tests for the single-task GP (repro.core.gp), the LCM at δ = 1.
+
+Its likelihood gradient is the LCM's, checked at δ = 1 by
+``tests/test_lcm.py::TestGradient``."""
 
 import numpy as np
 import pytest
 
 from repro.core import GaussianProcess
-from repro.core.kernels import pairwise_sq_diffs
 
 
 class TestFit:
@@ -61,22 +63,6 @@ class TestFit:
 
 
 class TestGradients:
-    def test_nll_gradient_matches_fd(self, rng):
-        X = rng.random((8, 2))
-        y = np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=8)
-        gp = GaussianProcess(seed=1)
-        sqd = pairwise_sq_diffs(X)
-        theta = np.array([0.1, np.log(0.4), np.log(0.8), np.log(1e-3)])
-        _, g = gp._nll_and_grad(theta, sqd, y)
-        eps = 1e-6
-        for k in range(theta.shape[0]):
-            tp, tm = theta.copy(), theta.copy()
-            tp[k] += eps
-            tm[k] -= eps
-            fp, _ = gp._nll_and_grad(tp, sqd, y)
-            fm, _ = gp._nll_and_grad(tm, sqd, y)
-            assert g[k] == pytest.approx((fp - fm) / (2 * eps), rel=1e-4, abs=1e-6)
-
     def test_loglikelihood_improves_with_restarts(self, rng):
         X = rng.random((12, 1))
         y = np.sin(6 * X[:, 0])

@@ -358,7 +358,9 @@ class TestScipyVersionCheck:
 # θ and log-likelihood of three fits, recorded (as float.hex) with the
 # ``scipy.optimize.minimize`` wrapper before the driver replaced it, under
 # single-threaded OpenBLAS on x86-64.  Multi-threaded BLAS changes the last
-# bits, so the fits run in a child process with one BLAS thread.
+# bits, so the fits run in a child process with one BLAS thread.  The "gp"
+# fit (the LCM at δ = 1) was recorded through the same wrapper, swapped in
+# at the ``optimize`` seam of ``repro.core.lcm`` with ``_scipy_rows``.
 _RECORDED = {
     "lcm": (
         ["-0x1.4e0bf4408bf5dp+3", "-0x1.221f678fe7bd0p-1", "0x1.35c74bf46deacp-1",
@@ -374,9 +376,9 @@ _RECORDED = {
         "0x1.3c36053e2ddcep+7",
     ),
     "gp": (
-        ["-0x1.e5359985742fap-3", "-0x1.30a992b3ab715p+0", "0x1.6483b5360a697p+3",
-         "-0x1.7f6ea4ef1528cp+2"],
-        "0x1.0756ac9a36b1ep+4",
+        ["-0x1.30a8db972f412p+0", "0x1.5b3df46089d38p+3", "-0x1.b94e75a147eb4p-1",
+         "-0x1.8995c9eb15d9ep+1", "-0x1.7f6e4cc3cc04ap+2"],
+        "0x1.0756ac93c07fap+4",
     ),
 }
 
@@ -418,19 +420,24 @@ class TestFitsUnchanged:
         for name, (theta, ll) in _RECORDED.items():
             assert got[name] == [theta, ll], name
 
-    @pytest.mark.parametrize("n", [30, 48])
-    def test_lcm_fit_equals_scipy_path(self, monkeypatch, n):
+    @pytest.mark.parametrize(
+        "n, n_tasks", [(30, 6), (48, 6), (20, 1)], ids=["30", "48", "20-one-task"]
+    )
+    def test_lcm_fit_equals_scipy_path(self, monkeypatch, n, n_tasks):
         """In-process: the same LCM fit through the driver and through
-        ``scipy.optimize.minimize`` (swapped in at the ``optimize`` seam)."""
+        ``scipy.optimize.minimize`` (swapped in at the ``optimize`` seam),
+        for six tasks and for one (the per-task GP's model)."""
         import repro.core.lcm as lcm_module
 
         rng = np.random.default_rng(n)
         X = rng.random((n, 1))
-        t = np.arange(n) % 6
+        t = np.arange(n) % n_tasks
         y = np.sin(5 * X[:, 0] + t) + 0.05 * rng.normal(size=n)
+        n_latent = min(n_tasks, 3)
 
         def fit():
-            return LCM(6, 1, n_latent=3, n_start=3, maxiter=60, seed=1).fit(X, y, t)
+            model = LCM(n_tasks, 1, n_latent=n_latent, n_start=3, maxiter=60, seed=1)
+            return model.fit(X, y, t)
 
         ours = fit()
 

@@ -132,6 +132,24 @@ class TestGradient:
             num[k] = (fp - fm) / (2 * eps)
         assert np.max(np.abs(g - num) / (1.0 + np.abs(num))) < 1e-5
 
+    def test_nll_gradient_matches_fd(self, rng):
+        """δ = 1, Q = 1, β = 2: the likelihood of the single-task GP."""
+        X = rng.random((8, 2))
+        y = np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=8)
+        m = LCM(1, 2, n_latent=1, seed=1)
+        sqd = pairwise_sq_diffs(X)
+        tidx = np.zeros(8, dtype=int)
+        theta = np.array([np.log(0.4), np.log(0.8), 0.9, np.log(0.2), np.log(1e-3)])
+        _, g = m._nll_and_grad(theta, sqd, y, tidx)
+        eps = 1e-6
+        for k in range(theta.shape[0]):
+            tp, tm = theta.copy(), theta.copy()
+            tp[k] += eps
+            tm[k] -= eps
+            fp, _ = m._nll_and_grad(tp, sqd, y, tidx)
+            fm, _ = m._nll_and_grad(tm, sqd, y, tidx)
+            assert g[k] == pytest.approx((fp - fm) / (2 * eps), rel=1e-4, abs=1e-6)
+
 
 class TestFitPredict:
     def test_fits_related_tasks(self, toy_multitask_data):

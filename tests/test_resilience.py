@@ -7,8 +7,10 @@ under a fixed seed, checkpoint persistence, and the model degradation ladder
 """
 
 import dataclasses
+import functools
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro.core import (
     TuningData,
     TuningProblem,
 )
+from repro.core.model import registry
 from repro.runtime.resilience import (
     EvalTimeoutError,
     FatalEvaluationError,
@@ -194,8 +197,6 @@ class TestEvalWorkerPool:
         old fresh-executor-per-evaluation design spawned one thread per
         timeout here.
         """
-        import threading
-
         from repro.runtime.resilience import _EVAL_POOL
 
         created_before = _EVAL_POOL.created
@@ -215,8 +216,6 @@ class TestEvalWorkerPool:
 
     def test_surplus_idle_workers_retire(self):
         """Past ``max_idle`` parked workers, a released worker exits."""
-        import threading
-
         from repro.runtime.resilience import _EvalWorkerPool
 
         pool = _EvalWorkerPool(max_idle=1)
@@ -249,13 +248,17 @@ class TestEvalWorkerPool:
 
     def test_worker_result_after_timeout_is_discarded(self):
         calls = []
+        release = threading.Event()
 
         def obj():
             calls.append(1)
-            time.sleep(0.03)
+            # returns only once the caller has given up on it, however
+            # late the waiter runs on a loaded machine
+            release.wait(10.0)
             return [7.0]
 
         out = run_with_retries(obj, RetryPolicy(max_attempts=1, timeout=0.005))
+        release.set()
         assert out.failed and out.value is None
         time.sleep(0.05)  # the background completion must not resurface
         assert out.value is None and len(calls) == 1
@@ -517,16 +520,29 @@ class TestCheckpointPersistence:
         assert json.loads(p.read_text()) == {"a": 1}
 
 
+def _break_exact_lcm(monkeypatch):
+    """Make every ``exact-lcm`` backend fit raise.  The failure is injected
+    at the backend, not at ``LCM.fit``: the ``gp`` rung's GPs are LCMs at
+    δ = 1, so patching ``LCM.fit`` would break the rung too."""
+    spec = registry.get_backend("exact-lcm")
+
+    def factory(*args):
+        model = spec.factory(*args)
+        model.fit = functools.partial(TestDegradationLadder._boom, model)
+        return model
+
+    monkeypatch.setitem(
+        registry._REGISTRY, "exact-lcm", dataclasses.replace(spec, factory=factory)
+    )
+
+
 class TestDegradationLadder:
     def _problem(self):
         ts, ps = _spaces()
         return TuningProblem(ts, ps, lambda t, c: (c["x"] - 0.4) ** 2 + 0.01 * t["t"])
 
     def test_lcm_failure_falls_back_to_per_task_gps(self, monkeypatch):
-        def boom(self, *a, **k):
-            raise sla.LinAlgError("cholesky breakdown")
-
-        monkeypatch.setattr("repro.core.lcm.LCM.fit", boom)
+        _break_exact_lcm(monkeypatch)
         res = GPTune(self._problem(), FAST).tune([{"t": 1}, {"t": 3}], 6)
         assert res.data.n_samples(0) >= 6 and res.data.n_samples(1) >= 6
         assert isinstance(res.models[0], PerTaskGP)
@@ -585,7 +601,7 @@ class TestDegradationLadder:
     def test_ladder_warm_starts_from_previous_per_task_theta(self, monkeypatch):
         """With refit_warm_start, the second ladder fit starts every task
         from its previous θ with refit_warm_n_start starts."""
-        monkeypatch.setattr("repro.core.lcm.LCM.fit", self._boom)
+        _break_exact_lcm(monkeypatch)
         calls = []
         fit = PerTaskGP.fit
 
@@ -607,7 +623,7 @@ class TestDegradationLadder:
             np.testing.assert_array_equal(got, want)
 
     def test_downgraded_fit_consumes_one_seed(self, monkeypatch):
-        monkeypatch.setattr("repro.core.lcm.LCM.fit", self._boom)
+        _break_exact_lcm(monkeypatch)
         tuner = GPTune(self._problem(), FAST)
         data = self._data(n_tasks=3)
         tuner.fitter.reset(data.n_tasks)
@@ -628,7 +644,7 @@ class TestDegradationLadder:
         assert downgrades[0].detail.startswith("objective 0: gp -> random search (")
 
     def test_fallback_carries_finite_log_likelihood(self, monkeypatch):
-        monkeypatch.setattr("repro.core.lcm.LCM.fit", self._boom)
+        _break_exact_lcm(monkeypatch)
         res = GPTune(self._problem(), FAST).tune([{"t": 1}, {"t": 3}], 6)
         model = res.models[0]
         assert isinstance(model, PerTaskGP)
