@@ -66,7 +66,7 @@ from .perfmodel import ModelFeaturizer
 from .problem import TuningProblem
 from .sampling import LHSSampler, sample_feasible
 from .search.nsga2 import NSGA2, crowding_distance, fast_non_dominated_sort
-from .search.penalty import constant_liar, penalize_ei, penalize_lcb
+from .search.penalty import penalize_ei, penalize_lcb
 from .search.pso_batched import BatchedParticleSwarm
 
 __all__ = ["GPTune", "TuneResult"]
@@ -544,14 +544,11 @@ class GPTune:
             penalty=opts.pending_penalty,
         )
 
-        # per-task in-flight bookkeeping: normalized-key -> (unit point,
-        # native config) — the unit point feeds the pending penalty and
-        # dedup, the native config lets the featurizer enrich pending points
-        # — plus a plain count (key collisions in an exhausted discrete
-        # space must not undercount slots)
-        pend_units: List[Dict[tuple, Tuple[np.ndarray, Dict[str, Any]]]] = [
-            {} for _ in range(data.n_tasks)
-        ]
+        # per-task in-flight bookkeeping: normalized-key -> unit point (it
+        # feeds the pending penalty and dedup), plus a plain count (key
+        # collisions in an exhausted discrete space must not undercount
+        # slots)
+        pend_units: List[Dict[tuple, np.ndarray]] = [{} for _ in range(data.n_tasks)]
         inflight_cnt = [0] * data.n_tasks
 
         def unit_key(cfg):
@@ -561,7 +558,7 @@ class GPTune:
         def submit(i, cfg, eta=None):
             key, u = unit_key(cfg)
             eng.submit(i, cfg, eta=eta)
-            pend_units[i][key] = (u, dict(cfg))
+            pend_units[i][key] = u
             inflight_cnt[i] += 1
 
         def committed(i):
@@ -612,7 +609,7 @@ class GPTune:
                     [(_, cands)] = self._search(
                         data, [i], bundle,
                         lambda m: self._posterior(m, data, [i], featurizer),
-                        seeds, rng, [k], pend_units, featurizer,
+                        seeds, rng, [k], pend_units,
                     )
                     mo_buf[i] = cands
                 # the first buffered candidate neither evaluated nor in
@@ -826,44 +823,6 @@ class GPTune:
         )
 
     # -- search phase ---------------------------------------------------------
-    def _pending_matrix(
-        self,
-        data: TuningData,
-        pend_units: List[Dict[tuple, Tuple[np.ndarray, Dict[str, Any]]]],
-        featurizer: Optional[ModelFeaturizer],
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """All tasks' pending points stacked for the constant liar.
-
-        Returns ``(X, task_index)`` in task-major submission order, with
-        model features appended (frozen featurizer state) when the campaign
-        enriches inputs — the liar's :meth:`LCM.extend` needs rows in the
-        exact units the posterior was fitted in.  ``(None, None)`` when
-        nothing is in flight.
-        """
-        blocks, tix = [], []
-        for i in range(data.n_tasks):
-            if not pend_units[i]:
-                continue
-            units = np.vstack([u for (u, _) in pend_units[i].values()])
-            if featurizer is not None:
-                cfgs = [c for (_, c) in pend_units[i].values()]
-                units = featurizer.enrich(data.tasks[i], cfgs, units, observe=False)
-            blocks.append(units)
-            tix.extend([i] * len(pend_units[i]))
-        if not blocks:
-            return None, None
-        return np.vstack(blocks), np.asarray(tix, dtype=int)
-
-    @staticmethod
-    def _liar(model, yb: np.ndarray, P: np.ndarray, tix: np.ndarray):
-        """Constant-liar copy of ``model``: each pending row of ``P`` lies at
-        its task's incumbent ``yb`` (the worst finite incumbent for a task
-        without one); ``None`` when the copy/extend is impossible."""
-        finite = yb[np.isfinite(yb)]
-        fallback_lie = float(finite.max()) if finite.size else 0.0
-        lies = np.array([yb[i] if np.isfinite(yb[i]) else fallback_lie for i in tix])
-        return constant_liar(model, P, tix, lies)
-
     @contextmanager
     def _search_phase(self, stats, models: Sequence[Any], n_tasks: int, **attrs):
         """Span, ``search_time`` and ``search-mode`` bookkeeping around one
@@ -882,7 +841,7 @@ class GPTune:
         data: TuningData,
         bundle,
         left: Mapping[int, int],
-        pend_units: List[Dict[tuple, Tuple[np.ndarray, Dict[str, Any]]]],
+        pend_units: List[Dict[tuple, np.ndarray]],
         featurizer: Optional[ModelFeaturizer],
         stats,
     ) -> List[Tuple[int, Dict[str, Any]]]:
@@ -905,7 +864,7 @@ class GPTune:
             for i, cfgs in self._search(
                 data, block, bundle,
                 lambda m: self._posterior(m, data, block, featurizer),
-                seeds, rng, [min(k, left[i]) for i in block], pend_units, featurizer,
+                seeds, rng, [min(k, left[i]) for i in block], pend_units,
             ):
                 proposals += self._dedup_round(data, i, cfgs, rng)
         return proposals
@@ -947,8 +906,7 @@ class GPTune:
         seeds: Sequence[int],
         rng: np.random.Generator,
         ks: Sequence[int],
-        pend_units: List[Dict[tuple, Tuple[np.ndarray, Dict[str, Any]]]],
-        featurizer: Optional[ModelFeaturizer],
+        pend_units: List[Dict[tuple, np.ndarray]],
     ) -> Iterator[Tuple[int, List[Dict[str, Any]]]]:
         """The search phase over a block of tasks: yields ``(task, configs)``
         with up to ``ks[t]`` candidates for ``tasks[t]``, in ``tasks`` order.
@@ -965,11 +923,8 @@ class GPTune:
         ``ks[t]`` crowding-spread points per task.
 
         In-flight points (``pend_units``) discount each objective per
-        ``options.pending_penalty``: ``"cl"`` scores a constant-liar copy
-        of the posterior with incumbent lies at every task's pending points
-        (cross-task correlations steer every task away), falling back to
-        local penalization when the copy/extend is impossible; ``"lp"``
-        applies the local penalty of each task's own pending points
+        ``options.pending_penalty``: ``"lp"`` applies the local penalty of
+        each task's own pending points
         (:func:`~repro.core.search.penalty.penalize_ei` on EI,
         :func:`~repro.core.search.penalty.penalize_lcb` on an LCB);
         ``"none"`` leaves it to the caller's dedup.  A surrogate fully
@@ -986,31 +941,17 @@ class GPTune:
                 yield i, sample_feasible(space, k, rng, extra=data.tasks[i])
             return
         feas = [_feasibility_or_none(self.problem, data.tasks[i]) for i in tasks]
+        # each task's pending unit points, None where nothing is penalized
         pending = [
-            np.vstack([u for (u, _) in pend_units[i].values()]) if pend_units[i] else None
+            np.vstack(list(pend_units[i].values()))
+            if pend_units[i] and opts.pending_penalty == "lp"
+            else None
             for i in tasks
         ]
-        P, tix = (
-            self._pending_matrix(data, pend_units, featurizer)
-            if opts.pending_penalty == "cl"
-            else (None, None)
-        )
-
-        def discounted(s: int):
-            # objective s's block posterior, and whether it takes the local penalty
-            model, lp = models[s], opts.pending_penalty == "lp"
-            if P is not None:
-                liar = self._liar(model, ybests[s], P, tix)
-                if liar is None:
-                    lp = True  # cl impossible: local penalization
-                else:
-                    model = liar
-            return posterior(model), lp and any(p is not None for p in pending)
 
         if len(models) == 1:
-            predict, lp = discounted(0)
             ei = BatchedEIAcquisition(
-                predict,
+                posterior(models[0]),
                 y_best=[ybests[0][i] for i in tasks],
                 feasibility=feas if any(f is not None for f in feas) else None,
             )
@@ -1030,14 +971,14 @@ class GPTune:
                 seed=seeds[0],
             )
             x0 = np.stack([space.normalize(data.best(i)[0]) for i in tasks])
-            xunit, _ = pso.maximize(penalized_ei if lp else ei, x0=x0)
+            xunit, _ = pso.maximize(penalized_ei, x0=x0)
             # greedy diverse picks: the first k of top_batch(q) are top_batch(k)
             tops = pso.top_batch(max(ks)) if max(ks) > 1 else None
             for t, (i, k) in enumerate(zip(tasks, ks)):
                 yield i, space.denormalize_many(tops[t][:k] if k > 1 else xunit[t])
             return
 
-        objectives = [discounted(s) for s in range(len(models))]
+        objectives = [posterior(m) for m in models]
         nsgas = [
             NSGA2(
                 dim=space.dimension,
@@ -1051,16 +992,15 @@ class GPTune:
 
         def lcb_block(X: np.ndarray) -> np.ndarray:
             cols = []
-            for s, (predict, lp) in enumerate(objectives):
+            for s, predict in enumerate(objectives):
                 mu, var = predict(X)
                 lcb = mu - np.sqrt(var)
-                if lp:
-                    for t, pend in enumerate(pending):
-                        if pend is not None:
-                            lcb[t] = penalize_lcb(
-                                lcb[t], X[t], pend, opts.penalty_radius,
-                                float(ybests[s][tasks[t]]),
-                            )
+                for t, pend in enumerate(pending):
+                    if pend is not None:
+                        lcb[t] = penalize_lcb(
+                            lcb[t], X[t], pend, opts.penalty_radius,
+                            float(ybests[s][tasks[t]]),
+                        )
                 cols.append(lcb)
             F = np.stack(cols, axis=-1)  # (n_tasks, pop, gamma)
             for t, fe in enumerate(feas):

@@ -5,9 +5,8 @@
 the multitask fit breaks down: no task coupling, O(Σ nᵢ³) fit over much
 smaller per-task blocks.  Each task's :class:`~repro.core.gp.GaussianProcess`
 is the exact LCM at ``δ = 1``, so the rung has the LCM's likelihood,
-``extend`` and ``refit_at``: the ``gp`` backend honours ``refit_interval``
-and the constant liar, and its warm state rides the checkpoint, like the
-exact LCM's.  Its :meth:`~PerTaskGP.predict_tasks` loops over the tasks'
+``extend`` and ``refit_at``: the ``gp`` backend honours ``refit_interval``,
+and its warm state rides the checkpoint, like the exact LCM's.  Its :meth:`~PerTaskGP.predict_tasks` loops over the tasks'
 own GPs, so the lockstep batched search runs unchanged on it.  It has no
 flat ``theta`` (per-task hyperparameters are not transferable to the
 multitask layout), so it skips the surrogate cache; warm starts go through

@@ -16,7 +16,7 @@ with the driver's fit/predict contract —
   ``LCM``/``SparseLCM`` backends); where they do not it is the primitive
   ``predict_tasks`` loops over (``PerTaskGP``);
 * optionally ``extend`` (enables refit-interval/async streaming
-  absorption and the constant liar), ``refit_at`` (the fitter checkpoints
+  absorption), ``refit_at`` (the fitter checkpoints
   the warm posterior and rebuilds it on resume), a flat ``theta`` in the
   :class:`~repro.core.posterior.LCMParams` layout (enables warm starts and
   the surrogate cache), and ``log_likelihood_`` (the driver's divergence

@@ -35,8 +35,7 @@ interface-compatible with :class:`LCM` where the MLA driver cares:
 ``fit/extend/predict/predict_tasks``, the
 ``params``/``theta``/``log_likelihood_`` attributes (θ is transferable
 between exact and sparse fits, so warm starts survive backend
-escalation), deep-copyability for the constant-liar pending penalty, and
-pickling for checkpoints.
+escalation), and pickling for checkpoints.
 
 :meth:`extend` implements streaming absorption for the async engine with
 the inducing set held fixed: appending ``n_new`` rows is a rank-M update

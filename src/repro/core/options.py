@@ -90,14 +90,13 @@ class Options:
         the interval is measured on the virtual clock, so campaigns stay
         deterministic.  Requires ``async_eval=True``.
     pending_penalty:
-        How async proposals avoid in-flight points: ``"cl"`` (constant
-        liar — the posterior copy is extended with incumbent-valued lies at
-        pending points; the default), ``"lp"`` (local penalization — EI is
-        multiplied by a compactly supported distance factor), or ``"none"``.
-        See :mod:`repro.core.search.penalty`.
+        How async proposals avoid in-flight points: ``"lp"`` (local
+        penalization, the default — EI, or each objective's predicted
+        improvement under γ > 1, is scaled by a compactly supported
+        distance factor around the task's pending points) or ``"none"``
+        (dedup alone).  See :mod:`repro.core.search.penalty`.
     penalty_radius:
-        Unit-cube radius of the ``"lp"`` penalty (also the fallback when
-        the constant-liar extension fails).
+        Unit-cube radius of the ``"lp"`` penalty.
     seed:
         Master seed; all randomness (sampling, PSO, NSGA-II, restarts)
         derives from it, making runs reproducible.
@@ -214,7 +213,7 @@ class Options:
     async_eval: bool = False
     max_inflight: Optional[int] = None
     async_refit_secs: Optional[float] = None
-    pending_penalty: str = "cl"
+    pending_penalty: str = "lp"
     penalty_radius: float = 0.15
     seed: Optional[int] = None
     max_seconds: Optional[float] = None
@@ -277,8 +276,10 @@ class Options:
                 raise ValueError("async_refit_secs must be positive")
             if not self.async_eval:
                 raise ValueError("async_refit_secs requires async_eval=True")
-        if self.pending_penalty not in ("cl", "lp", "none"):
-            raise ValueError(f"unknown pending_penalty {self.pending_penalty!r}")
+        if self.pending_penalty not in ("lp", "none"):
+            raise ValueError(
+                f"unknown pending_penalty {self.pending_penalty!r}; known: lp, none"
+            )
         if self.penalty_radius <= 0:
             raise ValueError("penalty_radius must be positive")
         if self.nsga_pop < 1:

@@ -3,42 +3,27 @@
 When evaluations stream through the async engine, the search phase proposes
 against a posterior that has not yet absorbed the in-flight configurations.
 Left alone, EI would keep proposing the same promising point until its
-evaluation lands.  Two standard batch-BO devices prevent that:
-
-* **Local penalization** (:func:`local_penalty`, :func:`penalize_ei`,
-  :class:`PenalizedAcquisition`) — multiply the acquisition by
-  ``∏_j min(‖x − p_j‖ / r, 1)`` over pending points ``p_j``.  The factor is
-  0 at a pending point, grows linearly to 1 at distance ``r``, and is
-  exactly 1 beyond it, so (for a non-negative acquisition like EI) the
-  penalized value is ≤ the unpenalized one everywhere, strictly lower
-  inside the penalization radius, and *identical* outside it.  Factors are
-  sorted before multiplying, so the result is invariant to pending-set
-  ordering down to the last bit (floating-point products are not otherwise
-  associative).  These four properties are checked by hypothesis in
-  ``tests/test_property_based.py``.
-* **Constant liar** (:func:`constant_liar`) — extend a *copy* of the fitted
-  multitask posterior with fabricated observations ("lies") at the pending
-  points via the O(N²·n_new) block-Cholesky update
-  (:meth:`repro.core.lcm.LCM.extend`).  The posterior variance collapses at
-  pending points, steering EI away while keeping cross-task correlations;
-  the lie value used by the driver is the pending task's incumbent (the
-  "CL-min" variant, pessimistic about in-flight points).
+evaluation lands.  Local penalization prevents that: :func:`penalize_ei`
+multiplies the acquisition by :func:`local_penalty`,
+``∏_j min(‖x − p_j‖ / r, 1)`` over pending points ``p_j``.  The factor is
+0 at a pending point, grows linearly to 1 at distance ``r``, and is exactly
+1 beyond it, so (for a non-negative acquisition like EI) the penalized
+value is ≤ the unpenalized one everywhere, strictly lower inside the
+penalization radius, and *identical* outside it.  Factors are sorted before
+multiplying, so the result is invariant to pending-set ordering down to the
+last bit (floating-point products are not otherwise associative).  These
+four properties are checked by hypothesis in
+``tests/test_property_based.py``.  :func:`penalize_lcb` is the same device
+for a minimized LCB surface (multi-objective search).
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Any, Callable, Optional, Sequence
+from typing import Any
 
 import numpy as np
 
-__all__ = [
-    "PenalizedAcquisition",
-    "constant_liar",
-    "local_penalty",
-    "penalize_ei",
-    "penalize_lcb",
-]
+__all__ = ["local_penalty", "penalize_ei", "penalize_lcb"]
 
 
 def local_penalty(Xunit: np.ndarray, pending: Any, radius: float) -> np.ndarray:
@@ -89,29 +74,6 @@ def penalize_ei(values: np.ndarray, Xunit: np.ndarray, pending: Any, radius: flo
     return out
 
 
-class PenalizedAcquisition:
-    """Wrap an acquisition with the local pending-point penalty
-    (:func:`penalize_ei` over the wrapped acquisition's values).
-
-    The base acquisition must be maximized and non-negative on feasible
-    points (EI is).
-    """
-
-    def __init__(
-        self,
-        acquisition: Callable[[np.ndarray], np.ndarray],
-        pending: Any,
-        radius: float,
-    ):
-        self.acquisition = acquisition
-        self.pending = np.atleast_2d(np.asarray(pending, dtype=float)) \
-            if np.asarray(pending).size else np.empty((0, 0))
-        self.radius = float(radius)
-
-    def __call__(self, Xunit: np.ndarray) -> np.ndarray:
-        return penalize_ei(self.acquisition(Xunit), Xunit, self.pending, self.radius)
-
-
 def penalize_lcb(
     lcb: np.ndarray,
     Xunit: np.ndarray,
@@ -121,7 +83,7 @@ def penalize_lcb(
 ) -> np.ndarray:
     """Apply the local pending-point penalty to a *minimized* LCB surface.
 
-    :class:`PenalizedAcquisition` multiplies a maximized, non-negative
+    :func:`penalize_ei` multiplies a maximized, non-negative
     acquisition (EI) by the :func:`local_penalty` factor — that device is
     meaningless for a lower confidence bound, which is minimized and signed.
     The equivalent transform shrinks the *predicted improvement* over the
@@ -159,42 +121,3 @@ def penalize_lcb(
     out[mask] = incumbent - (incumbent - values[mask]) * pen[mask]
     return out
 
-
-def constant_liar(
-    model: Any,
-    Xpending_unit: np.ndarray,
-    task_idx: Sequence[int],
-    lies: np.ndarray,
-) -> Optional[Any]:
-    """A deep-copied surrogate pretending the pending points were observed.
-
-    Parameters
-    ----------
-    model:
-        A fitted surrogate with an ``extend(X, y, tidx)`` posterior update
-        (the :class:`~repro.core.lcm.LCM`, ``SparseLCM`` or ``PerTaskGP``);
-        the original is never mutated.
-    Xpending_unit:
-        Pending points ``(m, dim)`` on the unit cube.
-    task_idx:
-        Task index per pending point.
-    lies:
-        Fabricated observation per pending point, *in the surrogate's
-        transformed units* (the driver passes each task's incumbent).
-
-    Returns the extended copy, or ``None`` when the model cannot be copied
-    or extended — the caller falls back to local penalization.
-    """
-    X = np.atleast_2d(np.asarray(Xpending_unit, dtype=float))
-    if X.size == 0:
-        return model
-    try:
-        liar = copy.deepcopy(model)
-        liar.extend(
-            X,
-            np.asarray(lies, dtype=float).ravel(),
-            np.asarray(task_idx, dtype=int).ravel(),
-        )
-        return liar
-    except Exception:
-        return None

@@ -9,7 +9,7 @@ log.  ``docs/OBSERVABILITY.md`` documents event kinds, span hierarchy, and
 metric naming.
 """
 
-from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import DEFAULT_BUCKETS, Gauge, Histogram, MetricsRegistry
 from .spans import (
     Span,
     SpanRecorder,
@@ -22,7 +22,6 @@ from .spans import (
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

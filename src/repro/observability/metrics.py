@@ -16,9 +16,10 @@ dicts behind one lock, with:
   crowd-tuning server's ``GET /metrics``) and plain JSON (for archiving next
   to benchmark results).
 
-Instrument handles (:class:`Counter`, :class:`Gauge`, :class:`Histogram`)
-are thin bound views; all state lives in the registry, so handles are cheap
-to create on the fly and safe to share across threads.
+Counters are incremented directly (:meth:`MetricsRegistry.inc`); the
+gauge and histogram handles (:class:`Gauge`, :class:`Histogram`) are thin
+bound views.  All state lives in the registry, so handles are cheap to
+create on the fly and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import re
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS"]
+__all__ = ["Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS"]
 
 #: Default histogram buckets (seconds) — spans µs-scale predict calls to
 #: minute-scale objective runs.
@@ -70,19 +71,6 @@ def _fmt_value(v: float) -> str:
         return "+Inf"
     f = float(v)
     return str(int(f)) if f.is_integer() else repr(f)
-
-
-class Counter:
-    """Bound handle to one monotone counter series in a registry."""
-
-    __slots__ = ("_registry", "_name", "_labels")
-
-    def __init__(self, registry: "MetricsRegistry", name: str, labels: Dict[str, Any]):
-        self._registry, self._name, self._labels = registry, name, labels
-
-    def inc(self, value: float = 1.0) -> None:
-        """Add ``value`` (must be >= 0) to the counter."""
-        self._registry.inc(self._name, value, **self._labels)
 
 
 class Gauge:
@@ -132,11 +120,6 @@ class MetricsRegistry:
         self._hist_buckets: Dict[str, Tuple[float, ...]] = {}
 
     # -- instrument factories ------------------------------------------------
-    def counter(self, name: str, **labels: Any) -> Counter:
-        """Bound counter handle (the series appears on first increment)."""
-        _key(name, labels)  # validate eagerly
-        return Counter(self, name, labels)
-
     def gauge(self, name: str, **labels: Any) -> Gauge:
         """Bound gauge handle."""
         _key(name, labels)

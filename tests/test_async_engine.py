@@ -618,7 +618,7 @@ class TestStragglerCampaign:
     def test_multiobjective_perf_model_campaign_streams(self):
         # γ > 1 with performance models used to be the one shape that could
         # not stream; the campaign's featurizer now enriches the NSGA-II
-        # candidates and the constant-liar rows too
+        # candidates too
         problem = TuningProblem(
             Space([Integer("t", 0, 10)]),
             Space([Real("x", 0.0, 1.0)]),

@@ -10,14 +10,16 @@ The shapes: lockstep (serial; ``batch_evals=2`` on the thread backend;
 γ > 1 with a ``pareto_batch`` that does not divide the budget; performance
 models; a partial history preload; a transfer-learning campaign with a
 frozen source task; a fit that degrades all the way to random search) and
-streaming on :class:`~repro.runtime.async_engine.SimScheduler` (γ = 1,
-γ > 1, with performance models, each ``pending_penalty``, the ``gp``
-backend — whose per-task GPs extend, so the constant liar applies to it as
-to the LCM — and fits that degrade all the way to random search).
+streaming on :class:`~repro.runtime.async_engine.SimScheduler` (γ = 1 and
+γ > 1 under the default ``"lp"`` pending penalty, both again with ``"lp"``
+named explicitly, with performance models, ``pending_penalty="none"``, the
+``gp`` backend, and fits that degrade all the way to random search).
 
 The digests depend on bitwise floating-point results, so they hold for one
 numpy/scipy/BLAS build (recorded with numpy 2.4, scipy 1.17, OpenBLAS
-0.3.31).  On another build, print the digests of the parent commit with
+0.3.31).  Every pin holds both with ``OPENBLAS_NUM_THREADS=1`` and at the
+default thread count (two threads on the machine they were recorded on).
+On another build, print the digests of the parent commit with
 ``PYTHONPATH=src python tests/test_campaign_digests.py`` and compare those.
 """
 
@@ -158,13 +160,13 @@ DIGESTS = {
     "lockstep-preload": "c0c562f682c6da81",
     "lockstep-serial": "0c7fc2d4577187fa",
     "random-search": "42eb6bb6d3fd4a8a",
-    "stream-gamma1": "d58298c6e8e74248",
-    "stream-gamma2": "331dfb87b6e4d19c",
-    "stream-gp": "770034ddafe6bb34",
-    "stream-gp-gamma2": "d6798f4d8fe5efd3",
+    "stream-gamma1": "005c87f6dec398e5",
+    "stream-gamma2": "2974a7ddf340d7a0",
+    "stream-gp": "9c221f9d2daeeffd",
+    "stream-gp-gamma2": "6123bfc86fc1afb1",
     "stream-lp": "005c87f6dec398e5",
     "stream-lp-gamma2": "2974a7ddf340d7a0",
-    "stream-models": "3fec5dc92abe1c8b",
+    "stream-models": "4f86d5978dd8b0d8",
     "stream-none": "174c3c4fb77c036d",
     "stream-random-search": "19f911e4fcb5cff4",
     "stream-random-search-gamma2": "aeda5fef5d24e970",

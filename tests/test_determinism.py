@@ -402,8 +402,8 @@ class TestAsyncKillResume:
     )
     def test_kill_and_resume_gp_backend(self, tmp_path, modeling, k):
         """Streaming ``gp`` campaigns resume bit-identically too: the
-        constant liar and the extend phases run on the per-task GPs, whose
-        warm state the checkpoint carries."""
+        extend phases run on the per-task GPs, whose warm state the
+        checkpoint carries."""
         modeling = dict(modeling, model_backend="gp")
         budget = 10
 

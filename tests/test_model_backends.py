@@ -7,8 +7,6 @@ integration (forced and auto-escalating campaigns), and the backend
 partitioning of the surrogate cache.
 """
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -317,18 +315,6 @@ class TestSparseLCM:
             sp.extend(X[:2], y[:1], tidx[:2])
         with pytest.raises(ValueError):
             sp.extend(X[:1], y[:1], [9])
-
-    def test_deepcopy_and_extend_for_constant_liar(self, sparse_data):
-        """The async driver's constant-liar path deepcopies then extends."""
-        X, y, tidx = sparse_data
-        sp = SparseLCM(3, 2, n_inducing=16, seed=0, n_start=1).fit(X, y, tidx)
-        clone = copy.deepcopy(sp)
-        clone.extend(X[:2] + 0.01, y[:2], tidx[:2])
-        # the original is untouched
-        assert sp.X.shape[0] == X.shape[0]
-        assert clone.X.shape[0] == X.shape[0] + 2
-        mu, var = clone.predict(0, X[:4])
-        assert np.all(np.isfinite(mu)) and np.all(var >= 0)
 
     def test_warm_start_determinism(self, sparse_data):
         X, y, tidx = sparse_data

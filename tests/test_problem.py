@@ -97,6 +97,7 @@ class TestOptions:
             {"y_transform": "boxcox"},
             {"backend": "gpu"},
             {"pareto_batch": 0},
+            {"pending_penalty": "cl"},
         ],
     )
     def test_invalid_options(self, kw):

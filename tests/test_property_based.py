@@ -8,7 +8,7 @@ from repro.core.kernels import gaussian_kernel, pairwise_sq_diffs
 from repro.core.metrics import pareto_mask, stability, win_task
 from repro.core.sampling import lhs_unit
 from repro.core.search.nsga2 import crowding_distance, fast_non_dominated_sort
-from repro.core.search.penalty import PenalizedAcquisition, local_penalty
+from repro.core.search.penalty import local_penalty, penalize_ei
 
 # -- strategies ----------------------------------------------------------
 
@@ -262,8 +262,7 @@ class TestPendingPenaltyProperties:
     def test_penalized_never_exceeds_unpenalized(self, case):
         X, P, r = case
         base = np.ones(X.shape[0]) * 2.5  # a positive acquisition value
-        acq = PenalizedAcquisition(lambda x: base.copy(), P, r)
-        assert np.all(acq(X) <= base + 1e-15)
+        assert np.all(penalize_ei(base, X, P, r) <= base + 1e-15)
 
     @given(penalty_cases())
     @settings(max_examples=100, deadline=None)
@@ -271,8 +270,7 @@ class TestPendingPenaltyProperties:
         X, P, r = case
         d = _dist(X, P).min(axis=1)
         inside = d <= 0.99 * r  # strictly inside, away from float ties at r
-        acq = PenalizedAcquisition(lambda x: np.ones(x.shape[0]), P, r)
-        vals = acq(X)
+        vals = penalize_ei(np.ones(X.shape[0]), X, P, r)
         assert np.all(vals[inside] < 1.0)
 
     @given(penalty_cases())
@@ -282,8 +280,7 @@ class TestPendingPenaltyProperties:
         d = _dist(X, P).min(axis=1)
         outside = d >= 1.01 * r  # clearly beyond, away from float ties at r
         base = np.full(X.shape[0], 3.7)
-        acq = PenalizedAcquisition(lambda x: base.copy(), P, r)
-        vals = acq(X)
+        vals = penalize_ei(base, X, P, r)
         assert np.array_equal(vals[outside], base[outside])
 
     @given(penalty_cases(), st.integers(min_value=0, max_value=10_000))
@@ -300,6 +297,5 @@ class TestPendingPenaltyProperties:
     def test_infeasible_sentinels_pass_through(self, case):
         X, P, r = case
         # -inf (infeasible) must survive unscaled: -inf * 0 would be nan
-        acq = PenalizedAcquisition(lambda x: np.full(x.shape[0], -np.inf), P, r)
-        vals = acq(X)
+        vals = penalize_ei(np.full(X.shape[0], -np.inf), X, P, r)
         assert np.all(np.isneginf(vals))
