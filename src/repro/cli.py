@@ -168,7 +168,7 @@ def _cmd_tune(args) -> int:
     tuner = GPTune(problem, opts, history=history)
     sink = None
     if args.telemetry:
-        from .runtime import JsonlEventWriter
+        from .observability import JsonlEventWriter
 
         sink = JsonlEventWriter(args.telemetry)
         tuner.events.add_sink(sink)
@@ -271,7 +271,7 @@ def _cmd_sensitivity(args) -> int:
 def _cmd_report(args) -> int:
     """Render the Table-3-style phase report from a telemetry JSONL export."""
     from .reporting import render_campaign_report
-    from .runtime.trace import CampaignLog
+    from .observability import CampaignLog
 
     if not os.path.exists(args.path):
         raise SystemExit(f"telemetry file {args.path!r} not found")

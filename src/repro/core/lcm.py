@@ -94,7 +94,6 @@ from .kernels import gaussian_kernel_with_grad, pairwise_sq_diffs
 from .posterior import LCMParams, chol_escalate, observations, task_block, task_weights
 from ..observability.spans import maybe_span
 from ..runtime.async_engine import run_all
-from ..runtime.distributed_linalg import distributed_cholesky
 
 __all__ = ["LCMParams", "LCM"]
 
@@ -184,22 +183,15 @@ class LCM:
         initialization, higher indices draw random ones.  Distributed-memory
         deployments give each rank a distinct offset so their single local
         restarts differ (Sec. 4.3 level-1 parallelism).
-    chol_ranks:
-        When set (> 1), the fitted posterior's covariance factorization runs
-        through the simulated distributed Cholesky
-        (:func:`~repro.runtime.distributed_linalg.distributed_cholesky`,
-        Sec. 4.3's ScaLAPACK level) on this many virtual MPI ranks.  The
-        factor is numerically identical to the serial one; the simulated
-        parallel wall time of the last factorization is exposed as
-        ``chol_makespan_``.
 
     Attributes
     ----------
     jitter_used_:
         The diagonal jitter actually present in the fitted factorization —
         equals ``jitter`` unless Cholesky breakdown forced an escalation
-        (each escalation retries from the *base* diagonal with a 10× larger
-        jitter, so the final factorization uses exactly this known value).
+        (:func:`~repro.core.posterior.chol_escalate` retries from the *base*
+        diagonal with a 10× larger jitter each time, so the final
+        factorization uses exactly this known value).
     """
 
     def __init__(
@@ -213,11 +205,8 @@ class LCM:
         seed: Optional[int] = None,
         executor=None,
         restart_offset: int = 0,
-        chol_ranks: Optional[int] = None,
     ):
         self.params = LCMParams(n_tasks, n_dims, n_latent)
-        if chol_ranks is not None and int(chol_ranks) < 1:
-            raise ValueError("need chol_ranks >= 1")
         self.jitter = float(jitter)
         self.n_start, self.maxiter = check_restarts(n_start, maxiter)
         self.rng = np.random.default_rng(seed)
@@ -232,8 +221,6 @@ class LCM:
         self._alpha: Optional[np.ndarray] = None
         self.log_likelihood_: float = -np.inf
         self.jitter_used_: float = float(jitter)
-        self.chol_ranks = None if chol_ranks is None else int(chol_ranks)
-        self.chol_makespan_: float = 0.0
         # caches (never pickled; rebuilt on demand)
         self._tls = threading.local()
         self._layout_cache: Optional[_Layout] = None
@@ -256,10 +243,8 @@ class LCM:
         self.__dict__.update(state)
         self._tls = threading.local()
         # checkpoints written by older versions predate the batch and
-        # layout caches and the distributed-Cholesky wiring
+        # layout caches
         self.__dict__.setdefault("_batch_cache", {})
-        self.__dict__.setdefault("chol_ranks", None)
-        self.__dict__.setdefault("chol_makespan_", 0.0)
         self._layout_cache = None
 
     # -- covariance assembly ------------------------------------------------
@@ -584,16 +569,9 @@ class LCM:
 
         self.X, self.y, self.task_index, self.theta = X, y, tidx, best_theta
         self.log_likelihood_ = -best_nll
-        self._pred_cache = {}
-        self._batch_cache = {}
-        if bestL is not None and not (self.chol_ranks and self.chol_ranks > 1):
-            # the winning restart's final evaluation already factorized Σ
-            self._L, self._alpha = bestL, best_alpha
-            self.jitter_used_ = self.jitter
-        else:
-            # with chol_ranks the posterior factorization always goes
-            # through the distributed path so its parallel time is metered
-            self._refactorize(sqd)
+        # the winning restart's final evaluation already factorized Σ,
+        # unless even that point diverged
+        self._adopt(sqd, bestL, best_alpha)
         return self
 
     def refit_at(
@@ -609,9 +587,10 @@ class LCM:
         from ``(X, y, task_index, θ)`` without re-running L-BFGS.  The
         factorization goes through exactly the code path :meth:`fit` ends
         on — one likelihood evaluation at ``θ`` with factor capture, falling
-        back to :meth:`_refactorize` — so given the same inputs the rebuilt
-        ``(L, α)`` is bitwise identical to the fit that produced ``θ``,
-        which keeps subsequent :meth:`extend` chains bit-identical too.
+        back to the jittered Cholesky of Σ(θ) when that diverges — so given
+        the same inputs the rebuilt ``(L, α)`` is bitwise identical to the
+        fit that produced ``θ``, which keeps subsequent :meth:`extend`
+        chains bit-identical too.
         """
         p = self.params
         X, y, tidx = observations(X, y, task_index, p.delta, p.beta)
@@ -621,46 +600,30 @@ class LCM:
         nll, _ = self._nll_and_grad(theta, sqd, y, tidx, capture=cap)
         self.X, self.y, self.task_index, self.theta = X, y, tidx, theta
         self.log_likelihood_ = -float(nll)
-        self._pred_cache = {}
-        self._batch_cache = {}
-        if cap.get("theta") is not None and not (self.chol_ranks and self.chol_ranks > 1):
-            self._L, self._alpha = cap["L"], cap["alpha"]
-            self.jitter_used_ = self.jitter
-        else:
-            self._refactorize(sqd)
+        self._adopt(sqd, cap.get("L"), cap.get("alpha"))
         return self
 
-    def _refactorize(self, sqd: np.ndarray) -> None:
-        """Assemble and factorize Σ(θ) with escalating — not compounding — jitter.
+    def _adopt(
+        self, sqd: np.ndarray, L: Optional[np.ndarray], alpha: Optional[np.ndarray]
+    ) -> None:
+        """Install the posterior factor ``(L, α)`` of Σ(θ) + jitter·I.
 
-        Each retry restores the base diagonal before adding the escalated
-        jitter, so the final factorization uses exactly ``jitter_used_``
-        rather than the sum of every previous attempt's additions.
+        ``L`` is the factor a likelihood evaluation at ``θ`` captured; when
+        none did (the likelihood diverged there), Σ(θ) + jitter·I is
+        factorized with :func:`~repro.core.posterior.chol_escalate` — the
+        jittered Cholesky :meth:`extend` uses — up to a jitter of 1.0.
         """
-        assert self.theta is not None and self.X is not None
-        Sigma = self._covariance(self.theta, sqd, self.task_index)
-        di = np.diag_indices(Sigma.shape[0])
-        base = Sigma[di].copy()
-        j = self.jitter
-        while True:
-            Sigma[di] = base + j
-            try:
-                self._L = self._posterior_chol(Sigma)
-                break
-            except sla.LinAlgError:
-                j = max(j, 1e-10) * 10.0
-                if j > 1.0:
-                    raise
-        self.jitter_used_ = j
-        self._alpha = sla.cho_solve((self._L, True), self.y)
-
-    def _posterior_chol(self, Sigma: np.ndarray) -> np.ndarray:
-        """Factorize Σ serially, or on the simulated MPI ranks when configured."""
-        if self.chol_ranks and self.chol_ranks > 1:
-            L, makespan = distributed_cholesky(Sigma, self.chol_ranks)
-            self.chol_makespan_ = float(makespan)
-            return L
-        return sla.cholesky(Sigma, lower=True)
+        self._pred_cache = {}
+        self._batch_cache = {}
+        if L is None:
+            Sigma = self._covariance(self.theta, sqd, self.task_index)
+            Sigma[np.diag_indices(Sigma.shape[0])] += self.jitter
+            L, j = chol_escalate(Sigma, self.jitter, 1.0)
+            alpha = sla.cho_solve((L, True), self.y)
+            self.jitter_used_ = self.jitter + j
+        else:
+            self.jitter_used_ = self.jitter
+        self._L, self._alpha = L, alpha
 
     def extend(
         self, Xnew: np.ndarray, ynew: np.ndarray, tidx_new: Sequence[int]

@@ -37,7 +37,7 @@ a resumable checkpoint can be written after every round
 under either policy, warm refits and posterior extension included), and a
 failed LCM fit degrades to the ``gp`` backend (independent per-task GPs)
 and then to random search instead of aborting.  Every resilience action is
-recorded in a :class:`~repro.runtime.trace.CampaignLog` exposed as
+recorded in a :class:`~repro.observability.CampaignLog` exposed as
 ``TuneResult.events``.
 """
 
@@ -51,11 +51,10 @@ from typing import Any, Deque, Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..observability import MetricsRegistry, SpanRecorder
+from ..observability import CampaignLog, MetricsRegistry, SpanRecorder
 from ..observability.spans import install_recorder, maybe_span
 from ..runtime.async_engine import AsyncEvalEngine, make_scheduler
 from ..runtime.resilience import RetryPolicy, RunCheckpoint
-from ..runtime.trace import CampaignLog
 from .acquisition import BatchedEIAcquisition
 from .data import TuningData
 from .history import HistoryDB
@@ -92,7 +91,7 @@ class TuneResult:
         :class:`~repro.core.model.PerTaskGP` fallback, or ``None`` after a
         full downgrade to random search.
     events:
-        The :class:`~repro.runtime.trace.CampaignLog` of resilience events
+        The :class:`~repro.observability.CampaignLog` of resilience events
         (retries, timeouts, model downgrades, checkpoints) from the run.
         With ``Options(telemetry=True)`` it additionally carries timestamped
         ``"span"`` phase/model timings and a final ``"stats"`` event.

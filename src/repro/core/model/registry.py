@@ -25,9 +25,7 @@ with the driver's fit/predict contract —
 Three backends ship registered:
 
 ``exact-lcm``
-    The reference O(N³) :class:`~repro.core.lcm.LCM`; optionally routes
-    its covariance factorizations through the simulated distributed
-    Cholesky (``Options(chol_ranks=p)``, Sec. 4.3's ScaLAPACK level).
+    The reference O(N³) :class:`~repro.core.lcm.LCM`.
 ``sparse-lcm``
     The O(N·M²) inducing-point :class:`~repro.core.model.sparse_lcm.SparseLCM`.
 ``gp``
@@ -142,7 +140,6 @@ def _make_exact(n_tasks, n_dims, n_latent, n_start, seed, executor, options):
         maxiter=options.lbfgs_maxiter,
         seed=seed,
         executor=executor,
-        chol_ranks=options.chol_ranks,
     )
 
 

@@ -35,7 +35,7 @@ interface-compatible with :class:`LCM` where the MLA driver cares:
 ``fit/extend/predict/predict_tasks``, the
 ``params``/``theta``/``log_likelihood_`` attributes (θ is transferable
 between exact and sparse fits, so warm starts survive backend
-escalation), and pickling for checkpoints.
+escalation).
 
 :meth:`extend` implements streaming absorption for the async engine with
 the inducing set held fixed: appending ``n_new`` rows is a rank-M update
@@ -133,17 +133,9 @@ class SparseLCM:
         self._logdet_mm = 0.0  # log|K_mm + jitter I|
         self.log_likelihood_: float = -np.inf
         self.jitter_used_: float = float(jitter)
-        # caches (never pickled; rebuilt on demand)
+        # prediction caches (rebuilt on demand)
         self._pred_cache: dict = {}
         self._batch_cache: dict = {}
-
-    def __getstate__(self):
-        # schedulers hold process-local pools; prediction caches are droppable
-        state = self.__dict__.copy()
-        state["executor"] = None
-        state["_pred_cache"] = {}
-        state["_batch_cache"] = {}
-        return state
 
     # -- covariance assembly ------------------------------------------------
     def _cov(self, Xa: np.ndarray, ta: np.ndarray, Xb: np.ndarray, tb: np.ndarray) -> np.ndarray:

@@ -8,9 +8,23 @@ validation; modules read from it rather than taking long argument lists.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional
 
 __all__ = ["Options"]
+
+#: The float-valued fields; each must be finite (``None`` where optional).
+_FLOAT_FIELDS = (
+    "jitter",
+    "initial_fraction",
+    "async_refit_secs",
+    "penalty_radius",
+    "max_seconds",
+    "retry_backoff",
+    "retry_backoff_factor",
+    "retry_jitter",
+    "eval_timeout",
+)
 
 
 @dataclasses.dataclass
@@ -28,7 +42,9 @@ class Options:
     lbfgs_maxiter:
         Iteration cap per L-BFGS run.
     jitter:
-        Diagonal regularization added to the covariance before factorization.
+        Diagonal regularization added to the covariance before factorization
+        (≥ 0).  Every float option must be finite; NaN and infinity are
+        refused by name.
     y_transform:
         ``"standardize"`` (per-objective z-score over all tasks), ``"log"``
         (log then z-score; right for runtimes spanning decades) or ``"none"``.
@@ -140,11 +156,6 @@ class Options:
     n_inducing:
         M — inducing-set size of the sparse backend (≥ 2).  Fits on
         ``N ≤ M`` observations collapse to the exact subset fit.
-    chol_ranks:
-        When set (> 1), the exact backend's posterior factorization runs on
-        this many simulated MPI ranks via the distributed Cholesky
-        (Sec. 4.3's ScaLAPACK level); results are numerically identical,
-        and the simulated parallel time is exposed on the model.
     model_cache_path:
         When set, a :class:`~repro.service.modelcache.SurrogateCache` at this
         path is consulted before every modeling phase and fed after it: a
@@ -227,7 +238,6 @@ class Options:
     model_backend: str = "auto"
     sparse_threshold: int = 512
     n_inducing: int = 128
-    chol_ranks: Optional[int] = None
     model_cache_path: Optional[str] = None
     model_fallback: bool = True
     refit_warm_start: bool = False
@@ -237,6 +247,12 @@ class Options:
     verbose: bool = False
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.jitter < 0:
+            raise ValueError("jitter must be >= 0")
         if self.n_latent is not None and self.n_latent < 1:
             raise ValueError("n_latent must be >= 1")
         if self.n_start < 1:
@@ -261,8 +277,6 @@ class Options:
             raise ValueError("sparse_threshold must be >= 1")
         if self.n_inducing < 2:
             raise ValueError("n_inducing must be >= 2")
-        if self.chol_ranks is not None and self.chol_ranks < 1:
-            raise ValueError("chol_ranks must be >= 1")
         if not 0.0 < self.initial_fraction < 1.0:
             raise ValueError("initial_fraction must be in (0, 1)")
         if self.y_transform not in ("standardize", "log", "none"):

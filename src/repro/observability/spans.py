@@ -119,7 +119,7 @@ class SpanRecorder:
     Parameters
     ----------
     log:
-        Optional :class:`~repro.runtime.trace.CampaignLog` (anything with
+        Optional :class:`~repro.observability.CampaignLog` (anything with
         ``record(kind, detail, **fields)``): each finished span appends a
         ``"span"`` event carrying the stamps in its structured fields, so the
         campaign's JSONL telemetry holds events *and* timings in one stream.

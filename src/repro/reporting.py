@@ -298,9 +298,9 @@ def render_campaign_report(log, tolerance: float = 0.05) -> Tuple[str, bool]:
     Parameters
     ----------
     log:
-        A :class:`~repro.runtime.trace.CampaignLog`, typically loaded from a
+        A :class:`~repro.observability.CampaignLog`, typically loaded from a
         ``repro tune --telemetry`` JSONL export via
-        :meth:`~repro.runtime.trace.CampaignLog.load_jsonl`.
+        :meth:`~repro.observability.CampaignLog.load_jsonl`.
     tolerance:
         Relative tolerance of the span-vs-stats consistency gate.
 

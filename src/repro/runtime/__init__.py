@@ -27,12 +27,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "run_with_retries",
     ),
     ".simclock": ("SimClock",),
-    ".trace": (
-        "CampaignEvent",
-        "CampaignLog",
-        "JsonlEventWriter",
-        "TraceEvent",
-        "Tracer",
-        "traced",
-    ),
+    ".trace": ("TraceEvent", "Tracer", "traced"),
 })

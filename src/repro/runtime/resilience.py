@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import os
 import queue
 import tempfile
@@ -82,6 +83,9 @@ class RetryPolicy:
         ``(seed, k)``, so a replayed campaign sleeps the same schedule.
     seed:
         Seed for the jitter stream (``None`` behaves like 0).
+
+    Every float attribute must be finite; NaN and infinity raise
+    ``ValueError`` naming the attribute.
     """
 
     max_attempts: int = 1
@@ -92,6 +96,10 @@ class RetryPolicy:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in ("timeout", "backoff", "backoff_factor", "jitter"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.timeout is not None and self.timeout <= 0:

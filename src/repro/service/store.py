@@ -353,7 +353,7 @@ class ShardedStore:
         Directory holding the shards; created on first use.
     on_event:
         Optional ``callback(kind, detail)`` — e.g.
-        :meth:`repro.runtime.trace.CampaignLog.record` — receiving service
+        :meth:`repro.observability.CampaignLog.record` — receiving service
         lifecycle events (``"service-append"``, ``"service-compact"``,
         ``"service-torn-line"``, ``"service-lock-stale"``).
     cache:

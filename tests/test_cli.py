@@ -61,6 +61,12 @@ class TestTune:
         assert rc == 0
         assert '"matrix": "Si2"' in capsys.readouterr().out
 
+    def test_non_finite_eval_timeout_refused(self):
+        with pytest.raises(SystemExit) as ei:
+            main(["tune", "--app", "analytical", "--tasks", "1.0", "--samples", "4",
+                  "--eval-timeout", "nan"])
+        assert str(ei.value.code) == "eval_timeout must be finite, got nan"
+
     def test_unknown_model_backend_is_a_usage_error(self, capsys):
         from repro.core.model import available_backends
 
@@ -242,6 +248,18 @@ class TestImportCost:
             """)
             new[shape] = _run_fresh(code).splitlines()[-1]
         assert new == {shape: "[]" for shape in self.CAMPAIGNS}
+
+    def test_tuners_load_no_simulated_mpi(self):
+        # the simulated MPI runtime behind Fig. 3 (Sec. 4.3's ScaLAPACK
+        # factorization) is measured on its own; no campaign shape loads it,
+        # neither while its tuner is built nor while it tunes
+        code = "import sys\n" + "".join(
+            textwrap.dedent(setup) + "tuner.tune(*args)\n" for setup in self.CAMPAIGNS.values()
+        ) + textwrap.dedent("""
+            print(sorted(m for m in ("repro.runtime.mpi", "repro.runtime.distributed_linalg",
+                                     "repro.runtime.trace") if m in sys.modules))
+        """)
+        assert _run_fresh(code).splitlines()[-1] == "[]"
 
     def test_tuner_loads_only_what_it_runs(self):
         # a campaign without a linear performance model, a SuperLU or hypre

@@ -99,3 +99,29 @@ class TestForwardSolve:
 
         with pytest.raises(Exception):
             distributed_forward_solve(np.eye(4), np.ones(5), 2, machine=MACH)
+
+
+class TestLCMCovariance:
+    """The Sec. 4.3 factorization applied to the tuner's own matrix."""
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_factors_a_fitted_lcm_covariance(self, p):
+        # the simulated ScaLAPACK Cholesky of a fitted LCM's Σ + jitter
+        # (Eq. 4) equals the serial factor, and so the posterior factor
+        # the LCM itself holds
+        from scipy.linalg import cholesky
+
+        from repro.core import LCM
+        from repro.core.kernels import pairwise_sq_diffs
+
+        rng = np.random.default_rng(0)
+        X = rng.random((36, 2))
+        tidx = np.repeat(np.arange(3), 12)
+        y = np.sin(3.0 * X[:, 0]) + 0.5 * tidx + 0.05 * rng.normal(size=36)
+        m = LCM(3, 2, seed=0, n_start=2).fit(X, y, tidx)
+        Sigma = m._covariance(m.theta, pairwise_sq_diffs(X), tidx)
+        Sigma[np.diag_indices(36)] += m.jitter_used_
+        L, makespan = distributed_cholesky(Sigma, p, block=8, machine=MACH)
+        assert np.allclose(L, cholesky(Sigma, lower=True), atol=1e-10)
+        assert np.allclose(L, m._L, atol=1e-10)
+        assert makespan > 0.0

@@ -21,7 +21,7 @@ from repro.core import (
     TuningProblem,
 )
 from repro.core.model import PerTaskGP, SurrogateFitter
-from repro.runtime.trace import CampaignLog
+from repro.observability import CampaignLog
 
 BASE = dict(seed=0, n_start=2, lbfgs_maxiter=40, pso_iters=5, ei_candidates=10)
 TASKS = [{"t": 0.2}, {"t": 0.8}]

@@ -243,11 +243,8 @@ class TestExtendDrift:
             """
             m = LCM(3, 2, seed=0, n_start=1).fit(X[:n0], y[:n0], tidx[:n0])
             ls, a, bw, dn = m.params.unpack(m.theta)
-            m.theta = m.params.pack(ls, a, bw, np.maximum(dn, 1e-2))
-            m.X, m.y, m.task_index = X[:n].copy(), y[:n].copy(), tidx[:n].copy()
-            m._pred_cache, m._batch_cache, m._layout_cache = {}, {}, None
-            m._refactorize(pairwise_sq_diffs(m.X))
-            return m
+            theta = m.params.pack(ls, a, bw, np.maximum(dn, 1e-2))
+            return m.refit_at(X[:n].copy(), y[:n].copy(), tidx[:n].copy(), theta)
 
         inc = pinned(n0)
         for i in range(n0, n_total):  # one observation at a time: worst case
@@ -256,8 +253,7 @@ class TestExtendDrift:
         cold = pinned(n_total)
         assert np.array_equal(cold.theta, inc.theta)
 
-        # _refactorize does not refresh log_likelihood_; compute it from the
-        # cold factor for the comparison
+        # the log likelihood the cold factor itself gives
         cold_ll = -(
             0.5 * float(cold.y @ cold._alpha)
             + float(np.log(np.diag(cold._L)).sum())
@@ -289,26 +285,3 @@ class TestExtendDrift:
             mu_b, var_b = b.predict(t, Xs)
             assert np.allclose(mu_a, mu_b, atol=1e-8)
             assert np.allclose(var_a, var_b, atol=1e-8)
-
-
-class TestDistributedCholRouting:
-    """LCM(chol_ranks=p) routes factorization through the simulated
-    parallel Cholesky without changing the posterior."""
-
-    def test_matches_serial_posterior(self, toy_multitask_data, rng):
-        X, y, tidx = toy_multitask_data
-        serial = LCM(2, 1, seed=0, n_start=1).fit(X, y, tidx)
-        dist = LCM(2, 1, seed=0, n_start=1, chol_ranks=2).fit(X, y, tidx)
-        assert np.array_equal(serial.theta, dist.theta)
-        assert dist.chol_makespan_ > 0.0
-        assert serial.chol_makespan_ == 0.0  # never took the distributed path
-        Xs = rng.random((10, 1))
-        for t in range(2):
-            mu_s, var_s = serial.predict(t, Xs)
-            mu_d, var_d = dist.predict(t, Xs)
-            assert np.allclose(mu_s, mu_d, atol=1e-9)
-            assert np.allclose(var_s, var_d, atol=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LCM(2, 1, chol_ranks=0)

@@ -236,6 +236,27 @@ class TestFitCapture:
         assert np.allclose(m._alpha, sla.cho_solve((L, True), y), atol=1e-8)
         assert m.jitter_used_ == m.jitter
 
+    def test_fit_without_captured_factor_factorizes_at_theta(self, toy_multitask_data):
+        """When no restart captured its factor, fit factorizes Σ(θ*) + jitter
+        itself and lands on the posterior the capture would have given."""
+        X, y, tidx = toy_multitask_data
+        ref = LCM(2, 1, n_latent=2, seed=0, n_start=2).fit(X, y, tidx)
+        m = LCM(2, 1, n_latent=2, seed=0, n_start=2)
+        nll_and_grad = m._nll_and_grad
+        # every evaluation, the final one of each restart included, drops its capture
+        m._nll_and_grad = lambda theta, sqd, y, tidx, capture=None: nll_and_grad(
+            theta, sqd, y, tidx
+        )
+        m.fit(X, y, tidx)
+        assert np.array_equal(m.theta, ref.theta)
+        assert m.jitter_used_ == m.jitter
+        assert m.log_likelihood_ == pytest.approx(ref.log_likelihood_, rel=1e-12)
+        assert np.allclose(m._L, ref._L, atol=1e-12)
+        assert np.allclose(m._alpha, ref._alpha, atol=1e-10)
+        Xq = X[:5] + 0.01
+        for t in range(2):
+            assert np.allclose(m.predict(t, Xq)[0], ref.predict(t, Xq)[0], atol=1e-10)
+
     def test_log_likelihood_matches_reference_nll(self, toy_multitask_data):
         X, y, tidx = toy_multitask_data
         m = LCM(2, 1, n_latent=2, seed=0, n_start=2).fit(X, y, tidx)
@@ -244,6 +265,9 @@ class TestFitCapture:
 
 
 class TestJitterEscalation:
+    """The fallback factorization: when the likelihood at θ diverges, the
+    posterior comes from Σ(θ) with escalating diagonal jitter."""
+
     def test_refactorize_does_not_compound_jitter(self):
         """Each escalation retries from the base diagonal, and the final
         factorization uses exactly the reported ``jitter_used_``."""
@@ -252,11 +276,10 @@ class TestJitterEscalation:
         y = np.array([1.0, 1.0, 0.0])
         tidx = np.array([0, 0, 0])
         m = LCM(1, 1, n_latent=1, seed=0, jitter=1e-300)
-        m.X, m.y, m.task_index = X, y, tidx
-        m.theta = m.params.pack(
+        theta = m.params.pack(
             np.full((1, 1), 0.3), np.ones((1, 1)), np.full((1, 1), 1e-18), np.full(1, 1e-18)
         )
-        m._refactorize(pairwise_sq_diffs(X))
+        m.refit_at(X, y, tidx, theta)
         assert np.isfinite(m.jitter_used_) and m.jitter_used_ > m.jitter
         Sigma = m._covariance(m.theta, pairwise_sq_diffs(X), tidx)
         Sigma[np.diag_indices(3)] += m.jitter_used_
@@ -265,14 +288,21 @@ class TestJitterEscalation:
         assert np.allclose(m._alpha, sla.cho_solve((m._L, True), y))
 
     def test_refactorize_raises_beyond_cap(self):
+        # loadings of 1e10 on two identical points: Σ ≈ 1e20·[[1, 1], [1, 1]],
+        # which no jitter up to the 1.0 cap makes positive definite
         X = np.array([[0.5], [0.5]])
         m = LCM(1, 1, n_latent=1, seed=0, jitter=1e-300)
-        m.X, m.y, m.task_index = X, np.array([np.inf, -np.inf]), np.array([0, 0])
-        m.theta = m.params.pack(
-            np.full((1, 1), 1e6), np.full((1, 1), np.nan), np.full((1, 1), 1.0), np.full(1, 1.0)
+        theta = m.params.pack(
+            np.full((1, 1), 0.3), np.full((1, 1), 1e10), np.full((1, 1), 1.0), np.full(1, 1.0)
         )
-        with pytest.raises(Exception):
-            m._refactorize(pairwise_sq_diffs(X))
+        with pytest.raises(sla.LinAlgError):
+            m.refit_at(X, np.array([1.0, 1.0]), np.array([0, 0]), theta)
+        # loadings of 1e4 need jitter below the cap: the escalation stops there
+        theta = m.params.pack(
+            np.full((1, 1), 0.3), np.full((1, 1), 1e4), np.full((1, 1), 1e-18), np.full(1, 1e-18)
+        )
+        m.refit_at(X, np.array([1.0, 1.0]), np.array([0, 0]), theta)
+        assert m.jitter < m.jitter_used_ <= 1.0
 
 
 class TestExtend:
@@ -295,9 +325,7 @@ class TestExtend:
         warm = LCM(delta, beta, n_latent=2, seed=0, n_start=2).fit(X[:18], y[:18], tidx[:18])
         warm.extend(X[18:], y[18:], tidx[18:])
         # a cold posterior assembled from scratch at the same θ must agree
-        cold = LCM(delta, beta, n_latent=2, seed=0)
-        cold.X, cold.y, cold.task_index, cold.theta = X, y, tidx, warm.theta
-        cold._refactorize(pairwise_sq_diffs(X))
+        cold = LCM(delta, beta, n_latent=2, seed=0).refit_at(X, y, tidx, warm.theta)
         Xq = rng.random((5, beta))
         mu_w, var_w = warm.predict(0, Xq)
         mu_c, var_c = cold.predict(0, Xq)

@@ -238,3 +238,84 @@ class TestBatchEvaluations:
 
         with pytest.raises(RuntimeError):
             ParticleSwarm(dim=2).top_batch(2)
+
+
+class TestOptionsReachTheCampaign:
+    """Options that only a campaign reads, each set through ``Options`` and
+    seen in what the campaign does."""
+
+    @pytest.mark.parametrize("n_objectives", [1, 2])
+    def test_penalty_radius_moves_streaming_proposals(self, n_objectives):
+        # the in-flight points' penalty (EI for γ = 1, each objective's LCB
+        # for γ = 2) has the radius it is given: two radii propose apart
+        from repro.runtime.async_engine import SimScheduler
+        from repro.runtime.simclock import SimClock
+
+        def objective(t, c):
+            y = (c["x"] - t["t"] / 10.0) ** 2 + 0.01
+            return [y, (c["x"] - 0.9) ** 2] if n_objectives == 2 else y
+
+        problem = TuningProblem(
+            Space([Integer("t", 0, 10)]), Space([Real("x", 0.0, 1.0)]), objective,
+            n_objectives=n_objectives,
+        )
+        records = []
+        for radius in (0.02, 0.4):
+            scheduler = SimScheduler(
+                lambda task, cfg: 1.0 + 3.0 * float(cfg["x"]), clock=SimClock()
+            )
+            opts = FAST.replace(
+                async_eval=True, max_inflight=3, penalty_radius=radius,
+                nsga_pop=12, nsga_gens=5,
+            )
+            res = GPTune(problem, opts, scheduler=scheduler).tune([{"t": 3}, {"t": 6}], 8)
+            records.append(res.data.to_records())
+        assert records[0] != records[1]
+
+    def test_retry_events_carry_the_backoff_schedule(self):
+        from repro.core import RetryPolicy
+
+        calls = {}
+
+        def flaky(t, c):  # the first two calls per configuration crash
+            key = round(float(c["x"]), 9)
+            calls[key] = calls.get(key, 0) + 1
+            if calls[key] <= 2:
+                raise RuntimeError("transient crash")
+            return (c["x"] - 0.4) ** 2
+
+        problem = TuningProblem(
+            Space([Integer("t", 0, 10)]), Space([Real("x", 0.0, 1.0)]), flaky
+        )
+        opts = FAST.replace(
+            seed=7, retry_attempts=3, retry_backoff=1e-3, retry_backoff_factor=3.0,
+            retry_jitter=0.5,
+        )
+        res = GPTune(problem, opts).tune([{"t": 4}], 4)
+        expected = RetryPolicy(backoff=1e-3, backoff_factor=3.0, jitter=0.5, seed=7).schedule(2)
+        retries = [e.detail for e in res.events.of_kind("retry")]
+        assert len(retries) == 2 * len(calls)
+        for attempt, delay in enumerate(expected, start=1):
+            tag = f"attempt {attempt} failed (exception); backoff {delay:.3g}s"
+            assert retries.count(tag) == len(calls)
+
+    def test_eval_timeout_abandons_a_hung_objective(self):
+        import time
+
+        hung = []
+
+        def objective(t, c):  # the first evaluation hangs
+            if not hung:
+                hung.append(c["x"])
+                time.sleep(1.0)
+            return (c["x"] - 0.4) ** 2
+
+        problem = TuningProblem(
+            Space([Integer("t", 0, 10)]), Space([Real("x", 0.0, 1.0)]), objective,
+            failure_value=50.0,
+        )
+        res = GPTune(problem, FAST.replace(eval_timeout=0.2)).tune([{"t": 4}], 4)
+        assert res.events.count("timeout") == 1
+        assert res.events.count("eval-failure") == 1
+        assert [y[0] for y in res.data.Y[0]].count(50.0) == 1
+        assert res.data.n_samples(0) == 4

@@ -105,6 +105,28 @@ class TestNSGAOptionValidation:
         assert res.data.n_samples(0) == 6
 
 
+class TestNonFiniteOptionValidation:
+    """A NaN or infinite float option is refused up front, naming the field:
+    a NaN timeout failed every evaluation, an infinite one overflowed every
+    attempt, and a NaN ``max_seconds`` silently disabled the cap."""
+
+    @pytest.mark.parametrize("field", [
+        "jitter", "initial_fraction", "async_refit_secs", "penalty_radius",
+        "max_seconds", "retry_backoff", "retry_backoff_factor", "retry_jitter",
+        "eval_timeout",
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejected_up_front(self, field, bad):
+        extra = {"async_eval": True} if field == "async_refit_secs" else {}
+        with pytest.raises(ValueError, match=rf"{field} must be finite"):
+            Options(**{field: bad}, **extra)
+
+    def test_negative_jitter_rejected(self):
+        with pytest.raises(ValueError, match="jitter must be >= 0"):
+            Options(jitter=-1.0)
+        Options(jitter=0.0)
+
+
 class TestTinyDiscreteSpaces:
     def test_exhaustible_space_allows_reevaluation(self):
         """A 3-point space with budget 6 cannot avoid duplicates; the

@@ -451,12 +451,6 @@ class TestOptionsValidation:
         with pytest.raises(ValueError, match="refit_interval"):
             Options(refit_interval=0)
 
-    def test_chol_ranks_guard(self):
-        Options(chol_ranks=None)
-        Options(chol_ranks=4)
-        with pytest.raises(ValueError, match="chol_ranks"):
-            Options(chol_ranks=0)
-
 
 # ---------------------------------------------------------------------------
 # driver integration

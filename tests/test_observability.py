@@ -14,6 +14,9 @@ import pytest
 
 from repro.observability import (
     DEFAULT_BUCKETS,
+    CampaignEvent,
+    CampaignLog,
+    JsonlEventWriter,
     MetricsRegistry,
     SpanRecorder,
     current_recorder,
@@ -22,7 +25,6 @@ from repro.observability import (
     recording,
 )
 from repro.observability.spans import _NULL
-from repro.runtime.trace import CampaignLog, CampaignEvent, JsonlEventWriter
 
 
 # -- MetricsRegistry -----------------------------------------------------------

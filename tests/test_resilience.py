@@ -112,6 +112,14 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(backoff_factor=0.5)
 
+    @pytest.mark.parametrize("field", ["timeout", "backoff", "backoff_factor", "jitter"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, bad):
+        # timeout=nan failed every attempt as "exceeded nans"; timeout=inf
+        # overflowed the deadline
+        with pytest.raises(ValueError, match=rf"{field} must be finite"):
+            RetryPolicy(**{field: bad})
+
 
 class TestRunWithRetries:
     def test_success_first_try(self):
