@@ -6,9 +6,10 @@ observing O(ε³δ³) / O(ε²δ²) serial scaling and 32×/11× speedups at 32 
 
 Here (single-core box) the experiment is reproduced in two halves:
 
-1. **real measurement** — the serial LCM fit and PSO search are timed at
-   growing sample counts (δ = 6, downscaled) and the empirical scaling
-   exponents are checked against the paper's asymptotics;
+1. **real measurement** — the serial LCM fit (the fastest of three
+   identical fits) and PSO search are timed at growing sample counts
+   (δ = 6, downscaled) and the empirical scaling exponents are checked
+   against the paper's asymptotics;
 2. **machine-model projection** — the Sec. 4.3 parallelization (restart
    distribution + ScaLAPACK covariance factorization; per-task search
    distribution) is priced by :mod:`repro.runtime.costmodel` at 1 and 32
@@ -50,10 +51,14 @@ def test_fig3_serial_scaling_and_projected_speedup(benchmark):
     for eps in EPS:
         X, y, tidx = _dataset(eps, rng)
         N = X.shape[0]
-        lcm = LCM(DELTA, 1, n_latent=2, seed=0, n_start=1, maxiter=40)
-        t0 = time.perf_counter()
-        lcm.fit(X, y, tidx)
-        t_model = time.perf_counter() - t0
+        # the fastest of three identical fits, so a one-time stall (first
+        # call into a library, a page fault storm) cannot land in one size
+        t_model = float("inf")
+        for _ in range(3):
+            lcm = LCM(DELTA, 1, n_latent=2, seed=0, n_start=1, maxiter=40)
+            t0 = time.perf_counter()
+            lcm.fit(X, y, tidx)
+            t_model = min(t_model, time.perf_counter() - t0)
 
         t0 = time.perf_counter()
         for i in range(DELTA):

@@ -177,7 +177,7 @@ register_backend(
         "exact-lcm",
         _make_exact,
         supports_theta=True,
-        description="reference O(N³) multitask LCM (optional distributed Cholesky)",
+        description="reference O(N³) multitask LCM (one Cholesky factorization)",
     )
 )
 register_backend(

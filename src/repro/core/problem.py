@@ -56,10 +56,14 @@ class TuningProblem:
         Problem label used in logs and history records.
     failure_value:
         Real application runs crash, time out, or return NaN.  When set,
-        evaluations that raise or return non-finite values are replaced by
-        this penalty vector (scalar broadcast over γ) instead of aborting the
-        tuning run; the surrogate then learns to avoid the failing region.
-        ``None`` (default) re-raises, for problems that must not fail.
+        evaluations that raise, time out or return non-finite values after
+        their last retry are replaced by this penalty vector (scalar
+        broadcast over γ) instead of aborting the tuning run; the surrogate
+        then learns to avoid the failing region.  The problem keeps no
+        count: a penalized evaluation is one whose
+        :class:`~repro.runtime.resilience.EvalOutcome` is ``failed``, and a
+        campaign counts them in ``stats["n_eval_failures"]``.  ``None``
+        (default) re-raises, for problems that must not fail.
     """
 
     def __init__(
@@ -98,7 +102,6 @@ class TuningProblem:
             if not np.all(np.isfinite(fv)):
                 raise ValueError("failure_value must be finite")
             self.failure_value = fv
-        self.n_failures = 0
 
     # -- evaluation -----------------------------------------------------
     def evaluate_outcome(
@@ -113,7 +116,7 @@ class TuningProblem:
         :func:`repro.runtime.resilience.run_with_retries`: crashes, NaN/inf
         results and timeouts are retried up to ``retry.max_attempts`` with the
         policy's deterministic backoff.  When all attempts fail, the outcome's
-        value becomes :attr:`failure_value` (and ``n_failures`` increments) —
+        value becomes :attr:`failure_value` and ``outcome.failed`` stays true —
         or, with no failure value configured, the last error is re-raised.
 
         The configuration is round-tripped through the tuning space first so
@@ -141,7 +144,6 @@ class TuningProblem:
                 if outcome.failure_kind == "timeout":
                     raise EvalTimeoutError(outcome.message)
                 raise ValueError(f"objective returned non-finite value at {x}")
-            self.n_failures += 1
             outcome.value = self.failure_value.copy()
         return outcome
 

@@ -7,9 +7,13 @@ building blocks the MLA driver uses to survive them:
 
 * :class:`RetryPolicy` / :func:`run_with_retries` — bounded retries with
   exponential backoff and *deterministic seeded jitter*, plus an optional
-  per-evaluation timeout.  Every objective call in
+  per-attempt timeout (each timed attempt runs on its own daemon thread).
+  Every objective call in
   :meth:`repro.core.problem.TuningProblem.evaluate_outcome` is routed through
-  this machinery and summarized in an :class:`EvalOutcome` record.
+  this machinery and summarized in an :class:`EvalOutcome` record, which is
+  the evaluation's whole record: the module keeps no state between calls,
+  so an evaluation behaves the same in the driver, a thread or a forked
+  process worker.
 * :class:`RunCheckpoint` — a JSON snapshot of a running campaign (per-task
   evaluation sets, RNG fast-forward state, iteration counter, phase stats)
   written atomically after every sampling/search batch, so a killed campaign
@@ -24,11 +28,9 @@ layers can depend on it without cycles.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import os
-import queue
 import tempfile
 import threading
 import time
@@ -152,138 +154,37 @@ class EvalOutcome:
         return self.failure_kind is not None
 
 
-class _ResultBox:
-    """One-shot result slot a caller waits on (with a timeout)."""
-
-    __slots__ = ("value", "error", "_done")
-
-    def __init__(self):
-        self.value: Any = None
-        self.error: Optional[BaseException] = None
-        self._done = threading.Event()
-
-    def finish(self, value: Any = None, error: Optional[BaseException] = None) -> None:
-        """Publish the call's outcome and wake the waiter."""
-        self.value, self.error = value, error
-        self._done.set()
-
-    def wait(self, timeout: Optional[float]) -> bool:
-        """True when the call completed within ``timeout`` seconds."""
-        return self._done.wait(timeout)
-
-
-class _EvalWorker(threading.Thread):
-    """One reusable, named daemon thread running timed objective calls.
-
-    After finishing a job the worker returns itself to its pool's idle list
-    — *even when the caller already gave up on it* — so a timed-out
-    evaluation parks one worker only until the abandoned objective returns,
-    instead of leaking a fresh thread per timeout.
-    """
-
-    _ids = itertools.count()
-
-    def __init__(self, pool: "_EvalWorkerPool"):
-        super().__init__(name=f"repro-eval-worker-{next(self._ids)}", daemon=True)
-        self._pool = pool
-        self._inbox: "queue.SimpleQueue" = queue.SimpleQueue()
-        self.start()
-
-    def submit(self, call: Callable[[], Any]) -> _ResultBox:
-        """Hand the worker one call; returns the box its outcome lands in."""
-        box = _ResultBox()
-        self._inbox.put((call, box))
-        return box
-
-    def retire(self) -> None:
-        """Ask the worker to exit once it drains its inbox."""
-        self._inbox.put(None)
-
-    def run(self) -> None:
-        while True:
-            job = self._inbox.get()
-            if job is None:
-                return
-            call, box = job
-            try:
-                box.finish(value=call())
-            except BaseException as e:  # noqa: BLE001 - relayed to the waiter
-                box.finish(error=e)
-            self._pool._release(self)
-
-
-class _EvalWorkerPool:
-    """Reusable daemon workers for per-evaluation timeouts.
-
-    The old implementation built a fresh single-thread executor per
-    evaluation and ``shutdown(wait=False)`` on timeout — every timed-out
-    evaluation leaked a live thread still running the objective, so a long
-    flaky campaign accumulated threads without bound.  Here a worker whose
-    caller timed out simply rejoins the idle list when the abandoned
-    objective eventually returns; the next evaluation reuses it.  Only
-    objectives that never return at all can hold workers forever — and they
-    hold exactly one each, which no portable design can avoid (Python cannot
-    kill a thread).
-
-    ``max_idle`` bounds the parked-thread count; surplus workers retire.
-    ``created`` counts workers ever spawned — the test suite pins it to stay
-    flat across dozens of simulated timeouts.
-    """
-
-    def __init__(self, max_idle: int = 4):
-        self.max_idle = int(max_idle)
-        self.created = 0
-        self._idle: List[_EvalWorker] = []
-        self._lock = threading.Lock()
-
-    def _acquire(self) -> _EvalWorker:
-        with self._lock:
-            if self._idle:
-                return self._idle.pop()
-            self.created += 1
-        return _EvalWorker(self)
-
-    def _release(self, worker: _EvalWorker) -> None:
-        with self._lock:
-            if len(self._idle) < self.max_idle:
-                self._idle.append(worker)
-                return
-        worker.retire()
-
-    def idle_count(self) -> int:
-        """Number of parked (reusable) workers."""
-        with self._lock:
-            return len(self._idle)
-
-    def run(self, call: Callable[[], Any], timeout: float) -> Any:
-        """Run ``call`` on a pooled worker with a wall-clock cap."""
-        worker = self._acquire()
-        box = worker.submit(call)
-        if not box.wait(timeout):
-            # Abandon, don't reuse: the worker rejoins the pool by itself
-            # once the objective returns.  Its eventual result is discarded.
-            raise EvalTimeoutError(f"evaluation exceeded {timeout:g}s")
-        if box.error is not None:
-            raise box.error
-        return box.value
-
-
-#: Process-wide pool shared by every retried evaluation.
-_EVAL_POOL = _EvalWorkerPool()
-
-
 def _call_with_timeout(call: Callable[[], Any], timeout: Optional[float]) -> Any:
     """Run ``call`` with an optional wall-clock cap.
 
-    A timed-out call keeps running on its (reusable, daemon) worker thread
-    in the background — Python cannot kill threads — and its eventual result
-    is discarded; the worker returns to the shared pool afterwards.  An
-    objective that raises :class:`TimeoutError` *itself* within the budget
-    propagates that original error, not :class:`EvalTimeoutError`.
+    A timed call runs on its own daemon thread (named ``repro-eval``),
+    joined for at most ``timeout`` seconds.  A call still running then is
+    abandoned — Python cannot kill threads — and its eventual result is
+    discarded; the thread exits when the call returns.  No thread outlives
+    its call, and none is shared, so a forked process inherits nothing to
+    wait on.  An objective that raises :class:`TimeoutError` *itself*
+    within the budget propagates that original error, not
+    :class:`EvalTimeoutError`.
     """
     if timeout is None:
         return call()
-    return _EVAL_POOL.run(call, timeout)
+    box: List[Tuple[bool, Any]] = []
+
+    def run() -> None:
+        try:
+            box.append((True, call()))
+        except BaseException as e:  # noqa: BLE001 - relayed to the caller
+            box.append((False, e))
+
+    thread = threading.Thread(target=run, name="repro-eval", daemon=True)
+    thread.start()
+    thread.join(timeout)
+    if not box:
+        raise EvalTimeoutError(f"evaluation exceeded {timeout:g}s")
+    ok, value = box[0]
+    if not ok:
+        raise value
+    return value
 
 
 def run_with_retries(

@@ -1,7 +1,16 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite.
 
-import numpy as np
-import pytest
+Every test runs OpenBLAS on one thread, as the end-to-end benchmark's
+children do: records depend on the thread count, so the pin is set here,
+before numpy is first imported (``tests/test_blas_threads.py`` checks it).
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from repro.core import Integer, Real, Categorical, Space
 

@@ -17,10 +17,15 @@ named explicitly, with performance models, ``pending_penalty="none"``, the
 
 The digests depend on bitwise floating-point results, so they hold for one
 numpy/scipy/BLAS build (recorded with numpy 2.4, scipy 1.17, OpenBLAS
-0.3.31).  Every pin holds both with ``OPENBLAS_NUM_THREADS=1`` and at the
-default thread count (two threads on the machine they were recorded on).
-On another build, print the digests of the parent commit with
-``PYTHONPATH=src python tests/test_campaign_digests.py`` and compare those.
+0.3.31) and one OpenBLAS thread count.  The contract is one thread:
+``tests/conftest.py`` sets ``OPENBLAS_NUM_THREADS=1`` before numpy is
+first imported (unless the variable is already set), as the end-to-end
+benchmark's children do, and ``tests/test_blas_threads.py`` fails when
+that pin is not in effect.  The pins also hold at two threads, which CI
+checks in a separate step with ``OPENBLAS_NUM_THREADS=2``.  On another
+build, print the digests of the parent commit with
+``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_campaign_digests.py``
+and compare those.
 """
 
 import hashlib

@@ -24,7 +24,8 @@ class TestFailureValue:
         prob = TuningProblem(ts, ps, obj, failure_value=100.0)
         assert prob.evaluate({"t": 1}, {"x": 0.9})[0] == 100.0
         assert prob.evaluate({"t": 1}, {"x": 0.2})[0] == pytest.approx(0.2)
-        assert prob.n_failures == 1
+        assert prob.evaluate_outcome({"t": 1}, {"x": 0.9}).failed
+        assert not prob.evaluate_outcome({"t": 1}, {"x": 0.2}).failed
 
     def test_nan_becomes_penalty(self):
         ts, ps = _spaces()
@@ -78,7 +79,7 @@ class TestTuningThroughFailures:
         assert cfg["x"] <= 0.66
         assert abs(cfg["x"] - 0.4) < 0.15
         assert val < 0.05
-        assert prob.n_failures >= 1  # it did touch the bad region
+        assert res.stats["n_eval_failures"] >= 1  # it did touch the bad region
 
     def test_failures_recorded_in_data(self):
         ts, ps = _spaces()

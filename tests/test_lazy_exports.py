@@ -20,7 +20,10 @@ _CHECK = textwrap.dedent("""
     import importlib, json, sys
     name = sys.argv[1]
     pkg = importlib.import_module(name)
+    loaded = set(sys.modules)
     listed = set(dir(pkg))
+    loaded_by_dir = sorted(set(sys.modules) - loaded)
+    bound = [n for n in pkg.__all__ if n in vars(pkg) and n != "__version__"]
     star = {}
     exec(f"from {name} import *", star)
     try:
@@ -31,6 +34,8 @@ _CHECK = textwrap.dedent("""
     print(json.dumps({
         "all": list(pkg.__all__),
         "not_in_dir": [n for n in pkg.__all__ if n not in listed],
+        "loaded_by_dir": loaded_by_dir,
+        "bound_before_read": bound,
         "not_starred": [n for n in pkg.__all__ if n not in star],
         "in_dir_after": sorted(set(pkg.__all__) - set(dir(pkg))),
         "unknown": unknown,
@@ -48,7 +53,9 @@ def test_every_export_resolves(package):
     assert out.returncode == 0, out.stderr
     got = json.loads(out.stdout)
     assert got["all"] and len(got["all"]) == len(set(got["all"]))
+    # dir() lists every export without resolving any
     assert got["not_in_dir"] == []
+    assert got["loaded_by_dir"] == [] and got["bound_before_read"] == []
     assert got["not_starred"] == []
     assert got["in_dir_after"] == []
     assert got["unknown"] == f"module {package!r} has no attribute 'no_such_name'"

@@ -6,8 +6,10 @@ under a fixed seed, checkpoint persistence, and the model degradation ladder
 (LCM → per-task GP → random search).
 """
 
+import concurrent.futures
 import dataclasses
 import functools
+import multiprocessing
 import os
 import signal
 import threading
@@ -194,65 +196,27 @@ class TestRunWithRetries:
         ]
 
 
-class TestEvalWorkerPool:
-    """The shared timed-evaluation worker pool (the zombie-thread fix)."""
+class TestTimedEvaluation:
+    """Timed attempts: each runs on its own daemon thread, joined with the budget."""
 
-    def test_timed_out_workers_are_reused_not_leaked(self):
-        """50 simulated timeouts must not grow the worker population.
+    def test_abandoned_objectives_leave_no_threads(self):
+        """50 timeouts whose objectives later return leave no thread behind.
 
-        Each objective outlives its timeout but *does* finish; the abandoned
-        worker must then rejoin the pool and serve the next evaluation.  The
-        old fresh-executor-per-evaluation design spawned one thread per
-        timeout here.
+        Each objective outlives its timeout but *does* finish; its thread
+        must then exit, so live threads stay bounded by the objectives
+        still running.
         """
-        from repro.runtime.resilience import _EVAL_POOL
-
-        created_before = _EVAL_POOL.created
         policy = RetryPolicy(max_attempts=1, timeout=0.002)
         for _ in range(50):
             out = run_with_retries(lambda: time.sleep(0.02) or [1.0], policy)
             assert out.failed and out.failure_kind == "timeout"
-            time.sleep(0.025)  # let the abandoned objective finish + worker park
-        # a couple of workers at most — not one per timeout
-        assert _EVAL_POOL.created - created_before <= 3
-        live = [
-            t for t in threading.enumerate()
-            if t.name.startswith("repro-eval-worker")
+        live = lambda: [
+            t for t in threading.enumerate() if t.name.startswith("repro-eval")
         ]
-        assert len(live) <= _EVAL_POOL.max_idle + 1
-        assert all(t.daemon for t in live)
-
-    def test_surplus_idle_workers_retire(self):
-        """Past ``max_idle`` parked workers, a released worker exits."""
-        from repro.runtime.resilience import _EvalWorkerPool
-
-        pool = _EvalWorkerPool(max_idle=1)
-        gate = threading.Event()
-        out = []
-        callers = [
-            threading.Thread(target=lambda: out.append(pool.run(gate.wait, timeout=5.0)))
-            for _ in range(2)
-        ]
-        for t in callers:
-            t.start()
         deadline = time.monotonic() + 5.0
-        while pool.created < 2 and time.monotonic() < deadline:
+        while live() and time.monotonic() < deadline:
             time.sleep(0.01)
-        gate.set()
-        for t in callers:
-            t.join(5.0)
-        assert out == [True, True] and pool.created == 2
-        assert pool.idle_count() == 1
-        parked = pool._idle[0]
-        deadline = time.monotonic() + 5.0
-        workers = lambda: [
-            t for t in threading.enumerate()
-            if t.name.startswith("repro-eval-worker") and t is not parked
-            and getattr(t, "_pool", None) is pool
-        ]
-        while workers() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert workers() == []
+        assert live() == []
 
     def test_worker_result_after_timeout_is_discarded(self):
         calls = []
@@ -292,6 +256,49 @@ class TestEvalWorkerPool:
         assert state["n"] == 1
 
 
+def _instant_timed_outcome(_):
+    """An instant objective under a 2 s timeout (a process-pool target)."""
+    return run_with_retries(lambda: [1.0], RetryPolicy(timeout=2.0))
+
+
+def _quadratic(t, c):
+    return (float(c["x"]) - 0.4) ** 2 + 0.01
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the fork start method is unavailable on this platform",
+)
+class TestTimedEvaluationAfterFork:
+    """A forked worker times its evaluations without the parent's threads.
+
+    ``fork`` copies a process's objects but only the calling thread, so any
+    evaluation thread the parent kept parked exists in the child as an
+    object nobody runs.
+    """
+
+    def test_forked_worker_evaluates_instant_objective(self):
+        assert not _instant_timed_outcome(None).failed
+        time.sleep(0.1)  # whatever the timed call left behind has settled
+        ctx = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(1, mp_context=ctx) as pool:
+            out = pool.submit(_instant_timed_outcome, None).result(timeout=60)
+        assert not out.failed, out
+        assert out.failure_kind is None and out.value.tolist() == [1.0]
+
+    def test_process_campaign_after_serial_one_has_no_timeouts(self):
+        ts, ps = _spaces()
+        opts = FAST.replace(eval_timeout=2.0)
+        for backend in ("serial", "process"):
+            prob = TuningProblem(ts, ps, _quadratic, failure_value=50.0)
+            res = GPTune(prob, opts.replace(backend=backend, n_workers=2)).tune(
+                [{"t": 1}], 6
+            )
+            assert res.events.count("timeout") == 0, backend
+            assert res.stats["n_eval_failures"] == 0, backend
+            assert all(y[0] < 50.0 for y in res.data.Y[0]), backend
+
+
 class TestFailureMatrix:
     """(exception / NaN / timeout) × (retry succeeds / retries exhausted)."""
 
@@ -307,7 +314,6 @@ class TestFailureMatrix:
         assert not out.failed
         assert out.attempts == 2
         assert out.value[0] == pytest.approx((0.5 - 0.4) ** 2)
-        assert prob.n_failures == 0
         assert any(k == "retry" for k, _ in out.events)
 
     @pytest.mark.parametrize("kind,expected", KINDS)
@@ -319,7 +325,6 @@ class TestFailureMatrix:
         out = prob.evaluate_outcome({"t": 1}, {"x": 0.5}, retry=policy)
         assert out.failed and out.failure_kind == expected
         assert out.value[0] == 100.0
-        assert prob.n_failures == 1
         assert any(k == "eval-failure" for k, _ in out.events)
 
     def test_exhausted_without_failure_value_reraises(self):

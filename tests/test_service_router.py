@@ -168,6 +168,24 @@ class TestSupervisorAndRouter:
         assert len(set(rids)) == 2
         client.close()
 
+    def test_etag_query_and_compact_answer_from_owner_shard(self, topology):
+        sup, topo_url = topology
+        client = RouterClient(topo_url)
+        client.append("solo", [_rec(1), _rec(2), _rec(3)])
+        owner = client.shard_for("solo")
+        (other,) = set(sup.topology()["shards"]) - {owner}
+        etag = ShardedStore(f"{sup.root}/{owner}").etag("solo")
+        assert etag != "empty"
+        assert ShardedStore(f"{sup.root}/{other}").etag("solo") == "empty"
+        assert client.etag("solo") == etag
+        (match,) = client.query("solo", {"m": 2}, k=1)
+        assert match["task"] == {"m": 2}
+        assert [r["y"] for r in match["records"]] == [[2.0]]
+        # the other shard holds nothing of this problem to keep
+        assert client.compact("solo") == {"kept": 3, "duplicates": 0, "torn": 0}
+        assert client.etag("solo") == etag  # compaction keeps the rid set
+        client.close()
+
     def test_router_accepts_plain_mapping(self, topology):
         sup, _ = topology
         client = RouterClient(sup.topology()["shards"])
