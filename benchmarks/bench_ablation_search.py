@@ -50,9 +50,10 @@ import os
 import sys
 import time
 
+# harness first: it pins OpenBLAS to one thread before numpy loads
+from harness import fmt, print_table, save_results
 import numpy as np
 
-from harness import fmt, print_table, save_results
 from repro.apps.analytical import analytical_function
 from repro.core import (
     LCM,

@@ -49,9 +49,10 @@ import json
 import math
 import os
 
+# harness first: it pins OpenBLAS to one thread before numpy loads
+from harness import fmt, print_table
 import numpy as np
 
-from harness import fmt, print_table
 from repro.core import GPTune, Integer, Options, Real, Space, TuningProblem
 from repro.runtime.async_engine import SimScheduler
 from repro.runtime.simclock import SimClock

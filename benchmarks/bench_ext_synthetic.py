@@ -23,7 +23,7 @@ def _regrets(app, task, optimum, seed):
     out = {}
     for name in TUNER_NAMES:
         rec = run_tuner(name, prob, task, BUDGET, seed=seed)
-        out[name] = rec.best()[1] - optimum
+        out[name] = rec.best(0)[1] - optimum
     return out
 
 

@@ -25,10 +25,10 @@ def _compare(app, tasks, eps, seed):
     mla = GPTune(prob, Options(seed=seed, **FAST_OPTS)).tune(tasks, eps)
     gpt_best = mla.best_values()
     ot_best = np.array(
-        [OpenTunerTuner().tune(prob, t, eps, seed=seed + 100 + i).best()[1] for i, t in enumerate(tasks)]
+        [OpenTunerTuner().tune(prob, t, eps, seed=seed + 100 + i).best(0)[1] for i, t in enumerate(tasks)]
     )
     hb_best = np.array(
-        [HpBandSterTuner().tune(prob, t, eps, seed=seed + 200 + i).best()[1] for i, t in enumerate(tasks)]
+        [HpBandSterTuner().tune(prob, t, eps, seed=seed + 200 + i).best(0)[1] for i, t in enumerate(tasks)]
     )
     return gpt_best, ot_best, hb_best
 

@@ -52,6 +52,8 @@ import subprocess
 import sys
 import time
 
+# harness first: it pins OpenBLAS to one thread before numpy loads
+import harness  # noqa: F401
 import numpy as np
 from scipy import optimize
 

@@ -36,9 +36,10 @@ import math
 import os
 import time
 
+# harness first: it pins OpenBLAS to one thread before numpy loads
+from harness import fmt, print_table
 import numpy as np
 
-from harness import fmt, print_table
 from repro.core import (
     GPTune,
     Integer,

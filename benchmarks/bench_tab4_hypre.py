@@ -35,14 +35,14 @@ def test_tab4_hypre(benchmark):
 
         ot_recs = [OpenTunerTuner().tune(prob, t, eps, seed=41 + i) for i, t in enumerate(tasks)]
         hb_recs = [HpBandSterTuner().tune(prob, t, eps, seed=61 + i) for i, t in enumerate(tasks)]
-        ot_best = np.array([r.best()[1] for r in ot_recs])
-        hb_best = np.array([r.best()[1] for r in hb_recs])
+        ot_best = np.array([r.best(0)[1] for r in ot_recs])
+        hb_best = np.array([r.best(0)[1] for r in hb_recs])
 
         y_star = np.minimum(np.minimum(gpt_best, ot_best), hb_best)
         stab = {
             "GPTune": mean_stability(gpt_traj, y_star),
-            "OT": mean_stability([r.values[:, 0] for r in ot_recs], y_star),
-            "HB": mean_stability([r.values[:, 0] for r in hb_recs], y_star),
+            "OT": mean_stability([[y[0] for y in r.data.Y[0]] for r in ot_recs], y_star),
+            "HB": mean_stability([[y[0] for y in r.data.Y[0]] for r in hb_recs], y_star),
         }
         w_ot, w_hb = win_task(gpt_best, ot_best), win_task(gpt_best, hb_best)
         rows.append(

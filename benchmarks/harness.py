@@ -8,13 +8,19 @@ under ``benchmarks/results/`` so EXPERIMENTS.md can cite exact numbers.
 Run with::
 
     pytest benchmarks/ --benchmark-only -s
+
+Importing this module pins OpenBLAS to one thread (unless
+``OPENBLAS_NUM_THREADS`` is already set), as ``tests/conftest.py`` and the
+end-to-end benchmark's children do, so a script that imports it before
+numpy gives the same records at any machine's default thread count.
 """
 
-from __future__ import annotations
-
-import json
 import os
-from typing import Any, Dict
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import json  # noqa: E402
+from typing import Any, Dict  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 

@@ -34,8 +34,8 @@ def main():
 
     ot = [OpenTunerTuner().tune(prob, t, eps, seed=41 + i) for i, t in enumerate(tasks)]
     hb = [HpBandSterTuner().tune(prob, t, eps, seed=61 + i) for i, t in enumerate(tasks)]
-    ot_best = np.array([r.best()[1] for r in ot])
-    hb_best = np.array([r.best()[1] for r in hb])
+    ot_best = np.array([r.best(0)[1] for r in ot])
+    hb_best = np.array([r.best(0)[1] for r in hb])
 
     print(f"{'task':>12} {'GPTune':>9} {'OpenTuner':>10} {'HpBandSter':>11}")
     for i, t in enumerate(tasks):
@@ -46,8 +46,8 @@ def main():
     print(f"\nWinTask vs OpenTuner:  {100*win_task(gpt_best, ot_best):.0f}%")
     print(f"WinTask vs HpBandSter: {100*win_task(gpt_best, hb_best):.0f}%")
     print(f"mean stability: GPTune {mean_stability(gpt_traj, y_star):.3f}, "
-          f"OT {mean_stability([r.values[:, 0] for r in ot], y_star):.3f}, "
-          f"HB {mean_stability([r.values[:, 0] for r in hb], y_star):.3f} "
+          f"OT {mean_stability([[y[0] for y in r.data.Y[0]] for r in ot], y_star):.3f}, "
+          f"HB {mean_stability([[y[0] for y in r.data.Y[0]] for r in hb], y_star):.3f} "
           "(lower is better)")
 
 

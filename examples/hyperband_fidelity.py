@@ -36,13 +36,13 @@ def main():
 
     default = app.objective(task, app.default_config(task))
     print(f"task t={task['t']} (9 time steps), budget = {budget} full-fidelity units\n")
-    print(f"hyperband+BOHB best:   {rec_hb.best()[1]*1e3:8.3f} ms "
-          f"({len(rec_hb)} full-fidelity evals recorded, many more cheap ones)")
-    print(f"TPE-only best:         {rec_tpe.best()[1]*1e3:8.3f} ms "
-          f"({len(rec_tpe)} full-fidelity evals)")
+    print(f"hyperband+BOHB best:   {rec_hb.best(0)[1]*1e3:8.3f} ms "
+          f"({rec_hb.data.n_samples(0)} full-fidelity evals recorded, many more cheap ones)")
+    print(f"TPE-only best:         {rec_tpe.best(0)[1]*1e3:8.3f} ms "
+          f"({rec_tpe.data.n_samples(0)} full-fidelity evals)")
     print(f"default configuration: {default*1e3:8.3f} ms")
 
-    cfg = rec_hb.best()[0]
+    cfg = rec_hb.best(0)[0]
     print(f"\nhyperband's winning configuration: COLPERM={cfg['COLPERM']}, "
           f"ROWPERM={cfg['ROWPERM']}, NSUP={cfg['NSUP']}, p_r={cfg['p_r']}")
 

@@ -241,8 +241,8 @@ def _cmd_compare(args) -> int:
     for name, tuner in baselines.items():
         recs = [tuner.tune(prob, t, args.samples, seed=args.seed + 37 + i)
                 for i, t in enumerate(tasks)]
-        results[name] = np.array([r.best()[1] for r in recs])
-        trajs[name] = [r.values[:, 0] for r in recs]
+        results[name] = np.array([r.best(0)[1] for r in recs])
+        trajs[name] = [[y[0] for y in r.data.Y[0]] for r in recs]
 
     y_star = np.min(np.vstack(list(results.values())), axis=0)
     print(f"{'tuner':>12} {'mean best':>12} {'WinTask(GPTune vs)':>20} {'stability':>10}")

@@ -54,7 +54,7 @@ import numpy as np
 from ..observability import CampaignLog, MetricsRegistry, SpanRecorder
 from ..observability.spans import install_recorder, maybe_span
 from ..runtime.async_engine import AsyncEvalEngine, make_scheduler
-from ..runtime.resilience import RetryPolicy, RunCheckpoint
+from ..runtime.resilience import EvalOutcome, RetryPolicy, RunCheckpoint
 from .acquisition import BatchedEIAcquisition
 from .data import TuningData
 from .history import HistoryDB
@@ -68,7 +68,7 @@ from .search.nsga2 import NSGA2, crowding_distance, fast_non_dominated_sort
 from .search.penalty import penalize_ei, penalize_lcb
 from .search.pso_batched import BatchedParticleSwarm
 
-__all__ = ["GPTune", "TuneResult"]
+__all__ = ["GPTune", "TuneResult", "absorb_outcome"]
 
 
 class TuneResult:
@@ -132,6 +132,38 @@ class TuneResult:
     def trajectory(self, task: int, objective: int = 0) -> np.ndarray:
         """Best-so-far curve (anytime performance) for one task."""
         return self.data.best_trajectory(task, objective)
+
+
+def absorb_outcome(
+    data: TuningData,
+    task: int,
+    cfg: Mapping[str, Any],
+    outcome: EvalOutcome,
+    stats: Dict[str, float],
+    events: CampaignLog,
+    metrics: MetricsRegistry,
+    add: bool = True,
+) -> None:
+    """Absorb one evaluation outcome: events, metrics, stats and data.
+
+    GPTune's campaign and every baseline tuner (:mod:`repro.tuners`) take
+    in each evaluation here.  ``stats`` must hold ``objective_time``,
+    ``objective_wall_time``, ``n_retries`` and ``n_eval_failures``.  With
+    ``add`` false the evaluation is counted but not added to ``data``.
+    """
+    for kind, detail in outcome.events:
+        events.record(kind, detail)
+    metrics.inc("repro_evaluations_total")
+    if outcome.attempts > 1:
+        metrics.inc("repro_eval_retries_total", outcome.attempts - 1)
+    stats["objective_wall_time"] += outcome.wall_time
+    stats["n_retries"] += outcome.attempts - 1
+    if outcome.failed:
+        metrics.inc("repro_eval_failures_total", kind=outcome.failure_kind or "")
+        stats["n_eval_failures"] += 1
+    stats["objective_time"] += float(outcome.value[0])
+    if add:
+        data.add(task, cfg, outcome.value)
 
 
 class _TaskEval:
@@ -270,25 +302,13 @@ class GPTune:
                 n_tasks=n_tasks,
             )
 
-    def _record(self, data: TuningData, task: int, cfg, outcome, stats) -> None:
-        """Absorb one evaluation outcome: log, stats, data, history, metrics."""
-        for kind, detail in outcome.events:
-            self.events.record(kind, detail)
-        self.metrics.inc("repro_evaluations_total")
-        if outcome.attempts > 1:
-            self.metrics.inc("repro_eval_retries_total", outcome.attempts - 1)
-        stats["objective_wall_time"] += outcome.wall_time
-        stats["n_retries"] += outcome.attempts - 1
-        if outcome.failed:
-            self.metrics.inc("repro_eval_failures_total", kind=outcome.failure_kind or "")
-            stats["n_eval_failures"] += 1
-        y = outcome.value
-        stats["objective_time"] += float(y[0])
-        data.add(task, cfg, y)
+    def _record(self, data: TuningData, task: int) -> None:
+        """Archive a task's latest evaluation in the history, if any."""
         if self.history is not None:
+            y = [float(v) for v in data.Y[task][-1]]
             self.history.append(
                 self.problem.name,
-                [{"task": data.tasks[task], "x": data.X[task][-1], "y": [float(v) for v in y]}],
+                [{"task": data.tasks[task], "x": data.X[task][-1], "y": y}],
             )
 
     def _checkpoint(
@@ -706,7 +726,10 @@ class GPTune:
                 batch.sort(key=lambda ce: ce.seq)
                 total_wait += wait_s
                 for ce in batch:
-                    self._record(data, ce.task, ce.config, ce.outcome, stats)
+                    absorb_outcome(
+                        data, ce.task, ce.config, ce.outcome, stats, self.events, self.metrics
+                    )
+                    self._record(data, ce.task)
                     inflight_cnt[ce.task] -= 1
                     pend_units[ce.task].pop(unit_key(ce.config)[0], None)
                     if opts.telemetry:

@@ -26,6 +26,9 @@ from .params import Parameter
 
 __all__ = ["Space", "Constraint"]
 
+#: largest full-factorial grid :meth:`Space.grid` enumerates
+MAX_GRID_POINTS = 1_000_000
+
 ConstraintLike = Union[str, Callable[..., bool]]
 
 
@@ -305,14 +308,14 @@ class Space:
     def grid(self, points_per_dim: int) -> List[Dict[str, Any]]:
         """Full-factorial grid of native configurations (grid-search helper).
 
-        The cross product is capped at one million points to avoid accidental
-        explosion; callers wanting more should sample instead.
+        The cross product is capped at :data:`MAX_GRID_POINTS` to avoid
+        accidental explosion; callers wanting more should sample instead.
         """
         axes = [p.grid(points_per_dim) for p in self.parameters]
         total = 1
         for a in axes:
             total *= len(a)
-            if total > 1_000_000:
+            if total > MAX_GRID_POINTS:
                 raise ValueError("grid too large; lower points_per_dim")
         out: List[Dict[str, Any]] = []
         idx = [0] * len(axes)

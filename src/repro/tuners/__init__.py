@@ -1,7 +1,7 @@
 """Baseline tuners: random/grid search, OpenTuner-, HpBandSter- and
 ytopt-style, plus the uniform invocation registry (Sec. 6.1)."""
 
-from .base import TuneRecord, Tuner
+from .base import Tuner
 from .gptune_adapter import GPTuneTuner
 from .grid_search import GridSearchTuner
 from .hpbandster import HpBandSterTuner, ProductKDE
@@ -19,7 +19,6 @@ __all__ = [
     "RandomForestRegressor",
     "RandomSearchTuner",
     "TUNERS",
-    "TuneRecord",
     "Tuner",
     "YtoptTuner",
     "make_tuner",

@@ -3,19 +3,21 @@
 The Fig. 6 / Tab. 4 comparisons run every tuner per task with equal budgets.
 :class:`GPTuneTuner` wraps the MLA driver so it is interchangeable with the
 baselines; with ``tasks=None`` it tunes the single requested task (the
-δ = 1 single-task GP mode), and given a task list it runs true MLA and
-extracts the requested task's record — letting the harness measure exactly
-the multitask advantage the paper reports.
+δ = 1 single-task GP mode), and given a task list it runs true MLA with the
+requested task first — letting the harness measure exactly the multitask
+advantage the paper reports.  Either way :meth:`GPTuneTuner.tune` returns
+GPTune's own :class:`~repro.core.mla.TuneResult`, whose task 0 is the
+requested one, so ``result.best(0)`` reads as for every baseline.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping, Optional, Sequence
 
-from ..core.mla import GPTune
+from ..core.mla import GPTune, TuneResult
 from ..core.options import Options
 from ..core.problem import TuningProblem
-from .base import TuneRecord, Tuner
+from .base import Tuner
 
 __all__ = ["GPTuneTuner"]
 
@@ -29,7 +31,7 @@ class GPTuneTuner(Tuner):
         Base options; the per-call ``seed`` overrides ``options.seed``.
     tasks:
         Optional co-tuned task list.  When given, :meth:`tune` runs MLA over
-        ``tasks ∪ {task}`` and reports the requested task's evaluations.
+        ``tasks ∪ {task}``, the requested task first (index 0 of the result).
     """
 
     name = "gptune"
@@ -44,7 +46,7 @@ class GPTuneTuner(Tuner):
         task: Mapping[str, Any],
         n_samples: int,
         seed: Optional[int] = None,
-    ) -> TuneRecord:
+    ) -> TuneResult:
         opts = self.options.replace(seed=seed) if seed is not None else self.options
         tdict = problem.task_space.to_dict(task)
         task_list = [tdict]
@@ -54,9 +56,4 @@ class GPTuneTuner(Tuner):
                 td = problem.task_space.to_dict(t)
                 if repr(sorted(td.items())) != key:
                     task_list.append(td)
-        tuner = GPTune(problem, opts)
-        result = tuner.tune(task_list, int(n_samples))
-        record = TuneRecord(tdict, problem.n_objectives)
-        for x, y in zip(result.data.X[0], result.data.Y[0]):
-            record.add(x, y)
-        return record
+        return GPTune(problem, opts).tune(task_list, int(n_samples))

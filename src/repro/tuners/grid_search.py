@@ -8,49 +8,48 @@ collapses as β grows.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+import math
 
 import numpy as np
 
-from ..core.problem import TuningProblem
-from .base import TuneRecord, Tuner
+from ..core.data import TuningData
+from ..core.sampling import sample_feasible
+from ..core.space import MAX_GRID_POINTS
+from .base import Evaluate, Tuner
 
 __all__ = ["GridSearchTuner"]
 
 
 class GridSearchTuner(Tuner):
-    """Full-factorial grid search truncated to the evaluation budget."""
+    """Full-factorial grid search truncated to the evaluation budget.
+
+    Even the coarsest grid has ``2^β`` points; past
+    :data:`~repro.core.space.MAX_GRID_POINTS` (β ≥ 20) no grid is built and
+    the whole budget goes to random feasible points.
+    """
 
     name = "grid"
 
-    def tune(
+    def _loop(
         self,
-        problem: TuningProblem,
-        task: Mapping[str, object],
+        data: TuningData,
+        evaluate: Evaluate,
         n_samples: int,
-        seed: Optional[int] = None,
-    ) -> TuneRecord:
-        record = TuneRecord(problem.task_space.to_dict(task), problem.n_objectives)
-        tdict = record.task
-        beta = problem.tuning_space.dimension
+        rng: np.random.Generator,
+    ) -> None:
+        space, tdict = data.tuning_space, data.tasks[0]
         # the finest symmetric grid that fits the budget
-        per_dim = max(2, int(np.floor(n_samples ** (1.0 / beta))))
-        grid = [
-            cfg
-            for cfg in problem.tuning_space.grid(per_dim)
-            if problem.tuning_space.is_feasible(cfg, extra=tdict)
-        ]
-        rng = np.random.default_rng(seed)
+        per_dim = max(2, int(np.floor(n_samples ** (1.0 / space.dimension))))
+        grid = []
+        if math.prod(len(p.grid(per_dim)) for p in space.parameters) <= MAX_GRID_POINTS:
+            grid = [cfg for cfg in space.grid(per_dim) if space.is_feasible(cfg, extra=tdict)]
         if len(grid) > n_samples:
-            keep = rng.choice(len(grid), size=int(n_samples), replace=False)
+            keep = rng.choice(len(grid), size=n_samples, replace=False)
             grid = [grid[i] for i in sorted(keep)]
-        for cfg in grid[: int(n_samples)]:
-            self._evaluate(problem, record, cfg)
+        for cfg in grid[:n_samples]:
+            evaluate(cfg)
         # spend any remaining budget on random feasible points
-        from ..core.sampling import sample_feasible
-
-        remaining = int(n_samples) - len(record)
+        remaining = n_samples - data.n_samples(0)
         if remaining > 0:
-            for cfg in sample_feasible(problem.tuning_space, remaining, rng, extra=tdict):
-                self._evaluate(problem, record, cfg)
-        return record
+            for cfg in sample_feasible(space, remaining, rng, extra=tdict):
+                evaluate(cfg)

@@ -20,13 +20,13 @@ Costs are accounted in *fidelity units*: one full-budget evaluation costs
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from ...core.problem import TuningProblem
+from ...core.data import TuningData
 from ...core.sampling import sample_feasible
-from ..base import TuneRecord, Tuner
+from ..base import Evaluate, Tuner
 from .kde import ProductKDE
 
 __all__ = ["SuccessiveHalvingTuner", "HyperbandTuner"]
@@ -77,52 +77,47 @@ class SuccessiveHalvingTuner(Tuner):
 
     def run_bracket(
         self,
-        problem: TuningProblem,
-        task: Mapping[str, Any],
+        data: TuningData,
         configs: List[Dict[str, Any]],
-        record: TuneRecord,
+        evaluate: Evaluate,
     ) -> Tuple[List[Dict[str, Any]], float]:
         """Run one bracket; returns (survivors at full budget, cost units).
 
-        Every *full-fidelity* evaluation is appended to ``record`` (lower
-        rungs inform selection only, as in BOHB's incumbent bookkeeping).
+        Every evaluation of ``data.tasks[0]`` goes through ``evaluate``, and
+        only the *full-fidelity* ones are added to ``data`` (lower rungs
+        inform selection only, as in BOHB's incumbent bookkeeping).
         """
-        tdict = problem.task_space.to_dict(task)
+        tdict = data.tasks[0]
         cost = 0.0
         survivors = list(configs)
         for budget in self.rungs():
-            reduced = problem.task_space.to_dict(self.with_fidelity(tdict, budget))
+            reduced = data.task_space.to_dict(self.with_fidelity(tdict, budget))
             scored = []
             for cfg in survivors:
-                y = problem.evaluate(reduced, cfg)
+                y0 = evaluate(cfg, task=reduced, add=budget >= 1.0 - 1e-12)
                 cost += budget
-                if budget >= 1.0 - 1e-12:
-                    record.add(problem.tuning_space.round_trip(cfg), y)
-                scored.append((float(y[0]), cfg))
+                scored.append((y0, cfg))
             scored.sort(key=lambda s: s[0])
             keep = max(1, int(len(scored) / self.eta)) if budget < 1.0 else len(scored)
             survivors = [cfg for _, cfg in scored[:keep]]
         return survivors, cost
 
-    def tune(
+    def _loop(
         self,
-        problem: TuningProblem,
-        task: Mapping[str, Any],
+        data: TuningData,
+        evaluate: Evaluate,
         n_samples: int,
-        seed: Optional[int] = None,
-    ) -> TuneRecord:
+        rng: np.random.Generator,
+    ) -> None:
         """Spend ≈ ``n_samples`` full-fidelity-equivalent units on brackets."""
-        rng = np.random.default_rng(seed)
-        record = TuneRecord(problem.task_space.to_dict(task), problem.n_objectives)
-        tdict = record.task
+        tdict = data.tasks[0]
         n_rungs = len(self.rungs())
         spent = 0.0
         while spent < n_samples:
             n0 = max(2, int(self.eta ** (n_rungs - 1)))
-            configs = sample_feasible(problem.tuning_space, n0, rng, extra=tdict)
-            _, cost = self.run_bracket(problem, task, configs, record)
+            configs = sample_feasible(data.tuning_space, n0, rng, extra=tdict)
+            _, cost = self.run_bracket(data, configs, evaluate)
             spent += cost
-        return record
 
 
 class HyperbandTuner(Tuner):
@@ -158,17 +153,14 @@ class HyperbandTuner(Tuner):
 
     def _sample_configs(
         self,
-        problem: TuningProblem,
-        tdict: Mapping[str, Any],
+        data: TuningData,
         n: int,
-        record: TuneRecord,
         rng: np.random.Generator,
     ) -> List[Dict[str, Any]]:
-        space = problem.tuning_space
-        if not self.model or len(record) < space.dimension + 2:
+        space, tdict = data.tuning_space, data.tasks[0]
+        if not self.model or data.n_samples(0) < space.dimension + 2:
             return sample_feasible(space, n, rng, extra=tdict)
-        X = np.vstack([space.normalize(c) for c in record.configs])
-        y = record.values[:, 0]
+        X, y, _ = data.stacked()
         order = np.argsort(y, kind="stable")
         good = X[order[: max(2, len(y) // 4)]]
         kde = ProductKDE(good, space.categorical_mask, space.cardinalities)
@@ -184,29 +176,25 @@ class HyperbandTuner(Tuner):
             out.extend(sample_feasible(space, n - len(out), rng, extra=tdict))
         return out
 
-    def tune(
+    def _loop(
         self,
-        problem: TuningProblem,
-        task: Mapping[str, Any],
+        data: TuningData,
+        evaluate: Evaluate,
         n_samples: int,
-        seed: Optional[int] = None,
-    ) -> TuneRecord:
+        rng: np.random.Generator,
+    ) -> None:
         """Spend ≈ ``n_samples`` full-fidelity-equivalents across brackets."""
-        rng = np.random.default_rng(seed)
-        record = TuneRecord(problem.task_space.to_dict(task), problem.n_objectives)
-        tdict = record.task
         s_max = len(self.sh.rungs()) - 1
         spent, s = 0.0, s_max
         while spent < n_samples:
             n0 = max(2, int(math.ceil((s_max + 1) / (s + 1) * self.eta**s)))
-            configs = self._sample_configs(problem, tdict, n0, record, rng)
+            configs = self._sample_configs(data, n0, rng)
             # bracket s starts at rung index (s_max - s): shrink the ladder
             bracket = SuccessiveHalvingTuner(
                 self.sh.with_fidelity,
                 eta=self.eta,
                 min_budget=self.sh.rungs()[s_max - s],
             )
-            _, cost = bracket.run_bracket(problem, task, configs, record)
+            _, cost = bracket.run_bracket(data, configs, evaluate)
             spent += cost
             s = s - 1 if s > 0 else s_max
-        return record

@@ -17,13 +17,13 @@ uniform feasible configuration is evaluated, as in the original.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
-from ...core.problem import TuningProblem
+from ...core.data import TuningData
 from ...core.sampling import sample_feasible
-from ..base import TuneRecord, Tuner
+from ..base import Evaluate, Tuner
 from .kde import ProductKDE
 
 __all__ = ["HpBandSterTuner"]
@@ -64,31 +64,29 @@ class HpBandSterTuner(Tuner):
         self.random_fraction = float(random_fraction)
         self.min_points = min_points
 
-    def tune(
+    def _loop(
         self,
-        problem: TuningProblem,
-        task: Mapping[str, Any],
+        data: TuningData,
+        evaluate: Evaluate,
         n_samples: int,
-        seed: Optional[int] = None,
-    ) -> TuneRecord:
-        rng = np.random.default_rng(seed)
-        record = TuneRecord(problem.task_space.to_dict(task), problem.n_objectives)
-        tdict = record.task
-        space = problem.tuning_space
+        rng: np.random.Generator,
+    ) -> None:
+        tdict = data.tasks[0]
+        space = data.tuning_space
         d = space.dimension
         min_points = (d + 1) if self.min_points is None else int(self.min_points)
         cat_mask = space.categorical_mask
         cards = space.cardinalities
 
-        for _ in range(int(n_samples)):
-            use_model = len(record) >= max(min_points, 3) and rng.random() >= self.random_fraction
+        for _ in range(n_samples):
+            use_model = (
+                data.n_samples(0) >= max(min_points, 3) and rng.random() >= self.random_fraction
+            )
             if not use_model:
-                cfg = sample_feasible(space, 1, rng, extra=tdict)[0]
-                self._evaluate(problem, record, cfg)
+                evaluate(sample_feasible(space, 1, rng, extra=tdict)[0])
                 continue
 
-            X = np.vstack([space.normalize(c) for c in record.configs])
-            y = record.values[:, 0]
+            X, y, _ = data.stacked()
             n_good = max(2, int(np.ceil(self.gamma * len(y))))
             n_good = min(n_good, len(y) - 2) if len(y) >= 4 else max(1, len(y) - 1)
             order = np.argsort(y, kind="stable")
@@ -109,5 +107,4 @@ class HpBandSterTuner(Tuner):
                     break
             if cfg is None:
                 cfg = sample_feasible(space, 1, rng, extra=tdict)[0]
-            self._evaluate(problem, record, cfg)
-        return record
+            evaluate(cfg)

@@ -14,12 +14,12 @@ discoveries, exactly as OpenTuner's shared results database does.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, List, Mapping, Optional, Sequence, Type
+from typing import List, Optional, Sequence, Type
 
 import numpy as np
 
-from ...core.problem import TuningProblem
-from ..base import TuneRecord, Tuner
+from ...core.data import TuningData
+from ..base import Evaluate, Tuner
 from .annealing import SimulatedAnnealingTechnique
 from .de import DifferentialEvolutionTechnique
 from .ga import GeneticAlgorithmTechnique
@@ -89,33 +89,29 @@ class OpenTunerTuner(Tuner):
         self.window = int(window)
         self.exploration = float(exploration)
 
-    def tune(
+    def _loop(
         self,
-        problem: TuningProblem,
-        task: Mapping[str, Any],
+        data: TuningData,
+        evaluate: Evaluate,
         n_samples: int,
-        seed: Optional[int] = None,
-    ) -> TuneRecord:
-        rng = np.random.default_rng(seed)
-        record = TuneRecord(problem.task_space.to_dict(task), problem.n_objectives)
-        tdict = record.task
+        rng: np.random.Generator,
+    ) -> None:
         arms: List[_Arm] = [
-            _Arm(cls(problem.tuning_space, tdict, np.random.default_rng(rng.integers(2**63))),
+            _Arm(cls(data.tuning_space, data.tasks[0],
+                     np.random.default_rng(rng.integers(2**63))),
                  self.window)
             for cls in self.technique_classes
         ]
         global_best = np.inf
-        for step in range(int(n_samples)):
+        for step in range(n_samples):
             arm = self._select(arms, step, rng)
-            cfg = arm.technique.ask()
-            value = self._evaluate(problem, record, cfg)
+            value = evaluate(arm.technique.ask())
             produced_best = value < global_best
             global_best = min(global_best, value)
             arm.uses += 1
             arm.history.append(1.0 if produced_best else 0.0)
             for other in arms:
-                other.technique.tell(record.configs[-1], value, mine=other is arm)
-        return record
+                other.technique.tell(data.X[0][-1], value, mine=other is arm)
 
     def _select(self, arms: List[_Arm], step: int, rng: np.random.Generator) -> _Arm:
         # play every arm once, then UCB on AUC scores

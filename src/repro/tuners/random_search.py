@@ -8,13 +8,11 @@ model-based tuners to show value against it.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
-
 import numpy as np
 
-from ..core.problem import TuningProblem
+from ..core.data import TuningData
 from ..core.sampling import sample_feasible
-from .base import TuneRecord, Tuner
+from .base import Evaluate, Tuner
 
 __all__ = ["RandomSearchTuner"]
 
@@ -24,16 +22,12 @@ class RandomSearchTuner(Tuner):
 
     name = "random"
 
-    def tune(
+    def _loop(
         self,
-        problem: TuningProblem,
-        task: Mapping[str, object],
+        data: TuningData,
+        evaluate: Evaluate,
         n_samples: int,
-        seed: Optional[int] = None,
-    ) -> TuneRecord:
-        rng = np.random.default_rng(seed)
-        record = TuneRecord(problem.task_space.to_dict(task), problem.n_objectives)
-        tdict = record.task
-        for cfg in sample_feasible(problem.tuning_space, int(n_samples), rng, extra=tdict):
-            self._evaluate(problem, record, cfg)
-        return record
+        rng: np.random.Generator,
+    ) -> None:
+        for cfg in sample_feasible(data.tuning_space, n_samples, rng, extra=data.tasks[0]):
+            evaluate(cfg)

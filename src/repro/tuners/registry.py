@@ -3,16 +3,18 @@
 Sec. 6.1: "To make it easier for users to try different autotuners, our
 interface allows the user to invoke them as well.  So far, OpenTuner,
 HpBandSter, and ytopt are supported."  :func:`run_tuner` is that interface:
-one call signature for every tuner in this package, keyed by name.
+one call signature for every tuner in this package, keyed by name, and one
+result: a :class:`~repro.core.mla.TuneResult` whose task 0 is the requested
+task.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Mapping, Optional
 
+from ..core.mla import TuneResult
 from ..core.options import Options
 from ..core.problem import TuningProblem
-from .base import TuneRecord
 from .gptune_adapter import GPTuneTuner
 from .grid_search import GridSearchTuner
 from .hpbandster import HpBandSterTuner
@@ -46,6 +48,6 @@ def run_tuner(
     task: Mapping[str, Any],
     n_samples: int,
     seed: Optional[int] = None,
-) -> TuneRecord:
+) -> TuneResult:
     """Tune one task with the named tuner (uniform invocation interface)."""
     return make_tuner(name).tune(problem, task, int(n_samples), seed=seed)

@@ -20,14 +20,14 @@ exactly the trade the paper's comparisons probe.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from ...core.acquisition import expected_improvement
-from ...core.problem import TuningProblem
+from ...core.data import TuningData
 from ...core.sampling import sample_feasible
-from ..base import TuneRecord, Tuner
+from ..base import Evaluate, Tuner
 from .forest import RandomForestRegressor
 
 __all__ = ["YtoptTuner"]
@@ -64,26 +64,23 @@ class YtoptTuner(Tuner):
         self.max_depth = int(max_depth)
         self.xi = float(xi)
 
-    def tune(
+    def _loop(
         self,
-        problem: TuningProblem,
-        task: Mapping[str, Any],
+        data: TuningData,
+        evaluate: Evaluate,
         n_samples: int,
-        seed: Optional[int] = None,
-    ) -> TuneRecord:
-        rng = np.random.default_rng(seed)
-        record = TuneRecord(problem.task_space.to_dict(task), problem.n_objectives)
-        tdict = record.task
-        space = problem.tuning_space
+        rng: np.random.Generator,
+    ) -> None:
+        tdict = data.tasks[0]
+        space = data.tuning_space
         n_init = (space.dimension + 1) if self.n_initial is None else int(self.n_initial)
-        n_init = min(max(2, n_init), int(n_samples))
+        n_init = min(max(2, n_init), n_samples)
 
         for cfg in sample_feasible(space, n_init, rng, extra=tdict):
-            self._evaluate(problem, record, cfg)
+            evaluate(cfg)
 
-        while len(record) < n_samples:
-            X = np.vstack([space.normalize(c) for c in record.configs])
-            y = record.values[:, 0]
+        while data.n_samples(0) < n_samples:
+            X, y, _ = data.stacked()
             # standardize targets so EI scales sanely across applications
             mu0, sd0 = float(y.mean()), float(y.std()) or 1.0
             yt = (y - mu0) / sd0
@@ -104,5 +101,4 @@ class YtoptTuner(Tuner):
                     break
             if picked is None:
                 picked = sample_feasible(space, 1, rng, extra=tdict)[0]
-            self._evaluate(problem, record, picked)
-        return record
+            evaluate(picked)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Integer, Real, Space, TuningProblem
+from repro.core import Integer, Real, Space, TuningData, TuningProblem
 from repro.tuners.hpbandster import HyperbandTuner, SuccessiveHalvingTuner
 
 
@@ -40,13 +40,15 @@ class TestSuccessiveHalving:
             SuccessiveHalvingTuner(with_fidelity, min_budget=0.0)
 
     def test_bracket_keeps_best(self):
-        from repro.tuners.base import TuneRecord
-
         prob = fidelity_problem()
         sh = SuccessiveHalvingTuner(with_fidelity, eta=2.0, min_budget=0.25)
         configs = [{"x": v} for v in (0.05, 0.3, 0.6, 0.95)]
-        record = TuneRecord({"steps": 27})
-        survivors, cost = sh.run_bracket(prob, {"steps": 27}, configs, record)
+        data = TuningData(prob.task_space, prob.tuning_space, [{"steps": 27}])
+
+        def evaluate(cfg, task=None, add=True):
+            return float(prob.evaluate(task, cfg)[0])
+
+        survivors, cost = sh.run_bracket(data, configs, evaluate)
         # the config nearest the optimum survives to full fidelity
         assert any(abs(c["x"] - 0.3) < 0.01 for c in survivors)
         assert cost > 0
@@ -57,8 +59,8 @@ class TestSuccessiveHalving:
         prob = fidelity_problem()
         sh = SuccessiveHalvingTuner(with_fidelity, eta=3.0, min_budget=1 / 9)
         rec = sh.tune(prob, {"steps": 27}, n_samples=14, seed=0)
-        assert len(rec) >= 1  # full-fidelity evaluations recorded
-        assert rec.best()[1] < 0.2
+        assert rec.data.n_samples(0) >= 1  # full-fidelity evaluations recorded
+        assert rec.best(0)[1] < 0.2
 
     def test_cheaper_than_full_fidelity_grid(self):
         """SH evaluates many configs for the cost of a few full runs."""
@@ -81,7 +83,7 @@ class TestHyperband:
         prob = fidelity_problem()
         hb = HyperbandTuner(with_fidelity, eta=3.0, min_budget=1 / 9, model=False)
         rec = hb.tune(prob, {"steps": 27}, n_samples=20, seed=2)
-        assert rec.best()[1] < 0.15
+        assert rec.best(0)[1] < 0.15
 
     def test_bohb_mode_at_least_as_good_on_average(self):
         prob = fidelity_problem()
@@ -90,12 +92,12 @@ class TestHyperband:
             plain.append(
                 HyperbandTuner(with_fidelity, model=False)
                 .tune(prob, {"steps": 27}, 18, seed=seed)
-                .best()[1]
+                .best(0)[1]
             )
             bohb.append(
                 HyperbandTuner(with_fidelity, model=True)
                 .tune(prob, {"steps": 27}, 18, seed=seed)
-                .best()[1]
+                .best(0)[1]
             )
         assert np.mean(bohb) <= np.mean(plain) + 0.05
 
@@ -112,4 +114,4 @@ class TestHyperband:
         )
         rec = hb.tune(app.problem(), {"t": 9}, n_samples=12, seed=3)
         default = app.objective({"t": 9}, app.default_config({"t": 9}))
-        assert rec.best()[1] <= default * 1.1
+        assert rec.best(0)[1] <= default * 1.1

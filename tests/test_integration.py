@@ -98,10 +98,10 @@ class TestTunerInteroperability:
     def test_all_tuners_on_superlu(self, tuner):
         app = SuperLUDIST(machine=cori_haswell(4), matrices=["Si2"], scale=0.02, seed=0)
         rec = tuner.tune(app.problem(), {"matrix": "Si2"}, 8, seed=5)
-        assert len(rec) == 8
-        assert rec.best()[1] > 0
+        assert rec.data.n_samples(0) == 8
+        assert rec.best(0)[1] > 0
         # every evaluated configuration respects the grid constraint
-        assert all(c["p_r"] <= c["p"] for c in rec.configs)
+        assert all(c["p_r"] <= c["p"] for c in rec.data.X[0])
 
 
 class TestDeterminism:

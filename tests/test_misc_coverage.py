@@ -1,4 +1,5 @@
-"""Assorted coverage: W-cycles, categorical task sampling, CLI --models."""
+"""Assorted coverage: W-cycles, categorical task sampling, CLI --models,
+application default configurations."""
 
 import numpy as np
 import pytest
@@ -66,3 +67,27 @@ class TestApplicationRepeats:
         app.objective({"t": 1}, {"x0": 0.5})
         app.objective({"t": 1}, {"x0": 0.6})
         assert app.n_evaluations == before + 2
+
+
+
+def _default_config_cases():
+    """Every app in the CLI's ``APPS`` table, plus Branin and Rosenbrock."""
+    from repro.apps.synthetic import BraninApp, RosenbrockApp
+    from repro.cli import APPS, build_app
+
+    cases = [pytest.param(lambda n=n: build_app(n, 1, 0), id=n) for n in sorted(APPS)]
+    return cases + [
+        pytest.param(BraninApp, id="branin"),
+        pytest.param(RosenbrockApp, id="rosenbrock"),
+    ]
+
+
+class TestDefaultConfigs:
+    @pytest.mark.parametrize("make", _default_config_cases())
+    def test_default_config_feasible_and_round_trip_stable(self, make):
+        app = make()
+        prob = app.problem()
+        for task in app.sample_tasks(3, seed=1):
+            cfg = app.default_config(task)
+            assert prob.is_feasible(task, cfg), (task, cfg)
+            assert prob.tuning_space.round_trip(cfg) == cfg, (task, cfg)

@@ -1,9 +1,12 @@
 """Unit tests for performance-model incorporation (repro.core.perfmodel)."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import CallableModel, LinearPerformanceModel, ModelFeaturizer
+from repro.core.perfmodel import PerformanceModel
 
 
 class TestCallableModel:
@@ -140,6 +143,31 @@ class TestModelState:
         f.observe(np.array([[0.3], [0.9]]))
         # raw rows don't depend on the running range, only on model state
         assert f.state_token() == t0
+
+    def test_featurizer_snapshot_of_stateless_models(self):
+        """The base ``PerformanceModel`` state methods, through a snapshot."""
+
+        class BareModel(PerformanceModel):
+            def predict(self, task, config):
+                return 2.0 * config["x"]
+
+        bare = BareModel()
+        f = ModelFeaturizer([lambda t, c: c["x"], bare])
+        f.enrich({}, [{"x": 0.2}, {"x": 0.8}], np.zeros((2, 1)), observe=True)
+        # the plain callable vouches for its predictions; the bare model cannot
+        assert ModelFeaturizer([lambda t, c: c["x"]]).state_token() == ((),)
+        assert bare.state_token() is None and f.state_token() is None
+        st = json.loads(json.dumps(f.get_state()))
+        assert st["models"] == [None, None]
+        g = ModelFeaturizer([lambda t, c: c["x"], BareModel()])
+        g.set_state(st)
+        X = np.array([[0.5]])
+        np.testing.assert_array_equal(
+            g.enrich({}, [{"x": 0.5}], X, observe=False),
+            f.enrich({}, [{"x": 0.5}], X, observe=False),
+        )
+        bare.set_state({"ignored": 1})  # stateless: restoring is a no-op
+        assert bare.predict({}, {"x": 0.5}) == 1.0
 
 
 class TestIncrementalFeatRows:

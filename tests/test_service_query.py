@@ -164,7 +164,7 @@ class TestCrossCampaignTransfer:
             rand = RandomSearchTuner().tune(
                 problem, {"t": self.NEW_TASK}, self.BUDGET_B, seed=seed + 100
             )
-            rand_best.append(rand.best()[1])
+            rand_best.append(rand.best(0)[1])
         wins = sum(t < r for t, r in zip(tla_best, rand_best))
         assert wins >= 2, (tla_best, rand_best)
         assert np.mean(tla_best) < np.mean(rand_best), (tla_best, rand_best)

@@ -1,18 +1,21 @@
 """Tests for the baseline tuners (OpenTuner-style, HpBandSter-style, etc.)."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from repro.core import Integer, Options, Real, Space, TuningProblem
+from repro.core import Categorical, Integer, Options, Real, Space, TuningProblem
 from repro.tuners import (
     GPTuneTuner,
     GridSearchTuner,
     HpBandSterTuner,
     OpenTunerTuner,
     RandomSearchTuner,
-    TuneRecord,
+    make_tuner,
 )
-from repro.tuners.hpbandster import ProductKDE
+from repro.tuners.hpbandster import HyperbandTuner, ProductKDE, SuccessiveHalvingTuner
 from repro.tuners.opentuner import (
     DifferentialEvolutionTechnique,
     GeneticAlgorithmTechnique,
@@ -41,42 +44,23 @@ ALL_TUNERS = [
 ]
 
 
-class TestTuneRecord:
-    def test_best_and_trajectory(self):
-        r = TuneRecord({"t": 1})
-        for v in [5.0, 2.0, 7.0]:
-            r.add({"x": v}, v)
-        assert r.best()[1] == 2.0
-        assert r.trajectory().tolist() == [5.0, 2.0, 2.0]
-        assert len(r) == 3
-
-    def test_empty_best_raises(self):
-        with pytest.raises(ValueError):
-            TuneRecord({"t": 1}).best()
-
-    def test_objective_shape_check(self):
-        r = TuneRecord({"t": 1}, n_objectives=2)
-        with pytest.raises(ValueError):
-            r.add({"x": 1}, 1.0)
-
-
 class TestBudgets:
     @pytest.mark.parametrize("tuner", ALL_TUNERS, ids=lambda t: t.name)
     def test_exact_budget(self, tuner):
         rec = tuner.tune(smooth_problem(), {"t": 1}, 17, seed=0)
-        assert len(rec) == 17
+        assert rec.data.n_samples(0) == 17
 
     @pytest.mark.parametrize("tuner", ALL_TUNERS, ids=lambda t: t.name)
     def test_reproducible(self, tuner):
-        a = tuner.tune(smooth_problem(), {"t": 1}, 10, seed=3).best()[1]
-        b = tuner.tune(smooth_problem(), {"t": 1}, 10, seed=3).best()[1]
+        a = tuner.tune(smooth_problem(), {"t": 1}, 10, seed=3).best(0)[1]
+        b = tuner.tune(smooth_problem(), {"t": 1}, 10, seed=3).best(0)[1]
         assert a == b
 
     @pytest.mark.parametrize("tuner", ALL_TUNERS, ids=lambda t: t.name)
     def test_beats_worst_case(self, tuner):
         """Every tuner finds something decent on a smooth bowl in 30 evals."""
         rec = tuner.tune(smooth_problem(), {"t": 1}, 30, seed=0)
-        assert rec.best()[1] < 0.3
+        assert rec.best(0)[1] < 0.3
 
     def test_constraints_respected(self):
         ts = Space([Integer("t", 0, 10)])
@@ -84,19 +68,33 @@ class TestBudgets:
         prob = TuningProblem(ts, ps, lambda t, c: c["p"] / c["q"], name="c")
         for tuner in ALL_TUNERS:
             rec = tuner.tune(prob, {"t": 1}, 12, seed=1)
-            assert all(c["q"] <= c["p"] for c in rec.configs)
+            assert all(c["q"] <= c["p"] for c in rec.data.X[0])
+
+
+class TestGridSearchHighDimension:
+    def test_grid_over_the_cap_spends_budget_on_random_points(self):
+        """At β = 20 even a 2-point grid has 2^20 > 10^6 configurations."""
+        ts = Space([Integer("t", 0, 10)])
+        ps = Space([Real(f"x{i}", 0.0, 1.0) for i in range(20)], constraints=["x0 <= x1 + 0.5"])
+        prob = TuningProblem(ts, ps, lambda t, c: sum(v * v for v in c.values()), name="wide")
+        grid = GridSearchTuner().tune(prob, {"t": 1}, 10, seed=4)
+        assert grid.data.n_samples(0) == 10
+        assert all(c["x0"] <= c["x1"] + 0.5 for c in grid.data.X[0])
+        # no grid is drawn from the generator: the records are random search's
+        rand = RandomSearchTuner().tune(prob, {"t": 1}, 10, seed=4)
+        assert grid.data.X[0] == rand.data.X[0]
 
 
 class TestOpenTunerEnsemble:
     def test_all_arms_get_played(self):
         tuner = OpenTunerTuner()
         rec = tuner.tune(smooth_problem(), {"t": 1}, 12, seed=0)
-        assert len(rec) == 12  # ≥ number of techniques, each played once
+        assert rec.data.n_samples(0) == 12  # ≥ number of techniques, each played once
 
     def test_single_technique_subset(self):
         tuner = OpenTunerTuner(techniques=[GeneticAlgorithmTechnique])
         rec = tuner.tune(smooth_problem(), {"t": 1}, 15, seed=0)
-        assert rec.best()[1] < 0.5
+        assert rec.best(0)[1] < 0.5
 
     def test_empty_techniques_rejected(self):
         with pytest.raises(ValueError):
@@ -167,21 +165,21 @@ class TestTPE:
         """After min_points the tuner must use the KDE path without error."""
         tuner = HpBandSterTuner(min_points=4, random_fraction=0.0)
         rec = tuner.tune(smooth_problem(), {"t": 1}, 20, seed=0)
-        assert len(rec) == 20
+        assert rec.data.n_samples(0) == 20
 
 
 class TestGPTuneAdapter:
     def test_single_task_mode(self):
         opts = Options(seed=0, n_start=1, pso_iters=5, ei_candidates=10)
         rec = GPTuneTuner(opts).tune(smooth_problem(), {"t": 1}, 8, seed=0)
-        assert len(rec) == 8
+        assert rec.data.n_samples(0) == 8
 
     def test_multitask_mode_reports_requested_task(self):
         opts = Options(seed=0, n_start=1, pso_iters=5, ei_candidates=10)
         tuner = GPTuneTuner(opts, tasks=[{"t": 2}, {"t": 8}])
         rec = tuner.tune(smooth_problem(), {"t": 2}, 6, seed=0)
-        assert rec.task == {"t": 2}
-        assert len(rec) == 6
+        assert rec.data.tasks[0] == {"t": 2}
+        assert rec.data.n_samples(0) == 6
 
 
 class TestPSOTechnique:
@@ -211,3 +209,114 @@ class TestPSOTechnique:
         tech = PSOTechnique(prob.tuning_space, {"t": 1}, np.random.default_rng(1))
         tech.tell({"x": 0.3, "y": 0.7}, 0.001, mine=False)
         assert tech.gbest_f == 0.001
+
+
+# -- pinned baseline records ----------------------------------------------
+
+
+def digest_problem():
+    """Three-parameter problem with an Integer, a Categorical and a constraint."""
+    ts = Space([Integer("t", 1, 9)])
+    ps = Space(
+        [Real("x", 0.0, 1.0), Integer("n", 1, 8), Categorical("alg", ["a", "b", "c"])],
+        constraints=["n <= 6 or alg != 'c'"],
+    )
+
+    def objective(t, c):
+        cost = {"a": 0.0, "b": 0.1, "c": 0.05}[c["alg"]]
+        return (c["x"] - 0.3) ** 2 + 0.04 * abs(c["n"] - 3) + cost + 0.01 * t["t"]
+
+    return TuningProblem(ts, ps, objective, name="digest")
+
+
+def steps_fidelity(task, budget):
+    return {"t": max(1, int(round(task["t"] * budget)))}
+
+
+DIGEST_TUNERS = {
+    "random": lambda: make_tuner("random"),
+    "grid": lambda: make_tuner("grid"),
+    "opentuner": lambda: make_tuner("opentuner"),
+    "hpbandster": lambda: make_tuner("hpbandster"),
+    "ytopt": lambda: make_tuner("ytopt"),
+    "hyperband": lambda: HyperbandTuner(steps_fidelity),
+    "successive-halving": lambda: SuccessiveHalvingTuner(steps_fidelity),
+}
+
+
+def baseline_records(result):
+    """``(configs, values)`` of one baseline run, in evaluation order."""
+    return result.data.X[0], result.data.Y[0]
+
+
+def baseline_digest(name: str) -> str:
+    result = DIGEST_TUNERS[name]().tune(digest_problem(), {"t": 9}, 14, seed=5)
+    configs, values = baseline_records(result)
+    blob = json.dumps(
+        [[dict(c) for c in configs], np.asarray(values, dtype=float).tolist()],
+        sort_keys=True,
+        separators=(",", ":"),
+        default=lambda v: v.item(),
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+class TestRecordDigests:
+    """Each baseline's records on a fixed seed, hashed.
+
+    A change to the tuners' evaluation or recording path that claims to keep
+    behaviour must keep every digest (first 16 hex digits of the sha256 of
+    the configurations and objective values, in evaluation order).  Print
+    them with ``PYTHONPATH=src python tests/test_tuners.py``.
+    """
+
+    DIGESTS = {
+        "grid": "a69ac9fa53142c2c",
+        "hpbandster": "c82141e715d85376",
+        "hyperband": "f0ec12bee7fd57e0",
+        "opentuner": "42dd4b3eaf7066a9",
+        "random": "33f0b5efd72d8084",
+        "successive-halving": "3a0c264e5066e7ec",
+        "ytopt": "7f2ce26a80eea279",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGEST_TUNERS))
+    def test_records_unchanged(self, name):
+        assert baseline_digest(name) == self.DIGESTS[name]
+
+
+class TestBaselineFailures:
+    """A baseline reports penalized evaluations as a GPTune campaign does."""
+
+    @staticmethod
+    def crashing_problem():
+        base = digest_problem()
+
+        def objective(t, c):
+            if c["x"] > 0.5:
+                raise RuntimeError("solver diverged")
+            return base.objective(t, c)
+
+        return TuningProblem(
+            base.task_space, base.tuning_space, objective, name="crashy", failure_value=10.0
+        )
+
+    @pytest.mark.parametrize("name", sorted(DIGEST_TUNERS))
+    def test_failures_counted_and_logged(self, name):
+        result = DIGEST_TUNERS[name]().tune(self.crashing_problem(), {"t": 9}, 14, seed=5)
+        n_failed = result.stats["n_eval_failures"]
+        assert n_failed >= 1
+        assert result.events.count("eval-failure") == n_failed
+        failures = result.metrics.counter_value("repro_eval_failures_total", kind="exception")
+        assert failures == n_failed
+        penalized = sum(float(y[0]) == 10.0 for y in result.data.Y[0])
+        if name in ("hyperband", "successive-halving"):
+            # lower-rung evaluations count but are not recorded
+            assert penalized <= n_failed
+        else:
+            assert penalized == n_failed
+
+
+if __name__ == "__main__":
+    for name in sorted(DIGEST_TUNERS):
+        print(f'        "{name}": "{baseline_digest(name)}",')

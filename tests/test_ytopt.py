@@ -107,19 +107,19 @@ class TestYtoptTuner:
 
     def test_budget_and_feasibility(self):
         rec = YtoptTuner().tune(self._problem(), {"t": 1}, 18, seed=0)
-        assert len(rec) == 18
+        assert rec.data.n_samples(0) == 18
         prob = self._problem()
-        assert all(prob.tuning_space.is_feasible(c) for c in rec.configs)
+        assert all(prob.tuning_space.is_feasible(c) for c in rec.data.X[0])
 
     def test_finds_good_solution(self):
         rec = YtoptTuner().tune(self._problem(), {"t": 1}, 25, seed=1)
-        cfg, val = rec.best()
+        cfg, val = rec.best(0)
         assert val < 0.05
         assert cfg["alg"] == "a"
 
     def test_reproducible(self):
-        a = YtoptTuner().tune(self._problem(), {"t": 1}, 10, seed=5).best()[1]
-        b = YtoptTuner().tune(self._problem(), {"t": 1}, 10, seed=5).best()[1]
+        a = YtoptTuner().tune(self._problem(), {"t": 1}, 10, seed=5).best(0)[1]
+        b = YtoptTuner().tune(self._problem(), {"t": 1}, 10, seed=5).best(0)[1]
         assert a == b
 
 
@@ -134,7 +134,7 @@ class TestRegistry:
 
         for name in TUNERS:
             rec = run_tuner(name, prob, {"t": 1}, 6, seed=2)
-            assert len(rec) == 6, name
+            assert rec.data.n_samples(0) == 6, name
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
