@@ -85,8 +85,7 @@ class _FusionBase(Application):
     def _symbolic(self, colperm: str) -> symbolic.SymbolicResult:
         if colperm not in self._sym_cache:
             A = knn_matrix(self.plane_size, 9, seed=self.seed + 11)
-            perm = symbolic.ordering(A, colperm, seed=self.seed)
-            self._sym_cache[colperm] = symbolic.symbolic_cholesky(A, perm)
+            self._sym_cache[colperm] = symbolic.analyze(A, colperm, seed=self.seed)
         return self._sym_cache[colperm]
 
     # -- common cost pieces -------------------------------------------------

@@ -9,6 +9,7 @@ from .symbolic import (
     COLPERM_CHOICES,
     SupernodePartition,
     SymbolicResult,
+    analyze,
     ordering,
     supernodes,
     symbolic_cholesky,
@@ -24,6 +25,7 @@ __all__ = [
     "SuperLUDIST",
     "SupernodePartition",
     "SymbolicResult",
+    "analyze",
     "knn_matrix",
     "ordering",
     "parsec_matrix",

@@ -22,8 +22,12 @@ machine model:
   per-process panel/look-ahead buffers), the two axes of the paper's
   multi-objective study (Fig. 7 / Tab. 5).
 
-Symbolic results are cached per (matrix, COLPERM), so one tuning run pays
-for at most four orderings per matrix.
+Symbolic results (:func:`~repro.apps.superlu.symbolic.analyze`) are cached
+per (matrix, COLPERM) on the instance, so one tuning run pays for at most
+four analyses per matrix, each on first use: none is computed at
+construction, and none outlives the instance.  At the default scale one
+analysis of a small PARSEC matrix takes from about a millisecond
+(NATURAL) to a few tens of milliseconds (MMD_AT_PLUS_A).
 """
 
 from __future__ import annotations
@@ -119,8 +123,7 @@ class SuperLUDIST(Application):
         key = (matrix, colperm)
         if key not in self._symbolic_cache:
             A = parsec_matrix(matrix, scale=self.scale, seed=self.seed)
-            perm = symbolic.ordering(A, colperm, seed=self.seed)
-            self._symbolic_cache[key] = symbolic.symbolic_cholesky(A, perm)
+            self._symbolic_cache[key] = symbolic.analyze(A, colperm, seed=self.seed)
         return self._symbolic_cache[key]
 
     # -- simulator -----------------------------------------------------------

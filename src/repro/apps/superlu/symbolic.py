@@ -16,6 +16,11 @@ real algorithms on the (symmetrized) pattern ``A + Aᵀ``:
   amalgamation of small subtrees (NREL), following SuperLU's
   ``relax_snode`` heuristic.
 
+Vertex sets (adjacency rows, element boundaries, column patterns) are
+Python ints used as bitsets: bit ``k`` stands for vertex ``k``, union is
+``|``, and a set's size is ``int.bit_count()``.  :func:`analyze` is the one
+entry point the simulators use: it symmetrizes once, orders, and factors.
+
 Everything here operates on patterns only; the numeric phase is priced by
 :mod:`repro.apps.superlu.simulator`.
 """
@@ -23,15 +28,27 @@ Everything here operates on patterns only; the numeric phase is priced by
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+import heapq
+from typing import Dict, List
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-__all__ = ["COLPERM_CHOICES", "ordering", "symbolic_cholesky", "supernodes", "SymbolicResult", "SupernodePartition"]
+__all__ = [
+    "COLPERM_CHOICES",
+    "analyze",
+    "ordering",
+    "symbolic_cholesky",
+    "supernodes",
+    "SymbolicResult",
+    "SupernodePartition",
+]
 
 COLPERM_CHOICES = ("NATURAL", "RCM", "MMD_AT_PLUS_A", "METIS_AT_PLUS_A")
+
+#: dense boolean cells per block when packing pattern rows into bitsets
+_PACK_CELLS = 1 << 22
 
 
 def _symmetrize(A: sparse.spmatrix) -> sparse.csr_matrix:
@@ -44,105 +61,151 @@ def _symmetrize(A: sparse.spmatrix) -> sparse.csr_matrix:
     return S
 
 
+def _row_bitsets(S: sparse.csr_matrix) -> List[int]:
+    """Row ``i`` of the pattern ``S`` as an int with bit ``k`` set iff ``S[i, k]`` is stored.
+
+    Rows are packed a block at a time through a dense boolean array of at
+    most :data:`_PACK_CELLS` cells.
+    """
+    n_rows, n_cols = S.shape
+    step = max(1, _PACK_CELLS // max(n_cols, 1))
+    out: List[int] = []
+    for lo in range(0, n_rows, step):
+        hi = min(n_rows, lo + step)
+        ptr = S.indptr[lo : hi + 1]
+        block = np.zeros((hi - lo, n_cols), dtype=bool)
+        block[np.repeat(np.arange(hi - lo), np.diff(ptr)), S.indices[ptr[0] : ptr[-1]]] = True
+        packed = np.packbits(block, axis=1, bitorder="little")
+        out.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return out
+
+
+def _members(bits: int) -> List[int]:
+    """Indices of the set bits of ``bits``, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def _minimum_degree(S: sparse.csr_matrix) -> np.ndarray:
-    """Quotient-graph (approximate) minimum-degree ordering.
+    """Quotient-graph minimum-degree ordering.
 
     Eliminated vertices become *elements* whose boundaries stand in for the
     cliques a naive implementation would materialize (the AMD idea of
-    Amestoy, Davis & Duff).  The degree of a variable is approximated by
-    ``|variable neighbours| + Σ |boundaries of adjacent elements|`` — an
-    upper bound that is cheap to maintain.  A lazy min-heap with stale-entry
-    skipping drives the selection.
+    Amestoy, Davis & Duff).  A lazy min-heap drives the selection: a
+    vertex is queued under a cheap lower bound on its external degree,
+    ``max(|variable neighbours|, |new element boundary| − 1)``, and a pop
+    is verified against the exact external degree
+    ``|variable neighbours ∪ boundaries of adjacent elements| − self``,
+    re-queued when a smaller key is still waiting.  The stale entries this
+    leaves in the heap decide ties, so the pushes and the pop rule are part
+    of the ordering's definition.
+
+    Variable neighbours and element boundaries are int bitsets.  Both hold
+    live vertices only: an eliminated vertex leaves every neighbour's
+    variable set, and every element whose boundary held it is absorbed
+    into the new one, so no separate live mask is needed.  A vertex's
+    exact degree changes only when the vertex enters a new element's
+    boundary, so it is memoized and recomputed only after that.
     """
-    import heapq
-
     n = S.shape[0]
-    adj_var: List[set] = [
-        set(S.indices[S.indptr[i] : S.indptr[i + 1]].tolist()) for i in range(n)
-    ]
+    adj_var = _row_bitsets(S)
     adj_elem: List[set] = [set() for _ in range(n)]
-    elem_bound: Dict[int, set] = {}
-    eliminated = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
+    elem_bound: Dict[int, int] = {}
+    eliminated = [False] * n
+    degree = [b.bit_count() for b in adj_var]  # exact while not stale
+    stale = [False] * n
+    order: List[int] = []
 
-    def exact_degree(v: int) -> int:
-        s = set(adj_var[v])
-        for e in adj_elem[v]:
-            s |= elem_bound[e]
-        s.discard(v)
-        return len(s)
-
-    heap = [(len(adj_var[v]), v) for v in range(n)]
+    heap = [(d, v) for v, d in enumerate(degree)]
     heapq.heapify(heap)
-    for step in range(n):
+    for _ in range(n):
         # pop by (possibly stale) key, verify with the exact external
         # degree, and re-queue when a better candidate is still waiting
+        _, best = heapq.heappop(heap)
         while True:
-            key, best = heapq.heappop(heap)
             if eliminated[best]:
+                _, best = heapq.heappop(heap)
                 continue
-            d = exact_degree(best)
+            if stale[best]:
+                reach = adj_var[best]
+                for e in adj_elem[best]:
+                    reach |= elem_bound[e]
+                degree[best] = (reach & ~(1 << best)).bit_count()
+                stale[best] = False
+            d = degree[best]
             if heap and d > heap[0][0]:
-                heapq.heappush(heap, (d, best))
+                # (d, best) sorts after heap[0]: push it, pop heap[0]
+                _, best = heapq.heappushpop(heap, (d, best))
                 continue
             break
-        order[step] = best
+        order.append(best)
         eliminated[best] = True
         # boundary of the new element: variable neighbours plus the
-        # boundaries of absorbed elements
-        boundary = {u for u in adj_var[best] if not eliminated[u]}
-        for e in adj_elem[best]:
-            boundary.update(u for u in elem_bound[e] if not eliminated[u])
-            elem_bound.pop(e, None)
-        boundary.discard(best)
-        elem_bound[best] = boundary
+        # boundaries of absorbed elements, live vertices only
+        boundary = adj_var[best]
         absorbed = adj_elem[best]
-        for u in boundary:
-            adj_var[u] -= boundary
-            adj_var[u].discard(best)
-            adj_elem[u] -= absorbed
-            adj_elem[u].add(best)
+        for e in absorbed:
+            boundary |= elem_bound.pop(e)
+        boundary &= ~(1 << best)
+        elem_bound[best] = boundary
+        members = _members(boundary)
+        keep = ~(boundary | 1 << best)
+        bound = len(members) - 1
+        for u in members:
+            adj_var[u] &= keep
+            elems = adj_elem[u]
+            elems -= absorbed
+            elems.add(best)
+            stale[u] = True
             # lower bound on the new external degree; the pop loop verifies
-            heapq.heappush(heap, (max(len(adj_var[u]), len(boundary) - 1), u))
-        adj_var[best] = set()
+            d = adj_var[u].bit_count()
+            heapq.heappush(heap, (d if d > bound else bound, u))
+        adj_var[best] = 0
         adj_elem[best] = set()
-    return order
+    return np.asarray(order, dtype=np.int64)
 
 
-def _pseudo_peripheral(S: sparse.csr_matrix, nodes: np.ndarray, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+def _pseudo_peripheral(S: sparse.csr_matrix, nodes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """BFS level sets from a pseudo-peripheral node of the induced subgraph."""
     sub = S[nodes][:, nodes].tocsr()
+    indptr, indices = sub.indptr.tolist(), sub.indices.tolist()
     m = len(nodes)
     start = int(rng.integers(m))
     for _ in range(3):  # a few BFS sweeps push the start to the periphery
-        level = np.full(m, -1, dtype=np.int64)
+        level = [-1] * m
         level[start] = 0
         frontier = [start]
-        order = [start]
+        last = start  # the last vertex the sweep reaches
         while frontier:
             nxt = []
             for v in frontier:
-                for u in sub.indices[sub.indptr[v] : sub.indptr[v + 1]]:
+                depth = level[v] + 1
+                for u in indices[indptr[v] : indptr[v + 1]]:
                     if level[u] < 0:
-                        level[u] = level[v] + 1
-                        nxt.append(int(u))
-                        order.append(int(u))
+                        level[u] = depth
+                        nxt.append(u)
+            if nxt:
+                last = nxt[-1]
             frontier = nxt
         # disconnected components: give them fresh levels past the deepest
-        far = int(np.max(level))
+        far = max(level)
         for v in range(m):
             if level[v] < 0:
                 far += 1
                 level[v] = far
-        start = order[-1]
-    return level, np.arange(m)
+        start = last
+    return np.asarray(level, dtype=np.int64)
 
 
 def _nested_dissection(S: sparse.csr_matrix, nodes: np.ndarray, rng: np.random.Generator, leaf: int = 32) -> List[int]:
     """Recursive level-set bisection; separators are ordered last."""
     if len(nodes) <= leaf:
         return nodes.tolist()
-    level, _ = _pseudo_peripheral(S, nodes, rng)
+    level = _pseudo_peripheral(S, nodes, rng)
     median = float(np.median(level))
     left = nodes[level < median]
     right = nodes[level > median]
@@ -156,13 +219,8 @@ def _nested_dissection(S: sparse.csr_matrix, nodes: np.ndarray, rng: np.random.G
     )
 
 
-def ordering(A: sparse.spmatrix, colperm: str, seed: int = 0) -> np.ndarray:
-    """Fill-reducing permutation for the requested COLPERM option.
-
-    Returns ``perm`` such that column ``perm[k]`` of ``A`` is eliminated at
-    step ``k``.
-    """
-    S = _symmetrize(A)
+def _ordering(S: sparse.csr_matrix, colperm: str, seed: int) -> np.ndarray:
+    """:func:`ordering` on an already symmetrized pattern."""
     n = S.shape[0]
     if colperm == "NATURAL":
         return np.arange(n, dtype=np.int64)
@@ -176,12 +234,23 @@ def ordering(A: sparse.spmatrix, colperm: str, seed: int = 0) -> np.ndarray:
     raise ValueError(f"unknown COLPERM {colperm!r}; know {COLPERM_CHOICES}")
 
 
+def ordering(A: sparse.spmatrix, colperm: str, seed: int = 0) -> np.ndarray:
+    """Fill-reducing permutation for the requested COLPERM option.
+
+    Returns ``perm`` such that column ``perm[k]`` of ``A`` is eliminated at
+    step ``k``.
+    """
+    return _ordering(_symmetrize(A), colperm, seed)
+
+
 @dataclasses.dataclass
 class SymbolicResult:
     """Outcome of symbolic factorization under one ordering.
 
     Attributes
     ----------
+    perm:
+        The ordering: column ``perm[k]`` of ``A`` is eliminated at step ``k``.
     parent:
         Elimination-tree parent per column (−1 at roots).
     col_counts:
@@ -192,6 +261,7 @@ class SymbolicResult:
         Total ``|L|`` (lower triangle incl. diagonal).
     """
 
+    perm: np.ndarray
     parent: np.ndarray
     col_counts: np.ndarray
     subtree_size: np.ndarray
@@ -209,41 +279,58 @@ class SymbolicResult:
         return float(np.sum(c * c))
 
 
-def symbolic_cholesky(A: sparse.spmatrix, perm: np.ndarray) -> SymbolicResult:
-    """Exact symbolic factorization of ``P (A+Aᵀ) Pᵀ``.
-
-    Merges each child's pattern into its elimination-tree parent
-    (O(|L|) time and peak memory bounded by the active patterns).
-    """
-    S = _symmetrize(A)
+def _symbolic_cholesky(S: sparse.csr_matrix, perm: np.ndarray) -> SymbolicResult:
+    """:func:`symbolic_cholesky` on an already symmetrized pattern."""
     n = S.shape[0]
     perm = np.asarray(perm, dtype=np.int64)
     if sorted(perm.tolist()) != list(range(n)):
         raise ValueError("perm is not a permutation")
-    inv = np.empty(n, dtype=np.int64)
-    inv[perm] = np.arange(n)
-    P = S[perm][:, perm].tocsc()
+    # P is symmetric, so its row j is the pattern of its column j
+    pattern = _row_bitsets(S[perm][:, perm].tocsr())
+    merged = [0] * n  # union of the children's patterns, per column
+    parent = [-1] * n
+    counts = [1] * n
+    for j in range(n):
+        # rows below the diagonal, shifted so that bit k is row j + 1 + k
+        below = (pattern[j] | merged[j]) >> (j + 1)
+        merged[j] = 0
+        if below:
+            counts[j] += below.bit_count()
+            p = j + (below & -below).bit_length()
+            parent[j] = p
+            merged[p] |= below << (j + 1)
+    subtree = [1] * n
+    for j, p in enumerate(parent):
+        if p >= 0:
+            subtree[p] += subtree[j]
+    return SymbolicResult(
+        perm=perm,
+        parent=np.asarray(parent, dtype=np.int64),
+        col_counts=np.asarray(counts, dtype=np.int64),
+        subtree_size=np.asarray(subtree, dtype=np.int64),
+        fill_nnz=sum(counts),
+    )
 
-    parent = np.full(n, -1, dtype=np.int64)
-    counts = np.ones(n, dtype=np.int64)
-    children: Dict[int, List[np.ndarray]] = {}
-    fill = 0
-    for j in range(n):
-        below = P.indices[P.indptr[j] : P.indptr[j + 1]]
-        pat = below[below > j].astype(np.int64)
-        for ch in children.pop(j, ()):  # merge child structures
-            pat = np.union1d(pat, ch)
-        pat = pat[pat > j]
-        counts[j] = 1 + pat.shape[0]
-        fill += int(counts[j])
-        if pat.shape[0]:
-            parent[j] = int(pat[0])
-            children.setdefault(int(pat[0]), []).append(pat)
-    subtree = np.ones(n, dtype=np.int64)
-    for j in range(n):
-        if parent[j] >= 0:
-            subtree[parent[j]] += subtree[j]
-    return SymbolicResult(parent=parent, col_counts=counts, subtree_size=subtree, fill_nnz=fill)
+
+def symbolic_cholesky(A: sparse.spmatrix, perm: np.ndarray) -> SymbolicResult:
+    """Exact symbolic factorization of ``P (A+Aᵀ) Pᵀ``.
+
+    Each column's pattern is its own below-diagonal rows ORed with the
+    patterns its elimination-tree children merged into it; the parent is
+    the lowest row below the diagonal (O(|L|) bit operations, one bitset
+    per column).
+    """
+    return _symbolic_cholesky(_symmetrize(A), perm)
+
+
+def analyze(A: sparse.spmatrix, colperm: str, seed: int = 0) -> SymbolicResult:
+    """Order ``A`` by ``colperm`` and factor it symbolically.
+
+    Equal to ``symbolic_cholesky(A, ordering(A, colperm, seed))``, with
+    ``A + Aᵀ`` formed once.
+    """
+    S = _symmetrize(A)
+    return _symbolic_cholesky(S, _ordering(S, colperm, seed))
 
 
 @dataclasses.dataclass
@@ -300,16 +387,22 @@ def supernodes(sym: SymbolicResult, nsup: int, nrel: int) -> SupernodePartition:
     n = sym.n
     nsup = max(1, int(nsup))
     nrel = max(0, int(nrel))
+    # one pass over Python ints: indexing the arrays per column would box
+    # a numpy scalar for every read
+    parent = sym.parent.tolist()
+    counts = sym.col_counts.tolist()
+    subtree = sym.subtree_size.tolist()
     starts: List[int] = [0]
     relaxed_fill = 0
     width = 1
     for j in range(1, n):
-        fundamental = sym.parent[j - 1] == j and sym.col_counts[j] == sym.col_counts[j - 1] - 1
-        relaxed = sym.subtree_size[j] <= nrel and sym.parent[j - 1] == j
+        child = parent[j - 1] == j
+        fundamental = child and counts[j] == counts[j - 1] - 1
+        relaxed = child and subtree[j] <= nrel
         if width < nsup and (fundamental or relaxed):
             if relaxed and not fundamental:
                 # padding the smaller column to the supernode's row structure
-                relaxed_fill += int(sym.col_counts[j - 1] - 1 - sym.col_counts[j])
+                relaxed_fill += counts[j - 1] - 1 - counts[j]
             width += 1
         else:
             starts.append(j)

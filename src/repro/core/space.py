@@ -267,23 +267,36 @@ class Space:
     ) -> np.ndarray:
         """Feasibility of ``(n, dim)`` unit rows as an ``(n,)`` boolean mask.
 
-        Element ``i`` equals ``is_feasible(denormalize(units[i]), extra)``.
-        The rows are denormalized column by column and each constraint is
-        evaluated over whole columns (:meth:`Constraint.mask`).  A constraint
-        sees only the rows every earlier constraint accepted, as in the
-        short-circuiting row-wise check.
+        Element ``i`` equals ``is_feasible(denormalize(units[i]), extra)``:
+        the rows are denormalized column by column and checked by
+        :meth:`columns_mask`.
         """
         U = np.atleast_2d(np.asarray(units, dtype=float))
-        n = U.shape[0]
+        if not self.constraints:
+            return np.ones(U.shape[0], dtype=bool)
+        return self.columns_mask(self.denormalize_columns(U), U.shape[0], extra)
+
+    def columns_mask(
+        self,
+        columns: Mapping[str, np.ndarray],
+        n: int,
+        extra: Optional[Mapping[str, Any]] = None,
+    ) -> np.ndarray:
+        """Feasibility of ``n`` native-valued rows given as columns by name.
+
+        Element ``i`` equals ``is_feasible`` on row ``i``.  Each constraint is
+        evaluated over whole columns (:meth:`Constraint.mask`) and sees only
+        the rows every earlier constraint accepted, as in the
+        short-circuiting row-wise check.
+        """
         if not self.constraints:
             return np.ones(n, dtype=bool)
-        cols = self.denormalize_columns(U)
-        ok = self.constraints[0].mask(cols, n, extra)
+        ok = self.constraints[0].mask(columns, n, extra)
         for c in self.constraints[1:]:
             live = np.flatnonzero(ok)
             if live.size == 0:
                 break
-            ok[live] = c.mask({k: v[live] for k, v in cols.items()}, live.size, extra)
+            ok[live] = c.mask({k: v[live] for k, v in columns.items()}, live.size, extra)
         return ok
 
     def round_trip(self, values: Union[Mapping[str, Any], Sequence[Any]]) -> Dict[str, Any]:

@@ -9,15 +9,50 @@ collapses as β grows.
 from __future__ import annotations
 
 import math
+from typing import Any, List, Mapping
 
 import numpy as np
 
 from ..core.data import TuningData
+from ..core.params import Categorical
 from ..core.sampling import sample_feasible
-from ..core.space import MAX_GRID_POINTS
+from ..core.space import MAX_GRID_POINTS, Space
 from .base import Evaluate, Tuner
 
 __all__ = ["GridSearchTuner"]
+
+#: grid points whose feasibility is checked in one batch of columns
+_BLOCK = 1 << 16
+
+
+def _feasible_points(space: Space, axes: List[list], extra: Mapping[str, Any]) -> np.ndarray:
+    """Flat indices of the feasible points of the grid over ``axes``.
+
+    Point ``f`` has coordinates ``np.unravel_index(f, shape)`` (the last axis
+    varies fastest, as in :meth:`Space.grid`).  Feasibility is checked over
+    native-valued columns (:meth:`Space.columns_mask`), a block of points
+    at a time, so no configuration dict is built here.
+    """
+    shape = tuple(len(a) for a in axes)
+    total = math.prod(shape)
+    if not space.constraints:
+        return np.arange(total)
+    values = []
+    for p, axis in zip(space.parameters, axes):
+        if isinstance(p, Categorical):  # choices stay Python objects, as in denormalize_array
+            col = np.empty(len(axis), dtype=object)
+            for i, v in enumerate(axis):
+                col[i] = v
+        else:
+            col = np.asarray(axis)
+        values.append(col)
+    kept = []
+    for lo in range(0, total, _BLOCK):
+        flat = np.arange(lo, min(total, lo + _BLOCK))
+        coords = np.unravel_index(flat, shape)
+        cols = {p.name: v[c] for p, v, c in zip(space.parameters, values, coords)}
+        kept.append(flat[space.columns_mask(cols, flat.size, extra)])
+    return np.concatenate(kept)
 
 
 class GridSearchTuner(Tuner):
@@ -40,14 +75,17 @@ class GridSearchTuner(Tuner):
         space, tdict = data.tuning_space, data.tasks[0]
         # the finest symmetric grid that fits the budget
         per_dim = max(2, int(np.floor(n_samples ** (1.0 / space.dimension))))
-        grid = []
-        if math.prod(len(p.grid(per_dim)) for p in space.parameters) <= MAX_GRID_POINTS:
-            grid = [cfg for cfg in space.grid(per_dim) if space.is_feasible(cfg, extra=tdict)]
-        if len(grid) > n_samples:
-            keep = rng.choice(len(grid), size=n_samples, replace=False)
-            grid = [grid[i] for i in sorted(keep)]
-        for cfg in grid[:n_samples]:
-            evaluate(cfg)
+        axes = [p.grid(per_dim) for p in space.parameters]
+        shape = tuple(len(a) for a in axes)
+        points = np.empty(0, dtype=np.int64)
+        if math.prod(shape) <= MAX_GRID_POINTS:
+            points = _feasible_points(space, axes, tdict)
+        if points.size > n_samples:
+            keep = rng.choice(points.size, size=n_samples, replace=False)
+            points = points[np.sort(keep)]
+        # configurations only for the points that are evaluated
+        for coords in zip(*np.unravel_index(points, shape)):
+            evaluate({p.name: axis[c] for p, axis, c in zip(space.parameters, axes, coords)})
         # spend any remaining budget on random feasible points
         remaining = n_samples - data.n_samples(0)
         if remaining > 0:

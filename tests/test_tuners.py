@@ -71,6 +71,69 @@ class TestBudgets:
             assert all(c["q"] <= c["p"] for c in rec.data.X[0])
 
 
+def _grid_spaces():
+    """Small constrained spaces: vectorizable, row-wise-only, callable, task-bound."""
+    return [
+        (Space([Integer("p", 1, 16), Integer("q", 1, 16)], constraints=["q <= p"]), {}),
+        (
+            Space(
+                [Real("x", 0.0, 1.0), Integer("k", 1, 8), Categorical("alg", ["a", "b", "c"])],
+                constraints=["k <= 6 or alg == 'a'"],
+            ),
+            {},
+        ),
+        (
+            Space(
+                [Integer("p", 2, 64, transform="log"), Integer("p_r", 1, 64, transform="log"),
+                 Categorical("shape", [(1, 2), (2, 1), (3, 3)])],
+                constraints=["p_r <= p", lambda p, shape: p >= shape[0] * shape[1]],
+            ),
+            {},
+        ),
+        (
+            Space([Integer("m", 1, 32), Real("r", 0.1, 10.0, transform="log")],
+                  constraints=["m <= t * 4", "r * m < 40"]),
+            {"t": 3},
+        ),
+        (Space([Integer("a", 0, 3), Categorical("b", ["u", "v"])], constraints=["a > 9"]), {}),
+    ]
+
+
+class TestGridSearchFeasibility:
+    """The column-wise grid filter against the row-wise ``is_feasible`` one."""
+
+    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("per_dim", [2, 3, 5])
+    def test_feasible_points_match_rowwise_filter(self, case, per_dim):
+        from repro.tuners.grid_search import _feasible_points
+
+        space, extra = _grid_spaces()[case]
+        axes = [p.grid(per_dim) for p in space.parameters]
+        shape = tuple(len(a) for a in axes)
+        got = [
+            {p.name: axis[c] for p, axis, c in zip(space.parameters, axes, coords)}
+            for coords in zip(*np.unravel_index(_feasible_points(space, axes, extra), shape))
+        ]
+        want = [cfg for cfg in space.grid(per_dim) if space.is_feasible(cfg, extra=extra)]
+        assert got == want
+        assert [list(map(type, c.values())) for c in got] == [list(map(type, c.values())) for c in want]
+
+    @pytest.mark.parametrize("case", range(4))  # case 4 has no feasible point
+    def test_tuner_evaluates_the_rowwise_selection(self, case):
+        """Same configurations, in the same order, as filtering every grid dict."""
+        space, extra = _grid_spaces()[case]
+        task = {"t": extra.get("t", 0)}
+        prob = TuningProblem(Space([Integer("t", 0, 10)]), space, lambda t, c: 1.0, name="g")
+        n = 9
+        got = GridSearchTuner().tune(prob, task, n, seed=5).data.X[0]
+        rng = np.random.default_rng(5)
+        per_dim = max(2, int(np.floor(n ** (1.0 / space.dimension))))
+        grid = [cfg for cfg in space.grid(per_dim) if space.is_feasible(cfg, extra=task)]
+        if len(grid) > n:
+            grid = [grid[i] for i in sorted(rng.choice(len(grid), size=n, replace=False))]
+        assert got[: len(grid)] == grid
+
+
 class TestGridSearchHighDimension:
     def test_grid_over_the_cap_spends_budget_on_random_points(self):
         """At β = 20 even a 2-point grid has 2^20 > 10^6 configurations."""
