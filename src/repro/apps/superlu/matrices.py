@@ -36,7 +36,7 @@ PARSEC_STATS: Dict[str, Tuple[int, int]] = {
     "SiO": (33_401, 1_317_655),
 }
 
-_CACHE: Dict[Tuple[str, float], sparse.csc_matrix] = {}
+_CACHE: Dict[Tuple[str, float, int], sparse.csc_matrix] = {}
 
 
 def knn_matrix(n: int, k: int, seed: int = 0) -> sparse.csc_matrix:
@@ -79,7 +79,7 @@ def knn_matrix(n: int, k: int, seed: int = 0) -> sparse.csc_matrix:
 
 
 def parsec_matrix(name: str, scale: float = 0.12, seed: int = 0) -> sparse.csc_matrix:
-    """Synthetic stand-in for a named PARSEC matrix, cached per (name, scale).
+    """Synthetic stand-in for a named PARSEC matrix, cached per (name, scale, seed).
 
     Parameters
     ----------
@@ -88,10 +88,12 @@ def parsec_matrix(name: str, scale: float = 0.12, seed: int = 0) -> sparse.csc_m
     scale:
         Fraction of the real dimension to generate (the default keeps even
         SiO's symbolic factorization fast on one core).
+    seed:
+        Seed of the matrix's point cloud; each seed is its own matrix.
     """
     if name not in PARSEC_STATS:
         raise KeyError(f"unknown PARSEC matrix {name!r}; know {sorted(PARSEC_STATS)}")
-    key = (name, float(scale))
+    key = (name, float(scale), int(seed))
     if key not in _CACHE:
         n_real, nnz_real = PARSEC_STATS[name]
         # floor keeps the smallest matrices structurally interesting even at

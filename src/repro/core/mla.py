@@ -302,15 +302,6 @@ class GPTune:
                 n_tasks=n_tasks,
             )
 
-    def _record(self, data: TuningData, task: int) -> None:
-        """Archive a task's latest evaluation in the history, if any."""
-        if self.history is not None:
-            y = [float(v) for v in data.Y[task][-1]]
-            self.history.append(
-                self.problem.name,
-                [{"task": data.tasks[task], "x": data.X[task][-1], "y": y}],
-            )
-
     def _checkpoint(
         self,
         data: TuningData,
@@ -725,11 +716,17 @@ class GPTune:
                     sp.annotate(n=len(batch), wait_s=wait_s)
                 batch.sort(key=lambda ce: ce.seq)
                 total_wait += wait_s
+                records = []
                 for ce in batch:
                     absorb_outcome(
                         data, ce.task, ce.config, ce.outcome, stats, self.events, self.metrics
                     )
-                    self._record(data, ce.task)
+                    if self.history is not None:
+                        records.append({
+                            "task": data.tasks[ce.task],
+                            "x": data.X[ce.task][-1],
+                            "y": [float(v) for v in data.Y[ce.task][-1]],
+                        })
                     inflight_cnt[ce.task] -= 1
                     pend_units[ce.task].pop(unit_key(ce.config)[0], None)
                     if opts.telemetry:
@@ -744,6 +741,11 @@ class GPTune:
                             task=ce.task,
                             seq=ce.seq,
                         )
+                if records:
+                    # one durable append per round, all-or-nothing, and
+                    # always ahead of the round's checkpoint
+                    with maybe_span("history.append", n=len(records)):
+                        self.history.append(self.problem.name, records)
                 self.metrics.set_gauge("repro_eval_inflight", float(eng.inflight))
                 self.events.record(
                     "async-drain",

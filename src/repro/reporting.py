@@ -339,6 +339,17 @@ def render_campaign_report(log, tolerance: float = 0.05) -> Tuple[str, bool]:
             lines.append(f"{name:>15}  count {int(v['count']):5d}  total {v['total_s']:.4f}s")
         sections.append("\n".join(lines))
 
+    appends = [
+        e for e in events if e.kind == "span" and e.fields.get("name") == "history.append"
+    ]
+    if appends:
+        sections.append(
+            "history archive (from history.append spans)\n"
+            f"{'appends':>18}  {len(appends)}"
+            f"   records {sum(int(e.fields.get('n', 0)) for e in appends)}"
+            f"   total {sum(float(e.fields.get('dur_s', 0.0)) for e in appends):.4f}s"
+        )
+
     async_section = _render_async(events)
     if async_section:
         sections.append(async_section)

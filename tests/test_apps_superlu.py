@@ -59,6 +59,17 @@ class TestMatrices:
     def test_parsec_cached(self):
         assert parsec_matrix("Si2", scale=SCALE) is parsec_matrix("Si2", scale=SCALE)
 
+    def test_parsec_cache_keyed_on_seed(self, monkeypatch):
+        from repro.apps.superlu import matrices
+
+        monkeypatch.setattr(matrices, "_CACHE", {})
+        alone = parsec_matrix("Si2", scale=0.05, seed=7)
+        monkeypatch.setattr(matrices, "_CACHE", {})
+        first = parsec_matrix("Si2", scale=0.05, seed=0)
+        after = parsec_matrix("Si2", scale=0.05, seed=7)
+        assert (after != first).nnz > 0
+        assert (after != alone).nnz == 0
+
     def test_knn_validation(self):
         with pytest.raises(ValueError):
             knn_matrix(1, 3)

@@ -106,6 +106,24 @@ class TestTelemetryAndReport:
         assert "consistency (spans vs stats event)" in out
         assert "OK" in out
 
+    def test_report_shows_history_appends(self, capsys, tmp_path):
+        telemetry = tmp_path / "run.jsonl"
+        rc = main(
+            ["tune", "--app", "analytical", "--tasks", "0.5;1.5", "--samples", "6",
+             "--n-start", "1", "--history", str(tmp_path / "db"),
+             "--telemetry", str(telemetry)]
+        )
+        assert rc == 0
+        lines = [json.loads(l) for l in telemetry.read_text().splitlines()]
+        drains = [l["fields"]["n"] for l in lines if l["kind"] == "async-drain"]
+        capsys.readouterr()
+        assert main(["report", str(telemetry), "--strict"]) == 0
+        out = capsys.readouterr().out
+        # one append per drained round, carrying all of its evaluations
+        assert "history archive (from history.append spans)" in out
+        assert f"appends  {len(drains)}   records {sum(drains)}   total" in out
+        assert sum(drains) == 12
+
     def test_report_strict_fails_on_inconsistent_stats(self, capsys, tmp_path):
         telemetry = tmp_path / "bad.jsonl"
         events = [
