@@ -15,6 +15,7 @@ minimum we can still find by dense scanning.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
@@ -37,28 +38,134 @@ def analytical_function(t: float, x) -> np.ndarray:
     return 1.0 + np.exp(-((x + 1.0) ** (t + 1.0))) * np.cos(2.0 * np.pi * x) * s
 
 
+#: grid points per block of the :func:`true_minimum` scan (a multiple of
+#: the SIMD width, so every block splits into vectors like the whole grid)
+_SCAN_BLOCK = 4096
+
+
+def _grid(j0: int, j1: int, resolution: int) -> np.ndarray:
+    """Points ``j0 … j1-1`` of ``np.linspace(0.0, 1.0, resolution)``, bitwise.
+
+    ``linspace`` computes point ``j`` as ``j * (1/(resolution-1)) + 0.0``
+    and then sets the last point to exactly ``1.0``; so does this.
+    """
+    xs = np.arange(j0, j1, dtype=float)
+    if resolution > 1:
+        xs *= 1.0 / (resolution - 1)
+        if j1 == resolution:
+            xs[-1] = 1.0
+    return xs
+
+
+def _minimize_bounded(func, x1: float, x2: float, xatol: float = 1e-5, maxfun: int = 500):
+    """Brent's bounded minimization of a scalar ``func`` on ``[x1, x2]``.
+
+    A port of ``scipy.optimize._optimize._minimize_scalar_bounded`` (scipy,
+    BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc. and 2003-2024
+    SciPy Developers): golden-section steps plus parabolic interpolation,
+    with the same operations in the same order, so it returns the bits
+    ``minimize_scalar(func, bounds=(x1, x2), method="bounded")`` does.
+    Returns ``(x, f(x))`` of the best point found.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # check for a parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            # is the parabola acceptable?
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 def true_minimum(t: float, resolution: int = 200_001) -> Tuple[float, float]:
     """Global minimum of Eq. (11) on ``x ∈ [0, 1]`` by dense scan.
 
-    Returns ``(x*, y*)``.  A 2·10⁵-point scan resolves the fastest
-    oscillation (period ≳ 1/(t+2)⁵ ≈ 4·10⁻⁶ per unit at t = 9.5 is below
-    scan resolution only for extreme t; for the paper's t ≤ 9.5 tasks the
-    scan is refined locally by golden-section afterwards).
+    Returns ``(x*, y*)``.  The scan evaluates ``np.linspace(0, 1,
+    resolution)`` in blocks of :data:`_SCAN_BLOCK` points, keeping the first
+    grid point of least value, so its memory does not grow with
+    ``resolution``.  Brent's bounded method (:func:`_minimize_bounded`,
+    ``xatol = 1e-5``) then refines between that point's two neighbours,
+    and the better of the two points is returned.  The default 2·10⁵-point
+    grid resolves the oscillation of the paper's tasks (``t ≤ 9.5``).
     """
-    xs = np.linspace(0.0, 1.0, resolution)
-    ys = analytical_function(t, xs)
-    i = int(np.argmin(ys))
-    # local refinement around the best grid cell
-    lo = xs[max(0, i - 1)]
-    hi = xs[min(resolution - 1, i + 1)]
-    from scipy.optimize import minimize_scalar
+    best_j, best_y = 0, math.inf
+    for j0 in range(0, resolution, _SCAN_BLOCK):
+        ys = analytical_function(t, _grid(j0, min(j0 + _SCAN_BLOCK, resolution), resolution))
+        k = int(np.argmin(ys))
+        if ys[k] < best_y:
+            best_j, best_y = j0 + k, float(ys[k])
 
-    res = minimize_scalar(
-        lambda x: float(analytical_function(t, x)), bounds=(lo, hi), method="bounded"
-    )
-    if res.fun < ys[i]:
-        return float(res.x), float(res.fun)
-    return float(xs[i]), float(ys[i])
+    def point(j: int) -> float:
+        return float(_grid(j, j + 1, resolution)[0])
+
+    lo = point(max(0, best_j - 1))
+    hi = point(min(resolution - 1, best_j + 1))
+    x, fx = _minimize_bounded(lambda x: float(analytical_function(t, x)), lo, hi)
+    if fx < best_y:
+        return float(x), float(fx)
+    return point(best_j), best_y
 
 
 class AnalyticalApp(Application):

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import copy
 import time
+import uuid
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -268,6 +269,7 @@ class GPTune:
         self.metrics = MetricsRegistry()
         self._seeds = np.random.SeedSequence(self.options.seed)
         self._search_mode_last: Optional[str] = None
+        self._campaign_id: Optional[str] = None  # set when a campaign starts
         # surrogate policy (backend choice, warm starts, extension, the
         # degradation ladder, checkpointed modeling state); reset by tune()
         self.fitter = SurrogateFitter(
@@ -343,6 +345,7 @@ class GPTune:
             Y=[[[float(v) for v in y] for y in ys] for ys in data.Y],
             pending=pending,
             modeling=self.fitter.snapshot(featurizer),
+            campaign_id=self._campaign_id,
         )
         ck.save(path)
         self.events.record("checkpoint", f"iteration {iteration} -> {path}")
@@ -474,6 +477,11 @@ class GPTune:
             "n_eval_failures": 0.0,
         }
 
+        # names this campaign's archived records (see RunCheckpoint)
+        self._campaign_id = (
+            _resume.campaign_id if _resume is not None and _resume.campaign_id
+            else uuid.uuid4().hex
+        )
         resume_children: List[np.random.SeedSequence] = []
         if _resume is not None:
             # Restore the exact campaign state: evaluation sets, phase stats,
@@ -722,10 +730,14 @@ class GPTune:
                         data, ce.task, ce.config, ce.outcome, stats, self.events, self.metrics
                     )
                     if self.history is not None:
+                        k = data.n_samples(ce.task) - 1
                         records.append({
                             "task": data.tasks[ce.task],
                             "x": data.X[ce.task][-1],
                             "y": [float(v) for v in data.Y[ce.task][-1]],
+                            # a round replayed after a resume reuses its
+                            # rids, so the history stores it once
+                            "rid": f"{self._campaign_id}:{ce.task}:{k}",
                         })
                     inflight_cnt[ce.task] -= 1
                     pend_units[ce.task].pop(unit_key(ce.config)[0], None)

@@ -103,7 +103,7 @@ class Parameter:
         n = max(int(n), 1)
         return [self.denormalize(u) for u in np.linspace(0.0, 1.0, n)]
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
 
     def __eq__(self, other: object) -> bool:
@@ -159,7 +159,7 @@ class Real(Parameter):
             return _exp(math.log(self.lb) + u * (math.log(self.ub) - math.log(self.lb)))
         return self.lb + u * (self.ub - self.lb)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"Real({self.name!r}, {self.lb}, {self.ub}, {self.transform!r})"
 
 
@@ -229,8 +229,8 @@ class Integer(Parameter):
         vals = sorted({self.denormalize(u) for u in np.linspace(0.0, 1.0, max(int(n), 1))})
         return vals
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Integer({self.name!r}, {self.lb}, {self.ub})"
+    def __repr__(self) -> str:
+        return f"Integer({self.name!r}, {self.lb}, {self.ub}, {self.transform!r})"
 
 
 class Categorical(Parameter):
@@ -288,5 +288,5 @@ class Categorical(Parameter):
     def grid(self, n: int) -> list:
         return list(self.categories[: max(int(n), 1)]) if n < len(self.categories) else list(self.categories)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"Categorical({self.name!r}, {self.categories!r})"

@@ -180,7 +180,7 @@ class TuningProblem:
         """Whether coarse performance models were supplied."""
         return bool(self.models)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return (
             f"TuningProblem({self.name!r}, α={self.task_space.dimension}, "
             f"β={self.tuning_space.dimension}, γ={self.n_objectives}, "

@@ -143,7 +143,7 @@ class Constraint:
             out[i] = self(bindings)
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"Constraint({self.name!r})"
 
 
@@ -196,7 +196,7 @@ class Space:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"Space({self.parameters!r}, constraints={[c.name for c in self.constraints]!r})"
 
     # -- dict <-> vector conversions ---------------------------------------

@@ -324,6 +324,14 @@ class RunCheckpoint:
     them too and drains them before its first barrier round, so none is
     lost.
 
+    ``campaign_id`` names the campaign: a random hex string drawn when it
+    starts and kept by every resume.  The campaign archives each evaluation
+    under the rid ``f"{campaign_id}:{task}:{k}"`` (``k`` its per-task
+    sample index), so a round that reached the history before a crash and
+    is evaluated again after the resume is stored once.  ``None`` (a
+    checkpoint written before the field existed) makes the resumed run
+    draw a fresh id.
+
     ``modeling`` (version 2) snapshots the modeling warm state
     (:meth:`~repro.core.model.fitter.SurrogateFitter.snapshot`) so lockstep
     and async campaigns running ``Options(refit_interval > 1)`` or
@@ -356,6 +364,7 @@ class RunCheckpoint:
     Y: List[List[List[float]]]
     pending: List[Dict[str, Any]] = dataclasses.field(default_factory=list)
     modeling: Optional[Dict[str, Any]] = None
+    campaign_id: Optional[str] = None
     version: int = 1
 
     def __post_init__(self) -> None:

@@ -15,6 +15,9 @@ completions are absorbed and before the round's checkpoint.  The crash
 tests pin what that order means: an append that fails leaves the previous
 round's checkpoint on disk and nothing of its round in the archive, and
 resuming from that checkpoint completes the uninterrupted run's records.
+A crash after the append is durable makes the resumed run archive that
+round again, under the same rids (``"{campaign_id}:{task}:{k}"``), so a
+store that deduplicates rids holds each evaluation once.
 
 Print the digests with ``PYTHONPATH=src python tests/test_campaign_archive.py``.
 """
@@ -107,9 +110,12 @@ DIGESTS = {
 }
 
 
+def _payload(records):
+    return [{k: rec[k] for k in PAYLOAD} for rec in records]
+
+
 def archive_digest(records) -> str:
-    rows = [{k: rec[k] for k in PAYLOAD} for rec in records]
-    blob = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(_payload(records), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -195,22 +201,61 @@ class TestCrashBetweenAppendAndCheckpoint:
         # resuming with a working history completes the uninterrupted run
         again, res = self._resume(shape, ck)
         assert res.data.to_records() == ref.data.to_records()
-        assert stub.archived + again.archived == ref_stub.archived
+        assert _payload(stub.archived + again.archived) == _payload(ref_stub.archived)
+        # the resumed run archives under the crashed campaign's id
+        rids = [rec["rid"] for rec in stub.archived + again.archived]
+        assert len(set(rids)) == len(rids)
+        assert {rid.split(":")[0] for rid in rids} == {ck.campaign_id}
 
-    def test_crash_after_durable_append_archives_round_twice(self, shape, tmp_path):
-        ref_stub = RecordingHistory()
-        _run(shape, ref_stub)
-        stub, ck = self._crash(shape, tmp_path, fail_after_write=True)
-        assert len(stub.calls) == self.FAIL_AT
+    def test_crash_after_durable_append_archives_each_evaluation_once(
+        self, shape, tmp_path
+    ):
+        from repro.service import ShardedStore
+
+        fail_at = self.FAIL_AT
+
+        class DyingStore(ShardedStore):
+            """Dies once its ``fail_at``-th append is durable."""
+
+            calls = 0
+
+            def append(self, problem, records):
+                written = super().append(problem, records)
+                self.calls += 1
+                if self.calls == fail_at:
+                    raise ArchiveDown(f"died after append {fail_at}")
+                return written
+
+        _, ref = _run(shape, RecordingHistory())
+        root, ck_path = str(tmp_path / "db"), str(tmp_path / "ck.json")
+        with pytest.raises(ArchiveDown):
+            _run(shape, DyingStore(root), checkpoint_path=ck_path)
+        ck = RunCheckpoint.load(ck_path)
+        store = ShardedStore(root)
+        tuner, _ = SHAPES[shape](store)
+        name = tuner.problem.name
         # the checkpoint predates the last (durable) round ...
         n_ck = sum(len(xs) for xs in ck.X)
-        lost = stub.calls[-1][1]
-        assert n_ck == len(stub.archived) - len(lost)
-        # ... so the resumed run evaluates that round again and archives it
-        # a second time: the archive holds the whole run plus one round
+        assert n_ck < len(store.records(name))
+        # ... so the resumed run evaluates that round again; its records
+        # carry the rids already stored, and the store keeps one copy
+        res = tuner.resume(ck)
+        assert res.data.to_records() == ref.data.to_records()
+        archived = store.records(name)
+        assert archive_digest(archived) == DIGESTS[shape]
+        assert _canon(archived) == _canon(res.data.to_records())
+
+    def test_checkpoint_without_campaign_id_resumes_under_a_fresh_one(self, shape, tmp_path):
+        # a checkpoint written before campaign ids existed: the resumed run
+        # cannot know the crashed run's rids, so it archives under new ones
+        stub, ck = self._crash(shape, tmp_path, fail_after_write=True)
+        crashed = {rec["rid"].split(":")[0] for rec in stub.archived}
+        ck.campaign_id = None
         again, _ = self._resume(shape, ck)
-        assert again.calls[0][1] == lost
-        assert stub.archived + again.archived[len(lost):] == ref_stub.archived
+        resumed = {rec["rid"].split(":")[0] for rec in again.archived}
+        assert len(crashed) == len(resumed) == 1 and crashed != resumed
+        # ... so a deduplicating store would keep the replayed round twice
+        assert _payload(again.calls[0][1]) == _payload(stub.calls[-1][1])
 
 
 if __name__ == "__main__":

@@ -279,6 +279,17 @@ class TestImportCost:
         """)
         assert _run_fresh(code).splitlines()[-1] == "[]"
 
+    def test_analytical_reference_skips_scipy_optimize(self):
+        # the e2e children normalize an analytical campaign's regret by
+        # true_minimum right after it; that reference loads no scipy.optimize
+        code = "import sys\n" + textwrap.dedent(self.CAMPAIGNS["lockstep"]) + textwrap.dedent("""
+            tuner.tune(*args)
+            from repro.apps.analytical import true_minimum
+            true_minimum(2.0)
+            print(sorted(m for m in ("scipy.optimize",) if m in sys.modules))
+        """)
+        assert _run_fresh(code).splitlines()[-1] == "[]"
+
     def test_tuner_loads_only_what_it_runs(self):
         # a campaign without a linear performance model, a SuperLU or hypre
         # problem, or an HTTP history never imports what only those need

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.params import Categorical, Integer, Real
+from repro.core.params import Categorical, Integer, Parameter, Real
 
 
 class TestReal:
@@ -161,3 +161,34 @@ class TestEquality:
         assert Real("x", 0, 1) == Real("x", 0, 1)
         assert Real("x", 0, 1) != Real("x", 0, 2)
         assert Integer("x", 0, 1) != Real("x", 0, 1)
+
+    def test_hash_agrees_with_eq(self):
+        pairs = [
+            (Real("x", 0, 1), Real("x", 0, 1)),
+            (Integer("b", 4, 256, transform="log"), Integer("b", 4, 256, transform="log")),
+            (Categorical("c", ["u", "v"]), Categorical("c", ["u", "v"])),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+        assert len({a for a, _ in pairs} | {b for _, b in pairs}) == len(pairs)
+        # equal names but different types or bounds are distinct set members
+        assert len({Real("x", 0, 1), Real("x", 0, 2), Integer("x", 0, 1)}) == 3
+
+
+class TestRepr:
+    def test_parameter(self):
+        assert repr(Parameter("a")) == "Parameter('a')"
+
+    @pytest.mark.parametrize(
+        "param, text",
+        [
+            (Real("x", 0.0, 2.0), "Real('x', 0.0, 2.0, 'linear')"),
+            (Real("lr", 1e-4, 1.0, transform="log"), "Real('lr', 0.0001, 1.0, 'log')"),
+            (Integer("p", 1, 16), "Integer('p', 1, 16, 'linear')"),
+            (Integer("b", 4, 256, transform="log"), "Integer('b', 4, 256, 'log')"),
+            (Categorical("c", ["u", "v"]), "Categorical('c', ['u', 'v'])"),
+        ],
+    )
+    def test_repr_rebuilds_the_parameter(self, param, text):
+        assert repr(param) == text
+        assert eval(text) == param

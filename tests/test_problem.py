@@ -14,6 +14,9 @@ def problem():
 
 
 class TestEvaluate:
+    def test_repr(self, problem):
+        assert repr(problem) == "TuningProblem('toy', α=1, β=2, γ=1, γ̃=0)"
+
     def test_scalar_objective(self, problem):
         y = problem.evaluate({"m": 10}, {"x": 0.5, "p": 2})
         assert y.shape == (1,)

@@ -15,6 +15,13 @@ def space():
 
 
 class TestSpaceBasics:
+    def test_repr(self, space):
+        assert repr(space) == (
+            "Space([Real('x', 0.0, 2.0, 'linear'), Integer('p', 1, 16, 'linear'), "
+            "Integer('p_r', 1, 16, 'linear')], constraints=['p_r <= p'])"
+        )
+        assert repr(space.constraints[0]) == "Constraint('p_r <= p')"
+
     def test_dimension(self, space):
         assert space.dimension == 3
         assert len(space) == 3
