@@ -7,7 +7,10 @@ retained loop-based reference implementation
 (:meth:`repro.core.lcm.LCM._nll_and_grad_reference`).  A second table times
 one evaluation at the shapes the end-to-end campaigns fit (δ=6, β=1,
 N ∈ {30, 48, 60}, and the sparse backend's δ=2, β=1, N=128 inner fit),
-where the per-call fixed cost rather than the O(N³) algebra dominates.  A
+where the per-call fixed cost rather than the O(N³) algebra dominates, at
+an initial θ and at the θ a fit on Eq. 11 data returns (whose kernel
+entries mostly underflow), each also with plain ``np.exp`` in place of
+the kernel-exponential helper.  A
 third table times one 3-start ``LCM.fit`` at those shapes three ways: the
 restarts in lockstep through the ``setulb`` driver (what every campaign
 runs), the same driver with one restart per group, and scipy's
@@ -20,6 +23,9 @@ informational, so the job cannot be flaky):
 
 * **equivalence** — the vectorized nll/grad must match the reference within
   1e-8 (nll) / 1e-6 (grad ∞-norm) on randomized (δ, β, Q, θ) cases;
+* **exp helper** — :func:`repro.core.kernels.exp_inplace` must equal
+  ``np.exp`` bit for bit on a mixed-range array (fast arguments, the
+  [−746, −700) band, underflowing arguments, edges and IEEE specials);
 * **layout cache** — nll and gradient must be bitwise equal between a fresh
   ``LCM`` and one whose task-layout cache was last built for another
   ``tidx`` (a permuted layout of the same N, and a different N);
@@ -57,8 +63,9 @@ import harness  # noqa: F401
 import numpy as np
 from scipy import optimize
 
+from repro.apps.analytical import analytical_function
 from repro.core import GPTune, Options, Real, Space, TuningProblem
-from repro.core.kernels import pairwise_sq_diffs
+from repro.core.kernels import exp_inplace, pairwise_sq_diffs
 from repro.core import lbfgsb, lcm as lcm_module
 from repro.core.lcm import LCM
 from repro.reporting import phase_breakdown
@@ -120,26 +127,71 @@ def bench_nll_grad(sizes, repeats):
     return out
 
 
+def _eq11_fit(rng, delta, beta, n):
+    """Eq. 11 data at an e2e shape (tasks ``t ~ U(0.5, 8)`` as the campaigns
+    draw them, ``y`` standardized as the surrogate fitter does) and the θ
+    a default ``LCM.fit`` returns on it."""
+    ts = rng.uniform(0.5, 8.0, delta)
+    X = rng.random((n, beta))
+    tidx = np.sort(rng.integers(0, delta, n))
+    y = np.array([analytical_function(ts[i], x) for i, x in zip(tidx, X[:, 0])])
+    y = (y - y.mean()) / y.std()
+    m = LCM(delta, beta, seed=0).fit(X, y, tidx)
+    return X, y, tidx, m.theta
+
+
+def _plain_exp(E):
+    return np.exp(E, out=E)
+
+
 def bench_nll_grad_e2e(repeats):
-    """One nll+grad evaluation at the end-to-end campaign shapes."""
+    """One nll+grad evaluation at the end-to-end campaign shapes, at two θ:
+    the initial θ of restart 1 on smooth synthetic data (ℓ ≈ 0.3, no kernel
+    entry underflows) and the θ a fit on Eq. 11 data returns (lengthscales
+    at their lower bound, nearly every off-diagonal entry underflows) — the
+    second is what the campaigns evaluate.  Each is timed through
+    :func:`~repro.core.kernels.exp_inplace` and, interleaved, with plain
+    ``np.exp`` in its place."""
     rng = np.random.default_rng(3)
+    eq11_rng = np.random.default_rng(3)
     out = {}
     for delta, beta, n in E2E_SHAPES:
         X, y, tidx = _synthetic(rng, n, delta, beta)
-        sqd = pairwise_sq_diffs(X)
         m = LCM(delta, beta, seed=0)
-        theta = m._initial_theta(y, restart=1)
-        m._nll_and_grad(theta, sqd, y, tidx)  # warm the workspace and layout
+        rows = [("initial", X, y, tidx, m._initial_theta(y, restart=1))]
+        rows.append(("fitted",) + _eq11_fit(eq11_rng, delta, beta, n))
         calls = max(20, 20000 // n)
+        for label, X, y, tidx, theta in rows:
+            sqd = pairwise_sq_diffs(X)
+            m._nll_and_grad(theta, sqd, y, tidx)  # warm the workspace and layout
 
-        def batch():
-            for _ in range(calls):
-                m._nll_and_grad(theta, sqd, y, tidx)
+            def batch():
+                for _ in range(calls):
+                    m._nll_and_grad(theta, sqd, y, tidx)
 
-        t = _best_of(batch, repeats) / calls
-        key = f"d{delta}_b{beta}_n{n}"
-        out[key] = {"delta": delta, "beta": beta, "n": n, "Q": m.params.Q, "fast_s": t}
-        print(f"  nll+grad δ={delta} β={beta} N={n:<4} {t*1e6:8.1f} us/eval")
+            def plain_batch():
+                lcm_module.exp_inplace = _plain_exp
+                try:
+                    batch()
+                finally:
+                    lcm_module.exp_inplace = exp_inplace
+
+            t, t_plain = np.inf, np.inf
+            for _ in range(repeats):
+                t = min(t, _best_of(batch, 1) / calls)
+                t_plain = min(t_plain, _best_of(plain_batch, 1) / calls)
+            ls = m.params.unpack(theta)[0]
+            expo = sqd @ (0.5 / (ls * ls)).T  # (N, N, Q) exponents, negated
+            under = float(np.mean(expo > 746.0))
+            key = f"d{delta}_b{beta}_n{n}" + ("" if label == "initial" else "_fitted")
+            out[key] = {
+                "delta": delta, "beta": beta, "n": n, "Q": m.params.Q, "theta": label,
+                "log_lengthscales": np.log(ls).ravel().tolist(),
+                "underflow_frac": under, "fast_s": t, "plain_exp_s": t_plain,
+            }
+            print(f"  nll+grad δ={delta} β={beta} N={n:<4} {label:<7} "
+                  f"underflow {under:5.1%}  {t*1e6:8.1f} us/eval  "
+                  f"(plain np.exp {t_plain*1e6:8.1f} us)")
     return out
 
 
@@ -357,6 +409,28 @@ def check_equivalence():
     }
 
 
+def check_exp_helper():
+    """Gate: ``exp_inplace`` ≡ ``np.exp`` bit for bit on a mixed-range array
+    (fast arguments, the [−746, −700) band, arguments below −746, the edges
+    and the IEEE specials, scattered over every lane position)."""
+    rng = np.random.default_rng(11)
+    n = 100003
+    pools = (rng.uniform(-5.0, 0.0, n), rng.uniform(-746.0, -700.0, n),
+             rng.uniform(-1e6, -746.0, n))
+    x = np.choose(rng.integers(0, 3, n), pools)
+    edges = [-700.0, -708.3964185322641, -745.1332191019412, -746.0,
+             np.inf, -np.inf, np.nan, -0.0]
+    x[rng.choice(n, 64 * len(edges), replace=False)] = np.repeat(edges, 64)
+    with np.errstate(over="ignore"):
+        ref = np.exp(x)
+        got = exp_inplace(x.copy())
+    mismatches = int(np.count_nonzero(got.view(np.int64) != ref.view(np.int64)))
+    passed = mismatches == 0
+    print(f"  exp helper ≡ np.exp: {n - mismatches}/{n} entries bitwise  "
+          f"{'PASS' if passed else 'FAIL'}")
+    return {"entries": n, "mismatches": mismatches, "passed": passed}
+
+
 def check_layout_cache():
     """Gate: a layout cache built for another ``tidx`` changes no bit.
 
@@ -479,18 +553,20 @@ def main(argv=None) -> int:
     if args.check:
         print("== deterministic gates ==")
         eq = check_equivalence()
+        ex = check_exp_helper()
         lc = check_layout_cache()
         de = check_driver_equivalence(payload["fit_paths_e2e"])
         le = check_lockstep_equivalence(payload["fit_paths_e2e"])
         wr, spans = check_warm_refit()
         payload["checks"] = {
             "equivalence": eq,
+            "exp_helper": ex,
             "layout_cache": lc,
             "driver_equivalence": de,
             "lockstep_equivalence": le,
             "warm_refit": wr,
-            "passed": (eq["passed"] and lc["passed"] and de["passed"] and le["passed"]
-                       and wr["passed"]),
+            "passed": (eq["passed"] and ex["passed"] and lc["passed"] and de["passed"]
+                       and le["passed"] and wr["passed"]),
         }
         payload["spans"] = spans
         ok = payload["checks"]["passed"]

@@ -11,6 +11,21 @@ lengthscales, one per tuning-parameter dimension:
 
 Per the paper we fix ``σ_q = 1`` (the task coefficients ``a_{i,q}`` absorb the
 scale).  Everything operates on normalized ``[0,1]^β`` inputs.
+
+Kernel exponents are often far below numpy's fast ``exp`` range: a fit
+whose lengthscales sit at their lower bound (white-noise data) makes
+nearly every off-diagonal entry underflow, and numpy's vector ``exp``
+leaves its SIMD fast path for any argument below about −708.4 — 10–100×
+slower per element than in ``[−1, 0]``.  :func:`exp_inplace` returns
+``np.exp(E)`` bit for bit while keeping every argument it hands to
+``np.exp`` in the fast range.  It rests on two properties of ``np.exp``,
+which ``tests/test_kernels.py`` pins element by element:
+
+* the result for an element does not depend on its neighbours (or on its
+  position in the array), so a subset may be exponentiated on its own and
+  scattered back, and
+* ``np.exp(x) == +0.0`` for every ``x < −746`` (the last nonzero result,
+  the smallest subnormal, is at ``x ≈ −745.1332``).
 """
 
 from __future__ import annotations
@@ -20,11 +35,46 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = [
+    "exp_inplace",
     "pairwise_sq_diffs",
     "gaussian_kernel",
     "gaussian_kernel_batch",
     "gaussian_kernel_with_grad",
 ]
+
+
+#: Lowest argument handed to numpy's vector ``exp``; a margin above the
+#: −708.4 edge of its fast path.
+_EXP_FLOOR = -700.0
+#: ``np.exp`` rounds every argument below this to ``+0.0``.
+_EXP_ZERO = -746.0
+
+
+def exp_inplace(E: np.ndarray) -> np.ndarray:
+    """``np.exp(E)`` written into ``E`` and returned, bit for bit.
+
+    Without an argument below the fast-path floor (−700) this is plain
+    ``np.exp``.  Otherwise ``E`` is clamped to the floor and exponentiated
+    in one fast pass; entries whose argument was below the floor are then
+    multiplied by 0.0 (``exp`` of the floor is a positive normal number, so
+    the product is ``+0.0``), and the few arguments in ``[−746, −700)`` —
+    where ``exp`` is still nonzero — are exponentiated as a gathered subset
+    and scattered back.  NaN is never below the floor and passes through
+    the fast pass as ``np.exp`` would.
+    """
+    below = E < _EXP_FLOOR
+    if not below.any():
+        return np.exp(E, out=E)
+    band = E >= _EXP_ZERO
+    band &= below
+    sub = E[band]
+    np.maximum(E, _EXP_FLOOR, out=E)
+    np.exp(E, out=E)
+    # a multiply, not a masked store: scattered masks make the store branchy
+    np.multiply(E, np.logical_not(below, out=below), out=E)
+    if sub.size:
+        E[band] = np.exp(sub)
+    return E
 
 
 def pairwise_sq_diffs(X1: np.ndarray, X2: Optional[np.ndarray] = None) -> np.ndarray:
@@ -48,6 +98,14 @@ def pairwise_sq_diffs(X1: np.ndarray, X2: Optional[np.ndarray] = None) -> np.nda
     return diff * diff
 
 
+def _check_lengthscales(ls: np.ndarray) -> None:
+    """``ValueError`` unless every lengthscale is positive (``inf`` allowed)."""
+    if np.any(ls <= 0):
+        raise ValueError("lengthscales must be positive")
+    if np.any(np.isnan(ls)):
+        raise ValueError("lengthscales must not be NaN")
+
+
 def gaussian_kernel(
     sq_diffs: np.ndarray,
     lengthscales: np.ndarray,
@@ -65,8 +123,7 @@ def gaussian_kernel(
         σ² multiplier (fixed to 1 inside the LCM).
     """
     ls = np.asarray(lengthscales, dtype=float)
-    if np.any(ls <= 0):
-        raise ValueError("lengthscales must be positive")
+    _check_lengthscales(ls)
     expo = sq_diffs / (2.0 * ls * ls)
     return variance * np.exp(-expo.sum(axis=2))
 
@@ -82,7 +139,7 @@ def gaussian_kernel_batch(
     likelihood call; evaluating them one by one sums the ``β`` exponent terms
     with ``Q`` separate reductions.  Here the exponents for every latent come
     out of a single ``(Q, β) @ (β, N1·N2)`` matrix product, followed by one
-    in-place ``exp``.
+    :func:`exp_inplace`.
 
     Parameters
     ----------
@@ -99,8 +156,7 @@ def gaussian_kernel_batch(
     ``(Q, N1, N2)`` array with ``out[q] = k_q`` evaluated at σ² = 1.
     """
     ls = np.atleast_2d(np.asarray(lengthscales, dtype=float))
-    if np.any(ls <= 0):
-        raise ValueError("lengthscales must be positive")
+    _check_lengthscales(ls)
     n1, n2, beta = sq_diffs.shape
     if ls.shape[1] != beta:
         raise ValueError(f"lengthscales have {ls.shape[1]} dims, sq_diffs {beta}")
@@ -110,7 +166,7 @@ def gaussian_kernel_batch(
     flat = out.reshape(q, n1 * n2)
     np.matmul(0.5 / (ls * ls), sq_diffs.reshape(n1 * n2, beta).T, out=flat)
     np.negative(flat, out=flat)
-    np.exp(flat, out=flat)
+    exp_inplace(flat)
     return out
 
 

@@ -42,6 +42,11 @@ vectorized fast path:
   against the cached squared-difference tensor — the ``(β, N, N)``
   per-dimension gradient stack of :func:`gaussian_kernel_with_grad` is never
   materialized,
+* the kernel exponentials go through
+  :func:`~repro.core.kernels.exp_inplace`, which equals ``np.exp`` bit
+  for bit but keeps numpy's vector ``exp`` off its slow path for
+  arguments below about −708 — at lengthscales near their lower bound
+  (white-noise data) nearly every off-diagonal entry is such an argument,
 * ``Σ⁻¹`` comes from LAPACK ``potri`` on the existing Cholesky factor
   instead of an explicit ``cho_solve(L, eye(N))`` triangular solve sweep,
 * large scratch arrays live in a per-thread workspace reused across L-BFGS
@@ -90,7 +95,7 @@ from scipy import linalg as sla
 
 from . import lbfgsb as optimize
 from .lbfgsb import check_restarts
-from .kernels import gaussian_kernel_with_grad, pairwise_sq_diffs
+from .kernels import exp_inplace, gaussian_kernel_with_grad, pairwise_sq_diffs
 from .posterior import LCMParams, chol_escalate, observations, task_block, task_weights
 from ..observability.spans import maybe_span
 from ..runtime.async_engine import run_all
@@ -326,7 +331,7 @@ class LCM:
             np.multiply(coef[:, :, :, None], sqd[None, None, :, :, 0], out=Kall)
         else:
             np.matmul(coef, sqd.reshape(N * N, beta).T, out=Kall.reshape(R, Q, N * N))
-        np.exp(Kall, out=Kall)
+        exp_inplace(Kall)
         np.multiply(Aall[:, 0], Kall[:, 0], out=Sigma)
         for q in range(1, Q):
             tmp = np.multiply(Aall[:, q], Kall[:, q], out=ws.tmp[:R])
@@ -779,7 +784,7 @@ class LCM:
             A[:, :, beta] = -((flatc * flatc) @ inv2.T).T
             A[:, :, beta + 1] = -1.0
             E = np.matmul(A, Baug)  # (Q, m, n)
-            np.exp(E, out=E)
+            exp_inplace(E)
             if per_task_blocks:
                 Kstar = np.einsum(
                     "qtsm,tqm->tsm", E.reshape(self.params.Q, T, ns, n), W

@@ -51,7 +51,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy import linalg as sla
 
-from ..kernels import pairwise_sq_diffs
+from ..kernels import exp_inplace, pairwise_sq_diffs
 from ..lbfgsb import check_restarts
 from ..lcm import LCM
 from ..posterior import LCMParams, chol_escalate, observations, task_block, task_weights
@@ -263,7 +263,7 @@ class SparseLCM:
         n, M = flat.shape[0], self.Z.shape[0]
         E = np.matmul(inv2, sqd.reshape(n * M, self.params.beta).T)
         np.negative(E, out=E)
-        np.exp(E, out=E)
+        exp_inplace(E)
         return E.reshape(self.params.Q, n, M)
 
     def predict(self, task: int, Xstar: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.core.kernels import gaussian_kernel, gaussian_kernel_with_grad, pairwise_sq_diffs
+from repro.core.kernels import (
+    exp_inplace,
+    gaussian_kernel,
+    gaussian_kernel_batch,
+    gaussian_kernel_with_grad,
+    pairwise_sq_diffs,
+)
+
+#: The helper's fast-path floor, numpy's fast-path edge (−708.396…, where
+#: exp leaves the normal range), the last argument with a nonzero result
+#: (−745.133…) and the helper's zero threshold, plus the IEEE specials.
+EXP_EDGES = (
+    -700.0, np.nextafter(-700.0, 0.0), np.nextafter(-700.0, -np.inf),
+    -708.3964185322641, -745.1332191019412, np.nextafter(-745.1332191019412, 0.0),
+    -746.0, np.nextafter(-746.0, 0.0), np.nextafter(-746.0, -np.inf),
+    np.inf, -np.inf, np.nan, -0.0, 0.0, 710.0, -1e308,
+)
 
 
 class TestPairwiseSqDiffs:
@@ -62,6 +78,19 @@ class TestGaussianKernel:
         with pytest.raises(ValueError):
             gaussian_kernel(pairwise_sq_diffs(X), np.array([0.0]))
 
+    def test_nan_lengthscale_raises(self):
+        """``ls <= 0`` is False for NaN, which used to give an all-NaN kernel."""
+        sqd = pairwise_sq_diffs(np.array([[0.0, 0.0], [1.0, 0.5]]))
+        with pytest.raises(ValueError, match="lengthscales must not be NaN"):
+            gaussian_kernel(sqd, np.array([0.5, np.nan]))
+        with pytest.raises(ValueError, match="lengthscales must not be NaN"):
+            gaussian_kernel_batch(sqd, np.array([[0.5, 0.5], [np.nan, 0.5]]))
+
+    def test_infinite_lengthscale_is_a_constant_kernel(self):
+        sqd = pairwise_sq_diffs(np.array([[0.0], [1.0]]))
+        assert np.array_equal(gaussian_kernel(sqd, np.array([np.inf])), np.ones((2, 2)))
+        assert np.array_equal(gaussian_kernel_batch(sqd, np.array([[np.inf]])), np.ones((1, 2, 2)))
+
 
 class TestKernelGradient:
     def test_gradient_matches_finite_differences(self, rng):
@@ -83,3 +112,64 @@ class TestKernelGradient:
         _, dK = gaussian_kernel_with_grad(pairwise_sq_diffs(X), np.array([0.5, 0.5]))
         for j in range(2):
             assert np.allclose(np.diag(dK[j]), 0.0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _assert_exp_bitwise(x):
+    got = x.copy()
+    with np.errstate(over="ignore"):
+        ref = np.exp(x)
+        out = exp_inplace(got)
+    assert out is got
+    assert np.array_equal(_bits(got), _bits(ref))
+
+
+class TestExpInplace:
+    """``exp_inplace`` is ``np.exp`` bit for bit, whatever mix of arguments
+    sits beside an element and at whatever SIMD lane position it falls."""
+
+    @staticmethod
+    def _mixed(rng, n):
+        """Fast arguments, the [−746, −700) band and arguments below −746."""
+        pools = (
+            rng.uniform(-5.0, 0.0, n),
+            rng.uniform(-746.0, -700.0, n),
+            rng.uniform(-1e6, -746.0, n),
+        )
+        return np.choose(rng.integers(0, 3, n), pools)
+
+    @pytest.mark.parametrize("n", [1, 7, 13, 31, 67])
+    def test_every_edge_at_every_lane_position(self, rng, n):
+        for pos in range(n):
+            for value in EXP_EDGES:
+                x = self._mixed(rng, n)
+                x[pos] = value
+                _assert_exp_bitwise(x)
+
+    def test_stacked_kernel_shape(self, rng):
+        """An ``(R, Q, N, N)`` block like the likelihood's, N = 13."""
+        x = self._mixed(rng, 3 * 2 * 13 * 13).reshape(3, 2, 13, 13)
+        x[0, 1, 4, :5] = EXP_EDGES[:5]
+        x[2, 0, 12, 2:13] = EXP_EDGES[5:]
+        _assert_exp_bitwise(x)
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(-5.0, 0.0), (-746.0, -700.0), (-1e4, -746.0), (-720.0, 0.0)]
+    )
+    def test_single_range(self, rng, lo, hi):
+        _assert_exp_bitwise(rng.uniform(lo, hi, 1003))
+
+    def test_dense_band_and_empty(self, rng):
+        _assert_exp_bitwise(np.linspace(-747.0, -699.0, 20011))
+        _assert_exp_bitwise(np.empty(0))
+
+    def test_non_contiguous_view_is_written_in_place(self, rng):
+        base = self._mixed(rng, 2 * 41).reshape(41, 2)
+        arg = base.copy()
+        view = base[:, 1]
+        assert exp_inplace(view) is view
+        assert np.array_equal(_bits(base[:, 1]), _bits(np.exp(arg[:, 1])))
+        assert np.array_equal(_bits(base[:, 0]), _bits(arg[:, 0]))

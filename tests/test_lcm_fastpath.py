@@ -13,9 +13,12 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
+import repro.core.kernels as kernels_mod
 import repro.core.lcm as lcm_mod
+import repro.core.model.sparse_lcm as sparse_mod
 from repro.core import LCM
 from repro.core.kernels import gaussian_kernel_batch, gaussian_kernel, pairwise_sq_diffs
+from repro.core.model.sparse_lcm import SparseLCM
 from repro.runtime.async_engine import SerialScheduler, ThreadScheduler, make_scheduler
 
 
@@ -202,6 +205,104 @@ class TestStackedKernel:
         for R in (3, 1, 2):
             _assert_rows_equal_single_calls(m, theta[:R], sqd, y, tidx)
         assert m._tls.ws is ws
+
+
+def _underflow_theta(m, y, R):
+    """``R`` θ rows whose kernels mostly underflow, as fits on white-noise
+    data return them: row 0 has every lengthscale at its lower bound e⁻²⁰;
+    the others pair a latent at the bound with short lengthscales (0.01–0.03),
+    whose exponents fill the [−746, −700) band and the fast range too."""
+    p = m.params
+    lower = p.bounds()[0][0]
+    theta = np.stack([m._initial_theta(y, restart=r) for r in range(R)])
+    log_ls = theta[:, : p.Q * p.beta].reshape(R, p.Q, p.beta)
+    log_ls[0] = lower
+    for r in range(1, R):
+        log_ls[r] = np.log(0.01 * (1 + (r + np.arange(p.beta)) % 3))
+        log_ls[r, r % p.Q] = lower
+    return theta
+
+
+def _plain_exp(E):
+    return np.exp(E, out=E)
+
+
+@pytest.fixture
+def plain_exp(monkeypatch):
+    """Route every kernel exponential through plain ``np.exp``."""
+
+    def use():
+        for mod in (kernels_mod, lcm_mod, sparse_mod):
+            monkeypatch.setattr(mod, "exp_inplace", _plain_exp)
+
+    return use
+
+
+class TestUnderflowingKernels:
+    """Lengthscales at their lower bound make nearly every kernel entry
+    underflow, which is where :func:`~repro.core.kernels.exp_inplace`
+    leaves plain ``np.exp``: the likelihood and both posteriors keep their
+    bits."""
+
+    @pytest.mark.parametrize(
+        "delta,beta,q,R,n", [(2, 1, 2, 3, 40), (3, 2, 2, 4, 33), (1, 3, 1, 2, 21)]
+    )
+    def test_rows_equal_single_calls_and_reference(self, rng, delta, beta, q, R, n):
+        X, y, tidx = _case(rng, delta, beta, n)
+        sqd = pairwise_sq_diffs(X)
+        m = LCM(delta, beta, n_latent=q, seed=3)
+        theta = _underflow_theta(m, y, R)
+        F, G = _assert_rows_equal_single_calls(m, theta, sqd, y, tidx)
+        for r in range(R):
+            f_ref, g_ref = m._nll_and_grad_reference(theta[r], sqd, y, tidx)
+            assert abs(F[r] - f_ref) < 1e-8
+            assert np.max(np.abs(G[r] - g_ref)) < 1e-6
+
+    def test_likelihood_equals_plain_exp(self, rng, plain_exp):
+        X, y, tidx = _case(rng, 2, 1, 40)
+        sqd = pairwise_sq_diffs(X)
+        m = LCM(2, 1, n_latent=2, seed=3)
+        theta = _underflow_theta(m, y, 3)
+        F, G = m._nll_and_grad(theta, sqd, y, tidx)
+        plain_exp()
+        F0, G0 = m._nll_and_grad(theta, sqd, y, tidx)
+        assert F.tobytes() == F0.tobytes() and G.tobytes() == G0.tobytes()
+
+    def _lcm_posterior(self, X, y, tidx, theta, Xs):
+        m = LCM(3, 2, n_latent=2, seed=0).refit_at(X[:30], y[:30], tidx[:30], theta)
+        m.extend(X[30:], y[30:], tidx[30:])
+        return m.predict_tasks([0, 1, 2], Xs), m.predict_tasks([2, 0], Xs[:2 * 7].reshape(2, 7, 2))
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_lcm_predict_tasks_equals_plain_exp(self, rng, plain_exp, row):
+        X, y, tidx = _case(rng, 3, 2, 36)
+        Xs = rng.random((17, 2))
+        theta = _underflow_theta(LCM(3, 2, n_latent=2, seed=0), y, 3)[row]
+        got = self._lcm_posterior(X, y, tidx, theta, Xs)
+        plain_exp()
+        ref = self._lcm_posterior(X, y, tidx, theta, Xs)
+        for a, b in zip(got, ref):
+            assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_sparse_predict_tasks_equals_plain_exp(self, rng, plain_exp, row):
+        X, y, tidx = _case(rng, 2, 1, 48)
+        Xs = rng.random((23, 1))
+        theta = _underflow_theta(LCM(2, 1, n_latent=2, seed=0), y, 2)[row]
+
+        def posterior():
+            sp = SparseLCM(2, 1, n_inducing=16, seed=0, n_start=1, maxiter=5)
+            sp.fit(X[:40], y[:40], tidx[:40])
+            sp.theta = theta
+            sp._assemble()
+            sp.extend(X[40:], y[40:], tidx[40:])
+            assert np.any(sp._cross_kernels(Xs) == 0.0)
+            return sp.predict_tasks([1, 0], Xs)
+
+        got = posterior()
+        plain_exp()
+        ref = posterior()
+        assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
 
 
 class TestGradientFiniteDifference:
