@@ -37,14 +37,12 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 __all__ = ["main", "build_app", "APPS"]
 
 # The tuner (repro.core, repro.apps and scipy.optimize behind them) is
 # imported only inside the commands that tune: list-apps, tune, compare and
 # sensitivity.  serve, query and report load the service, runtime,
-# observability and reporting layers alone.
+# observability and reporting layers alone, and `serve` loads no numpy.
 
 #: CLI name -> class name in :mod:`repro.apps`
 APPS = {
@@ -163,6 +161,8 @@ def _cmd_tune(args) -> int:
         raise SystemExit(str(e))
     problem = app.problem(with_models=args.models)
     if args.failure_value is not None:
+        import numpy as np
+
         problem.failure_value = np.full(problem.n_objectives, float(args.failure_value))
     history = _archive_from(args.history) if args.history else None
     tuner = GPTune(problem, opts, history=history)
@@ -218,6 +218,8 @@ def _cmd_tune(args) -> int:
 
 def _cmd_compare(args) -> int:
     # the baseline tuners pull in scipy.stats; only this verb needs them
+    import numpy as np
+
     from .tuners import HpBandSterTuner, OpenTunerTuner, RandomSearchTuner, YtoptTuner
     from .core import GPTune, Options
     from .core.metrics import mean_stability, win_task

@@ -17,9 +17,9 @@ whose lengthscales sit at their lower bound (white-noise data) makes
 nearly every off-diagonal entry underflow, and numpy's vector ``exp``
 leaves its SIMD fast path for any argument below about −708.4 — 10–100×
 slower per element than in ``[−1, 0]``.  :func:`exp_inplace` returns
-``np.exp(E)`` bit for bit while keeping every argument it hands to
-``np.exp`` in the fast range.  It rests on two properties of ``np.exp``,
-which ``tests/test_kernels.py`` pins element by element:
+``np.exp(E)`` bit for bit; where that is cheaper it keeps every argument
+it hands to ``np.exp`` in the fast range.  It rests on two properties of
+``np.exp``, which ``tests/test_kernels.py`` pins element by element:
 
 * the result for an element does not depend on its neighbours (or on its
   position in the array), so a subset may be exponentiated on its own and
@@ -49,30 +49,74 @@ _EXP_FLOOR = -700.0
 #: ``np.exp`` rounds every argument below this to ``+0.0``.
 _EXP_ZERO = -746.0
 
+# What the clamped pass costs and saves against plain ``np.exp``, in ns on
+# one core of a 2-vCPU Xeon guest (docs/PERFORMANCE.md); the choice only
+# needs their orders of magnitude.
+#: its extra numpy calls, once per array
+_CLAMP_CALL_NS = 5000.0
+#: its mask, clamp and multiply passes, per entry
+_CLAMP_ENTRY_NS = 1.5
+#: gathering and scattering one argument in [−746, −700)
+_BAND_ENTRY_NS = 5.0
+#: numpy's slow path on one argument below −746, beyond its fast path
+_ZERO_ENTRY_NS = 8.0
+
+
+def _clamp_pays(size: int, n_zero: int, n_band: int) -> bool:
+    """Whether the clamped pass beats plain ``np.exp`` on an array of
+    ``size`` entries, ``n_zero`` of them below −746 and ``n_band`` in
+    [−746, −700).  More zeros or fewer band entries never turn it down,
+    so :func:`exp_inplace` asks with upper bounds before it counts."""
+    saved = n_zero * _ZERO_ENTRY_NS
+    return saved > _CLAMP_CALL_NS + size * _CLAMP_ENTRY_NS + n_band * _BAND_ENTRY_NS
+
 
 def exp_inplace(E: np.ndarray) -> np.ndarray:
     """``np.exp(E)`` written into ``E`` and returned, bit for bit.
 
-    Without an argument below the fast-path floor (−700) this is plain
-    ``np.exp``.  Otherwise ``E`` is clamped to the floor and exponentiated
-    in one fast pass; entries whose argument was below the floor are then
-    multiplied by 0.0 (``exp`` of the floor is a positive normal number, so
-    the product is ``+0.0``), and the few arguments in ``[−746, −700)`` —
-    where ``exp`` is still nonzero — are exponentiated as a gathered subset
-    and scattered back.  NaN is never below the floor and passes through
-    the fast pass as ``np.exp`` would.
+    Plain ``np.exp`` unless the clamped pass (:func:`_exp_clamped`) is
+    cheaper, which :func:`_clamp_pays` decides from the array's size and
+    its counts of arguments below −746 and in [−746, −700): a tiny array
+    goes to ``np.exp`` before anything is counted, and so does an array
+    whose arguments below −700 mostly sit in the band, where the clamped
+    pass gathers and scatters each one.
     """
-    below = E < _EXP_FLOOR
-    if not below.any():
+    size = E.size
+    if not _clamp_pays(size, size, 0):
         return np.exp(E, out=E)
-    band = E >= _EXP_ZERO
-    band &= below
-    sub = E[band]
+    below = E < _EXP_FLOOR
+    # Python ints: arithmetic on numpy scalars costs microseconds a call
+    n_below = int(np.count_nonzero(below))
+    if not _clamp_pays(size, n_below, 0):
+        return np.exp(E, out=E)
+    n_zero = int(np.count_nonzero(E < _EXP_ZERO))
+    if not _clamp_pays(size, n_zero, n_below - n_zero):
+        return np.exp(E, out=E)
+    return _exp_clamped(E, below, n_below - n_zero)
+
+
+def _exp_clamped(E: np.ndarray, below: np.ndarray, n_band: int) -> np.ndarray:
+    """``np.exp(E)`` in place without handing ``np.exp`` an argument below
+    the fast-path floor; ``below`` marks ``E < −700`` (and is overwritten)
+    and ``n_band`` counts the arguments in ``[−746, −700)``.
+
+    ``E`` is clamped to the floor and exponentiated in one fast pass;
+    entries whose argument was below the floor are then multiplied by 0.0
+    (``exp`` of the floor is a positive normal number, so the product is
+    ``+0.0``), and the band arguments — where ``exp`` is still nonzero —
+    are exponentiated as a gathered subset and scattered back.  NaN is
+    never below the floor and passes through the fast pass as ``np.exp``
+    would.
+    """
+    if n_band:
+        band = E >= _EXP_ZERO
+        band &= below
+        sub = E[band]
     np.maximum(E, _EXP_FLOOR, out=E)
     np.exp(E, out=E)
     # a multiply, not a masked store: scattered masks make the store branchy
     np.multiply(E, np.logical_not(below, out=below), out=E)
-    if sub.size:
+    if n_band:
         E[band] = np.exp(sub)
     return E
 

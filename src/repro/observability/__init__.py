@@ -9,33 +9,24 @@ server's ``GET /metrics``) and :mod:`repro.observability.spans` for the
 nested, timestamped phase/model/backoff timers streamed into the campaign
 log.  ``docs/OBSERVABILITY.md`` documents event kinds, span hierarchy, and
 metric naming.
+
+The names below resolve on first use (PEP 562): the history server needs
+only :class:`MetricsRegistry`, and does not import the campaign log or the
+span recorder.
 """
 
-from .events import CampaignEvent, CampaignLog, JsonlEventWriter
-from .metrics import DEFAULT_BUCKETS, Gauge, Histogram, MetricsRegistry
-from .spans import (
-    Span,
-    SpanRecorder,
-    SpanTimer,
-    current_recorder,
-    install_recorder,
-    maybe_span,
-    recording,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignEvent",
-    "CampaignLog",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "JsonlEventWriter",
-    "MetricsRegistry",
-    "Span",
-    "SpanRecorder",
-    "SpanTimer",
-    "current_recorder",
-    "install_recorder",
-    "maybe_span",
-    "recording",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": ("CampaignEvent", "CampaignLog", "JsonlEventWriter"),
+    ".metrics": ("DEFAULT_BUCKETS", "Gauge", "Histogram", "MetricsRegistry"),
+    ".spans": (
+        "Span",
+        "SpanRecorder",
+        "SpanTimer",
+        "current_recorder",
+        "install_recorder",
+        "maybe_span",
+        "recording",
+    ),
+})

@@ -22,7 +22,9 @@ building blocks the MLA driver uses to survive them:
   with :class:`repro.core.history.HistoryDB`.
 
 The module is deliberately free of :mod:`repro.core` imports so the core
-layers can depend on it without cycles.
+layers can depend on it without cycles, and imports numpy only where a
+jittered backoff or an evaluation needs it: the history service's client,
+router and shard supervisor use :class:`RetryPolicy` without loading it.
 """
 
 from __future__ import annotations
@@ -31,14 +33,17 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import tempfile
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..observability.spans import maybe_span
+from .durable import fsync_dir
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EvalOutcome",
@@ -120,6 +125,8 @@ class RetryPolicy:
         base = self.backoff * self.backoff_factor ** (attempt - 1)
         if base <= 0 or self.jitter == 0:
             return base
+        import numpy as np
+
         u = np.random.default_rng([int(self.seed or 0), int(attempt)]).random()
         return base * (1.0 + self.jitter * float(u))
 
@@ -206,6 +213,8 @@ def run_with_retries(
     final classification.  Backoff waits are timed as ``"retry.backoff"``
     spans when telemetry is on.
     """
+    import numpy as np
+
     policy = policy or RetryPolicy()
     events: List[Tuple[str, str]] = []
     t0 = time.perf_counter()
@@ -258,10 +267,13 @@ def run_with_retries(
 
 # -- crash-safe persistence ---------------------------------------------------
 def _json_default(obj: Any) -> Any:
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    # a NumPy value can only exist once numpy is loaded
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.generic):
+            return obj.item()
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
@@ -288,20 +300,7 @@ def atomic_write_json(path: str, obj: Any, indent: Optional[int] = None) -> None
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    _fsync_dir(d)
-
-
-def _fsync_dir(path: str) -> None:
-    """Flush a directory entry (a rename inside ``path``) to disk; a no-op
-    where directories cannot be opened (Windows)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    fsync_dir(d)
 
 
 @dataclasses.dataclass

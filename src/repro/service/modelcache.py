@@ -28,7 +28,7 @@ import json
 import os
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
-from ..runtime.resilience import _fsync_dir
+from ..runtime.durable import fsync_dir
 from .store import ShardLock
 
 __all__ = ["CachedFit", "SurrogateCache"]
@@ -287,7 +287,7 @@ class SurrogateCache:
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, self.path)
-            _fsync_dir(os.path.dirname(os.path.abspath(self.path)))
+            fsync_dir(os.path.dirname(os.path.abspath(self.path)))
             self._entries = {f.key: f for f in kept}
             self._loaded_size = os.path.getsize(self.path)
             self._lookup_memo.clear()

@@ -18,13 +18,18 @@ Two distance modes cover the two deployment sides:
   and non-numeric ones contribute a 0/1 mismatch term.  The heuristic ranks
   tasks the same way as the space-aware metric whenever task parameters are
   numeric with archive-spanning ranges.
+
+numpy is imported by the functions that compute distances, not by the
+module: the history server imports :func:`nearest_tasks` but appends,
+reads and counts without numpy, and pays its import on the first query.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "group_by_task",
@@ -60,6 +65,8 @@ def _heuristic_matrix(tasks: Sequence[Mapping[str, Any]], query: Mapping[str, An
     Numeric dimensions are min-max scaled over ``tasks ∪ {query}``; missing
     or non-numeric dimensions contribute 1 on mismatch, 0 on equality.
     """
+    import numpy as np
+
     names = sorted({k for t in tasks for k in t} | set(query))
     dists = np.zeros(len(tasks))
     for name in names:
@@ -105,6 +112,8 @@ def nearest_tasks(
     ``[(task_dict, records_of_that_task, distance), ...]`` nearest first.
     An exact-match task has distance 0 and always sorts first.
     """
+    import numpy as np
+
     groups = group_by_task(records)
     if not groups:
         return []

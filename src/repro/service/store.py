@@ -44,7 +44,7 @@ import uuid
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..runtime.resilience import _fsync_dir
+from ..runtime.durable import fsync_dir
 
 __all__ = [
     "ShardedStore",
@@ -610,7 +610,7 @@ class ShardedStore:
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
-            _fsync_dir(os.path.dirname(os.path.abspath(path)))
+            fsync_dir(os.path.dirname(os.path.abspath(path)))
             state = _ShardState()
             state.offset = os.path.getsize(path)
             state.rids = seen

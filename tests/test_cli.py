@@ -213,6 +213,72 @@ class TestImportCost:
         assert "distance 1" in out
         assert out.splitlines()[-1] == "[]"
 
+    def test_serve_loads_no_numpy(self, tmp_path):
+        # `repro serve` appends, reads, counts and answers /metrics without
+        # numpy, scipy, the tuner or the evaluation machinery; only the
+        # nearest-task query imports numpy, on first use.  Requests go
+        # through stdlib urllib: ServiceClient is the tuner's side
+        code = textwrap.dedent(f"""
+            import json, sys, threading, urllib.request
+            import repro.cli
+            from repro.service import make_server
+            server = make_server({str(tmp_path / "db")!r}, port=0)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            url = "http://127.0.0.1:%d" % server.server_address[1]
+
+            def call(path, body=None):
+                data = None if body is None else json.dumps(body).encode()
+                with urllib.request.urlopen(urllib.request.Request(url + path, data=data)) as r:
+                    return r.read().decode()
+
+            rows = [{{"task": {{"t": t}}, "x": {{"x": 0.5}}, "y": [t]}} for t in (1.0, 3.0)]
+            assert json.loads(call("/v1/records/p", {{"records": rows}}))["appended"] == 2
+            assert len(json.loads(call("/v1/records/p"))["records"]) == 2
+            assert json.loads(call("/v1/stats"))["problems"]["p"]["count"] == 2
+            assert "repro_http_requests_total" in call("/metrics")
+            heavy = ("numpy", "scipy", "repro.core", "repro.runtime.resilience")
+            print(sorted(m for m in heavy if m in sys.modules))
+            near = json.loads(call("/v1/query/p", {{"task": {{"t": 2.5}}, "k": 1}}))["matches"]
+            print([(m["task"], m["distance"], [r["y"] for r in m["records"]]) for m in near])
+            print("numpy" in sys.modules)
+            server.shutdown()
+            server.server_close()
+        """)
+        lines = _run_fresh(code).splitlines()
+        assert lines == ["[]", "[({'t': 3.0}, 0.25, [[3.0]])]", "True"]
+
+    def test_sharded_serve_loads_no_numpy(self, tmp_path):
+        # `repro serve --shards N`: the supervisor, the routing client and
+        # the shard servers it forks append, read and count without numpy;
+        # a query loads it in the one shard that answers it
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("reads the shard processes' /proc/<pid>/maps")
+        code = textwrap.dedent(f"""
+            import multiprocessing, sys
+            import repro.cli
+            from repro.service import RouterClient, ShardSupervisor
+
+            def numpy_in(pid):
+                with open("/proc/%d/maps" % pid) as fh:
+                    return "_multiarray_umath" in fh.read()
+
+            with ShardSupervisor({str(tmp_path / "db")!r}, 2) as sup:
+                router = RouterClient(sup.serve_topology())
+                row = {{"task": {{"t": 1.0}}, "x": {{"x": 0.5}}, "y": [1.0]}}
+                for problem in ("p", "q"):
+                    router.append(problem, [row])
+                assert len(router.records("p")) == router.count("q") == 1
+                shards = [p.pid for p in multiprocessing.active_children()]
+                print(sorted(m for m in ("numpy", "repro.runtime.resilience") if m in sys.modules))
+                print(len(shards), [numpy_in(pid) for pid in shards])
+                assert router.query("p", {{"t": 1.0}}, k=1)[0]["distance"] == 0.0
+                print(sum(numpy_in(pid) for pid in shards), "numpy" in sys.modules)
+                router.close()
+        """)
+        assert _run_fresh(code).splitlines() == [
+            "['repro.runtime.resilience']", "2 [False, False]", "1 False",
+        ]
+
     # one campaign per shape: the set-up lines build a `tuner` and the
     # `tune()` arguments; everything the campaign runs must be imported by then
     CAMPAIGNS = {

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.kernels import (
     exp_inplace,
     gaussian_kernel,
@@ -119,12 +120,19 @@ def _bits(a):
 
 
 def _assert_exp_bitwise(x):
-    got = x.copy()
+    """``exp_inplace`` and, on its own, the clamped pass it takes when
+    that is cheaper (never on a small array) both equal ``np.exp``."""
+    got, clamped = x.copy(), x.copy()
     with np.errstate(over="ignore"):
         ref = np.exp(x)
         out = exp_inplace(got)
+        below = clamped < -700.0
+        assert kernels._exp_clamped(
+            clamped, below, int(np.count_nonzero(below & (clamped >= -746.0)))
+        ) is clamped
     assert out is got
     assert np.array_equal(_bits(got), _bits(ref))
+    assert np.array_equal(_bits(clamped), _bits(ref))
 
 
 class TestExpInplace:
@@ -166,10 +174,34 @@ class TestExpInplace:
         _assert_exp_bitwise(np.linspace(-747.0, -699.0, 20011))
         _assert_exp_bitwise(np.empty(0))
 
+    @pytest.mark.parametrize(
+        "n,lo,hi,clamps",
+        [
+            (98304, -1e4, -746.0, True),  # every result +0.0: the slow path's worst case
+            (98304, -708.0, -700.0, False),  # the band: gathering it costs more
+            (98304, -5.0, 0.0, False),  # nothing below the floor
+            (64, -1e4, -746.0, False),  # too small to repay the extra passes
+        ],
+    )
+    def test_takes_the_cheaper_path(self, rng, monkeypatch, n, lo, hi, clamps):
+        calls = []
+        clamped = kernels._exp_clamped
+        monkeypatch.setattr(
+            kernels, "_exp_clamped", lambda *args: calls.append(args[2]) or clamped(*args)
+        )
+        x = rng.uniform(lo, hi, n)
+        got = x.copy()
+        exp_inplace(got)
+        assert np.array_equal(_bits(got), _bits(np.exp(x)))
+        assert calls == ([0] if clamps else [])
+
     def test_non_contiguous_view_is_written_in_place(self, rng):
-        base = self._mixed(rng, 2 * 41).reshape(41, 2)
-        arg = base.copy()
-        view = base[:, 1]
-        assert exp_inplace(view) is view
-        assert np.array_equal(_bits(base[:, 1]), _bits(np.exp(arg[:, 1])))
-        assert np.array_equal(_bits(base[:, 0]), _bits(arg[:, 0]))
+        # a small mixed array takes plain np.exp, a large underflowing one
+        # the clamped pass
+        for flat in (self._mixed(rng, 2 * 41), rng.uniform(-1e4, 0.0, 2 * 4099)):
+            base = flat.reshape(-1, 2)
+            arg = base.copy()
+            view = base[:, 1]
+            assert exp_inplace(view) is view
+            assert np.array_equal(_bits(base[:, 1]), _bits(np.exp(arg[:, 1])))
+            assert np.array_equal(_bits(base[:, 0]), _bits(arg[:, 0]))

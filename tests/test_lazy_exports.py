@@ -1,9 +1,9 @@
 """The packages whose public names resolve on first use (PEP 562).
 
-``repro``, ``repro.core``, ``repro.apps``, ``repro.runtime`` and
-``repro.service`` import nothing below them until a name is read
-(:mod:`repro._lazy`).  Each check runs in a fresh interpreter, so no other
-test has resolved a name first.
+``repro``, ``repro.core``, ``repro.apps``, ``repro.runtime``,
+``repro.service`` and ``repro.observability`` import nothing below them
+until a name is read (:mod:`repro._lazy`).  Each check runs in a fresh
+interpreter, so no other test has resolved a name first.
 """
 
 import json
@@ -14,7 +14,9 @@ import textwrap
 
 import pytest
 
-PACKAGES = ("repro", "repro.core", "repro.apps", "repro.runtime", "repro.service")
+PACKAGES = (
+    "repro", "repro.core", "repro.apps", "repro.runtime", "repro.service", "repro.observability",
+)
 
 _CHECK = textwrap.dedent("""
     import importlib, json, sys
